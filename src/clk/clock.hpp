@@ -3,17 +3,24 @@
 // The paper's model (Sec. 3): every node has a hardware clock whose rate
 // stays within [1 - rho, 1 + rho] of real time.  Nodes never see real
 // time; every timeout and edge age in the algorithm layer is measured on
-// these clocks.  A RateSchedule is a piecewise-constant rate trajectory,
-// either a single constant rate or a seeded, lazily extended random walk
-// clamped to the drift bounds.  HardwareClock integrates a schedule and
-// answers both directions: value_at(real time) and time_when(clock value)
-// (the latter is what the simulator uses to schedule "every delta_h of
-// hardware time" broadcasts as real-time events).
+// these clocks.  A RateSchedule is a clock starting at value 0 at real
+// time 0 with a piecewise-constant rate trajectory, either a single
+// constant rate or a seeded, lazily extended random walk clamped to the
+// drift bounds.  It answers both directions: value_at(real time) and
+// time_when(clock value) (the latter is what the simulator uses to
+// schedule "every delta_h of hardware time" broadcasts as real-time
+// events).  Rates are strictly positive, so the value is strictly
+// increasing and invertible.
+//
+// A walk keeps its seed, not its engine: extending it re-seeds a
+// stack-local std::mt19937_64, replays the draws already used and
+// appends a chunk of segments, so a node's resident clock state is a few
+// dozen bytes plus its segments instead of a 2.5 KB engine.
 #ifndef GCS_CLK_CLOCK_HPP
 #define GCS_CLK_CLOCK_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
 
 namespace gcs::clk {
@@ -29,17 +36,26 @@ class RateSchedule {
   // Random-walk drift: the rate starts at `start_rate`, and every
   // `step_dt` seconds of real time takes a Gaussian step with deviation
   // `sigma`, clamped to [1 - rho, 1 + rho].  Deterministic per seed;
-  // segments are generated lazily as the simulation queries further into
-  // the future.
+  // segments are generated lazily, kMinChunk or more at a time, as the
+  // simulation queries further into the future.
   static RateSchedule random_walk(double rho, double step_dt, double sigma,
                                   std::uint64_t seed, double start_rate = 1.0);
 
+  // Clock reading at real time t.  Throws std::invalid_argument unless t
+  // is finite and >= 0.
+  double value_at(double t) const;
+  // Inverse: the real time at which the clock reads `value`.  Throws
+  // std::invalid_argument unless value is finite and >= 0.
+  double time_when(double value) const;
+  // Rate at real time t; same domain as value_at.
   double rate_at(double t) const;
 
   bool is_constant() const { return !walk_; }
 
  private:
-  friend class HardwareClock;
+  // Fewest segments one extension appends; it appends at least as many
+  // as the walk already has, so the replay cost stays amortized O(1).
+  static constexpr std::size_t kMinChunk = 16;
 
   struct Segment {
     double t0;    // real-time start of the segment
@@ -50,32 +66,16 @@ class RateSchedule {
   // Ensures segments cover real time `t` / clock value `v`.
   void extend_to_time(double t) const;
   void extend_to_value(double v) const;
-  void push_next_segment() const;
+  template <class Covered>
+  void extend(Covered covered) const;
 
   mutable std::vector<Segment> segments_;
-  bool walk_ = false;
   double lo_ = 1.0;
   double hi_ = 1.0;
   double step_dt_ = 1.0;
   double sigma_ = 0.0;
-  mutable std::mt19937_64 gen_{0};
-};
-
-// A hardware clock starting at value 0 at real time 0, advancing at the
-// schedule's rate.  Rates are strictly positive, so the value is strictly
-// increasing and invertible.
-class HardwareClock {
- public:
-  explicit HardwareClock(RateSchedule schedule);
-
-  // Clock reading at real time t (t >= 0).
-  double value_at(double t) const;
-  // Inverse: the real time at which the clock reads `value` (value >= 0).
-  double time_when(double value) const;
-  double rate_at(double t) const { return schedule_.rate_at(t); }
-
- private:
-  RateSchedule schedule_;
+  std::uint64_t seed_ = 0;
+  bool walk_ = false;
 };
 
 }  // namespace gcs::clk

@@ -130,8 +130,7 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
   if (!link_.prop.sample) {
     throw std::invalid_argument("NetworkSimulation: delay model has no sampler");
   }
-  clocks_.reserve(n);
-  for (auto& s : schedules) clocks_.emplace_back(std::move(s));
+  clocks_ = std::move(schedules);
   if (factory) {
     std::vector<std::unique_ptr<NodeAutomaton>> nodes;
     nodes.reserve(n);

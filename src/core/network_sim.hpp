@@ -329,7 +329,10 @@ class NetworkSimulation {
   // (which then stays empty), nodes map contiguously onto shards, and
   // every node draws delays from its own seeded RNG stream so sends on
   // different shards never contend for -- or K-variantly reorder draws
-  // from -- a shared generator.
+  // from -- a shared generator.  A node's Rng creates its engine on the
+  // first draw, in whichever single context owns the node at that moment
+  // (its shard, or the coordinator at barriers), so a constant delay
+  // allocates no engines at all.
   std::unique_ptr<sim::ShardedEngine> sharded_;
   std::vector<std::uint32_t> shard_of_;
   std::vector<util::Rng> node_rngs_;
@@ -378,7 +381,7 @@ class NetworkSimulation {
   std::vector<std::vector<PendingTrace>> trace_bufs_;
   std::vector<std::uint64_t> node_trace_seq_;
   std::uint64_t global_trace_seq_ = 0;
-  std::vector<clk::HardwareClock> clocks_;
+  std::vector<clk::RateSchedule> clocks_;
   // All node state -- DcsaColumns flat arenas by default, or the
   // AutomatonStore adapter when a NodeFactory was supplied.
   std::unique_ptr<NodeStore> store_;

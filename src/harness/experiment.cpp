@@ -41,6 +41,9 @@ std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
       schedules.emplace_back(1.0 - rho + 2.0 * rho * f);
     }
   } else if (cfg.drift == "walk") {
+    // Known limitation (DESIGN.md "Determinism"): for n > 7919 these
+    // seeds overlap across cfg.seed values; fixing it re-baselines every
+    // walk trajectory.
     for (std::size_t i = 0; i < n; ++i) {
       schedules.push_back(clk::RateSchedule::random_walk(
           rho, /*step_dt=*/1.0, /*sigma=*/rho / 4.0,

@@ -1,0 +1,279 @@
+#include "clk/clock.hpp"
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+namespace {
+
+using gcs::clk::RateSchedule;
+
+// A walk must stay a seed plus its segments: an engine member (2.5 KB)
+// is exactly what this bound keeps out.
+static_assert(sizeof(RateSchedule) <= 96,
+              "RateSchedule must not hold a random engine");
+
+// The reference walk: one resident std::mt19937_64 per schedule,
+// extended one segment per draw.  The chunked replay must reproduce its
+// segments, and hence every answer, bit for bit.
+class EagerWalk {
+ public:
+  EagerWalk(double rho, double step_dt, double sigma, std::uint64_t seed,
+            double start_rate = 1.0)
+      : lo_(1.0 - rho),
+        hi_(1.0 + rho),
+        step_dt_(step_dt),
+        sigma_(sigma),
+        gen_(seed) {
+    segs_.push_back(Seg{0.0, 0.0, std::clamp(start_rate, lo_, hi_)});
+  }
+
+  double value_at(double t) {
+    while (segs_.back().t0 + step_dt_ <= t) push();
+    auto it = std::upper_bound(segs_.begin(), segs_.end(), t,
+                               [](double x, const Seg& s) { return x < s.t0; });
+    const Seg& s = *std::prev(it);
+    return s.hw0 + s.rate * (t - s.t0);
+  }
+
+  double time_when(double v) {
+    while (segs_.back().hw0 + segs_.back().rate * step_dt_ <= v) push();
+    auto it = std::upper_bound(segs_.begin(), segs_.end(), v,
+                               [](double x, const Seg& s) { return x < s.hw0; });
+    const Seg& s = *std::prev(it);
+    return s.t0 + (v - s.hw0) / s.rate;
+  }
+
+  double rate_at(double t) {
+    while (segs_.back().t0 + step_dt_ <= t) push();
+    auto it = std::upper_bound(segs_.begin(), segs_.end(), t,
+                               [](double x, const Seg& s) { return x < s.t0; });
+    return std::prev(it)->rate;
+  }
+
+ private:
+  struct Seg {
+    double t0;
+    double hw0;
+    double rate;
+  };
+
+  void push() {
+    const Seg& last = segs_.back();
+    std::normal_distribution<double> step(0.0, sigma_);
+    const double next_rate = std::clamp(last.rate + step(gen_), lo_, hi_);
+    segs_.push_back(
+        Seg{last.t0 + step_dt_, last.hw0 + last.rate * step_dt_, next_rate});
+  }
+
+  std::vector<Seg> segs_;
+  double lo_;
+  double hi_;
+  double step_dt_;
+  double sigma_;
+  std::mt19937_64 gen_;
+};
+
+std::uint64_t bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+struct WalkShape {
+  double rho;
+  double step_dt;
+  double sigma;
+  std::uint64_t seed;
+  double start_rate;
+};
+
+const WalkShape kShapes[] = {
+    {0.02, 1.0, 0.005, 7919, 1.0},   // the harness's --drift=walk shape
+    {0.02, 1.0, 0.005, 1, 1.0},
+    {0.1, 0.25, 0.2, 42, 1.05},      // sigma >> rho: the clamp binds often
+    {0.3, 2.0, 0.01, 123456789, 0.5},  // start rate clamped to 1 - rho
+    {0.0, 1.0, 0.01, 5, 1.0},        // rho = 0: every step clamped to 1
+};
+
+// Times and clock values out to t = 1000 (1000 segments at step 1), with
+// repeats and segment boundaries.
+std::vector<double> query_points() {
+  std::vector<double> q;
+  for (double t = 0.0; t <= 60.0; t += 0.37) q.push_back(t);
+  for (double t = 0.0; t <= 1000.0; t += 13.0) q.push_back(t);
+  for (int k = 0; k <= 64; ++k) q.push_back(static_cast<double>(k));
+  q.push_back(1e3);
+  q.push_back(999.999);
+  return q;
+}
+
+enum class Query { kValue, kTime, kRate };
+
+// Runs the same (kind, x) queries against a chunked schedule and an eager
+// reference, in the given order, and demands bit-identical answers.
+void expect_same_answers(const WalkShape& w,
+                         const std::vector<std::pair<Query, double>>& qs) {
+  const RateSchedule s = RateSchedule::random_walk(w.rho, w.step_dt, w.sigma,
+                                                   w.seed, w.start_rate);
+  EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed, w.start_rate);
+  for (const auto& [kind, x] : qs) {
+    switch (kind) {
+      case Query::kValue:
+        ASSERT_EQ(bits(s.value_at(x)), bits(ref.value_at(x)))
+            << "value_at(" << x << ") seed " << w.seed;
+        break;
+      case Query::kTime:
+        ASSERT_EQ(bits(s.time_when(x)), bits(ref.time_when(x)))
+            << "time_when(" << x << ") seed " << w.seed;
+        break;
+      case Query::kRate:
+        ASSERT_EQ(bits(s.rate_at(x)), bits(ref.rate_at(x)))
+            << "rate_at(" << x << ") seed " << w.seed;
+        break;
+    }
+  }
+}
+
+std::vector<std::pair<Query, double>> all_kinds(const std::vector<double>& xs) {
+  std::vector<std::pair<Query, double>> qs;
+  for (double x : xs) {
+    qs.emplace_back(Query::kValue, x);
+    qs.emplace_back(Query::kTime, x);
+    qs.emplace_back(Query::kRate, x);
+  }
+  return qs;
+}
+
+TEST(RateSchedule, ChunkedWalkMatchesEagerReferenceInOrder) {
+  std::vector<double> xs = query_points();
+  std::sort(xs.begin(), xs.end());
+  for (const WalkShape& w : kShapes) expect_same_answers(w, all_kinds(xs));
+}
+
+TEST(RateSchedule, ChunkedWalkMatchesEagerReferenceShuffled) {
+  const auto base = all_kinds(query_points());
+  for (std::uint64_t order = 0; order < 8; ++order) {
+    auto qs = base;
+    std::mt19937_64 shuffler(order);
+    std::shuffle(qs.begin(), qs.end(), shuffler);
+    for (const WalkShape& w : kShapes) expect_same_answers(w, qs);
+  }
+}
+
+TEST(RateSchedule, FirstQueryFarInFutureThenPast) {
+  for (const WalkShape& w : kShapes) {
+    std::vector<std::pair<Query, double>> qs = {{Query::kValue, 1e3}};
+    for (double t = 0.0; t < 1e3; t += 7.5) {
+      qs.emplace_back(Query::kValue, t);
+      qs.emplace_back(Query::kRate, t);
+      qs.emplace_back(Query::kTime, t);
+    }
+    expect_same_answers(w, qs);
+    // The same far jump, driven through the inverse first.
+    qs.front().first = Query::kTime;
+    expect_same_answers(w, qs);
+  }
+}
+
+TEST(RateSchedule, PastQueriesAfterEachExtension) {
+  // Walk forward in growing strides (each crossing a chunk boundary at a
+  // different fill level) and, after every extension, look back at t = 0
+  // and at the previous stride.
+  for (const WalkShape& w : kShapes) {
+    std::vector<std::pair<Query, double>> qs;
+    double prev = 0.0;
+    for (double t = 0.5; t < 900.0; t = t * 1.7 + 0.3) {
+      qs.emplace_back(Query::kValue, t);
+      qs.emplace_back(Query::kValue, 0.0);
+      qs.emplace_back(Query::kRate, prev);
+      qs.emplace_back(Query::kTime, prev);
+      qs.emplace_back(Query::kValue, prev * 0.5);
+      prev = t;
+    }
+    expect_same_answers(w, qs);
+  }
+}
+
+TEST(RateSchedule, WalkRespectsDriftBoundsAndIsInvertible) {
+  const RateSchedule s = RateSchedule::random_walk(0.1, 1.0, 0.2, 9);
+  EXPECT_FALSE(s.is_constant());
+  for (double t = 0.0; t < 200.0; t += 0.9) {
+    const double r = s.rate_at(t);
+    EXPECT_GE(r, 0.9);
+    EXPECT_LE(r, 1.1);
+    EXPECT_NEAR(s.time_when(s.value_at(t)), t, 1e-9);
+  }
+}
+
+TEST(RateSchedule, ConstantSchedules) {
+  for (double rate : {0.98, 1.0, 1.02, 3.0}) {
+    const RateSchedule s(rate);
+    EXPECT_TRUE(s.is_constant());
+    for (double t : {0.0, 0.5, 17.25, 1e3, 1e9}) {
+      EXPECT_EQ(s.value_at(t), rate * t);
+      EXPECT_EQ(s.rate_at(t), rate);
+      EXPECT_EQ(s.time_when(rate * t), (rate * t) / rate);
+    }
+  }
+  EXPECT_THROW(RateSchedule(0.0), std::invalid_argument);
+  EXPECT_THROW(RateSchedule(-1.0), std::invalid_argument);
+}
+
+TEST(RateSchedule, MovedScheduleContinuesTheSameWalk) {
+  const WalkShape& w = kShapes[0];
+  RateSchedule a = RateSchedule::random_walk(w.rho, w.step_dt, w.sigma, w.seed);
+  EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed);
+  EXPECT_EQ(bits(a.value_at(20.0)), bits(ref.value_at(20.0)));
+  const RateSchedule b = std::move(a);
+  EXPECT_EQ(bits(b.value_at(300.0)), bits(ref.value_at(300.0)));
+  EXPECT_EQ(bits(b.time_when(5.0)), bits(ref.time_when(5.0)));
+}
+
+// value_at/time_when/rate_at used to walk off the front of the segment
+// table (std::prev(begin())) for a negative or NaN argument in Release
+// builds; they now refuse it and name the value.
+TEST(RateSchedule, RejectsNegativeNanAndInfiniteArguments) {
+  const RateSchedule walk = RateSchedule::random_walk(0.02, 1.0, 0.005, 3);
+  const RateSchedule fixed(1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const RateSchedule* s : {&walk, &fixed}) {
+    EXPECT_THROW(s->value_at(-1.0), std::invalid_argument);
+    EXPECT_THROW(s->value_at(nan), std::invalid_argument);
+    EXPECT_THROW(s->value_at(inf), std::invalid_argument);
+    EXPECT_THROW(s->time_when(-0.5), std::invalid_argument);
+    EXPECT_THROW(s->time_when(nan), std::invalid_argument);
+    EXPECT_THROW(s->time_when(inf), std::invalid_argument);
+    EXPECT_THROW(s->rate_at(-1e-300), std::invalid_argument);
+    EXPECT_THROW(s->rate_at(nan), std::invalid_argument);
+  }
+  try {
+    walk.value_at(-2.5);
+    FAIL() << "value_at(-2.5) did not throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("value_at"), std::string::npos) << what;
+    EXPECT_NE(what.find("-2.5"), std::string::npos) << what;
+  }
+  try {
+    walk.time_when(nan);
+    FAIL() << "time_when(nan) did not throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("time_when"), std::string::npos) << what;
+    EXPECT_NE(what.find("nan"), std::string::npos) << what;
+  }
+  // Zero is in the domain; -0.0 compares equal to it.
+  EXPECT_EQ(walk.value_at(0.0), 0.0);
+  EXPECT_EQ(walk.time_when(-0.0), 0.0);
+}
+
+}  // namespace
