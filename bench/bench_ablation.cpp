@@ -15,11 +15,11 @@
 //
 // (b) Weighted tolerances (the conclusion's weighted-graph extension):
 //     when the post-shortcut adjustment wave passes, a node may overshoot
-//     its neighbour by its edge tolerance (Lemma 6.6). With weighted
-//     tolerances a tight link (w = 1/2) caps the overshoot at ~B0/2
-//     while plain Algorithm 2 allows ~B0 — precision links stay tighter
-//     through transients. Reported: peak post-shortcut skew on a tight
-//     vs a loose link, weighted vs unweighted.
+//     its neighbour by its edge tolerance (Lemma 6.6). The `weighted:0.5`
+//     variant holds every matured edge to B0/2 instead of B0, so the
+//     overshoot is capped at ~B0/2 where plain Algorithm 2 allows ~B0.
+//     Reported: peak post-shortcut skew on the same edge, weighted vs
+//     plain DCSA.
 //
 // The tolerance knobs ablated here (B0, delta_h) also sweep through the
 // campaign/report path: `gcs_run --campaign campaigns/ablation.json
@@ -30,14 +30,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <map>
-#include <memory>
 
 #include "core/bfunc.hpp"
-#include "core/dcsa_node.hpp"
 #include "core/network_sim.hpp"
-#include "core/weighted_dcsa_node.hpp"
-#include "net/link_quality.hpp"
 #include "net/scenario.hpp"
 #include "net/topology.hpp"
 
@@ -75,23 +70,18 @@ void BM_Ablation_InitialTolerance(benchmark::State& state) {
     for (std::size_t i = 0; i < n; ++i) {
       schedules.emplace_back(i < n / 2 ? 1.0 + p.rho : 1.0 - p.rho);
     }
-    std::vector<gcs::core::DcsaNode*> nodes(n, nullptr);
-    auto* nodes_ptr = &nodes;
-    auto factory = [p, ablated, nodes_ptr](gcs::core::NodeId id) {
-      auto node = std::make_unique<gcs::core::DcsaNode>(p, ablated);
-      (*nodes_ptr)[id] = node.get();
-      return node;
-    };
     gcs::core::NetworkSimulation sim(
         p, scenario.to_dynamic_graph(),
-        gcs::net::make_constant_delay(p.T, p.T), std::move(schedules), factory);
+        gcs::net::make_constant_delay(p.T, p.T), std::move(schedules),
+        gcs::core::SimOptions{},
+        gcs::core::Protocol{gcs::core::Variant{}, ablated});
     sim.run_until(add_time);
     skew_at_add = std::abs(sim.skew(u, far_node));
     double blocked = 0.0;
     double local_peak = 0.0;
     const double sample_dt = 0.05;
     sim.schedule_periodic(add_time + sample_dt, sample_dt, [&](gcs::sim::Time) {
-      if (nodes[u]->is_blocked_by(far_node, sim.hardware_clock(u))) {
+      if (sim.store().is_blocked_by(u, far_node, sim.hardware_clock(u))) {
         blocked += sample_dt;
       }
       local_peak = std::max(local_peak,
@@ -121,14 +111,14 @@ void BM_Ablation_WeightedTolerance(benchmark::State& state) {
   p.delta_h = 0.25;
   p.B0 = p.min_b0() * 2.0;  // so B0 * 0.5 still exceeds 2(1+rho)tau
 
-  // The tight edge gets weight 1/2 in the tolerance policy only; the
-  // realized delays are identical on every link so that the two runs
-  // differ in nothing but the weighted tolerance.
-  std::map<gcs::net::Edge, gcs::sim::Duration> bounds;
-  const gcs::net::Edge tight_edge(93, 94);
-  const gcs::net::Edge loose_edge(91, 92);
-  bounds[tight_edge] = p.T / 2.0;
-  const gcs::net::LinkQualityMap qualities(p.T, bounds);
+  // Every edge gets weight 1/2 in the weighted run's tolerance only; the
+  // realized delays are identical, so the two runs differ in nothing but
+  // the weighted tolerance.
+  const gcs::net::Edge edge(93, 94);
+  gcs::core::Protocol protocol;
+  if (weighted) {
+    protocol.variant = {gcs::core::Variant::Rule::kWeighted, 0.5};
+  }
 
   const double add_time =
       gcs::core::BFunction(p).decay_age() / (1.0 - p.rho) + 40.0;
@@ -137,39 +127,24 @@ void BM_Ablation_WeightedTolerance(benchmark::State& state) {
   scenario.events.push_back(gcs::net::TopologyEvent{
       add_time, gcs::net::Edge(0, static_cast<gcs::net::NodeId>(n - 1)), true});
 
-  double tight_peak = 0.0;
-  double loose_peak = 0.0;
+  double edge_peak = 0.0;
   for (auto _ : state) {
     std::vector<gcs::clk::RateSchedule> schedules;
     for (std::size_t i = 0; i < n; ++i) {
       schedules.emplace_back(i < n / 2 ? 1.0 + p.rho : 1.0 - p.rho);
     }
-    auto factory =
-        [p, qualities, weighted](gcs::core::NodeId) -> std::unique_ptr<gcs::core::NodeAutomaton> {
-      if (!weighted) {
-        return std::make_unique<gcs::core::DcsaNode>(p);
-      }
-      auto weight = [qualities](gcs::core::NodeId a, gcs::core::NodeId b) {
-        return qualities.weight(gcs::net::Edge(a, b));
-      };
-      return std::make_unique<gcs::core::WeightedDcsaNode>(p, weight, 0.5);
-    };
     gcs::core::NetworkSimulation sim(
         p, scenario.to_dynamic_graph(),
         gcs::net::make_uniform_delay(p.T, 0.0, p.T), std::move(schedules),
-        factory);
-    double tight = 0.0;
-    double loose = 0.0;
+        gcs::core::SimOptions{}, protocol);
+    double peak = 0.0;
     sim.schedule_periodic(add_time + 0.25, 0.25, [&](gcs::sim::Time) {
-      tight = std::max(tight, std::abs(sim.skew(tight_edge.u, tight_edge.v)));
-      loose = std::max(loose, std::abs(sim.skew(loose_edge.u, loose_edge.v)));
+      peak = std::max(peak, std::abs(sim.skew(edge.u, edge.v)));
     });
     sim.run_until(add_time + 30.0);
-    tight_peak = tight;
-    loose_peak = loose;
+    edge_peak = peak;
   }
-  state.counters["tight_link_peak"] = tight_peak;
-  state.counters["loose_link_peak"] = loose_peak;
+  state.counters["edge_peak"] = edge_peak;
   state.counters["B0"] = p.effective_b0();
   state.counters["weighted"] = weighted ? 1.0 : 0.0;
 }
@@ -180,6 +155,6 @@ void BM_Ablation_WeightedTolerance(benchmark::State& state) {
 // smaller = ablated (Lemma 6.10 progressively violated).
 BENCHMARK(BM_Ablation_InitialTolerance)->Arg(100)->Arg(10)->Arg(0)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
-// Arg: 0 = plain DCSA, 1 = weighted DCSA (both on heterogeneous links).
+// Arg: 0 = plain DCSA, 1 = the weighted:0.5 variant.
 BENCHMARK(BM_Ablation_WeightedTolerance)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->Iterations(1);

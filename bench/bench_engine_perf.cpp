@@ -17,19 +17,15 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/dcsa_node.hpp"
 #include "core/network_sim.hpp"
 #include "harness/experiment.hpp"
-#include "net/scenario.hpp"
 #include "net/topology.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/engine.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -157,9 +153,6 @@ void BM_DcsaSimulation(benchmark::State& state) {
         params, gcs::net::DynamicGraph(n, gcs::net::make_ring(n).edges(), {}),
         gcs::net::make_constant_delay(params.T, params.T / 2.0),
         std::move(schedules),
-        [&params](gcs::core::NodeId) {
-          return std::make_unique<gcs::core::DcsaNode>(params);
-        },
         options);
     sim.run_until(50.0);
     events = sim.events_executed();
@@ -198,9 +191,6 @@ void BM_DcsaDenseDelivery(benchmark::State& state) {
         gcs::net::DynamicGraph(n, gcs::net::make_complete(n).edges(), {}),
         gcs::net::make_constant_delay(params.T, params.T / 2.0),
         std::move(schedules),
-        [&params](gcs::core::NodeId) {
-          return std::make_unique<gcs::core::DcsaNode>(params);
-        },
         options);
     sim.run_until(30.0);
     events = sim.events_executed();
@@ -294,9 +284,6 @@ void BM_ShardedHold(benchmark::State& state) {
         params, gcs::net::DynamicGraph(n, gcs::net::make_ring(n).edges(), {}),
         gcs::net::make_constant_delay(params.T, params.T / 2.0),
         std::move(schedules),
-        [&params](gcs::core::NodeId) {
-          return std::make_unique<gcs::core::DcsaNode>(params);
-        },
         options);
     sim.run_until(4.0);
     return sim.events_executed();
@@ -328,69 +315,6 @@ void BM_ShardedHold(benchmark::State& state) {
       ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
   state.counters["hw_threads"] =
       static_cast<double>(std::thread::hardware_concurrency());
-}
-
-// Million-node proxy: the campaigns/million_node.json cell scaled down
-// to a size google-benchmark can iterate (same churn shape, rho, T, D,
-// delay floor, and horizon; only n shrinks).  Each iteration runs the
-// PAIR of stores back to back -- adapter (per-node objects) then columns
-// (struct-of-arrays) -- and the reported `columns_speedup_ratio` is the
-// MEDIAN of the per-pair adapter/columns wall-time quotients, the same
-// common-mode-noise-cancelling scheme as BM_TelemetryOverhead.  The two
-// arms must agree on trajectory counters (the store-equivalence
-// contract) or the benchmark is voided.  scripts/perf_compare.py gates
-// the ratio at >= 0.9: columns must never regress meaningfully below
-// the object path it replaced.
-void BM_MillionNodeChurn(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  gcs::harness::ExperimentConfig cfg;
-  cfg.params.n = n;
-  cfg.params.rho = 0.02;
-  cfg.params.T = 0.5;
-  cfg.params.D = 1.0;
-  cfg.params.delta_h = 0.5;
-  cfg.params.B0 = 20.0;
-  cfg.drift = "walk";
-  cfg.delay = "constant:0.25";
-  cfg.horizon = 4.0;
-  cfg.sample_dt = 1.0;
-  cfg.seed = 1;
-  gcs::util::Rng scenario_rng(cfg.seed);
-  cfg.scenario = gcs::net::make_churn_scenario(n, 64, 2.0, cfg.horizon,
-                                               scenario_rng);
-
-  using BenchClock = std::chrono::steady_clock;
-  std::vector<double> ratios;
-  std::uint64_t events = 0;
-  std::uint64_t arena_bytes = 0;
-  for (auto _ : state) {
-    cfg.store = "adapter";
-    const auto t0 = BenchClock::now();
-    const auto adapter = gcs::harness::run_experiment(cfg);
-    const auto t1 = BenchClock::now();
-    cfg.store = "columns";
-    const auto columns = gcs::harness::run_experiment(cfg);
-    const auto t2 = BenchClock::now();
-    if (adapter.events_executed != columns.events_executed ||
-        adapter.run_stats.jumps != columns.run_stats.jumps ||
-        adapter.max_global_skew != columns.max_global_skew) {
-      state.SkipWithError("stores diverged; see gcs_store_equivalence");
-      return;
-    }
-    events = columns.events_executed;
-    arena_bytes = columns.run_stats.arena_bytes;
-    const double adapter_s = std::chrono::duration<double>(t1 - t0).count();
-    const double columns_s = std::chrono::duration<double>(t2 - t1).count();
-    if (columns_s > 0.0) ratios.push_back(adapter_s / columns_s);
-  }
-  std::sort(ratios.begin(), ratios.end());
-  state.SetItemsProcessed(static_cast<std::int64_t>(2 * events) *
-                          state.iterations());
-  state.counters["events_per_run"] = static_cast<double>(events);
-  state.counters["columns_speedup_ratio"] =
-      ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
-  state.counters["arena_bytes_per_node"] =
-      n == 0 ? 0.0 : static_cast<double>(arena_bytes) / static_cast<double>(n);
 }
 
 void BM_DcsaSimulationWithChecks(benchmark::State& state) {
@@ -435,10 +359,6 @@ BENCHMARK(BM_TelemetryOverhead)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ShardedHold)
     ->Iterations(5)  // fixed median sample size; two 10k-node arms each
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MillionNodeChurn)
-    ->Arg(20000)     // million-node shape at a benchable n
-    ->Iterations(5)  // fixed median sample size; two paired arms each
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DcsaSimulationWithChecks)->Arg(8)->Arg(32)
     ->Unit(benchmark::kMillisecond);

@@ -6,7 +6,7 @@ Usage:
         [--tolerance 2.0] [--min-pending 10000]
         [--max-telemetry-overhead 0.05]
 
-Both files are ``bench_engine_perf --benchmark_format=json`` output.  Two
+Both files are ``bench_engine_perf --benchmark_format=json`` output.  Three
 gates run, both on ratios measured within one process so they are
 machine-portable (CI runners and dev laptops differ wildly in clock
 speed, but the two sides of each ratio run seconds apart on the same
@@ -33,8 +33,8 @@ cancels):
    honest.  The baseline's ratio is reported alongside and must exist
    (so the committed baseline documents the overhead at the time it was
    cut).  The ceiling is RELATIVE to the simulation's own speed: when
-   the columns store landed and more than halved the bare run time, the
-   recorder's unchanged absolute cost doubled in relative terms
+   the struct-of-arrays kernel landed and more than halved the bare run
+   time, the recorder's unchanged absolute cost doubled in relative terms
    (~2.7% -> ~6.5%), and the ceiling was re-cut from 5% to 10% to keep
    the same proportional headroom.
 
@@ -49,24 +49,13 @@ cancels):
    informational.  The shapes must exist in both files either way, so a
    renamed or dropped benchmark still fails loudly.
 
-4. Columns-store speedup.  ``BM_MillionNodeChurn`` runs the scaled-down
-   million-node churn cell with the per-node adapter store and the
-   struct-of-arrays columns store back to back per iteration and reports
-   the median adapter/columns wall-time quotient as the
-   ``columns_speedup_ratio`` counter.  The current run's ratio must be
-   at least --min-columns-speedup (default 0.9): the flat store may
-   never cost more than ~10% over the object path it replaced, and in
-   practice it is faster.  This gate is a same-host paired ratio, so it
-   is enforced on every host.
-
 If a benchmark was run with repetitions the median aggregate is preferred
 over the raw iterations.
 
 Exit codes: 0 pass, 1 regression, 2 unusable input.  Unusable means any
 shape or counter a gate depends on is absent: an empty OR partial Hold
 shape overlap (a shape present on only one side is a renamed/dropped
-benchmark, not a smaller gate), a missing telemetry/sharded/columns
-counter, or a current run without ``hw_threads`` (which would otherwise
+benchmark, not a smaller gate), a missing telemetry/sharded counter, or a current run without ``hw_threads`` (which would otherwise
 silently downgrade the sharded gate to informational).  A renamed
 benchmark must fail loudly, never skip the gate.
 """
@@ -81,8 +70,6 @@ TELEMETRY_COUNTER = "telemetry_overhead_ratio"
 SHARDED_NAME = "BM_ShardedHold"
 SHARDED_COUNTER = "sharded_speedup_ratio"
 SHARDED_THREADS_COUNTER = "hw_threads"
-COLUMNS_NAME = "BM_MillionNodeChurn"
-COLUMNS_COUNTER = "columns_speedup_ratio"
 
 
 def load_benchmarks(path):
@@ -179,28 +166,6 @@ def sharded_stats(benchmarks):
     return (max(ratios) if ratios else None, threads)
 
 
-def columns_ratio(benchmarks):
-    """Best columns_speedup_ratio over repetitions, or None if absent.
-
-    Best (max), for the same reason as sharded_stats: each repetition's
-    counter is already a median of per-pair quotients, and the best
-    repetition is the one least disturbed by co-tenants.
-    """
-    ratios = []
-    for bench in benchmarks:
-        base = bench.get("run_name", bench.get("name", ""))
-        # Pinned iterations encode in the name ("BM_MillionNodeChurn/
-        # 20000/iterations:5"), so match on the prefix.
-        if not base.startswith(COLUMNS_NAME):
-            continue
-        if bench.get("run_type", "iteration") == "aggregate":
-            continue
-        value = bench.get(COLUMNS_COUNTER)
-        if isinstance(value, (int, float)) and value > 0:
-            ratios.append(value)
-    return max(ratios) if ratios else None
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -216,10 +181,6 @@ def main():
                         help="min shards=4 vs shards=1 wall-clock ratio, "
                              "enforced only on hosts with >= 4 hardware "
                              "threads (default 1.5)")
-    parser.add_argument("--min-columns-speedup", type=float, default=0.9,
-                        help="min adapter-store vs columns-store wall-clock "
-                             "ratio (default 0.9: the flat store may cost at "
-                             "most ~10%% over the object path)")
     args = parser.parse_args()
 
     baseline_benchmarks = load_benchmarks(args.baseline)
@@ -304,30 +265,15 @@ def main():
     print(f"{'sharded-speedup':<24} {base_sharded:>8.2f}x "
           f"{cur_sharded:>8.2f}x {args.min_sharded_speedup:>8.2f}x  {verdict}")
 
-    base_columns = columns_ratio(baseline_benchmarks)
-    cur_columns = columns_ratio(current_benchmarks)
-    if base_columns is None or cur_columns is None:
-        print(f"perf_compare: {COLUMNS_NAME}'s {COLUMNS_COUNTER} counter "
-              f"missing from {'baseline' if base_columns is None else 'current'}"
-              " -- regenerate the baseline with the million-node benchmark in "
-              "the filter", file=sys.stderr)
-        return 2
-    columns_ok = cur_columns >= args.min_columns_speedup
-    failures += 0 if columns_ok else 1
-    print(f"{'columns-speedup':<24} {base_columns:>8.2f}x "
-          f"{cur_columns:>8.2f}x {args.min_columns_speedup:>8.2f}x  "
-          f"{'ok' if columns_ok else 'REGRESSION'}")
-
     if failures:
         print(f"\nperf_compare: {failures} gate(s) failed "
               f"(speedup floor {args.tolerance}x, telemetry ceiling "
-              f"{ceiling:.3f}x, sharded floor {args.min_sharded_speedup}x, "
-              f"columns floor {args.min_columns_speedup}x)",
+              f"{ceiling:.3f}x, sharded floor {args.min_sharded_speedup}x)",
               file=sys.stderr)
         return 1
     print(f"\nperf_compare: all {len(shared)} Hold shape(s), the "
-          "telemetry-overhead gate, the sharded-speedup gate, and the "
-          "columns-speedup gate within tolerance")
+          "telemetry-overhead gate, and the sharded-speedup gate within "
+          "tolerance")
     return 0
 
 

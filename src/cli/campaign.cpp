@@ -255,7 +255,7 @@ const char* const kAxisOrder[] = {"n",       "topology", "scenario", "drift",
                                   "delay",   "traffic",  "variant",  "engine",
                                   "delivery", "rho",     "T",        "D",
                                   "delta_h", "B0",       "horizon",  "sample_dt",
-                                  "shards",  "store",    "seed"};
+                                  "shards",  "seed"};
 
 bool is_known_axis(const std::string& key) {
   for (const char* axis : kAxisOrder) {

@@ -52,8 +52,8 @@ bool is_float_field(const std::string& key) {
 }
 
 // Machine-describing fields, skipped unless --timing asks for them:
-// wall-clock timing plus the schema-v5 memory pair (arena_bytes differs
-// between the columns and adapter stores by design; peak_rss_kb is a
+// wall-clock timing plus the schema-v5 memory pair (arena_bytes depends
+// on the arena's growth history, not the physics; peak_rss_kb is a
 // per-process high-water mark that varies run to run).
 bool is_timing_field(const std::string& key) {
   return key == "wall_ms" || key == "events_per_sec" ||
@@ -210,13 +210,14 @@ struct Differ {
           it->second.as_object().erase("name");
         }
       }
-      // The shard count and node-store layout are execution layout, not
-      // physics: every shard count >= 1 and both stores (columns /
-      // adapter) produce the same trajectory bytes (the determinism and
-      // store-equivalence matrices prove it), so trees run at different
-      // settings should diff clean.  The engine_stats shard counters are
-      // already K-invariant; the store-dependent arena_bytes is skipped
-      // with the timing fields above.
+      // The shard count is execution layout, not physics: every shard
+      // count >= 1 produces the same trajectory bytes (the determinism
+      // matrix proves it), so trees run at different settings should
+      // diff clean.  The engine_stats shard counters are already
+      // K-invariant.  Trees written before the node-store axis was
+      // retired echo "store": "columns"; that legacy echo is dropped so
+      // they diff clean against current trees, and any other value
+      // ("adapter") fails loudly naming the retired axis.
       // The traffic spec echo is stripped for the same reason trees are
       // expected to diff clean across it only when the physics agree:
       // "off" and an infinite-bandwidth "idle" produce identical
@@ -225,6 +226,7 @@ struct Differ {
       // counters and the skew fields, not in the spec string.
       if (const auto it = fields.find("config");
           it != fields.end() && it->second.is_object()) {
+        harness::check_legacy_store(it->second);
         it->second.as_object().erase("shards");
         it->second.as_object().erase("store");
         it->second.as_object().erase("traffic");

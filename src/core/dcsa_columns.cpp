@@ -2,8 +2,11 @@
 
 namespace gcs::core {
 
-DcsaColumns::DcsaColumns(const SyncParams& params, std::size_t n)
-    : bfunc_(params), kappa_((1.0 - params.rho) / (1.0 + params.rho)) {
+DcsaColumns::DcsaColumns(const SyncParams& params, std::size_t n,
+                         const Protocol& protocol)
+    : bfunc_(protocol.tolerance.value_or(BFunction(params))),
+      variant_(protocol.variant),
+      kappa_((1.0 - params.rho) / (1.0 + params.rho)) {
   offset_.assign(n, 0.0);
   fast_.assign(n, 0);
   head_.assign(n, 0);
@@ -102,7 +105,7 @@ void DcsaColumns::edge_up(const NodeContext& ctx, NodeId peer) {
     ++live_slots_;
     slot_peer_[s] = peer;
   }
-  // Fresh edge state, exactly like DcsaNode's peers_[peer] = {hw, ...}.
+  // Fresh edge state: no estimate yet, age counted from now.
   slot_hw_up_[s] = ctx.hw_now;
   slot_has_est_[s] = 0;
   slot_value_[s] = 0.0;
@@ -126,22 +129,8 @@ void DcsaColumns::edge_down(const NodeContext& ctx, NodeId peer) {
   --live_slots_;
 }
 
-double DcsaColumns::apply_delivery(const StoreDelivery& d) {
-  const NodeId u = d.to;
-  const double hw_now = d.hw_now;
-  // --- on_message: keep the strongest lower bound (DcsaNode verbatim).
-  const std::uint32_t s = find_slot(u, d.from);
-  if (s != kNpos) {
-    if (!(slot_has_est_[s] && estimate_low(s, hw_now) >= d.value)) {
-      slot_value_[s] = d.value;
-      slot_hw_recv_[s] = hw_now;
-      slot_has_est_[s] = 1;
-    }
-  }
-  // --- step: jump rule over the segment.  Same per-slot arithmetic and
-  // the same compare-and-select forms as DcsaNode::step; the folds are
-  // order-independent, so segment order vs. map order cannot matter.
-  const double logical = hw_now + offset_[u];
+double DcsaColumns::unconstrained_target(NodeId u, double hw_now,
+                                         double logical) const {
   const std::uint32_t head = head_[u];
   const std::uint32_t end = head + count_[u];
   double target = logical;
@@ -150,14 +139,69 @@ double DcsaColumns::apply_delivery(const StoreDelivery& d) {
     const double est = estimate_low(i, hw_now);
     target = target > est ? target : est;
   }
+  return target;
+}
+
+double DcsaColumns::tolerance(std::uint32_t s, double hw_now) const {
+  const double base = bfunc_(hw_now - slot_hw_up_[s]);
+  if (variant_.rule != Variant::Rule::kWeighted) return base;
+  const double floor = bfunc_.floor();
+  return variant_.weight * floor + (base - floor);
+}
+
+bool DcsaColumns::is_blocked_by(NodeId u, NodeId peer, double hw_now) const {
+  if (variant_.rule == Variant::Rule::kNoBlock ||
+      variant_.rule == Variant::Rule::kNoJump) {
+    return false;
+  }
+  const std::uint32_t s = find_slot(u, peer);
+  if (s == kNpos || !slot_has_est_[s]) return false;
+  const double target =
+      unconstrained_target(u, hw_now, logical_clock(u, hw_now));
+  return estimate_low(s, hw_now) + tolerance(s, hw_now) < target;
+}
+
+double DcsaColumns::apply_delivery(const StoreDelivery& d) {
+  const NodeId u = d.to;
+  const double hw_now = d.hw_now;
+  // --- Estimate update: keep the strongest lower bound.  With variable
+  // delays a message can arrive out of order, so only adopt it if it
+  // beats the aged estimate.  A message from a peer whose edge vanished
+  // mid-flight is stale input and updates nothing.
+  const std::uint32_t s = find_slot(u, d.from);
+  if (s != kNpos) {
+    if (!(slot_has_est_[s] && estimate_low(s, hw_now) >= d.value)) {
+      slot_value_[s] = d.value;
+      slot_hw_recv_[s] = hw_now;
+      slot_has_est_[s] = 1;
+    }
+  }
+  if (variant_.rule == Variant::Rule::kNoJump) {
+    fast_[u] = 0;
+    return 0.0;
+  }
+  // --- Jump rule over the segment.  The folds are order-independent, so
+  // segment order cannot matter.
+  const double logical = hw_now + offset_[u];
+  const double target = unconstrained_target(u, hw_now, logical);
   fast_[u] = target > logical ? 1 : 0;
   double cap = target;
-  for (std::uint32_t i = head; i < end; ++i) {
-    if (!slot_has_est_[i]) continue;  // covered by B(0) > G(n)
-    const double allowed =
-        estimate_low(i, hw_now) + bfunc_(hw_now - slot_hw_up_[i]);
-    cap = cap < allowed ? cap : allowed;
-  }
+  const std::uint32_t head = head_[u];
+  const std::uint32_t end = head + count_[u];
+  if (variant_.rule == Variant::Rule::kDcsa) {
+    for (std::uint32_t i = head; i < end; ++i) {
+      if (!slot_has_est_[i]) continue;  // covered by B(0) > G(n)
+      const double allowed =
+          estimate_low(i, hw_now) + bfunc_(hw_now - slot_hw_up_[i]);
+      cap = cap < allowed ? cap : allowed;
+    }
+  } else if (variant_.rule == Variant::Rule::kWeighted) {
+    for (std::uint32_t i = head; i < end; ++i) {
+      if (!slot_has_est_[i]) continue;
+      const double allowed = estimate_low(i, hw_now) + tolerance(i, hw_now);
+      cap = cap < allowed ? cap : allowed;
+    }
+  }  // kNoBlock: no cap, the node jumps straight to its target.
   if (cap > logical) {
     offset_[u] += cap - logical;
     return cap - logical;

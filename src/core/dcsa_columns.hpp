@@ -1,56 +1,164 @@
-// gcs::core -- DcsaColumns: Algorithm 2 as struct-of-arrays.
+// gcs::core -- DcsaColumns: Algorithm 2 of Kuhn-Locher-Oshman (SPAA'09),
+// the dynamic clock synchronization automaton (DCSA), for every node of a
+// run at once, in struct-of-arrays form.  This is the only implementation
+// of the algorithm; NetworkSimulation drives it directly.
 //
-// The default NodeStore.  Node state lives in flat columns (one offset,
-// one fast-mode flag per node); per-edge estimate state lives in a
-// single slot arena carved into per-node segments, CSR-style: node u's
-// peers occupy slots [head_[u], head_[u] + count_[u]) of the parallel
-// columns {peer, hw_up, has_estimate, value, hw_recv}.  Segments grow
-// by relocation to the arena tail (amortized doubling) and the arena
-// compacts when abandoned holes pile up past a quarter of it, so a
-// million-node churn run
-// costs a handful of contiguous allocations instead of a million
-// std::map instances.
+// Each node keeps a logical clock L that advances at its hardware rate
+// (slow mode) and may additionally JUMP forward (the discrete realization
+// of fast mode) when it learns of larger clocks.  The two rules:
 //
-// Peer lookup is a linear scan of the segment: DCSA degree is bounded
-// in every scaling workload (ring backbones plus volatile edges), and
-// for single-digit degrees the scan beats any hash on both time and
-// memory.  Segment order is insertion order, NOT peer order -- valid
-// because step()'s min/max folds and on_message's single-slot update
-// are iteration-order independent, so trajectories stay byte-identical
-// to DcsaNode behind AutomatonStore (the equivalence matrix proves it).
+//   * Catch-up: the node tracks, per neighbour, a conservative lower
+//     bound on the neighbour's current logical clock (last received value
+//     aged at rate (1-rho)/(1+rho) of its own hardware clock, so the
+//     estimate can never overshoot the truth).  The unconstrained jump
+//     target is the max over these estimates.
 //
-// The arithmetic is copied expression-for-expression from DcsaNode:
-// est_low = value + kappa * (hw_now - hw_recv); target/cap folds use
-// the same comparison-and-select forms.  Change one only with the other.
+//   * Blocking: the node must not leave any neighbour behind by more than
+//     the edge's tolerance B(age), where age is the edge's age on the
+//     node's hardware clock.  The jump is capped at
+//         min over neighbours w of  est_low(w) + B(age_w),
+//     and because est_low is a lower bound, the realized skew toward w
+//     never exceeds B.  A neighbour whose cap binds strictly below the
+//     unconstrained target BLOCKS the node (is_blocked_by); a node whose
+//     cap sits below its own clock cannot jump at all and free-runs at
+//     its hardware rate.  Because B(0) > G(n), a brand-new edge can never
+//     block (Lemma 6.10) -- the crippled tolerances in bench_ablation
+//     break exactly this property.
+//
+// Clocks never run backwards: the jump delta is always >= 0.
+//
+// The ablation variants are parameters of the same kernel (Variant,
+// chosen once per run): `weighted` scales the steady floor of every
+// edge's tolerance by a uniform weight w, `noblock` drops the blocking
+// cap, `nojump` drops the catch-up rule.  Every variant still receives
+// and ages estimates, so message cost is identical across them.
+//
+// Layout: node state lives in flat columns (one offset, one fast-mode
+// flag per node); per-edge estimate state lives in a single slot arena
+// carved into per-node segments, CSR-style: node u's peers occupy slots
+// [head_[u], head_[u] + count_[u]) of the parallel columns {peer, hw_up,
+// has_estimate, value, hw_recv}.  Segments grow by relocation to the
+// arena tail (amortized doubling) and the arena compacts when abandoned
+// holes pile up past a quarter of it, so a million-node churn run costs
+// a handful of contiguous allocations instead of a million std::map
+// instances.
+//
+// Peer lookup is a linear scan of the segment: DCSA degree is bounded in
+// every scaling workload (ring backbones plus volatile edges), and for
+// single-digit degrees the scan beats any hash on both time and memory.
+// Segment order is insertion order, NOT peer order -- valid because the
+// min/max folds and the single-slot estimate update are iteration-order
+// independent.  tests/test_dcsa.cpp holds the kernel bit-equal to a
+// per-node std::map oracle for all four variants.
 #ifndef GCS_CORE_DCSA_COLUMNS_HPP
 #define GCS_CORE_DCSA_COLUMNS_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/bfunc.hpp"
-#include "core/node_store.hpp"
 #include "core/params.hpp"
+#include "net/topology.hpp"
 
 namespace gcs::core {
 
-class DcsaColumns : public NodeStore {
- public:
-  DcsaColumns(const SyncParams& params, std::size_t n);
+using NodeId = net::NodeId;
 
-  std::size_t size() const override { return offset_.size(); }
-  void start(const NodeContext& ctx) override;
-  void edge_up(const NodeContext& ctx, NodeId peer) override;
-  void edge_down(const NodeContext& ctx, NodeId peer) override;
+// Who is being driven, what its hardware clock reads, and when
+// (simulation time) the reading was taken.  Nodes never see real time,
+// exactly as in the paper's model; `now` is for observability only.
+struct NodeContext {
+  NodeId self = 0;
+  double hw_now = 0.0;  // the node's own hardware-clock reading
+  double now = 0.0;     // simulation time of the reading (diagnostic)
+};
+
+// One message record in a delivery batch.  The simulator resolves the
+// receiver's hardware clock before handing the batch over, so the kernel
+// never touches clocks.
+struct StoreDelivery {
+  NodeId from = 0;
+  NodeId to = 0;
+  double value = 0.0;   // sender's logical clock, sampled at send time
+  double hw_now = 0.0;  // receiver's hardware clock at delivery
+  double now = 0.0;     // simulation time of delivery
+};
+
+// Order-preserving hooks around each record of a batch: before() fires
+// ahead of the record's estimate update (where the kDeliver trace goes),
+// after() fires once the jump rule ran, carrying the jump applied (where
+// jump statistics and conformance checks go).
+class DeliverySink {
+ public:
+  virtual ~DeliverySink() = default;
+  virtual void before(const StoreDelivery& d) = 0;
+  virtual void after(const StoreDelivery& d, double jump) = 0;
+};
+
+// The ablation variant a run executes.
+struct Variant {
+  enum class Rule : std::uint8_t {
+    kDcsa,      // Algorithm 2 as published
+    kWeighted,  // matured edges tolerate weight * b0 instead of b0
+    kNoBlock,   // catch-up without the blocking cap
+    kNoJump,    // free-running clocks (no catch-up at all)
+  };
+  Rule rule = Rule::kDcsa;
+  // kWeighted only: the uniform tolerance weight in (0, 1].  Only the
+  // steady floor is scaled; the decaying B(0) - b0 = G headroom of a
+  // young edge is untouched, so Lemma 6.10 survives the extension.
+  double weight = 1.0;
+};
+
+// What a run executes: the variant plus the tolerance function B, which
+// defaults to BFunction(params).  bench_ablation passes a crippled B.
+struct Protocol {
+  Variant variant;
+  std::optional<BFunction> tolerance;
+};
+
+class DcsaColumns {
+ public:
+  DcsaColumns(const SyncParams& params, std::size_t n,
+              const Protocol& protocol = Protocol{});
+
+  std::size_t size() const { return offset_.size(); }
+
+  // Lifecycle + topology inputs (always delivered through the
+  // simulator's barrier/global context, never concurrently).
+  void start(const NodeContext& ctx);
+  void edge_up(const NodeContext& ctx, NodeId peer);
+  void edge_down(const NodeContext& ctx, NodeId peer);
+
+  // Apply `count` delivery records IN ORDER: for each record, call
+  // sink.before(d), update the receiver's estimate of the sender and run
+  // the jump rule, then call sink.after(d, jump).  Records for distinct
+  // receivers may be driven concurrently by different shards, but never
+  // two records for the same receiver.
   void on_deliveries(const StoreDelivery* batch, std::size_t count,
-                     DeliverySink& sink) override;
-  void advance(const double* hw_now, double* logical,
-               std::size_t count) const override;
-  double logical_clock(NodeId u, double hw_now) const override {
+                     DeliverySink& sink);
+
+  // Whole-population logical-clock read: logical[i] = L_i(hw_now[i]) for
+  // all `count == size()` nodes.  Pure -- state between inputs is a
+  // clock free-running at hardware rate, so advancing it is a read.
+  void advance(const double* hw_now, double* logical, std::size_t count) const;
+
+  double logical_clock(NodeId u, double hw_now) const {
     return hw_now + offset_[u];
   }
-  bool fast_mode(NodeId u) const override { return fast_[u] != 0; }
-  std::size_t arena_bytes() const override;
+  // True while u wants to advance beyond its hardware rate (Algorithm
+  // 2's fast mode).
+  bool fast_mode(NodeId u) const { return fast_[u] != 0; }
+
+  // True iff `peer`'s tolerance cap currently binds strictly below u's
+  // unconstrained jump target: the peer is holding u back.  Always false
+  // under noblock and nojump, which apply no cap.
+  bool is_blocked_by(NodeId u, NodeId peer, double hw_now) const;
+
+  // Bytes of node/peer state held in the flat arenas; surfaces in
+  // RunStats::arena_bytes so memory regressions are diffable.
+  std::size_t arena_bytes() const;
 
   const BFunction& tolerance_fn() const { return bfunc_; }
   // Live peer-slot count across all segments (tests/diagnostics).
@@ -66,13 +174,21 @@ class DcsaColumns : public NodeStore {
   void reserve_slot(NodeId u);
   void maybe_compact();
 
+  // Lower bound on the peer's current logical clock.  Real time elapsed
+  // since reception is at least (hw_now - hw_recv)/(1+rho), and the
+  // peer's clock advances at rate >= 1-rho and never jumps backwards.
   double estimate_low(std::uint32_t s, double hw_now) const {
     return slot_value_[s] + kappa_ * (hw_now - slot_hw_recv_[s]);
   }
-  // on_message + step for one record; returns the jump applied.
+  // Max over u's estimates and `logical`: the unconstrained jump target.
+  double unconstrained_target(NodeId u, double hw_now, double logical) const;
+  // Edge tolerance of slot s under the dcsa/weighted rules.
+  double tolerance(std::uint32_t s, double hw_now) const;
+  // Estimate update + jump rule for one record; returns the jump applied.
   double apply_delivery(const StoreDelivery& d);
 
   BFunction bfunc_;
+  Variant variant_;
   double kappa_;
 
   // Per-node columns.

@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/dcsa_columns.hpp"
-
 namespace gcs::core {
 
 namespace {
@@ -25,9 +23,8 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t node) {
 
 }  // namespace
 
-// The DeliverySink pair: stats, traces, and conformance checks land at
-// exactly the points the old per-node delivery path emitted them, so
-// the store refactor cannot move a byte in any artifact.
+// The DeliverySink pair: stats, traces, and conformance checks land
+// around each record the kernel applies.
 
 struct NetworkSimulation::ClassicSink : DeliverySink {
   explicit ClassicSink(NetworkSimulation* s) : sim(s) {}
@@ -52,7 +49,7 @@ struct NetworkSimulation::ClassicSink : DeliverySink {
     }
     if (sim->options_.check_conformance) {
       sim->check_edge_conformance(net::Edge(d.from, d.to));
-      const double logical = sim->store_->logical_clock(d.to, d.hw_now);
+      const double logical = sim->store_.logical_clock(d.to, d.hw_now);
       if (logical < sim->last_logical_[d.to] - sim->options_.conformance_slack) {
         ++sim->stats_.conformance_monotonicity_failures;
       }
@@ -90,7 +87,7 @@ struct NetworkSimulation::ShardedSink : DeliverySink {
       // through the harness sampler at barriers instead, so the per-
       // delivery check is skipped for EVERY shard count (keeping the
       // counters K-invariant).  Monotonicity is target-local and stays on.
-      const double logical = sim->store_->logical_clock(d.to, d.hw_now);
+      const double logical = sim->store_.logical_clock(d.to, d.hw_now);
       if (logical < sim->last_logical_[d.to] - sim->options_.conformance_slack) {
         ++sim->shard_counters_[ctx].monotonicity_failures;
       }
@@ -103,15 +100,8 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
                                      net::DynamicGraph graph,
                                      net::LinkModel link,
                                      std::vector<clk::RateSchedule> schedules,
-                                     SimOptions options)
-    : NetworkSimulation(params, std::move(graph), std::move(link),
-                        std::move(schedules), NodeFactory{}, options) {}
-
-NetworkSimulation::NetworkSimulation(const SyncParams& params,
-                                     net::DynamicGraph graph,
-                                     net::LinkModel link,
-                                     std::vector<clk::RateSchedule> schedules,
-                                     NodeFactory factory, SimOptions options)
+                                     SimOptions options,
+                                     const Protocol& protocol)
     : params_(params),
       bfunc_(params),
       link_(std::move(link)),
@@ -121,7 +111,8 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
       rng_(options.seed),
       audit_sweep_(graph.initial_edges(), graph.events(),
                    params.T + params.D),
-      engine_(options.engine_policy) {
+      engine_(options.engine_policy),
+      store_(params, graph.n(), protocol) {
   const std::size_t n = graph.n();
   if (schedules.size() != n) {
     throw std::invalid_argument(
@@ -131,23 +122,9 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     throw std::invalid_argument("NetworkSimulation: delay model has no sampler");
   }
   clocks_ = std::move(schedules);
-  if (factory) {
-    std::vector<std::unique_ptr<NodeAutomaton>> nodes;
-    nodes.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto node = factory(static_cast<NodeId>(i));
-      if (!node) {
-        throw std::invalid_argument("NetworkSimulation: null automaton");
-      }
-      nodes.push_back(std::move(node));
-    }
-    store_ = std::make_unique<AutomatonStore>(std::move(nodes));
-  } else {
-    store_ = std::make_unique<DcsaColumns>(params_, n);
-  }
   for (std::size_t i = 0; i < n; ++i) {
-    store_->start(NodeContext{static_cast<NodeId>(i),
-                              clocks_[i].value_at(0.0), 0.0});
+    store_.start(
+        NodeContext{static_cast<NodeId>(i), clocks_[i].value_at(0.0), 0.0});
   }
   adjacency_.assign(n, {});
   last_logical_.assign(n, 0.0);
@@ -235,7 +212,7 @@ void NetworkSimulation::run_until(sim::Time t) {
   // the set-range is_connected avoids materializing each union.
   while (audit_sweep_.next(now())) {
     ++stats_.connectivity_windows_checked;
-    if (!net::is_connected(store_->size(), audit_sweep_.window_union())) {
+    if (!net::is_connected(store_.size(), audit_sweep_.window_union())) {
       ++stats_.connectivity_windows_disconnected;
     }
   }
@@ -258,7 +235,7 @@ void NetworkSimulation::cancel_periodic(sim::PeriodicId id) {
 }
 
 double NetworkSimulation::logical_clock(NodeId u) const {
-  return store_->logical_clock(u, clocks_[u].value_at(now()));
+  return store_.logical_clock(u, clocks_[u].value_at(now()));
 }
 
 double NetworkSimulation::hardware_clock(NodeId u) const {
@@ -271,12 +248,12 @@ double NetworkSimulation::skew(NodeId u, NodeId v) const {
 
 void NetworkSimulation::sample_clocks(std::vector<double>& hw,
                                       std::vector<double>& logical) const {
-  const std::size_t n = store_->size();
+  const std::size_t n = store_.size();
   hw.resize(n);
   logical.resize(n);
   const sim::Time t = now();
   for (std::size_t i = 0; i < n; ++i) hw[i] = clocks_[i].value_at(t);
-  store_->advance(hw.data(), logical.data(), n);
+  store_.advance(hw.data(), logical.data(), n);
 }
 
 std::vector<net::Edge> NetworkSimulation::current_edges() const {
@@ -338,8 +315,8 @@ void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
   adjacency_[e.v].push_back(e.u);
   const double hw_u = clocks_[e.u].value_at(t);
   const double hw_v = clocks_[e.v].value_at(t);
-  store_->edge_up(NodeContext{e.u, hw_u, t}, e.v);
-  store_->edge_up(NodeContext{e.v, hw_v, t}, e.u);
+  store_.edge_up(NodeContext{e.u, hw_u, t}, e.v);
+  store_.edge_up(NodeContext{e.v, hw_v, t}, e.u);
   if (!initial) {
     // Discovery exchange: both endpoints immediately send their clocks on
     // the new edge, so it carries an estimate within one delay bound.
@@ -347,11 +324,11 @@ void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
       // Topology deltas run in the global context (shards parked), so
       // reading either endpoint's clock here is safe for any partition.
       const std::size_t ctx = sharded_->global_ctx();
-      send_sharded(ctx, e.u, e.v, store_->logical_clock(e.u, hw_u), t);
-      send_sharded(ctx, e.v, e.u, store_->logical_clock(e.v, hw_v), t);
+      send_sharded(ctx, e.u, e.v, store_.logical_clock(e.u, hw_u), t);
+      send_sharded(ctx, e.v, e.u, store_.logical_clock(e.v, hw_v), t);
     } else {
-      send(e.u, e.v, store_->logical_clock(e.u, hw_u), t);
-      send(e.v, e.u, store_->logical_clock(e.v, hw_v), t);
+      send(e.u, e.v, store_.logical_clock(e.u, hw_u), t);
+      send(e.v, e.u, store_.logical_clock(e.v, hw_v), t);
       flush_outbox();
     }
   }
@@ -369,8 +346,8 @@ void NetworkSimulation::remove_edge(const net::Edge& e, sim::Time t) {
   };
   drop(adjacency_[e.u], e.v);
   drop(adjacency_[e.v], e.u);
-  store_->edge_down(NodeContext{e.u, clocks_[e.u].value_at(t), t}, e.v);
-  store_->edge_down(NodeContext{e.v, clocks_[e.v].value_at(t), t}, e.u);
+  store_.edge_down(NodeContext{e.u, clocks_[e.u].value_at(t), t}, e.v);
+  store_.edge_down(NodeContext{e.v, clocks_[e.v].value_at(t), t}, e.u);
 }
 
 void NetworkSimulation::schedule_broadcast(NodeId u) {
@@ -388,14 +365,14 @@ void NetworkSimulation::broadcast(NodeId u) {
     // adjacency_ and edges_ only ever change at barriers, so reading
     // them mid-window is race-free.
     const sim::Time t = sharded_->shard_now(shard_of_[u]);
-    const double value = store_->logical_clock(u, clocks_[u].value_at(t));
+    const double value = store_.logical_clock(u, clocks_[u].value_at(t));
     for (NodeId v : adjacency_[u]) send_sharded(shard_of_[u], u, v, value, t);
     next_broadcast_hw_[u] += params_.delta_h;
     schedule_broadcast(u);
     return;
   }
   const sim::Time t = engine_.now();
-  const double value = store_->logical_clock(u, clocks_[u].value_at(t));
+  const double value = store_.logical_clock(u, clocks_[u].value_at(t));
   for (NodeId v : adjacency_[u]) send(u, v, value, t);
   flush_outbox();
   next_broadcast_hw_[u] += params_.delta_h;
@@ -484,7 +461,7 @@ void NetworkSimulation::deliver(NodeId from, NodeId to, double value,
   const sim::Time t = engine_.now();
   const StoreDelivery d{from, to, value, clocks_[to].value_at(t), t};
   ClassicSink sink(this);
-  store_->on_deliveries(&d, 1, sink);
+  store_.on_deliveries(&d, 1, sink);
 }
 
 void NetworkSimulation::deliver_batch(const std::vector<Delivery>& batch) {
@@ -493,7 +470,7 @@ void NetworkSimulation::deliver_batch(const std::vector<Delivery>& batch) {
   scratch_.clear();
   const auto flush = [&] {
     if (scratch_.empty()) return;
-    store_->on_deliveries(scratch_.data(), scratch_.size(), sink);
+    store_.on_deliveries(scratch_.data(), scratch_.size(), sink);
     scratch_.clear();
   };
   for (const Delivery& m : batch) {
@@ -566,7 +543,7 @@ void NetworkSimulation::deliver_sharded(NodeId from, NodeId to, double value,
   }
   const StoreDelivery d{from, to, value, clocks_[to].value_at(t), t};
   ShardedSink sink(this);
-  store_->on_deliveries(&d, 1, sink);
+  store_.on_deliveries(&d, 1, sink);
 }
 
 double NetworkSimulation::sync_link_delay(EdgeState& state, NodeId from,
@@ -680,7 +657,7 @@ void NetworkSimulation::flush_sharded_trace() {
 
 const RunStats& NetworkSimulation::stats() const {
   if (sharded_) compose_run_stats();
-  stats_.arena_bytes = store_->arena_bytes();
+  stats_.arena_bytes = store_.arena_bytes();
   return stats_;
 }
 

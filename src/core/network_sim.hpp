@@ -1,7 +1,7 @@
 // gcs::core -- NetworkSimulation: the glue layer.
 //
-// Owns the event engine, one hardware clock and one NodeAutomaton per
-// node, the live edge set, and the link model (traffic pipeline +
+// Owns the event engine, one hardware clock per node, the Algorithm 2
+// kernel (core::DcsaColumns) holding every node's state, the live edge set, and the link model (traffic pipeline +
 // propagation delay; see net/link.hpp), and turns a DynamicGraph
 // schedule into edge-up/edge-down callbacks, periodic per-node broadcasts
 // (every delta_h of HARDWARE time), background-flow emissions, and
@@ -31,15 +31,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "clk/clock.hpp"
 #include "core/bfunc.hpp"
-#include "core/node_automaton.hpp"
-#include "core/node_store.hpp"
+#include "core/dcsa_columns.hpp"
 #include "core/params.hpp"
 #include "net/dynamic_graph.hpp"
 #include "net/link.hpp"
@@ -111,9 +109,8 @@ struct RunStats {
   // standing assumption -- gcs_run --check fails the cell.
   std::uint64_t connectivity_windows_checked = 0;
   std::uint64_t connectivity_windows_disconnected = 0;
-  // Memory visibility (schema v5).  arena_bytes is the node store's flat
-  // state footprint (0 on the adapter store, whose state hides behind
-  // per-node heap objects); peak_rss_kb is the process high-water RSS,
+  // Memory visibility (schema v5).  arena_bytes is the kernel's flat
+  // state footprint; peak_rss_kb is the process high-water RSS,
   // filled by the RUNNER after the cell completes (0 in the harness and
   // under --fixed-timing -- it is machine state, not trajectory, and
   // gcs_diff ignores both like wall_ms).
@@ -137,27 +134,17 @@ struct RunStats {
 
 class NetworkSimulation {
  public:
-  using NodeFactory =
-      std::function<std::unique_ptr<NodeAutomaton>(NodeId)>;
-
-  // Adapter-store constructor: one virtual NodeAutomaton per node from
-  // `factory` (custom protocol variants, weighted tolerances, benches).
-  // The LinkModel is implicitly constructible from a bare DelayModel
-  // (an ideal link with no traffic pipeline), so the pre-pipeline call
-  // sites read -- and behave -- exactly as before.
+  // `protocol` picks the ablation variant and the nodes' tolerance
+  // function (plain DCSA under BFunction(params) by default).  The
+  // conformance audit always checks the paper's BFunction(params)
+  // envelope, whatever tolerance the nodes run.  The LinkModel is
+  // implicitly constructible from a bare DelayModel (an ideal link with
+  // no traffic pipeline).
   NetworkSimulation(const SyncParams& params, net::DynamicGraph graph,
                     net::LinkModel link,
                     std::vector<clk::RateSchedule> schedules,
-                    NodeFactory factory, SimOptions options = SimOptions{});
-
-  // Columns-store constructor: plain DCSA in core::DcsaColumns flat
-  // arenas -- the default for scale.  Trajectories are byte-identical
-  // to the adapter store running DcsaNode (the equivalence matrix
-  // enforces it); only RunStats::arena_bytes differs.
-  NetworkSimulation(const SyncParams& params, net::DynamicGraph graph,
-                    net::LinkModel link,
-                    std::vector<clk::RateSchedule> schedules,
-                    SimOptions options = SimOptions{});
+                    SimOptions options = SimOptions{},
+                    const Protocol& protocol = Protocol{});
 
   NetworkSimulation(const NetworkSimulation&) = delete;
   NetworkSimulation& operator=(const NetworkSimulation&) = delete;
@@ -175,7 +162,7 @@ class NetworkSimulation {
   // L_u - L_v at the current simulation time.
   double skew(NodeId u, NodeId v) const;
   // Whole-population clock sample at the current simulation time: one
-  // store advance() instead of n virtual calls.  Both vectors are
+  // kernel advance() instead of n per-node reads.  Both vectors are
   // resized to size(); logical[i] bit-matches logical_clock(i).
   void sample_clocks(std::vector<double>& hw, std::vector<double>& logical) const;
 
@@ -215,21 +202,10 @@ class NetworkSimulation {
   const RunStats& stats() const;
   const SyncParams& params() const { return params_; }
   const BFunction& bfunc() const { return bfunc_; }
-  std::size_t size() const { return store_->size(); }
-  // The node store driving this run (arena_bytes, live_slots, ...).
-  const NodeStore& store() const { return *store_; }
-  // Per-node automaton access; only the adapter store has such objects,
-  // so this throws on the (default) columns store.  Tests and benches
-  // that poke protocol internals construct with a NodeFactory.
-  NodeAutomaton& node(NodeId u) {
-    NodeAutomaton* a = store_->automaton(u);
-    if (!a) {
-      throw std::logic_error(
-          "NetworkSimulation::node: the columns store has no per-node "
-          "automatons; construct with a NodeFactory for object access");
-    }
-    return *a;
-  }
+  std::size_t size() const { return store_.size(); }
+  // The Algorithm 2 kernel driving this run (is_blocked_by, arena_bytes,
+  // live_slots, ...).
+  const DcsaColumns& store() const { return store_; }
 
  private:
   struct EdgeState {
@@ -249,8 +225,7 @@ class NetworkSimulation {
     std::uint64_t incarnation;
   };
   // Order-preserving DeliverySink impls (defined in the .cpp): they put
-  // stats, traces, and conformance checks at exactly the points the old
-  // per-node path emitted them.
+  // stats, traces, and conformance checks around each record.
   struct ClassicSink;
   struct ShardedSink;
 
@@ -272,9 +247,9 @@ class NetworkSimulation {
   void flush_outbox();
   void deliver(NodeId from, NodeId to, double value, std::uint64_t incarnation);
   // Same-instant coalesced deliveries: drop-checks every record up
-  // front (store callbacks never touch the edge set, so the checks
+  // front (kernel callbacks never touch the edge set, so the checks
   // cannot go stale mid-batch), then feeds the accepted runs to the
-  // store as contiguous on_deliveries batches, emitting drops at their
+  // kernel as contiguous on_deliveries batches, emitting drops at their
   // original positions -- byte-order-identical to per-record delivery.
   void deliver_batch(const std::vector<Delivery>& batch);
   void check_edge_conformance(const net::Edge& e);
@@ -382,9 +357,8 @@ class NetworkSimulation {
   std::vector<std::uint64_t> node_trace_seq_;
   std::uint64_t global_trace_seq_ = 0;
   std::vector<clk::RateSchedule> clocks_;
-  // All node state -- DcsaColumns flat arenas by default, or the
-  // AutomatonStore adapter when a NodeFactory was supplied.
-  std::unique_ptr<NodeStore> store_;
+  // All node state, in the kernel's flat arenas.
+  DcsaColumns store_;
   std::vector<std::vector<NodeId>> adjacency_;
   // Live edges keyed by packed (u << 32 | v): O(1) lookups on the
   // delivery hot path (the old std::map cost O(log m) comparisons per

@@ -31,7 +31,7 @@ double basis_g(const std::string& basis, std::uint64_t n) {
 }
 
 // The group key: every trajectory-shaping axis except n, in a fixed
-// order.  engine/delivery/shards/store are execution layout (the
+// order.  engine/delivery/shards are execution layout (the
 // determinism matrices prove trajectories do not depend on them) and the
 // seed folds into the per-n max, so none of them may split a group --
 // that is what makes the fit byte-stable across {--jobs} x {engine} x

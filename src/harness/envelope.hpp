@@ -6,7 +6,7 @@
 //   1. groups cells by their trajectory-shaping axes -- workload, drift,
 //      delay, traffic, variant, and the physics constants (rho, T, D,
 //      delta_h, B0, horizon, sample_dt) -- leaving out n (the fit
-//      dimension), the execution-layout axes engine/delivery/shards/store
+//      dimension), the execution-layout axes engine/delivery/shards
 //      (trajectory-neutral, so trees run at different settings fit to
 //      identical bytes), and the seed (seeds fold into the observed
 //      worst case);

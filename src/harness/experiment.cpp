@@ -1,15 +1,13 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
-#include <memory>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "core/ablation_variants.hpp"
-#include "core/dcsa_node.hpp"
-#include "core/weighted_dcsa_node.hpp"
 #include "net/link.hpp"
 #include "net/topology.hpp"
 
@@ -60,33 +58,60 @@ std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
   return schedules;
 }
 
+// One whole token as a finite number.  std::stod would accept a numeric
+// prefix ("0.25junk") and fail with a bare "stod" on garbage, so parse
+// with strtod and demand it consume everything.
+double parse_number(const std::string& token, const std::string& what,
+                    const std::string& spec) {
+  const char* begin = token.c_str();
+  char* end = nullptr;
+  const double value = std::strtod(begin, &end);
+  if (token.empty() || std::isspace(static_cast<unsigned char>(token[0])) ||
+      end != begin + token.size() || !std::isfinite(value)) {
+    throw std::invalid_argument("run_experiment: " + what + " '" + spec +
+                                "' wants a finite number, got '" + token +
+                                "'");
+  }
+  return value;
+}
+
+// True iff `spec` is `name` alone or `name:...`; `args` gets the tail.
+bool match_spec(const std::string& spec, const std::string& name,
+                std::string* args) {
+  if (spec.rfind(name, 0) != 0) return false;
+  if (spec.size() == name.size()) {
+    args->clear();
+    return true;
+  }
+  if (spec[name.size()] != ':') return false;
+  *args = spec.substr(name.size() + 1);
+  return true;
+}
+
 net::DelayModel build_delay(const ExperimentConfig& cfg) {
   const double T = cfg.params.T;
-  const std::string kUniform = "uniform";
-  if (cfg.delay.rfind(kUniform, 0) == 0 &&
-      (cfg.delay.size() == kUniform.size() ||
-       cfg.delay[kUniform.size()] == ':')) {
+  std::string args;
+  if (match_spec(cfg.delay, "uniform", &args)) {
     // "uniform" = [0, T]; "uniform:lo" = [lo, T]; "uniform:lo:hi".  A
     // positive lo gives the delay model the floor sharded runs need.
     double lo = 0.0;
     double hi = T;
-    if (cfg.delay.size() > kUniform.size()) {
-      const std::string rest = cfg.delay.substr(kUniform.size() + 1);
-      const std::size_t colon = rest.find(':');
-      lo = std::stod(rest.substr(0, colon));
-      if (colon != std::string::npos) hi = std::stod(rest.substr(colon + 1));
+    if (cfg.delay != "uniform") {
+      const std::size_t colon = args.find(':');
+      lo = parse_number(args.substr(0, colon), "delay", cfg.delay);
+      if (colon != std::string::npos) {
+        hi = parse_number(args.substr(colon + 1), "delay", cfg.delay);
+      }
     }
     if (lo < 0.0) {
       throw std::invalid_argument("run_experiment: uniform delay lo < 0");
     }
     return net::make_uniform_delay(T, lo, hi);
   }
-  const std::string kConstant = "constant";
-  if (cfg.delay.rfind(kConstant, 0) == 0) {
+  if (match_spec(cfg.delay, "constant", &args)) {
     double value = T;
-    if (cfg.delay.size() > kConstant.size() &&
-        cfg.delay[kConstant.size()] == ':') {
-      value = std::stod(cfg.delay.substr(kConstant.size() + 1));
+    if (cfg.delay != "constant") {
+      value = parse_number(args, "delay", cfg.delay);
     }
     return net::make_constant_delay(T, value);
   }
@@ -95,8 +120,9 @@ net::DelayModel build_delay(const ExperimentConfig& cfg) {
 }
 
 net::LinkModel build_link(const ExperimentConfig& cfg) {
+  net::DelayModel delay = build_delay(cfg);
   try {
-    return net::LinkModel(build_delay(cfg), net::parse_traffic(cfg.traffic));
+    return net::LinkModel(std::move(delay), net::parse_traffic(cfg.traffic));
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(std::string("run_experiment: ") + e.what());
   }
@@ -116,47 +142,36 @@ bool parse_delivery(const std::string& delivery) {
                               "'");
 }
 
-// The per-node automaton factory for the ablation axis.  Only called for
-// the adapter store; "dcsa" is also what the columns arenas implement.
-core::NetworkSimulation::NodeFactory build_node_factory(
-    const ExperimentConfig& cfg) {
-  const core::SyncParams& p = cfg.params;
-  if (cfg.variant == "dcsa") {
-    return [p](core::NodeId) { return std::make_unique<core::DcsaNode>(p); };
-  }
-  const std::string kWeighted = "weighted";
-  if (cfg.variant.rfind(kWeighted, 0) == 0 &&
-      (cfg.variant.size() == kWeighted.size() ||
-       cfg.variant[kWeighted.size()] == ':')) {
+// The ablation axis: "dcsa" | "weighted[:w]" | "noblock" | "nojump".
+core::Variant parse_variant(const std::string& spec) {
+  core::Variant variant;
+  std::string args;
+  if (spec == "dcsa") return variant;
+  if (match_spec(spec, "weighted", &args)) {
     // "weighted" = uniform weight 0.5; "weighted:w" pins it.  The weight
-    // must be a usable tolerance scale in (0, 1]; WeightedDcsaNode's
-    // min_weight safety clamp is set below any admissible w so the
-    // configured value is what actually runs.
-    double w = 0.5;
-    if (cfg.variant.size() > kWeighted.size()) {
-      w = std::stod(cfg.variant.substr(kWeighted.size() + 1));
+    // must be a usable tolerance scale in (0, 1].
+    variant.rule = core::Variant::Rule::kWeighted;
+    variant.weight = 0.5;
+    if (spec != "weighted") {
+      variant.weight = parse_number(args, "variant", spec);
     }
-    if (!(w > 0.0) || w > 1.0) {
+    if (!(variant.weight > 0.0) || variant.weight > 1.0) {
       throw std::invalid_argument(
           "run_experiment: weighted variant wants a weight in (0, 1], got '" +
-          cfg.variant + "'");
+          spec + "'");
     }
-    return [p, w](core::NodeId) {
-      return std::make_unique<core::WeightedDcsaNode>(
-          p, [w](core::NodeId, core::NodeId) { return w; },
-          /*min_weight=*/w);
-    };
+    return variant;
   }
-  if (cfg.variant == "noblock") {
-    return
-        [p](core::NodeId) { return std::make_unique<core::NoBlockDcsaNode>(p); };
+  if (spec == "noblock") {
+    variant.rule = core::Variant::Rule::kNoBlock;
+    return variant;
   }
-  if (cfg.variant == "nojump") {
-    return
-        [p](core::NodeId) { return std::make_unique<core::NoJumpDcsaNode>(p); };
+  if (spec == "nojump") {
+    variant.rule = core::Variant::Rule::kNoJump;
+    return variant;
   }
-  throw std::invalid_argument("run_experiment: unknown variant '" +
-                              cfg.variant + "'");
+  throw std::invalid_argument("run_experiment: unknown variant '" + spec +
+                              "'");
 }
 
 }  // namespace
@@ -181,30 +196,10 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   options.batched_delivery = parse_delivery(cfg.delivery);
   options.recorder = recorder;
   options.shards = static_cast<std::size_t>(cfg.shards);
-  // "columns" drives DcsaColumns directly; "adapter" runs the identical
-  // protocol through per-node DcsaNode objects (the reference path the
-  // store-equivalence matrix byte-compares against).
-  std::unique_ptr<core::NetworkSimulation> sim_ptr;
-  if (cfg.store == "columns") {
-    // The flat arenas implement plain DCSA only; a non-default variant
-    // must not silently run the wrong protocol at scale.
-    if (cfg.variant != "dcsa") {
-      throw std::invalid_argument(
-          "run_experiment: variant '" + cfg.variant +
-          "' needs store=\"adapter\" (the columns store runs plain DCSA)");
-    }
-    sim_ptr = std::make_unique<core::NetworkSimulation>(
-        p, scenario.to_dynamic_graph(), build_link(cfg), build_schedules(cfg),
-        options);
-  } else if (cfg.store == "adapter") {
-    sim_ptr = std::make_unique<core::NetworkSimulation>(
-        p, scenario.to_dynamic_graph(), build_link(cfg), build_schedules(cfg),
-        build_node_factory(cfg), options);
-  } else {
-    throw std::invalid_argument("run_experiment: unknown store '" + cfg.store +
-                                "' (expected \"columns\" or \"adapter\")");
-  }
-  core::NetworkSimulation& sim = *sim_ptr;
+  core::Protocol protocol;
+  protocol.variant = parse_variant(cfg.variant);
+  core::NetworkSimulation sim(p, scenario.to_dynamic_graph(), build_link(cfg),
+                              build_schedules(cfg), options, protocol);
 
   ExperimentResult result;
   result.name = cfg.name;

@@ -40,9 +40,10 @@ struct ExperimentConfig {
   std::string drift = "spread";
 
   // Delay model: "uniform[:lo[:hi]]" (uniform over [lo, hi], defaults
-  // [0, T]) or "constant[:x]" (exactly x, default T).  Sharded runs need
-  // a positive delay floor, i.e. a constant delay or uniform with
-  // lo > 0.
+  // [0, T]) or "constant[:x]" (exactly x, default T).  Every number must
+  // be one whole finite token; anything else throws naming the spec.
+  // Sharded runs need a positive delay floor, i.e. a constant delay or
+  // uniform with lo > 0.
   std::string delay = "uniform";
 
   // Event-engine scheduler: "calendar" (calendar queue, the scale path)
@@ -62,12 +63,6 @@ struct ExperimentConfig {
   // >= 1 produces the same bytes (the determinism matrix proves it), so
   // this is purely a wall-clock knob within the sharded universe.
   std::uint64_t shards = 0;
-  // Node-state layout: "columns" (core::DcsaColumns struct-of-arrays,
-  // the scale default) or "adapter" (per-node DcsaNode objects behind
-  // AutomatonStore, the object-path reference).  Trajectories are
-  // byte-identical between the two (the store-equivalence matrix proves
-  // it); only run_stats.arena_bytes differs, which gcs_diff ignores.
-  std::string store = "columns";
   // Link-layer traffic model: "off" (ideal link, the legacy path) or a
   // net::parse_traffic spec -- "idle[:bw=...[:queue=...][:mark=...]]",
   // "cbr:bw=...:rate=...[:pkt=...][:queue=...][:mark=...]",
@@ -76,17 +71,14 @@ struct ExperimentConfig {
   // finite-bandwidth models queue sync messages behind background load
   // and light up the schema-v6 traffic counters.
   std::string traffic = "off";
-  // Protocol variant under test (the ablation axis):
+  // Protocol variant under test (the ablation axis; core::Variant):
   //   "dcsa"         -- Algorithm 2 as published (the default);
-  //   "weighted[:w]" -- core::WeightedDcsaNode with every edge at uniform
-  //                     tolerance weight w in (0, 1] (default 0.5): matured
-  //                     edges are held to w * b0 instead of b0;
+  //   "weighted[:w]" -- every edge at uniform tolerance weight w in
+  //                     (0, 1] (default 0.5): matured edges are held to
+  //                     w * b0 instead of b0;
   //   "noblock"      -- catch-up without the blocking cap;
   //   "nojump"       -- free-running clocks (no catch-up at all).
-  // Every non-default variant runs per-node automatons, so it requires
-  // store == "adapter" (the columns arenas implement plain DCSA only);
-  // run_experiment throws otherwise instead of silently running the
-  // wrong protocol.
+  // All four run in the same kernel, under every engine and shard count.
   std::string variant = "dcsa";
 
   // Samples fire at sample_dt, 2*sample_dt, ...; the engine executes

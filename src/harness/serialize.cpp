@@ -192,7 +192,6 @@ util::json::Value config_to_json(const ExperimentConfig& config) {
   v["engine"] = config.engine;
   v["delivery"] = config.delivery;
   v["shards"] = config.shards;
-  v["store"] = config.store;
   v["traffic"] = config.traffic;
   v["variant"] = config.variant;
   v["horizon"] = config.horizon;
@@ -201,7 +200,20 @@ util::json::Value config_to_json(const ExperimentConfig& config) {
   return v;
 }
 
+void check_legacy_store(const util::json::Value& config) {
+  const util::json::Value* store = config.find("store");
+  if (store == nullptr) return;
+  if (!store->is_string() || store->as_string() != "columns") {
+    throw util::json::Error(
+        "config: the node-store axis is retired (every variant now runs in "
+        "the one Algorithm 2 kernel); only the legacy \"store\": "
+        "\"columns\" echo is accepted, got " +
+        util::json::dump(*store));
+  }
+}
+
 ExperimentConfig config_from_json(const util::json::Value& doc) {
+  check_legacy_store(doc);
   static const std::set<std::string> kKnown = {
       "name",   "n",     "rho",      "T",       "D",         "delta_h",
       "B0",     "topology", "drift", "delay",   "engine",    "delivery",
@@ -231,7 +243,6 @@ ExperimentConfig config_from_json(const util::json::Value& doc) {
   if (const auto* v = doc.find("engine")) config.engine = v->as_string();
   if (const auto* v = doc.find("delivery")) config.delivery = v->as_string();
   if (const auto* v = doc.find("shards")) config.shards = v->as_u64();
-  if (const auto* v = doc.find("store")) config.store = v->as_string();
   if (const auto* v = doc.find("traffic")) config.traffic = v->as_string();
   if (const auto* v = doc.find("variant")) config.variant = v->as_string();
   if (const auto* v = doc.find("horizon")) config.horizon = v->as_number();

@@ -53,7 +53,9 @@ namespace gcs::harness {
 //        "dcsa" by default); the same version stamps the envelope-fit
 //        document emitted by harness/envelope.hpp (gcs_report
 //        --envelope-json), whose per-cell envelope_ratio / bound_gap
-//        fields are part of this schema.
+//        fields are part of this schema.  Later v7 writers drop the
+//        "store" echo (the axis is retired); readers still accept a
+//        legacy "store": "columns" and reject any other value.
 inline constexpr int kResultSchemaVersion = 7;
 
 util::json::Value to_json(const core::RunStats& stats);
@@ -80,6 +82,10 @@ util::json::Value config_to_json(const ExperimentConfig& config);
 // Reads the same shape back; missing keys keep the ExperimentConfig
 // defaults, unknown keys throw (they are typos, not forward compat).
 ExperimentConfig config_from_json(const util::json::Value& doc);
+// Config echoes written before the node-store axis was retired carry
+// "store": "columns", which reads as a no-op.  Throws util::json::Error
+// naming the retired axis on any other "store" value ("adapter").
+void check_legacy_store(const util::json::Value& config);
 
 // The full per-cell campaign document (one cells/<file>.json, one line of
 // campaign.jsonl): the config echo, the optional scenario spec (null ->

@@ -76,4 +76,17 @@ if(NOT jsonl_count EQUAL 2)
   message(FATAL_ERROR "expected 2 JSONL lines, got ${jsonl_count}")
 endif()
 
-message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact")
+# The node-store axis is retired: --store is an unknown key (exit 2,
+# named), not a silently ignored one.
+execute_process(
+  COMMAND "${GCS_RUN}" --n=6 --topology=ring --store=columns --list
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE stdout
+  ERROR_VARIABLE stderr)
+if(NOT rc EQUAL 2 OR NOT stderr MATCHES "unknown option --store")
+  message(FATAL_ERROR "gcs_run --store=columns: expected exit 2 naming the "
+          "unknown option, got ${rc}\nstdout:\n${stdout}\nstderr:\n${stderr}")
+endif()
+
+message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, --store "
+        "rejected")

@@ -1,5 +1,5 @@
 # End-to-end CTest for the link-equivalence matrix (the traffic-pipeline
-# tentpole acceptance), same shape as run_store_equivalence.cmake:
+# acceptance):
 #
 # 1. Ideal-link degeneration: traffic "off" (the legacy stochastic path)
 #    and "idle" (the pipeline with infinite bandwidth) must produce

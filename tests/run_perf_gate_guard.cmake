@@ -31,8 +31,8 @@ file(REMOVE_RECURSE "${OUT_DIR}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
 
 # One fully-populated benchmark run: two Hold shapes (heap+calendar at
-# 10000 and 20000 pending, continuous), the telemetry/sharded/columns
-# counters, and hw_threads.  Optional extra entries splice in before the
+# 10000 and 20000 pending, continuous), the telemetry/sharded counters,
+# and hw_threads.  Optional extra entries splice in before the
 # closing bracket so variants can add or omit pieces.
 function(write_run path hold_entries counters)
   file(WRITE "${path}" "{\"benchmarks\": [${hold_entries}${counters}]}")
@@ -50,17 +50,14 @@ set(HOLD_PARTIAL "
 
 set(COUNTERS_FULL "
   {\"name\": \"BM_TelemetryOverhead/iterations:25\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"telemetry_overhead_ratio\": 1.02},
-  {\"name\": \"BM_ShardedHold/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"sharded_speedup_ratio\": 2.1, \"hw_threads\": 8},
-  {\"name\": \"BM_MillionNodeChurn/20000/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"columns_speedup_ratio\": 1.4}")
+  {\"name\": \"BM_ShardedHold/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"sharded_speedup_ratio\": 2.1, \"hw_threads\": 8}")
 # hw_threads missing from the sharded entry (hole b).
 set(COUNTERS_NO_HW "
   {\"name\": \"BM_TelemetryOverhead/iterations:25\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"telemetry_overhead_ratio\": 1.02},
-  {\"name\": \"BM_ShardedHold/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"sharded_speedup_ratio\": 2.1},
-  {\"name\": \"BM_MillionNodeChurn/20000/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"columns_speedup_ratio\": 1.4}")
+  {\"name\": \"BM_ShardedHold/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"sharded_speedup_ratio\": 2.1}")
 # Sharded counter gone entirely (the pre-existing loud failure, kept pinned).
 set(COUNTERS_NO_SHARDED "
-  {\"name\": \"BM_TelemetryOverhead/iterations:25\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"telemetry_overhead_ratio\": 1.02},
-  {\"name\": \"BM_MillionNodeChurn/20000/iterations:5\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"columns_speedup_ratio\": 1.4}")
+  {\"name\": \"BM_TelemetryOverhead/iterations:25\", \"run_type\": \"iteration\", \"cpu_time\": 1.0, \"telemetry_overhead_ratio\": 1.02}")
 
 write_run("${OUT_DIR}/baseline.json" "${HOLD_FULL}" "${COUNTERS_FULL}")
 write_run("${OUT_DIR}/current_ok.json" "${HOLD_FULL}" "${COUNTERS_FULL}")

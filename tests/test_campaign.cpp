@@ -84,22 +84,26 @@ TEST(Campaign, TrafficAxisSweepsAndValidatesSpecs) {
 
 TEST(Campaign, VariantAxisSweepsProtocols) {
   // The ablation axis (campaigns/ablation_frontier.json): every cell
-  // carries its protocol variant in config and label, and the defaults
-  // block can pin the adapter store the non-default variants require.
+  // carries its protocol variant in config and label.
   const cli::Campaign campaign = from_text(R"({
     "name": "abl",
-    "defaults": {"n": 8, "store": "adapter"},
+    "defaults": {"n": 8},
     "sweep": {"variant": ["dcsa", "weighted:0.5", "nojump"]}
   })");
   ASSERT_EQ(campaign.cells.size(), 3u);
   EXPECT_EQ(campaign.cells[0].config.variant, "dcsa");
   EXPECT_EQ(campaign.cells[1].config.variant, "weighted:0.5");
   EXPECT_EQ(campaign.cells[2].config.variant, "nojump");
-  for (const cli::Cell& cell : campaign.cells) {
-    EXPECT_EQ(cell.config.store, "adapter");
-  }
   EXPECT_NE(campaign.cells[1].label.find("weighted"), std::string::npos)
       << campaign.cells[1].label;
+  // The node-store axis is retired: every variant runs in the one kernel,
+  // so "store" is an unknown key in a campaign file and as a flag.
+  EXPECT_THROW(from_text(R"({"defaults": {"n": 8, "store": "columns"}})"),
+               std::invalid_argument);
+  EXPECT_THROW(from_text(R"({"sweep": {"store": ["columns"]}})"),
+               std::invalid_argument);
+  EXPECT_THROW(from_text(R"({"defaults": {"n": 8}})", {{"store", "columns"}}),
+               std::invalid_argument);
 }
 
 TEST(Campaign, SeedListAndUnsweptAxesKeepDefaults) {

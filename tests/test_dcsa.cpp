@@ -1,16 +1,19 @@
-#include "core/dcsa_node.hpp"
+#include "core/dcsa_columns.hpp"
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <string>
+#include <vector>
 
-#include "core/dcsa_columns.hpp"
 #include "core/network_sim.hpp"
-#include "core/weighted_dcsa_node.hpp"
+#include "dcsa_node.hpp"
 #include "net/delay.hpp"
 #include "net/scenario.hpp"
 
 namespace {
+
+using gcs::test::DcsaNode;
+using Rule = gcs::core::Variant::Rule;
 
 gcs::core::SyncParams small_params(std::size_t n) {
   gcs::core::SyncParams p;
@@ -28,9 +31,43 @@ gcs::core::NodeContext at(gcs::core::NodeId self, double hw_now) {
   return gcs::core::NodeContext{self, hw_now, hw_now};
 }
 
+// Every rule the kernel implements, each under the proper tolerance and
+// under a crippled one (no G headroom: B(age) == b0) so that the
+// blocking cap -- and with it the weighted floor -- actually binds.
+std::vector<gcs::core::Protocol> all_protocols(
+    const gcs::core::SyncParams& p) {
+  const gcs::core::BFunction crippled(p.effective_b0(), 0.0, p.tau(), p.rho);
+  std::vector<gcs::core::Protocol> out;
+  for (const gcs::core::Variant v :
+       {gcs::core::Variant{Rule::kDcsa, 1.0},
+        gcs::core::Variant{Rule::kWeighted, 0.5},
+        gcs::core::Variant{Rule::kNoBlock, 1.0},
+        gcs::core::Variant{Rule::kNoJump, 1.0}}) {
+    out.push_back(gcs::core::Protocol{v, std::nullopt});
+    out.push_back(gcs::core::Protocol{v, crippled});
+  }
+  return out;
+}
+
+// Sink that records the jumps reported through after(), for driving the
+// kernel directly.
+struct JumpSink : gcs::core::DeliverySink {
+  std::vector<double> jumps;
+  void before(const gcs::core::StoreDelivery&) override {}
+  void after(const gcs::core::StoreDelivery&, double jump) override {
+    jumps.push_back(jump);
+  }
+};
+
+std::string describe(const gcs::core::Protocol& protocol) {
+  const char* rules[] = {"dcsa", "weighted", "noblock", "nojump"};
+  return std::string(rules[static_cast<int>(protocol.variant.rule)]) +
+         (protocol.tolerance ? "/crippled" : "/proper");
+}
+
 TEST(DcsaNode, JumpsTowardLargerEstimateButNeverBackwards) {
   const auto p = small_params(2);
-  gcs::core::DcsaNode node(p);
+  DcsaNode node(p);
   node.start(at(0, 0.0));
   node.on_edge_up(at(0, 0.0), 1);
   EXPECT_DOUBLE_EQ(node.logical_clock(5.0), 5.0);
@@ -51,10 +88,15 @@ TEST(DcsaNode, CrippledToleranceBlocksJump) {
   auto p = small_params(3);
   // A tolerance with no G headroom: B(age) == b0 everywhere.
   const gcs::core::BFunction crippled(p.effective_b0(), 0.0, p.tau(), p.rho);
-  gcs::core::DcsaNode node(p, crippled);
+  const gcs::core::Protocol protocol{gcs::core::Variant{}, crippled};
+  DcsaNode node(p, protocol);
+  gcs::core::DcsaColumns cols(p, 3, protocol);
   node.start(at(0, 0.0));
-  node.on_edge_up(at(0, 0.0), 1);  // the neighbour far ahead
-  node.on_edge_up(at(0, 0.0), 2);  // the laggard holding us back
+  cols.start(at(0, 0.0));
+  for (gcs::core::NodeId peer : {1u, 2u}) {  // far ahead, then the laggard
+    node.on_edge_up(at(0, 0.0), peer);
+    cols.edge_up(at(0, 0.0), peer);
+  }
   const double b0 = p.effective_b0();
 
   node.on_message(at(0, 1.0), 1, 100.0);         // way ahead
@@ -65,11 +107,23 @@ TEST(DcsaNode, CrippledToleranceBlocksJump) {
   // jump happens at all and the node free-runs at its hardware rate.
   EXPECT_DOUBLE_EQ(node.step(at(0, 1.0)), 0.0);
   EXPECT_DOUBLE_EQ(node.logical_clock(1.0), 1.0);
+
+  // The kernel agrees on who blocks whom.  It steps after every record,
+  // so it hears the laggard first (else the lone pull would jump it).
+  JumpSink sink;
+  const gcs::core::StoreDelivery behind{2, 0, -(b0 + 50.0), 1.0, 1.0};
+  const gcs::core::StoreDelivery ahead{1, 0, 100.0, 1.0, 1.0};
+  cols.on_deliveries(&behind, 1, sink);
+  cols.on_deliveries(&ahead, 1, sink);
+  EXPECT_TRUE(cols.is_blocked_by(0, 2, 1.0));
+  EXPECT_FALSE(cols.is_blocked_by(0, 1, 1.0));
+  EXPECT_FALSE(cols.is_blocked_by(0, 7, 1.0));  // not a neighbour
+  EXPECT_EQ(cols.logical_clock(0, 1.0), 1.0);
 }
 
 TEST(DcsaNode, ProperToleranceDoesNotBlockFreshSkew) {
   auto p = small_params(3);
-  gcs::core::DcsaNode node(p);  // proper B: B(0) = b0 + G(n) > G(n)
+  DcsaNode node(p);  // proper B: B(0) = b0 + G(n) > G(n)
   node.start(at(0, 0.0));
   node.on_edge_up(at(0, 0.0), 1);
   node.on_edge_up(at(0, 0.0), 2);
@@ -82,27 +136,51 @@ TEST(DcsaNode, ProperToleranceDoesNotBlockFreshSkew) {
   EXPECT_DOUBLE_EQ(node.logical_clock(1.0), 10.0);
 }
 
-TEST(WeightedDcsaNode, TightLinkTightensOnlyTheFloor) {
+TEST(DcsaColumns, WeightedTightensOnlyTheFloor) {
   auto p = small_params(3);
-  auto weight = [](gcs::core::NodeId, gcs::core::NodeId peer) {
-    return peer == 2 ? 0.5 : 1.0;
-  };
-  gcs::core::WeightedDcsaNode node(p, weight, 0.5);
+  const gcs::core::Protocol weighted{gcs::core::Variant{Rule::kWeighted, 0.5},
+                                     std::nullopt};
+  DcsaNode node(p, weighted);
+  gcs::core::DcsaColumns cols(p, 3, weighted);
   node.start(at(0, 0.0));
-  node.on_edge_up(at(0, 0.0), 1);
-  node.on_edge_up(at(0, 0.0), 2);
+  cols.start(at(0, 0.0));
+  for (gcs::core::NodeId peer : {1u, 2u}) {
+    node.on_edge_up(at(0, 0.0), peer);
+    cols.edge_up(at(0, 0.0), peer);
+  }
   const double b0 = p.effective_b0();
 
-  // Matured edges (age far past decay): the cap toward the tight peer 2
-  // is half the cap toward the default peer 1.
-  const double age = node.tolerance_fn().decay_age() + 100.0;
+  // Matured edges (age far past decay): the cap toward peer 2 is its
+  // estimate plus the weighted floor, half the plain b0.
+  const double age = cols.tolerance_fn().decay_age() + 100.0;
   const double before = node.logical_clock(age);
   node.on_message(at(0, age), 1, before + 1000.0);  // strong pull upward
-  node.on_message(at(0, age), 2, before);  // tight peer level with us
-  node.step(at(0, age));
-  // Overshoot over the tight peer is capped by the weighted floor w * b0.
+  node.on_message(at(0, age), 2, before);  // peer 2 level with us
+  const double jump = node.step(at(0, age));
+  // Overshoot over peer 2 is capped by the weighted floor w * b0.
   EXPECT_NEAR(node.logical_clock(age) - before, 0.5 * b0, 1e-9);
   EXPECT_TRUE(node.is_blocked_by(2, age));
+
+  // The kernel steps after every record, so it hears the level peer
+  // first (no jump yet) and the pull second (capped at w * b0).
+  JumpSink sink;
+  const gcs::core::StoreDelivery level{2, 0, before, age, age};
+  const gcs::core::StoreDelivery pull{1, 0, before + 1000.0, age, age};
+  cols.on_deliveries(&level, 1, sink);
+  cols.on_deliveries(&pull, 1, sink);
+  EXPECT_EQ(cols.logical_clock(0, age), node.logical_clock(age));
+  EXPECT_EQ(sink.jumps.at(0) + sink.jumps.at(1), jump);
+  EXPECT_TRUE(cols.is_blocked_by(0, 2, age));
+
+  // A young edge keeps the full G headroom: only the floor is weighted,
+  // so Lemma 6.10 (a new edge never blocks) survives the extension.
+  DcsaNode fresh(p, weighted);
+  fresh.start(at(0, 0.0));
+  fresh.on_edge_up(at(0, 0.0), 1);
+  fresh.on_edge_up(at(0, 0.0), 2);
+  fresh.on_message(at(0, 0.5), 1, 10.0);
+  fresh.on_message(at(0, 0.5), 2, -(p.global_skew_bound() - 10.0));
+  EXPECT_FALSE(fresh.is_blocked_by(2, 0.5));
 }
 
 // End-to-end: a two-camp network on a ring must keep the global skew
@@ -117,10 +195,7 @@ TEST(NetworkSimulation, TwoCampRingStaysInsideBounds) {
   gcs::core::NetworkSimulation sim(
       p,
       gcs::net::DynamicGraph(p.n, gcs::net::make_ring(p.n).edges(), {}),
-      gcs::net::make_constant_delay(p.T, p.T / 2.0), std::move(schedules),
-      [&p](gcs::core::NodeId) {
-        return std::make_unique<gcs::core::DcsaNode>(p);
-      });
+      gcs::net::make_constant_delay(p.T, p.T / 2.0), std::move(schedules));
   sim.run_until(60.0);
   EXPECT_GT(sim.stats().messages_delivered, 0u);
   EXPECT_GT(sim.stats().jumps, 0u);
@@ -135,57 +210,48 @@ TEST(NetworkSimulation, TwoCampRingStaysInsideBounds) {
   EXPECT_GT(hi, 50.0);  // clocks actually advanced through the horizon
 }
 
-// Sink that records the jumps reported through after(), for driving a
-// store directly.
-struct JumpSink : gcs::core::DeliverySink {
-  std::vector<double> jumps;
-  void before(const gcs::core::StoreDelivery&) override {}
-  void after(const gcs::core::StoreDelivery&, double jump) override {
-    jumps.push_back(jump);
-  }
-};
-
-// The struct-of-arrays store must reproduce DcsaNode's arithmetic bit
-// for bit: same deliveries, same jumps, same logical clocks, same fast
-// flag -- including across edge churn that exercises slot reuse.
+// The kernel must reproduce the oracle's arithmetic bit for bit under
+// every protocol: same deliveries, same jumps, same logical clocks, same
+// fast flag -- including across edge churn that exercises slot reuse.
 TEST(DcsaColumns, MirrorsDcsaNodeBitForBit) {
   const auto p = small_params(4);
-  gcs::core::DcsaNode node(p);
-  gcs::core::DcsaColumns cols(p, 4);
+  for (const gcs::core::Protocol& protocol : all_protocols(p)) {
+    SCOPED_TRACE(describe(protocol));
+    DcsaNode node(p, protocol);
+    gcs::core::DcsaColumns cols(p, 4, protocol);
 
-  const gcs::core::NodeContext zero = at(0, 0.0);
-  node.start(zero);
-  for (gcs::core::NodeId u = 0; u < 4; ++u) cols.start(at(u, 0.0));
-  for (gcs::core::NodeId peer : {1u, 2u, 3u}) {
-    node.on_edge_up(zero, peer);
-    cols.edge_up(zero, peer);
-  }
+    const gcs::core::NodeContext zero = at(0, 0.0);
+    node.start(zero);
+    for (gcs::core::NodeId u = 0; u < 4; ++u) cols.start(at(u, 0.0));
+    for (gcs::core::NodeId peer : {1u, 2u, 3u}) {
+      node.on_edge_up(zero, peer);
+      cols.edge_up(zero, peer);
+    }
 
-  JumpSink sink;
-  std::vector<double> node_jumps;
-  const double values[] = {7.5, -3.25, 12.0, 11.875, 0.5, 40.0};
-  double hw = 0.5;
-  for (std::size_t k = 0; k < 6; ++k, hw += 0.625) {
-    const gcs::core::NodeId from = 1 + (k % 3);
-    gcs::core::StoreDelivery d;
-    d.from = from;
-    d.to = 0;
-    d.value = values[k];
-    d.hw_now = hw;
-    d.now = hw;
-    node.on_message(at(0, hw), from, values[k]);
-    node_jumps.push_back(node.step(at(0, hw)));
-    cols.on_deliveries(&d, 1, sink);
-    ASSERT_EQ(sink.jumps.size(), k + 1);
-    EXPECT_EQ(sink.jumps[k], node_jumps[k]) << "record " << k;
-    EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
-    EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
+    JumpSink sink;
+    const double values[] = {7.5, -3.25, 12.0, 11.875, 0.5, 40.0};
+    double hw = 0.5;
+    for (std::size_t k = 0; k < 6; ++k, hw += 0.625) {
+      const gcs::core::NodeId from = 1 + (k % 3);
+      const gcs::core::StoreDelivery d{from, 0, values[k], hw, hw};
+      node.on_message(at(0, hw), from, values[k]);
+      const double want = node.step(at(0, hw));
+      cols.on_deliveries(&d, 1, sink);
+      ASSERT_EQ(sink.jumps.size(), k + 1);
+      EXPECT_EQ(sink.jumps[k], want) << "record " << k;
+      EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
+      EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
+      for (gcs::core::NodeId peer : {1u, 2u, 3u}) {
+        EXPECT_EQ(cols.is_blocked_by(0, peer, hw), node.is_blocked_by(peer, hw))
+            << "record " << k << " peer " << peer;
+      }
 
-    if (k == 2) {  // churn an edge mid-stream: both must forget peer 2
-      node.on_edge_down(at(0, hw), 2);
-      cols.edge_down(at(0, hw), 2);
-      node.on_edge_up(at(0, hw), 2);
-      cols.edge_up(at(0, hw), 2);
+      if (k == 2) {  // churn an edge mid-stream: both must forget peer 2
+        node.on_edge_down(at(0, hw), 2);
+        cols.edge_down(at(0, hw), 2);
+        node.on_edge_up(at(0, hw), 2);
+        cols.edge_up(at(0, hw), 2);
+      }
     }
   }
 }
@@ -213,12 +279,7 @@ TEST(DcsaColumns, SlotArenaGrowsAndShrinks) {
   // Re-adding after a full teardown reuses the segment cleanly.
   cols.edge_up(at(0, 2.0), 5);
   EXPECT_EQ(cols.live_slots(), 1u);
-  gcs::core::StoreDelivery d;
-  d.from = 5;
-  d.to = 0;
-  d.value = 100.0;
-  d.hw_now = 2.0;
-  d.now = 2.0;
+  const gcs::core::StoreDelivery d{5, 0, 100.0, 2.0, 2.0};
   JumpSink sink;
   cols.on_deliveries(&d, 1, sink);
   EXPECT_GT(sink.jumps.at(0), 0.0);
@@ -229,198 +290,139 @@ TEST(DcsaColumns, SlotArenaGrowsAndShrinks) {
 // cap-doubling relocation must ride along to the new region bit-exact,
 // swap-removes at the head/middle/tail of the segment must not corrupt
 // survivors, and reclaimed slots must come back clean -- all mirrored
-// delivery-for-delivery against the adapter-store automaton.
+// delivery-for-delivery against the oracle, under every protocol.
 TEST(DcsaColumns, AdversarialChurnKeepsRelocatedSegmentsBitExact) {
   const auto p = small_params(64);
-  gcs::core::DcsaNode node(p);
-  gcs::core::DcsaColumns cols(p, 64);
-  node.start(at(0, 0.0));
-  for (gcs::core::NodeId u = 0; u < 64; ++u) cols.start(at(u, 0.0));
+  for (const gcs::core::Protocol& protocol : all_protocols(p)) {
+    SCOPED_TRACE(describe(protocol));
+    DcsaNode node(p, protocol);
+    gcs::core::DcsaColumns cols(p, 64, protocol);
+    node.start(at(0, 0.0));
+    for (gcs::core::NodeId u = 0; u < 64; ++u) cols.start(at(u, 0.0));
 
-  JumpSink sink;
-  double hw = 0.25;
-  auto deliver = [&](gcs::core::NodeId from, double value) {
-    gcs::core::StoreDelivery d;
-    d.from = from;
-    d.to = 0;
-    d.value = value;
-    d.hw_now = hw;
-    d.now = hw;
-    node.on_message(at(0, hw), from, value);
-    const double want = node.step(at(0, hw));
-    sink.jumps.clear();
-    cols.on_deliveries(&d, 1, sink);
-    ASSERT_EQ(sink.jumps.size(), 1u);
-    EXPECT_EQ(sink.jumps[0], want) << "from " << from << " at hw " << hw;
-    EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
-    EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
-    hw += 0.375;
-  };
-  auto up = [&](gcs::core::NodeId peer) {
-    node.on_edge_up(at(0, hw), peer);
-    cols.edge_up(at(0, hw), peer);
-  };
-  auto down = [&](gcs::core::NodeId peer) {
-    node.on_edge_down(at(0, hw), peer);
-    cols.edge_down(at(0, hw), peer);
-  };
+    JumpSink sink;
+    double hw = 0.25;
+    auto deliver = [&](gcs::core::NodeId from, double value) {
+      const gcs::core::StoreDelivery d{from, 0, value, hw, hw};
+      node.on_message(at(0, hw), from, value);
+      const double want = node.step(at(0, hw));
+      sink.jumps.clear();
+      cols.on_deliveries(&d, 1, sink);
+      ASSERT_EQ(sink.jumps.size(), 1u);
+      EXPECT_EQ(sink.jumps[0], want) << "from " << from << " at hw " << hw;
+      EXPECT_EQ(cols.logical_clock(0, hw), node.logical_clock(hw));
+      EXPECT_EQ(cols.fast_mode(0), node.fast_mode());
+      hw += 0.375;
+    };
+    auto up = [&](gcs::core::NodeId peer) {
+      node.on_edge_up(at(0, hw), peer);
+      cols.edge_up(at(0, hw), peer);
+    };
+    auto down = [&](gcs::core::NodeId peer) {
+      node.on_edge_down(at(0, hw), peer);
+      cols.edge_down(at(0, hw), peer);
+    };
 
-  // Grow through three relocations (cap 4 -> 8 -> 16 -> 32), delivering
-  // after every edge so each relocation carries live estimates.
-  for (gcs::core::NodeId peer = 1; peer <= 20; ++peer) {
-    up(peer);
-    deliver(peer, 3.0 * peer + 0.125);
-  }
-  EXPECT_EQ(cols.live_slots(), 20u);
+    // Grow through three relocations (cap 4 -> 8 -> 16 -> 32), delivering
+    // after every edge so each relocation carries live estimates.
+    for (gcs::core::NodeId peer = 1; peer <= 20; ++peer) {
+      up(peer);
+      deliver(peer, 3.0 * peer + 0.125);
+    }
+    EXPECT_EQ(cols.live_slots(), 20u);
 
-  // Swap-remove the segment's first, middle, and last slot, then hear
-  // from every survivor (a stale or mis-copied slot diverges instantly).
-  down(1);
-  down(10);
-  down(20);
-  EXPECT_EQ(cols.live_slots(), 17u);
-  for (gcs::core::NodeId peer = 2; peer <= 19; ++peer) {
-    if (peer == 10) continue;
-    deliver(peer, 100.0 + peer);
-  }
-  // A message from a removed peer updates nothing (but still steps).
-  deliver(1, 1e6);
+    // Swap-remove the segment's first, middle, and last slot, then hear
+    // from every survivor (a stale or mis-copied slot diverges instantly).
+    down(1);
+    down(10);
+    down(20);
+    EXPECT_EQ(cols.live_slots(), 17u);
+    for (gcs::core::NodeId peer = 2; peer <= 19; ++peer) {
+      if (peer == 10) continue;
+      deliver(peer, 100.0 + peer);
+    }
+    // A message from a removed peer updates nothing (but still steps).
+    deliver(1, 1e6);
 
-  // Reclaim the freed slots and push through one more relocation.
-  for (gcs::core::NodeId peer : {1u, 10u, 20u}) {
-    up(peer);
-    deliver(peer, 200.0 + peer);
+    // Reclaim the freed slots and push through one more relocation.
+    for (gcs::core::NodeId peer : {1u, 10u, 20u}) {
+      up(peer);
+      deliver(peer, 200.0 + peer);
+    }
+    for (gcs::core::NodeId peer = 21; peer <= 40; ++peer) {
+      up(peer);
+      deliver(peer, 50.0 + peer);
+    }
+    EXPECT_EQ(cols.live_slots(), 40u);
   }
-  for (gcs::core::NodeId peer = 21; peer <= 40; ++peer) {
-    up(peer);
-    deliver(peer, 50.0 + peer);
-  }
-  EXPECT_EQ(cols.live_slots(), 40u);
 }
 
-// The hole-threshold compaction must actually fire under churn -- the
-// seed's "half the arena" threshold was unreachable (doubling growth
+// The hole-threshold compaction must actually fire under churn -- a
+// "half the arena" threshold would be unreachable (doubling growth
 // leaves c-4 holes against 2c-4 allocated slots per segment, strictly
 // under one half forever) -- and a fired compaction must preserve every
 // segment: estimates recorded before the rebuild still drive jumps
-// bit-identical to adapter-store automatons after it.
+// bit-identical to the oracle after it, under every protocol.
 TEST(DcsaColumns, HoleCompactionFiresAndPreservesSegments) {
   const std::size_t n = 600;
   const auto p = small_params(n);
-  gcs::core::DcsaColumns cols(p, n);
-  std::vector<gcs::core::DcsaNode> nodes(n, gcs::core::DcsaNode(p));
-  for (gcs::core::NodeId u = 0; u < n; ++u) {
-    nodes[u].start(at(u, 0.0));
-    cols.start(at(u, 0.0));
-  }
+  for (const gcs::core::Protocol& protocol : all_protocols(p)) {
+    SCOPED_TRACE(describe(protocol));
+    gcs::core::DcsaColumns cols(p, n, protocol);
+    std::vector<DcsaNode> nodes(n, DcsaNode(p, protocol));
+    for (gcs::core::NodeId u = 0; u < n; ++u) {
+      nodes[u].start(at(u, 0.0));
+      cols.start(at(u, 0.0));
+    }
 
-  // Degree 9 everywhere: two relocations per node (cap 4 -> 8 -> 16),
-  // 12 holes a node, so holes cross the 4096 absolute floor and a
-  // quarter of the arena a bit past node 340.  arena_bytes() shrinking
-  // across an edge_up is the compaction firing.
-  JumpSink sink;
-  std::size_t compactions = 0;
-  std::size_t prev_bytes = cols.arena_bytes();
-  for (gcs::core::NodeId u = 0; u < n; ++u) {
-    for (gcs::core::NodeId k = 1; k <= 9; ++k) {
-      const gcs::core::NodeId peer = (u + k) % n;
-      nodes[u].on_edge_up(at(u, 0.0), peer);
-      cols.edge_up(at(u, 0.0), peer);
-      if (cols.arena_bytes() < prev_bytes) ++compactions;
-      prev_bytes = cols.arena_bytes();
-      if (k == 5) {  // a mid-growth estimate the rebuild must carry
-        gcs::core::StoreDelivery d;
-        d.from = peer;
-        d.to = u;
-        d.value = 0.5 + 0.001 * u;
-        d.hw_now = 0.5;
-        d.now = 0.5;
-        nodes[u].on_message(at(u, 0.5), peer, d.value);
-        const double want = nodes[u].step(at(u, 0.5));
-        sink.jumps.clear();
-        cols.on_deliveries(&d, 1, sink);
-        ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
+    // Degree 9 everywhere: two relocations per node (cap 4 -> 8 -> 16),
+    // 12 holes a node, so holes cross the 4096 absolute floor and a
+    // quarter of the arena a bit past node 340.  arena_bytes() shrinking
+    // across an edge_up is the compaction firing.
+    JumpSink sink;
+    std::size_t compactions = 0;
+    std::size_t prev_bytes = cols.arena_bytes();
+    for (gcs::core::NodeId u = 0; u < n; ++u) {
+      for (gcs::core::NodeId k = 1; k <= 9; ++k) {
+        const gcs::core::NodeId peer = (u + k) % n;
+        nodes[u].on_edge_up(at(u, 0.0), peer);
+        cols.edge_up(at(u, 0.0), peer);
+        if (cols.arena_bytes() < prev_bytes) ++compactions;
+        prev_bytes = cols.arena_bytes();
+        if (k == 5) {  // a mid-growth estimate the rebuild must carry
+          const gcs::core::StoreDelivery d{peer, u, 0.5 + 0.001 * u, 0.5, 0.5};
+          nodes[u].on_message(at(u, 0.5), peer, d.value);
+          const double want = nodes[u].step(at(u, 0.5));
+          sink.jumps.clear();
+          cols.on_deliveries(&d, 1, sink);
+          ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
+        }
       }
     }
-  }
-  EXPECT_GE(compactions, 1u);
-  EXPECT_EQ(cols.live_slots(), n * 9u);
+    EXPECT_GE(compactions, 1u);
+    EXPECT_EQ(cols.live_slots(), n * 9u);
 
-  // Segments on both sides of the compaction point still mirror the
-  // adapter automatons exactly, pre-rebuild estimates included.
-  double hw = 1.0;
-  for (gcs::core::NodeId u : {0u, 200u, 341u, 342u, 599u}) {
-    gcs::core::StoreDelivery d;
-    d.from = (u + 3) % n;
-    d.to = u;
-    d.value = 500.0 + u;
-    d.hw_now = hw;
-    d.now = hw;
-    nodes[u].on_message(at(u, hw), d.from, d.value);
-    const double want = nodes[u].step(at(u, hw));
-    sink.jumps.clear();
-    cols.on_deliveries(&d, 1, sink);
-    ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
-    EXPECT_EQ(cols.logical_clock(u, hw), nodes[u].logical_clock(hw));
-    hw += 0.5;
-  }
-
-  // edge_down still finds every relocated-and-rebuilt slot.
-  for (gcs::core::NodeId u = 0; u < n; ++u) {
-    cols.edge_down(at(u, 2.0), (u + 1) % n);
-  }
-  EXPECT_EQ(cols.live_slots(), n * 8u);
-}
-
-// End-to-end store equivalence at the simulation layer: the columns
-// store and the per-node adapter must produce bit-identical clocks and
-// identical statistics on the same dynamic run.
-TEST(NetworkSimulation, ColumnsMatchesAdapterTrajectory) {
-  const auto p = small_params(8);
-  auto make_schedules = [&] {
-    std::vector<gcs::clk::RateSchedule> schedules;
-    for (std::size_t i = 0; i < p.n; ++i) {
-      schedules.emplace_back(i % 2 == 0 ? 1.0 + p.rho : 1.0 - p.rho);
+    // Segments on both sides of the compaction point still mirror the
+    // oracle exactly, pre-rebuild estimates included.
+    double hw = 1.0;
+    for (gcs::core::NodeId u : {0u, 200u, 341u, 342u, 599u}) {
+      const gcs::core::StoreDelivery d{(u + 3) % static_cast<gcs::core::NodeId>(n),
+                                       u, 500.0 + u, hw, hw};
+      nodes[u].on_message(at(u, hw), d.from, d.value);
+      const double want = nodes[u].step(at(u, hw));
+      sink.jumps.clear();
+      cols.on_deliveries(&d, 1, sink);
+      ASSERT_EQ(sink.jumps.at(0), want) << "node " << u;
+      EXPECT_EQ(cols.logical_clock(u, hw), nodes[u].logical_clock(hw));
+      hw += 0.5;
     }
-    return schedules;
-  };
-  auto make_graph = [&] {
-    // Ring plus churn: one edge flaps every 3 time units.
-    std::vector<gcs::net::TopologyEvent> events;
-    for (int k = 0; k < 10; ++k) {
-      events.push_back({3.0 * k + 1.0, gcs::net::Edge(0, 4), k % 2 == 0});
+
+    // edge_down still finds every relocated-and-rebuilt slot.
+    for (gcs::core::NodeId u = 0; u < n; ++u) {
+      cols.edge_down(at(u, 2.0), (u + 1) % n);
     }
-    return gcs::net::DynamicGraph(p.n, gcs::net::make_ring(p.n).edges(),
-                                  events);
-  };
-
-  gcs::core::NetworkSimulation columns(
-      p, make_graph(), gcs::net::make_constant_delay(p.T, p.T / 2.0),
-      make_schedules());
-  gcs::core::NetworkSimulation adapter(
-      p, make_graph(), gcs::net::make_constant_delay(p.T, p.T / 2.0),
-      make_schedules(), [&p](gcs::core::NodeId) {
-        return std::make_unique<gcs::core::DcsaNode>(p);
-      });
-  columns.run_until(40.0);
-  adapter.run_until(40.0);
-
-  for (gcs::core::NodeId u = 0; u < p.n; ++u) {
-    EXPECT_EQ(columns.logical_clock(u), adapter.logical_clock(u)) << "node "
-                                                                  << u;
+    EXPECT_EQ(cols.live_slots(), n * 8u);
   }
-  EXPECT_EQ(columns.stats().messages_delivered,
-            adapter.stats().messages_delivered);
-  EXPECT_EQ(columns.stats().jumps, adapter.stats().jumps);
-  EXPECT_EQ(columns.stats().total_jump, adapter.stats().total_jump);
-  EXPECT_GT(columns.stats().jumps, 0u);
-  // The columns store reports its arena; the adapter hides state behind
-  // heap objects and reports 0.
-  EXPECT_GT(columns.stats().arena_bytes, 0u);
-  EXPECT_EQ(adapter.stats().arena_bytes, 0u);
-  // The adapter exposes per-node automatons, the columns store does not.
-  EXPECT_NO_THROW(adapter.node(0));
-  EXPECT_THROW(columns.node(0), std::logic_error);
 }
 
 }  // namespace

@@ -7,12 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/dcsa_node.hpp"
 #include "core/network_sim.hpp"
 #include "net/delay.hpp"
 #include "net/scenario.hpp"
@@ -67,7 +65,6 @@ Trace run(const gcs::net::Scenario& scenario, EnginePolicy policy,
   NetworkSimulation sim(
       p, scenario.to_dynamic_graph(), gcs::net::make_uniform_delay(p.T, 0.0, p.T),
       walk_schedules(p, 99),
-      [&p](gcs::core::NodeId) { return std::make_unique<gcs::core::DcsaNode>(p); },
       options);
   Trace trace;
   sim.schedule_periodic(0.25, 0.25, [&](gcs::sim::Time) {
@@ -198,9 +195,6 @@ TEST(DeterminismMatrix, CompleteGraphBatchingCoalesces) {
         p,
         gcs::net::DynamicGraph(n, gcs::net::make_complete(n).edges(), {}),
         gcs::net::make_constant_delay(p.T, p.T / 2.0), walk_schedules(p, 3),
-        [&p](gcs::core::NodeId) {
-          return std::make_unique<gcs::core::DcsaNode>(p);
-        },
         options);
     sim.run_until(30.0);
     std::vector<double> clocks;
@@ -243,7 +237,6 @@ Trace run_sharded(const gcs::net::Scenario& scenario, EnginePolicy policy,
       p, scenario.to_dynamic_graph(),
       // lo = 0.25 gives the positive delay floor sharded mode needs.
       gcs::net::make_uniform_delay(p.T, 0.25, p.T), walk_schedules(p, 99),
-      [&p](gcs::core::NodeId) { return std::make_unique<gcs::core::DcsaNode>(p); },
       options);
   Trace trace;
   sim.schedule_periodic(0.25, 0.25, [&](gcs::sim::Time) {
@@ -337,9 +330,6 @@ TEST(DeterminismMatrixSharded, RefusesZeroFloorDelay) {
       NetworkSimulation(
           p, gcs::net::DynamicGraph(8, gcs::net::make_ring(8).edges(), {}),
           gcs::net::make_uniform_delay(p.T, 0.0, p.T), walk_schedules(p, 99),
-          [&p](gcs::core::NodeId) {
-            return std::make_unique<gcs::core::DcsaNode>(p);
-          },
           options),
       std::invalid_argument);
 }

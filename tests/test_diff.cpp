@@ -185,6 +185,36 @@ TEST(DiffTrees, DifferentCampaignNamesStillMatch) {
   EXPECT_TRUE(run.stats.clean()) << run.log;
 }
 
+TEST(DiffTrees, LegacyStoreEchoDiffsCleanAndAdapterFailsLoudly) {
+  // Trees written before the node-store axis was retired echo
+  // "store": "columns" in every cell; they must diff clean against
+  // current trees, while an "adapter" echo names the retired axis.
+  const fs::path a = make_tree("store-a");
+  const fs::path b = make_tree("store-b");
+  for (const char* cell : {"000-s1.json", "001-s2.json", "002-s3.json"}) {
+    rewrite_cell(b, cell, [](json::Value& doc) {
+      doc["config"]["store"] = "columns";
+    });
+  }
+  cli::DiffOptions options;
+  options.strict = true;
+  const DiffRun legacy = run_diff(a, b, options);
+  EXPECT_EQ(legacy.rc, 0) << legacy.log;
+  EXPECT_TRUE(legacy.stats.clean()) << legacy.log;
+
+  rewrite_cell(b, "001-s2.json", [](json::Value& doc) {
+    doc["config"]["store"] = "adapter";
+  });
+  try {
+    run_diff(a, b, options);
+    FAIL() << "an adapter-store tree diffed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("node-store axis is retired"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // diff_files: the single-document mode gcs_diff uses to gate the
 // committed ENVELOPE_baseline.json against a regenerated envelope fit.
 fs::path write_file(const std::string& name, const std::string& text) {

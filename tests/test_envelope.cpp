@@ -4,7 +4,7 @@
 //   * exact recovery of constant / log n / linear-n growth, with the
 //     documented tie-break (constant < log < linear on equal RSS);
 //   * the grouping contract: execution-layout axes (engine, delivery,
-//     shards, store) and the seed never split a group, the variant axis
+//     shards) and the seed never split a group, the variant axis
 //     always does, and duplicate-n observations fold to the per-n max;
 //   * the domination shift (fitted >= observed everywhere, so
 //     envelope_ratio <= 1) and monotone non-decreasing evaluate();
@@ -166,14 +166,13 @@ TEST(EnvelopeFit, SingleNCollapsesToConstantAtTheMax) {
 TEST(EnvelopeFit, ExecutionLayoutAxesNeverSplitAGroup) {
   // Same physics, wildly different execution layout: one group.  This is
   // the property that makes the envelope artifact byte-stable across
-  // {--jobs} x {engine} x {shards} x {store} reruns
+  // {--jobs} x {engine} x {shards} reruns
   // (tests/run_envelope_stability.cmake proves it end to end).
   harness::ExperimentConfig a;
   harness::ExperimentConfig b;
   b.engine = "heap";
   b.delivery = "per-receiver";
   b.shards = 4;
-  b.store = "adapter";
   std::map<std::string, json::Value> docs;
   docs["a"] = make_cell("a", 8, 2.0, 40.0, a, /*seed=*/1);
   docs["b"] = make_cell("b", 12, 2.5, 40.0, b, /*seed=*/7);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "harness/serialize.hpp"
 #include "net/scenario.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -120,14 +124,12 @@ TEST(RunExperiment, EngineAndDeliveryKnobsAreTrajectoryNeutral) {
 }
 
 TEST(RunExperiment, VariantAxisRunsAblationProtocols) {
-  // The ablation variants (core/ablation_variants.hpp) through the
-  // harness.  On this quiet spread-drift ring the blocking cap never
-  // binds, so noblock and weighted track plain DCSA's physics, while
-  // nojump free-runs: with constant rates evenly spaced over
-  // [1-rho, 1+rho] and no catch-up, the skew at the final sample is
-  // exactly 2 * rho * horizon.
-  auto dcsa_cfg = small_config();
-  dcsa_cfg.store = "adapter";
+  // The ablation variants (core::Variant) through the harness.  On this
+  // quiet spread-drift ring the blocking cap never binds, so noblock and
+  // weighted track plain DCSA's physics, while nojump free-runs: with
+  // constant rates evenly spaced over [1-rho, 1+rho] and no catch-up,
+  // the skew at the final sample is exactly 2 * rho * horizon.
+  const auto dcsa_cfg = small_config();
   const auto dcsa = gcs::harness::run_experiment(dcsa_cfg);
 
   auto nojump_cfg = dcsa_cfg;
@@ -149,19 +151,96 @@ TEST(RunExperiment, VariantAxisRunsAblationProtocols) {
 }
 
 TEST(RunExperiment, VariantValidationIsLoud) {
-  // The columns arenas implement plain DCSA only; anything else must
-  // refuse to run rather than silently measure the wrong protocol.
+  // A malformed variant must refuse to run rather than silently measure
+  // the wrong protocol.
   auto cfg = small_config();
-  cfg.store = "columns";
-  cfg.variant = "nojump";
-  EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
-  cfg.store = "adapter";
-  cfg.variant = "bogus";
-  EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
-  cfg.variant = "weighted:0";
-  EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
-  cfg.variant = "weighted:1.5";
-  EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
+  for (const char* variant : {"bogus", "weighted:0", "weighted:1.5",
+                              "weightedx", "nojump:1"}) {
+    cfg.variant = variant;
+    EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument)
+        << variant;
+  }
+}
+
+// Expects run_experiment(cfg) to throw std::invalid_argument whose
+// message quotes `spec` in full.
+void expect_rejected(const gcs::harness::ExperimentConfig& cfg,
+                     const std::string& spec) {
+  try {
+    gcs::harness::run_experiment(cfg);
+    ADD_FAILURE() << "'" << spec << "' was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + spec + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RunExperiment, NumberGrammarsRejectPartialTokens) {
+  // Every number in the delay and variant grammars is one whole finite
+  // token: a numeric prefix with trailing junk, an empty token or a
+  // non-number fails naming the full spec (std::stod used to accept the
+  // prefix, or fail with a bare "stod").
+  for (const char* delay :
+       {"constant:0.25junk", "uniform:0.25:1junk", "constant:x", "constant:",
+        "uniform:", "uniform:0.25:", "uniform:0.25:1:2", "constant:inf",
+        "constant:nan", "constant: 0.25", "constantx"}) {
+    auto cfg = small_config();
+    cfg.delay = delay;
+    expect_rejected(cfg, delay);
+  }
+  for (const char* variant :
+       {"weighted:0.5junk", "weighted:", "weighted:x", "weighted:nan"}) {
+    auto cfg = small_config();
+    cfg.variant = variant;
+    expect_rejected(cfg, variant);
+  }
+  // The workload specs keep their exact values: other spellings of the
+  // same doubles produce the same run.
+  const auto same_run = [](const char* a, const char* b) {
+    auto cfg_a = small_config();
+    cfg_a.delay = a;
+    auto cfg_b = small_config();
+    cfg_b.delay = b;
+    EXPECT_EQ(gcs::util::json::dump(gcs::harness::to_json(
+                  gcs::harness::run_experiment(cfg_a))),
+              gcs::util::json::dump(gcs::harness::to_json(
+                  gcs::harness::run_experiment(cfg_b))))
+        << a << " vs " << b;
+  };
+  same_run("constant:0.25", "constant:2.5e-1");
+  same_run("uniform:0.25:1", "uniform:0.250:1.0");
+}
+
+TEST(RunExperiment, VariantsAreInvariantAcrossShardsAndEngines) {
+  // Every variant runs in the one kernel under every execution layout:
+  // within the sharded universe each is byte-identical across shard
+  // counts and scheduler policies (engine_stats describes the scheduler,
+  // not the trajectory, so it is left out of the comparison).
+  for (const char* variant : {"weighted:0.5", "noblock", "nojump"}) {
+    std::string reference;
+    for (const std::uint64_t shards : {1u, 4u}) {
+      for (const char* engine : {"calendar", "heap"}) {
+        auto cfg = small_config();
+        cfg.params.n = 12;
+        cfg.drift = "walk";
+        cfg.delay = "uniform:0.25:1";
+        cfg.variant = variant;
+        cfg.shards = shards;
+        cfg.engine = engine;
+        gcs::util::Rng rng(5);
+        cfg.scenario =
+            gcs::net::make_churn_scenario(12, 6, 10.0, cfg.horizon, rng);
+        gcs::util::json::Value doc =
+            gcs::harness::to_json(gcs::harness::run_experiment(cfg));
+        EXPECT_GT(doc.at("run_stats").at("messages_delivered").as_u64(), 0u);
+        doc.as_object().erase("engine_stats");
+        const std::string bytes = gcs::util::json::dump(doc);
+        if (reference.empty()) reference = bytes;
+        EXPECT_EQ(bytes, reference)
+            << variant << " shards=" << shards << " " << engine;
+      }
+    }
+  }
 }
 
 TEST(RunExperiment, SampleAtHorizonBoundaryFiresUnderBothEngines) {

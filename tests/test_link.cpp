@@ -15,12 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/dcsa_node.hpp"
 #include "core/network_sim.hpp"
 #include "net/delay.hpp"
 #include "net/link.hpp"
@@ -220,7 +218,6 @@ Trace run_traffic(const std::string& traffic, EnginePolicy policy,
       LinkModel(gcs::net::make_uniform_delay(p.T, 0.25, p.T),
                 parse_traffic(traffic)),
       walk_schedules(p, 99),
-      [&p](gcs::core::NodeId) { return std::make_unique<gcs::core::DcsaNode>(p); },
       options);
   Trace trace;
   sim.schedule_periodic(0.25, 0.25, [&](gcs::sim::Time) {

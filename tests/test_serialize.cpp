@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/experiment.hpp"
 #include "util/json.hpp"
 
@@ -142,12 +144,36 @@ TEST(Serialize, V7VariantEchoTravelsAndDefaults) {
   EXPECT_EQ(back.params.n, 6u);
 }
 
+TEST(Serialize, LegacyStoreEchoReadsAndAdapterIsRejected) {
+  // The echo no longer carries the retired node-store axis...
+  EXPECT_EQ(harness::config_to_json(harness::ExperimentConfig{}).find("store"),
+            nullptr);
+  // ...but a v7 document written before the retirement still reads, and
+  // reads as the same config as one without the key.
+  const harness::ExperimentConfig legacy = harness::config_from_json(
+      json::parse(R"({"n": 6, "store": "columns", "variant": "nojump"})"));
+  EXPECT_EQ(harness::config_to_json(legacy),
+            harness::config_to_json(harness::config_from_json(
+                json::parse(R"({"n": 6, "variant": "nojump"})"))));
+  // Any other store value names the retired axis instead of guessing.
+  for (const char* doc : {R"({"store": "adapter"})", R"({"store": 1})"}) {
+    try {
+      harness::config_from_json(json::parse(doc));
+      ADD_FAILURE() << doc << " was accepted";
+    } catch (const json::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("node-store axis is retired"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Serialize, V5MemoryCountersTravel) {
   const harness::ExperimentResult result = run_small();
   const harness::ExperimentResult back = harness::result_from_json(
       json::parse(json::dump(harness::to_json(result))));
-  // run_small uses the default columns store, whose arena is real; the
-  // runner-filled peak_rss_kb stays 0 at this layer.
+  // The kernel's arena is real; the runner-filled peak_rss_kb stays 0 at
+  // this layer.
   EXPECT_GT(result.run_stats.arena_bytes, 0u);
   EXPECT_EQ(back.run_stats.arena_bytes, result.run_stats.arena_bytes);
   EXPECT_EQ(back.run_stats.peak_rss_kb, result.run_stats.peak_rss_kb);
@@ -191,7 +217,6 @@ TEST(Serialize, ConfigRoundTrip) {
   cfg.delay = "constant:0.25";
   cfg.engine = "heap";
   cfg.delivery = "per-receiver";
-  cfg.store = "adapter";
   cfg.traffic = "cbr:bw=4000:rate=10";
   cfg.variant = "weighted:0.5";
   cfg.horizon = 75.0;
@@ -204,7 +229,6 @@ TEST(Serialize, ConfigRoundTrip) {
   EXPECT_EQ(harness::config_to_json(back), doc);
   EXPECT_EQ(back.params.n, 12u);
   EXPECT_EQ(back.delay, "constant:0.25");
-  EXPECT_EQ(back.store, "adapter");
   EXPECT_EQ(back.traffic, "cbr:bw=4000:rate=10");
   EXPECT_EQ(back.variant, "weighted:0.5");
   EXPECT_EQ(back.seed, 99u);
@@ -217,7 +241,6 @@ TEST(Serialize, ConfigReaderDefaultsMissingAndRejectsUnknownKeys) {
   EXPECT_EQ(sparse.drift, "walk");
   EXPECT_EQ(sparse.topology, "path");  // ExperimentConfig default
   EXPECT_EQ(sparse.engine, "calendar");
-  EXPECT_EQ(sparse.store, "columns");
   EXPECT_EQ(sparse.traffic, "off");
 
   EXPECT_THROW(

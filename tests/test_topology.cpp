@@ -5,7 +5,6 @@
 #include <set>
 
 #include "net/dynamic_graph.hpp"
-#include "net/link_quality.hpp"
 #include "net/scenario.hpp"
 #include "util/rng.hpp"
 
@@ -113,16 +112,6 @@ TEST(Scenario, GeneratorsAreDeterministicPerSeed) {
     EXPECT_EQ(sa.events[i].edge, sb.events[i].edge);
     EXPECT_EQ(sa.events[i].add, sb.events[i].add);
   }
-}
-
-TEST(LinkQualityMap, WeightsFollowDelayBounds) {
-  std::map<Edge, gcs::sim::Duration> bounds;
-  bounds[Edge(0, 1)] = 0.5;
-  const gcs::net::LinkQualityMap q(1.0, bounds);
-  EXPECT_DOUBLE_EQ(q.weight(Edge(0, 1)), 0.5);
-  EXPECT_DOUBLE_EQ(q.weight(Edge(1, 2)), 1.0);
-  EXPECT_DOUBLE_EQ(q.bound(Edge(0, 1)), 0.5);
-  EXPECT_DOUBLE_EQ(q.bound(Edge(2, 3)), 1.0);
 }
 
 }  // namespace

@@ -7,9 +7,11 @@
 // Cells match by label; counters/strings compare exactly, float physics
 // fields within --tol, and the machine-describing fields (wall_ms,
 // events_per_sec, arena_bytes, peak_rss_kb) are ignored unless --timing
-// is given (they describe the host and store layout, not the
-// trajectory, so a --jobs N or --store=adapter tree diffs clean against
-// a --jobs 1 columns baseline).  Exit codes:
+// is given (they describe the host and the arena's growth history, not
+// the trajectory, so a --jobs N tree diffs clean against a --jobs 1
+// baseline).  Trees written before the node-store axis was retired echo
+// "store": "columns" and diff clean against current trees; an
+// "adapter" echo exits 2 naming the retired axis.  Exit codes:
 // 0 trees match (or differences found without --strict), 1 differences
 // under --strict, 2 bad usage or unreadable tree.
 #include <cstdlib>
@@ -36,7 +38,7 @@ options:
                     (default 0: exact); counters always compare exactly
   --timing          also compare the machine fields wall_ms /
                     events_per_sec / arena_bytes / peak_rss_kb (off by
-                    default; they vary across runs and store layouts)
+                    default; they vary across runs and hosts)
   --strict          exit 1 on any difference (missing/extra cells, field
                     diffs, schema-version mismatches)
   --max-diffs N     cap on printed difference lines (default 64)

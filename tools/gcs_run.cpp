@@ -53,14 +53,12 @@ sweepable keys (comma lists and integer ranges a..b become axes):
   delivery (batched|per-receiver), shards (0 = classic single-queue
   engine; >= 1 runs the sharded conservative-parallel engine, which
   needs a delay with a positive floor, e.g. constant:0.5 or
-  uniform:0.25), store (columns = struct-of-arrays node state, the
-  scale default; adapter = per-node objects, the byte-identical
-  reference path), rho, T, D, delta_h, B0,
-  horizon, sample_dt, seed (alias: seeds)
+  uniform:0.25), rho, T, D, delta_h, B0, horizon, sample_dt, seed
+  (alias: seeds)
   variant: dcsa (default) | weighted[:w] (uniform tolerance weight w,
   default 0.5) | noblock (no blocking cap) | nojump (free-running
-  clocks); non-default variants need --store=adapter (docs/envelope.md
-  documents the ablation axis)
+  clocks); every variant runs at any n, engine and shard count
+  (docs/envelope.md documents the ablation axis)
   traffic: off (default; stochastic delays only), or a link-pipeline
   spec idle|cbr|bulk with :knob=value knobs -- idle[:bw=B:queue=Q:
   mark=M:msg=S] models bandwidth/queueing for sync messages only,
