@@ -7,9 +7,10 @@
 # Runs campaigns/ablation_frontier.json under --check (so a baseline can
 # never be regenerated from a tree that violates the analytic bounds),
 # fits the envelope, and rewrites ENVELOPE_baseline.json in place.  The
-# fit is byte-deterministic across --jobs / --engine / --shards / store
-# layouts, so any clean build reproduces the same bytes; commit the
-# result only when the skew physics changed on purpose.
+# fit is byte-deterministic across --jobs / --shards layouts (every cell
+# runs the calendar queue with batched delivery), so any clean build
+# reproduces the same bytes; commit the result only when the skew
+# physics changed on purpose.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -252,10 +252,9 @@ namespace {
 // readability), then model constants, then the seed.  Labels and file
 // names follow this order, so reordering it is a (cosmetic) schema change.
 const char* const kAxisOrder[] = {"n",       "topology", "scenario", "drift",
-                                  "delay",   "traffic",  "variant",  "engine",
-                                  "delivery", "rho",     "T",        "D",
-                                  "delta_h", "B0",       "horizon",  "sample_dt",
-                                  "shards",  "seed"};
+                                  "delay",   "traffic",  "variant",  "rho",
+                                  "T",       "D",        "delta_h",  "B0",
+                                  "horizon", "sample_dt", "shards",  "seed"};
 
 bool is_known_axis(const std::string& key) {
   for (const char* axis : kAxisOrder) {

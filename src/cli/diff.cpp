@@ -214,10 +214,10 @@ struct Differ {
       // count >= 1 produces the same trajectory bytes (the determinism
       // matrix proves it), so trees run at different settings should
       // diff clean.  The engine_stats shard counters are already
-      // K-invariant.  Trees written before the node-store axis was
-      // retired echo "store": "columns"; that legacy echo is dropped so
-      // they diff clean against current trees, and any other value
-      // ("adapter") fails loudly naming the retired axis.
+      // K-invariant.  Trees written before the store, engine and
+      // delivery axes were retired echo them; those legacy echoes are
+      // dropped so they diff clean against current trees, and any other
+      // value ("adapter", "wheel") fails loudly naming the retired axis.
       // The traffic spec echo is stripped for the same reason trees are
       // expected to diff clean across it only when the physics agree:
       // "off" and an infinite-bandwidth "idle" produce identical
@@ -226,9 +226,8 @@ struct Differ {
       // counters and the skew fields, not in the spec string.
       if (const auto it = fields.find("config");
           it != fields.end() && it->second.is_object()) {
-        harness::check_legacy_store(it->second);
+        harness::drop_retired_axes(it->second);
         it->second.as_object().erase("shards");
-        it->second.as_object().erase("store");
         it->second.as_object().erase("traffic");
       }
     }

@@ -48,9 +48,7 @@ std::vector<std::pair<std::string, std::string>> axis_values(const Row& row) {
   const harness::ExperimentConfig& c = row.config;
   return {
       {"delay", c.delay},
-      {"delivery", c.delivery},
       {"drift", c.drift},
-      {"engine", c.engine},
       {"n", num(static_cast<double>(c.params.n))},
       {"seed", num(static_cast<double>(c.seed))},
       {"traffic", c.traffic},

@@ -9,7 +9,7 @@
 //   * the top-k tightest cells (highest observed/bound ratio) -- the
 //     cells that matter for the ROADMAP's empirical bound tightening;
 //   * per-axis aggregation across the sweep (n, workload, drift, delay,
-//     engine, delivery, seed): cell count, mean and max ratio per value;
+//     traffic, seed): cell count, mean and max ratio per value;
 //   * a fixed-bin histogram of the ratios;
 //   * with `frontier`, the skew-vs-message-cost frontier: cells sorted
 //     by messages sent, with their delta_h / B0 knobs -- the reporting

@@ -28,7 +28,7 @@ namespace json = gcs::util::json;
 namespace fs = std::filesystem;
 
 const char kCsvHeader[] =
-    "campaign,cell,n,workload,drift,delay,traffic,engine,delivery,seed,"
+    "campaign,cell,n,workload,drift,delay,traffic,seed,"
     "horizon,sample_dt,samples,max_global_skew,global_skew_bound,"
     "global_margin,max_local_skew,local_skew_floor,global_violations,"
     "envelope_violations,monotonicity_failures,messages_sent,"
@@ -84,11 +84,9 @@ std::string csv_row(const Campaign& campaign, const Cell& cell,
   row << csv_field(campaign.name) << ',' << csv_field(cell.label) << ','
       << cell.config.params.n << ',' << csv_field(workload) << ','
       << csv_field(cell.config.drift) << ',' << csv_field(cell.config.delay)
-      << ',' << csv_field(cell.config.traffic) << ','
-      << csv_field(cell.config.engine) << ','
-      << csv_field(cell.config.delivery) << ',' << cell.config.seed << ','
-      << num(cell.config.horizon) << ',' << num(cell.config.sample_dt) << ','
-      << result.samples << ',' << num(result.max_global_skew) << ','
+      << ',' << csv_field(cell.config.traffic) << ',' << cell.config.seed
+      << ',' << num(cell.config.horizon) << ',' << num(cell.config.sample_dt)
+      << ',' << result.samples << ',' << num(result.max_global_skew) << ','
       << num(result.global_skew_bound) << ','
       << num(result.global_skew_bound - result.max_global_skew) << ','
       << num(result.max_local_skew) << ',' << num(result.local_skew_floor)

@@ -50,7 +50,7 @@ struct NetworkSimulation::ClassicSink : DeliverySink {
     if (sim->options_.check_conformance) {
       sim->check_edge_conformance(net::Edge(d.from, d.to));
       const double logical = sim->store_.logical_clock(d.to, d.hw_now);
-      if (logical < sim->last_logical_[d.to] - sim->options_.conformance_slack) {
+      if (logical < sim->last_logical_[d.to] - kConformanceSlack) {
         ++sim->stats_.conformance_monotonicity_failures;
       }
       sim->last_logical_[d.to] = logical;
@@ -88,7 +88,7 @@ struct NetworkSimulation::ShardedSink : DeliverySink {
       // delivery check is skipped for EVERY shard count (keeping the
       // counters K-invariant).  Monotonicity is target-local and stays on.
       const double logical = sim->store_.logical_clock(d.to, d.hw_now);
-      if (logical < sim->last_logical_[d.to] - sim->options_.conformance_slack) {
+      if (logical < sim->last_logical_[d.to] - kConformanceSlack) {
         ++sim->shard_counters_[ctx].monotonicity_failures;
       }
       sim->last_logical_[d.to] = logical;
@@ -111,7 +111,6 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
       rng_(options.seed),
       audit_sweep_(graph.initial_edges(), graph.events(),
                    params.T + params.D),
-      engine_(options.engine_policy),
       store_(params, graph.n(), protocol) {
   const std::size_t n = graph.n();
   if (schedules.size() != n) {
@@ -149,8 +148,7 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     // pipeline configured: queueing only adds delay on top of the
     // propagation draw, so total >= prop >= floor and the barrier-merge
     // contract holds under any load (see the class comment).
-    sharded_ = std::make_unique<sim::ShardedEngine>(k, link_.prop.floor,
-                                                    options_.engine_policy);
+    sharded_ = std::make_unique<sim::ShardedEngine>(k, link_.prop.floor);
     shard_of_.resize(n);
     for (std::size_t u = 0; u < n; ++u) {
       // Contiguous blocks, a function of (u, k, n) only -- never of the
@@ -418,7 +416,7 @@ void NetworkSimulation::flush_outbox() {
   // Group by exact delivery instant.  The sort is stable so same-instant
   // messages keep their send order -- that, plus the fact that distinct
   // instants are ordered by time regardless of seq, is what makes
-  // batched delivery trajectory-identical to per-receiver mode.
+  // batched delivery trajectory-identical to the per-message reference.
   std::stable_sort(
       outbox_.begin(), outbox_.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -429,7 +427,7 @@ void NetworkSimulation::flush_outbox() {
     if (j == i + 1) {
       // Uncoalesced instant (the common case under continuous delay
       // distributions): skip the batch vector, schedule the delivery
-      // directly -- same cost as per-receiver mode.
+      // directly -- same cost as per-message mode.
       const Delivery d = outbox_[i].second;
       engine_.at(outbox_[i].first,
                  [this, d] { deliver(d.from, d.to, d.value, d.incarnation); });
@@ -710,7 +708,7 @@ void NetworkSimulation::check_edge_conformance(const net::Edge& e) {
   // age and hence the loosest envelope any conforming node could be
   // holding, so checking against it never reports a false violation.
   const double age_hw = (1.0 - params_.rho) * (engine_.now() - it->second.up_time);
-  const double allowed = bfunc_(age_hw) + options_.conformance_slack;
+  const double allowed = bfunc_(age_hw) + kConformanceSlack;
   const double observed = std::abs(skew(e.u, e.v));
   const bool violated = observed > allowed;
   if (violated) {

@@ -48,18 +48,20 @@
 
 namespace gcs::core {
 
+// Float headroom on every envelope and monotonicity check: the
+// simulator's per-delivery audit, the harness's sample-time audit and
+// the property tests all compare against bound + kConformanceSlack.
+inline constexpr double kConformanceSlack = 1e-6;
+
 struct SimOptions {
   bool check_conformance = true;
   std::uint64_t seed = 42;            // drives delay sampling
-  double conformance_slack = 1e-6;    // float headroom on envelope checks
-  // Event-engine scheduler; kHeap is the A/B validation baseline.
-  sim::EnginePolicy engine_policy = sim::EnginePolicy::kCalendar;
   // Coalesce messages that a single broadcast (or edge-up exchange)
   // schedules for the same delivery instant into one engine event that
-  // fans out to its receivers in send order.  Trajectories are
-  // bit-identical to per-receiver delivery (the determinism tests prove
-  // it); only the engine event count changes -- by ~average degree on
-  // dense graphs under constant delay.
+  // fans out to its receivers in send order.  Every cell runs batched;
+  // false (one event per message) is the reference test_determinism and
+  // bench_engine_perf's BM_DcsaDenseDelivery compare batching against --
+  // trajectories are bit-identical, only the event count changes.
   bool batched_delivery = true;
   // Passive observer for structured trace records (send, deliver, drop,
   // jump, topology delta, conformance check).  Null (the default) makes
@@ -189,8 +191,8 @@ class NetworkSimulation {
   std::size_t engine_pending() const {
     return sharded_ ? sharded_->pending() : engine_.pending();
   }
-  // Scheduler-health counters (high-water pending, heap ops vs calendar
-  // probes/rebuilds); describes the scheduler, not the trajectory.
+  // Scheduler-health counters (high-water pending, calendar probes and
+  // rebuilds); describes the scheduler, not the trajectory.
   sim::EngineStats engine_stats() const {
     return sharded_ ? sharded_->stats() : engine_.stats();
   }
@@ -241,8 +243,8 @@ class NetworkSimulation {
   void remove_edge(const net::Edge& e, sim::Time t);
   void schedule_broadcast(NodeId u);
   void broadcast(NodeId u);
-  // Stages (batched) or schedules (per-receiver) one message.  Batched
-  // callers must flush_outbox() before returning to the engine.
+  // Stages (batched) or schedules (per-message reference) one message.
+  // Batched callers must flush_outbox() before returning to the engine.
   void send(NodeId from, NodeId to, double value, sim::Time t);
   void flush_outbox();
   void deliver(NodeId from, NodeId to, double value, std::uint64_t incarnation);

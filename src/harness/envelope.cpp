@@ -31,11 +31,10 @@ double basis_g(const std::string& basis, std::uint64_t n) {
 }
 
 // The group key: every trajectory-shaping axis except n, in a fixed
-// order.  engine/delivery/shards are execution layout (the
-// determinism matrices prove trajectories do not depend on them) and the
-// seed folds into the per-n max, so none of them may split a group --
-// that is what makes the fit byte-stable across {--jobs} x {engine} x
-// {shards} reruns of one campaign.
+// order.  shards is execution layout (the determinism matrices prove
+// trajectories do not depend on it) and the seed folds into the per-n
+// max, so neither may split a group -- that is what makes the fit
+// byte-stable across {--jobs} x {shards} reruns of one campaign.
 std::string group_key(const std::string& workload,
                       const ExperimentConfig& config) {
   const auto num = [](double v) { return json::dump_number(v); };

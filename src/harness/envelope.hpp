@@ -6,9 +6,9 @@
 //   1. groups cells by their trajectory-shaping axes -- workload, drift,
 //      delay, traffic, variant, and the physics constants (rho, T, D,
 //      delta_h, B0, horizon, sample_dt) -- leaving out n (the fit
-//      dimension), the execution-layout axes engine/delivery/shards
-//      (trajectory-neutral, so trees run at different settings fit to
-//      identical bytes), and the seed (seeds fold into the observed
+//      dimension), the execution-layout axis shards (trajectory-
+//      neutral, so trees run at different settings fit to identical
+//      bytes), and the seed (seeds fold into the observed
 //      worst case);
 //   2. per group, takes the observed worst-case skew at each distinct n
 //      (the max of result.max_global_skew over that group's cells) and
@@ -28,7 +28,7 @@
 //      paper's bound leaves above reality).
 //
 // The fit is closed-form double arithmetic over sorted inputs: the same
-// tree always produces the same bytes, whatever --jobs/engine/shards
+// tree always produces the same bytes, whatever --jobs/shards
 // produced it (the envelope-stability CTest enforces this).
 //
 // Failure discipline: unlike the report's skip-and-continue decoding, a

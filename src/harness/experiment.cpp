@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -128,20 +129,6 @@ net::LinkModel build_link(const ExperimentConfig& cfg) {
   }
 }
 
-sim::EnginePolicy parse_engine(const std::string& engine) {
-  if (engine == "calendar") return sim::EnginePolicy::kCalendar;
-  if (engine == "heap") return sim::EnginePolicy::kHeap;
-  throw std::invalid_argument("run_experiment: unknown engine '" + engine +
-                              "'");
-}
-
-bool parse_delivery(const std::string& delivery) {
-  if (delivery == "batched") return true;
-  if (delivery == "per-receiver") return false;
-  throw std::invalid_argument("run_experiment: unknown delivery '" + delivery +
-                              "'");
-}
-
 // The ablation axis: "dcsa" | "weighted[:w]" | "noblock" | "nojump".
 core::Variant parse_variant(const std::string& spec) {
   core::Variant variant;
@@ -180,8 +167,24 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 obs::Recorder* recorder) {
   const core::SyncParams& p = cfg.params;
   if (p.n < 2) throw std::invalid_argument("run_experiment: need n >= 2");
-  if (cfg.horizon <= 0.0 || cfg.sample_dt <= 0.0) {
-    throw std::invalid_argument("run_experiment: bad horizon/sample_dt");
+  // A NaN slips through every ordered comparison below and then hangs
+  // the engine or the serializer, so finiteness comes first.
+  const std::pair<const char*, double> numbers[] = {
+      {"rho", p.rho},         {"T", p.T},         {"D", p.D},
+      {"delta_h", p.delta_h}, {"B0", p.B0},       {"horizon", cfg.horizon},
+      {"sample_dt", cfg.sample_dt}};
+  for (const auto& [field, value] : numbers) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument(std::string("run_experiment: ") + field +
+                                  " must be finite, got " +
+                                  std::to_string(value));
+    }
+  }
+  if (!(cfg.horizon > 0.0)) {
+    throw std::invalid_argument("run_experiment: horizon must be > 0");
+  }
+  if (!(cfg.sample_dt > 0.0)) {
+    throw std::invalid_argument("run_experiment: sample_dt must be > 0");
   }
 
   net::Scenario scenario = build_scenario(cfg);
@@ -190,10 +193,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
         "run_experiment: scenario size disagrees with params.n");
   }
 
-  core::SimOptions options = cfg.options;
+  core::SimOptions options;
   options.seed = cfg.seed;
-  options.engine_policy = parse_engine(cfg.engine);
-  options.batched_delivery = parse_delivery(cfg.delivery);
   options.recorder = recorder;
   options.shards = static_cast<std::size_t>(cfg.shards);
   core::Protocol protocol;
@@ -207,7 +208,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   result.local_skew_floor = p.effective_b0();
 
   const core::BFunction& bfunc = sim.bfunc();
-  const double slack = options.conformance_slack;
+  const double slack = core::kConformanceSlack;
   obs::SeriesAggregator series;
   // Sample buffers reused across ticks: one batch advance() per sample
   // instead of n virtual calls (the logical values bit-match the

@@ -46,22 +46,12 @@ struct ExperimentConfig {
   // uniform with lo > 0.
   std::string delay = "uniform";
 
-  // Event-engine scheduler: "calendar" (calendar queue, the scale path)
-  // or "heap" (binary-heap baseline).  Both produce bit-identical
-  // trajectories; heap exists for A/B validation.  Like `seed`, this
-  // overrides options.engine_policy -- set `engine`, not the SimOptions
-  // field, to vary a harness run.
-  std::string engine = "calendar";
-  // Message delivery: "batched" (same-instant messages of one broadcast
-  // share an engine event) or "per-receiver" (one event per message).
-  // Also trajectory-neutral; only event counts differ.  Overrides
-  // options.batched_delivery the same way.
-  std::string delivery = "batched";
   // In-cell shard count for the conservative-parallel engine; 0 keeps
-  // the classic single-queue engine.  Overrides options.shards the same
-  // way `engine` overrides options.engine_policy.  Every shard count
-  // >= 1 produces the same bytes (the determinism matrix proves it), so
-  // this is purely a wall-clock knob within the sharded universe.
+  // the classic single-queue engine.  Every shard count >= 1 produces
+  // the same bytes (the determinism matrix proves it), so this is purely
+  // a wall-clock knob within the sharded universe.  Every cell runs the
+  // calendar queue with batched delivery: the heap and per-message
+  // paths are test oracles, not cell axes.
   std::uint64_t shards = 0;
   // Link-layer traffic model: "off" (ideal link, the legacy path) or a
   // net::parse_traffic spec -- "idle[:bw=...[:queue=...][:mark=...]]",
@@ -78,22 +68,22 @@ struct ExperimentConfig {
   //                     w * b0 instead of b0;
   //   "noblock"      -- catch-up without the blocking cap;
   //   "nojump"       -- free-running clocks (no catch-up at all).
-  // All four run in the same kernel, under every engine and shard count.
+  // All four run in the same kernel, at every shard count.
   std::string variant = "dcsa";
 
   // Samples fire at sample_dt, 2*sample_dt, ...; the engine executes
-  // events with t <= horizon under BOTH scheduler policies, so a sample
-  // landing exactly on the horizon fires and a run with
-  // horizon == k*sample_dt (exact in binary floating point) reports
-  // exactly k samples.  test_experiment.cpp (SampleAtHorizonBoundary...)
-  // pins this down so `samples` stays stable across engine refactors.
+  // events with t <= horizon, so a sample landing exactly on the horizon
+  // fires and a run with horizon == k*sample_dt (exact in binary
+  // floating point) reports exactly k samples.  test_experiment.cpp
+  // (SampleAtHorizonBoundary...) pins this down so `samples` stays
+  // stable across engine refactors.  Both must be finite and > 0, and
+  // every number in `params` finite; run_experiment rejects anything
+  // else naming the field.
   double horizon = 100.0;
   double sample_dt = 1.0;
   // Master seed for the run: drives drift walks AND the simulator's
-  // delay sampling (options.seed is overridden with this value, so set
-  // `seed`, not `options.seed`, to vary a run).
+  // delay sampling.
   std::uint64_t seed = 1;
-  core::SimOptions options;
 };
 
 struct ExperimentResult {
@@ -114,10 +104,9 @@ struct ExperimentResult {
   // from hiding scheduling bugs).
   std::uint64_t clamped_events = 0;
   core::RunStats run_stats;  // includes delivery_events (batching audit)
-  // Scheduler-health counters from the engine (high-water pending, heap
-  // ops vs calendar probes/rebuilds).  These describe the scheduler, not
-  // the trajectory, so they differ between engine policies while every
-  // other field above stays bit-identical.
+  // Scheduler-health counters from the engine (high-water pending,
+  // calendar probes/rebuilds, shard windows).  These describe the
+  // scheduler, not the trajectory.
   sim::EngineStats engine_stats;
   // Whole-run digest of the per-sample_dt observation series (mean/peak
   // skews, peak live edges / in-flight messages / engine pending).

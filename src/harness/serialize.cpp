@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -189,8 +190,6 @@ util::json::Value config_to_json(const ExperimentConfig& config) {
   v["topology"] = config.topology;
   v["drift"] = config.drift;
   v["delay"] = config.delay;
-  v["engine"] = config.engine;
-  v["delivery"] = config.delivery;
   v["shards"] = config.shards;
   v["traffic"] = config.traffic;
   v["variant"] = config.variant;
@@ -200,28 +199,57 @@ util::json::Value config_to_json(const ExperimentConfig& config) {
   return v;
 }
 
-void check_legacy_store(const util::json::Value& config) {
-  const util::json::Value* store = config.find("store");
-  if (store == nullptr) return;
-  if (!store->is_string() || store->as_string() != "columns") {
-    throw util::json::Error(
-        "config: the node-store axis is retired (every variant now runs in "
-        "the one Algorithm 2 kernel); only the legacy \"store\": "
-        "\"columns\" echo is accepted, got " +
-        util::json::dump(*store));
+namespace {
+
+// Axes a cell can no longer select, with the values their legacy echoes
+// may carry.  Each names what every cell now runs (the columns kernel,
+// the calendar queue, batched delivery) or a path that produced the
+// same trajectories, so it reads as a no-op.
+struct RetiredAxis {
+  const char* key;
+  std::vector<std::string> values;
+};
+
+const RetiredAxis kRetiredAxes[] = {
+    {"store", {"columns"}},
+    {"engine", {"calendar", "heap"}},
+    {"delivery", {"batched", "per-receiver"}},
+};
+
+// True iff `key` names a retired axis; throws naming the axis when
+// `value` is not one of its legacy values.
+bool retired_echo(const std::string& key, const util::json::Value& value) {
+  for (const RetiredAxis& axis : kRetiredAxes) {
+    if (key != axis.key) continue;
+    const std::vector<std::string>& ok = axis.values;
+    if (!value.is_string() ||
+        std::find(ok.begin(), ok.end(), value.as_string()) == ok.end()) {
+      throw util::json::Error("config: the " + key +
+                              " axis is retired, and no cell ever echoed " +
+                              util::json::dump(value) + " for it");
+    }
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+void drop_retired_axes(util::json::Value& config) {
+  util::json::Object& fields = config.as_object();
+  for (auto it = fields.begin(); it != fields.end();) {
+    it = retired_echo(it->first, it->second) ? fields.erase(it) : std::next(it);
   }
 }
 
 ExperimentConfig config_from_json(const util::json::Value& doc) {
-  check_legacy_store(doc);
   static const std::set<std::string> kKnown = {
-      "name",   "n",     "rho",      "T",       "D",         "delta_h",
-      "B0",     "topology", "drift", "delay",   "engine",    "delivery",
-      "shards", "store", "traffic",  "variant", "horizon",   "sample_dt",
+      "name",     "n",       "rho",     "T",      "D",
+      "delta_h",  "B0",      "topology", "drift", "delay",
+      "shards",   "traffic", "variant", "horizon", "sample_dt",
       "seed"};
   for (const auto& [key, value] : doc.as_object()) {
-    (void)value;
-    if (kKnown.count(key) == 0) {
+    if (kKnown.count(key) == 0 && !retired_echo(key, value)) {
       throw util::json::Error("config: unknown key '" + key + "'");
     }
   }
@@ -240,8 +268,6 @@ ExperimentConfig config_from_json(const util::json::Value& doc) {
   if (const auto* v = doc.find("topology")) config.topology = v->as_string();
   if (const auto* v = doc.find("drift")) config.drift = v->as_string();
   if (const auto* v = doc.find("delay")) config.delay = v->as_string();
-  if (const auto* v = doc.find("engine")) config.engine = v->as_string();
-  if (const auto* v = doc.find("delivery")) config.delivery = v->as_string();
   if (const auto* v = doc.find("shards")) config.shards = v->as_u64();
   if (const auto* v = doc.find("traffic")) config.traffic = v->as_string();
   if (const auto* v = doc.find("variant")) config.variant = v->as_string();

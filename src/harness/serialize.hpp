@@ -75,17 +75,20 @@ util::json::Value to_json(const ExperimentResult& result);
 ExperimentResult result_from_json(const util::json::Value& doc);
 
 // The declarative slice of an ExperimentConfig (everything except the
-// programmatic `scenario` and `options` fields), for echoing into result
+// programmatic `scenario` field), for echoing into result
 // files so a cell is re-runnable from its output alone.  The CLI layer
 // adds its own "scenario" key next to this when a generator spec is used.
 util::json::Value config_to_json(const ExperimentConfig& config);
 // Reads the same shape back; missing keys keep the ExperimentConfig
 // defaults, unknown keys throw (they are typos, not forward compat).
+// Retired-axis echoes read as no-ops (drop_retired_axes).
 ExperimentConfig config_from_json(const util::json::Value& doc);
-// Config echoes written before the node-store axis was retired carry
-// "store": "columns", which reads as a no-op.  Throws util::json::Error
-// naming the retired axis on any other "store" value ("adapter").
-void check_legacy_store(const util::json::Value& config);
+// Config echoes written before an axis was retired still carry it: the
+// store, engine and delivery keys, with the legacy values listed in
+// serialize.cpp's retired-axis table.  Erases those keys from the config
+// object; throws util::json::Error naming the axis on any other value of
+// a retired key (store "adapter", engine "wheel").
+void drop_retired_axes(util::json::Value& config);
 
 // The full per-cell campaign document (one cells/<file>.json, one line of
 // campaign.jsonl): the config echo, the optional scenario spec (null ->

@@ -14,9 +14,10 @@
 //     (calendar_queue.hpp): O(1) amortized enqueue/dequeue, sized and
 //     re-sized to the observed event spacing.  This is the scale path.
 //   * EnginePolicy::kHeap -- the original std::push_heap binary heap:
-//     O(log n) per operation, trivially correct.  Kept as the A/B
-//     validation baseline; the determinism tests prove both policies
-//     produce bit-identical trajectories.
+//     O(log n) per operation, trivially correct.  No simulation selects
+//     it; it is the oracle test_engine, test_calendar_queue and the
+//     engine-replay tests pop the calendar queue against, and the
+//     baseline bench_engine_perf times it against.
 #ifndef GCS_SIM_ENGINE_HPP
 #define GCS_SIM_ENGINE_HPP
 
@@ -42,11 +43,12 @@ using PeriodicId = std::uint64_t;
 // Scheduler-health counters, composed on demand by Engine::stats().
 // max_pending is the queue's high-water mark; the policy-specific
 // counters expose what each scheduler actually did (heap sift
-// operations vs. calendar bucket probes and rebuilds), so result files
-// record WHY one policy outran the other, not just that it did.  The
-// stats legitimately differ between policies -- they describe the
-// scheduler, not the trajectory -- so they belong in result documents,
-// never in trajectory-derived artifacts like series CSVs.
+// operations vs. calendar bucket probes and rebuilds).  Simulations
+// always run the calendar queue, so heap_ops is 0 in result documents;
+// it stays for the heap runs of the engine tests and benches.  The
+// stats describe the scheduler, not the trajectory, so they belong in
+// result documents, never in trajectory-derived artifacts like series
+// CSVs.
 struct EngineStats {
   std::uint64_t max_pending = 0;
   std::uint64_t heap_ops = 0;               // kHeap: push_heap + pop_heap
@@ -126,7 +128,6 @@ class Engine {
   // the schedule.  Meaningful only when clamped_count() > 0.
   Time first_clamped_time() const { return first_clamped_time_; }
   std::uint64_t first_clamped_seq() const { return first_clamped_seq_; }
-  EnginePolicy policy() const { return policy_; }
   // Scheduler-health counters (see EngineStats above).
   EngineStats stats() const {
     EngineStats s;

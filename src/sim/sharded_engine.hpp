@@ -6,8 +6,8 @@
 // D, nothing a shard sends can be received, so K shards may drain their
 // own queues concurrently without ever observing an event out of order.
 //
-// ShardedEngine composes K independent sim::Engine instances (one per
-// shard, same EnginePolicy, so the calendar queue is reused unchanged)
+// ShardedEngine composes K independent sim::Engine instances (one
+// calendar queue per shard, reused unchanged)
 // plus one "globals" engine for cross-cutting work (topology deltas,
 // periodic samplers) that must see every shard quiescent.  A run is a
 // sequence of barrier-window rounds:
@@ -89,8 +89,7 @@ class ShardedEngine {
   // `window` is the conservative lookahead (the delay floor); must be
   // positive and finite.  `shards` >= 1; shards == 1 runs everything
   // inline on the calling thread.
-  ShardedEngine(std::size_t shards, Duration window,
-                EnginePolicy policy = EnginePolicy::kCalendar);
+  ShardedEngine(std::size_t shards, Duration window);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;

@@ -11,7 +11,7 @@
 # consumers pin, so changing a column must fail this test until the test
 # (and harness::kResultSchemaVersion) are updated deliberately.
 set(EXPECTED_HEADER
-  "campaign,cell,n,workload,drift,delay,traffic,engine,delivery,seed,horizon,sample_dt,samples,max_global_skew,global_skew_bound,global_margin,max_local_skew,local_skew_floor,global_violations,envelope_violations,monotonicity_failures,messages_sent,messages_delivered,messages_dropped,delivery_events,traffic_packets,traffic_dropped,ecn_marks,peak_queue_bytes,sync_delay_sum,sync_delay_max,events_executed,clamped_events,wall_ms,events_per_sec")
+  "campaign,cell,n,workload,drift,delay,traffic,seed,horizon,sample_dt,samples,max_global_skew,global_skew_bound,global_margin,max_local_skew,local_skew_floor,global_violations,envelope_violations,monotonicity_failures,messages_sent,messages_delivered,messages_dropped,delivery_events,traffic_packets,traffic_dropped,ecn_marks,peak_queue_bytes,sync_delay_sum,sync_delay_max,events_executed,clamped_events,wall_ms,events_per_sec")
 
 if(NOT GCS_RUN OR NOT EXISTS "${GCS_RUN}")
   message(FATAL_ERROR "gcs_run binary not found: '${GCS_RUN}'")
@@ -20,7 +20,7 @@ if(NOT OUT_DIR)
   message(FATAL_ERROR "OUT_DIR not set")
 endif()
 
-file(REMOVE_RECURSE "${OUT_DIR}")
+file(REMOVE_RECURSE "${OUT_DIR}" "${OUT_DIR}-nan")
 
 execute_process(
   COMMAND "${GCS_RUN}"
@@ -76,17 +76,33 @@ if(NOT jsonl_count EQUAL 2)
   message(FATAL_ERROR "expected 2 JSONL lines, got ${jsonl_count}")
 endif()
 
-# The node-store axis is retired: --store is an unknown key (exit 2,
-# named), not a silently ignored one.
+# The store, engine and delivery axes are retired: each flag is an
+# unknown key (exit 2, named), not a silently ignored one.
+foreach(flag --store=columns --engine=heap --delivery=batched)
+  string(REGEX REPLACE "=.*" "" option "${flag}")
+  execute_process(
+    COMMAND "${GCS_RUN}" --n=6 --topology=ring ${flag} --list
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE stdout
+    ERROR_VARIABLE stderr)
+  if(NOT rc EQUAL 2 OR NOT stderr MATCHES "unknown option ${option}")
+    message(FATAL_ERROR "gcs_run ${flag}: expected exit 2 naming the "
+            "unknown option, got ${rc}\nstdout:\n${stdout}\nstderr:\n${stderr}")
+  endif()
+endforeach()
+
+# A non-finite horizon is refused up front, naming the field, instead of
+# hanging the engine (a timeout leaves rc non-numeric).
 execute_process(
-  COMMAND "${GCS_RUN}" --n=6 --topology=ring --store=columns --list
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE stdout
-  ERROR_VARIABLE stderr)
-if(NOT rc EQUAL 2 OR NOT stderr MATCHES "unknown option --store")
-  message(FATAL_ERROR "gcs_run --store=columns: expected exit 2 naming the "
-          "unknown option, got ${rc}\nstdout:\n${stdout}\nstderr:\n${stderr}")
+  COMMAND "${GCS_RUN}" --n=8 --topology=ring --horizon=nan --quiet
+          --out "${OUT_DIR}-nan"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
+  TIMEOUT 10)
+if(NOT rc MATCHES "^[1-9][0-9]*$" OR NOT "${stdout}${stderr}" MATCHES
+   "horizon must be finite")
+  message(FATAL_ERROR "gcs_run --horizon=nan: expected a prompt non-zero "
+          "exit naming the field, got ${rc}\n${stdout}\n${stderr}")
 endif()
 
-message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, --store "
-        "rejected")
+message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, retired "
+        "axes rejected, --horizon=nan refused")

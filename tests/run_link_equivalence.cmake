@@ -4,7 +4,7 @@
 # 1. Ideal-link degeneration: traffic "off" (the legacy stochastic path)
 #    and "idle" (the pipeline with infinite bandwidth) must produce
 #    byte-identical result trees at EVERY point of
-#    {calendar, heap} x {shards 0, 1, 4} x {jobs 1, 2}, where
+#    {shards 0, 1, 4} x {jobs 1, 2}, where
 #    "identical" is exact except for the single declared echo: the
 #    "traffic" value in the config echo and campaign.csv's traffic
 #    column (gcs_diff strips config.traffic the same way, which the
@@ -13,9 +13,9 @@
 #    normalization.
 #
 # 2. Traffic-on determinism: a saturated cbr tree must be byte-identical
-#    across {jobs 1, 2} x {calendar, heap} x {shards 1, 4} (modulo the
-#    shards/engine echoes, exactly like run_shards_determinism.cmake)
-#    and across {jobs, engine} for the classic shards=0 universe --
+#    across {jobs 1, 2} x {shards 1, 4} (modulo the shards echo, exactly
+#    like run_shards_determinism.cmake) and across jobs for the classic
+#    shards=0 universe --
 #    queueing, drops, and ECN marks are deterministic physics, not
 #    execution noise.
 #
@@ -45,12 +45,12 @@ file(REMOVE_RECURSE "${OUT_DIR}")
 set(CBR "cbr:bw=8000:rate=12:pkt=1000:queue=4000:mark=1000")
 
 # Runs one ad-hoc churn sweep (2 cells) into ${OUT_DIR}/${tree}.
-function(run_tree tree traffic engine shards jobs)
+function(run_tree tree traffic shards jobs)
   execute_process(
     COMMAND "${GCS_RUN}" --n=12 --scenario=churn:volatile_edges=6:lifetime=5
             --drift=walk --delay=uniform:0.25:1 --horizon=30 --sample_dt=1
-            --seeds=1..2 "--traffic=${traffic}" "--engine=${engine}"
-            "--shards=${shards}" --jobs ${jobs}
+            --seeds=1..2 "--traffic=${traffic}" "--shards=${shards}"
+            --jobs ${jobs}
             --name=linkeq --check --quiet --fixed-timing
             --series --trace=256 --out "${OUT_DIR}/${tree}"
     RESULT_VARIABLE rc
@@ -62,7 +62,7 @@ function(run_tree tree traffic engine shards jobs)
 endfunction()
 
 # Reads a tree file with the declared echoes normalized away.
-function(read_normalized path strip_traffic strip_shards strip_engine out_var)
+function(read_normalized path strip_traffic strip_shards out_var)
   file(READ "${path}" text)
   if(strip_traffic)
     string(REGEX REPLACE "\"traffic\": *\"[^\"]*\"" "\"traffic\": X"
@@ -72,24 +72,12 @@ function(read_normalized path strip_traffic strip_shards strip_engine out_var)
   if(strip_shards)
     string(REGEX REPLACE "\"shards\": *[0-9]+" "\"shards\": X" text "${text}")
   endif()
-  if(strip_engine)
-    string(REGEX REPLACE "\"engine\": *\"[a-z]+\"" "\"engine\": X"
-           text "${text}")
-    string(REGEX REPLACE ",(calendar|heap)," ",X," text "${text}")
-    # Scheduler-implementation diagnostics legitimately differ between
-    # the calendar queue and the heap; the trajectory counters next to
-    # them must not, so only these three are normalized.
-    foreach(counter calendar_bucket_scans calendar_resizes heap_ops)
-      string(REGEX REPLACE "\"${counter}\": *[0-9]+" "\"${counter}\": X"
-             text "${text}")
-    endforeach()
-  endif()
   set(${out_var} "${text}" PARENT_SCOPE)
 endfunction()
 
 # Compares two trees file by file: pure-trajectory artifacts byte-exact,
 # everything else exact modulo the requested echo normalizations.
-function(compare_trees a b strip_traffic strip_shards strip_engine what)
+function(compare_trees a b strip_traffic strip_shards what)
   file(GLOB_RECURSE tree_files RELATIVE "${OUT_DIR}/${a}" "${OUT_DIR}/${a}/*")
   list(SORT tree_files)
   list(LENGTH tree_files file_count)
@@ -112,9 +100,9 @@ function(compare_trees a b strip_traffic strip_shards strip_engine what)
       endif()
     else()
       read_normalized("${OUT_DIR}/${a}/${f}" ${strip_traffic} ${strip_shards}
-                      ${strip_engine} want)
+                      want)
       read_normalized("${OUT_DIR}/${b}/${f}" ${strip_traffic} ${strip_shards}
-                      ${strip_engine} got)
+                      got)
       if(NOT want STREQUAL got)
         message(FATAL_ERROR
                 "${what}: trees differ in ${f} beyond the declared echoes")
@@ -125,37 +113,31 @@ endfunction()
 
 # --- 1. off == idle at every execution-layout point ------------------------
 set(points_checked 0)
-foreach(engine calendar heap)
-  foreach(shards 0 1 4)
-    foreach(jobs 1 2)
-      set(tag "${engine}-s${shards}-j${jobs}")
-      run_tree("${tag}-off" off ${engine} ${shards} ${jobs})
-      run_tree("${tag}-idle" idle ${engine} ${shards} ${jobs})
-      compare_trees("${tag}-off" "${tag}-idle" TRUE FALSE FALSE
-                    "off vs idle at ${tag}")
-      math(EXPR points_checked "${points_checked} + 1")
-    endforeach()
+foreach(shards 0 1 4)
+  foreach(jobs 1 2)
+    set(tag "s${shards}-j${jobs}")
+    run_tree("${tag}-off" off ${shards} ${jobs})
+    run_tree("${tag}-idle" idle ${shards} ${jobs})
+    compare_trees("${tag}-off" "${tag}-idle" TRUE FALSE
+                  "off vs idle at ${tag}")
+    math(EXPR points_checked "${points_checked} + 1")
   endforeach()
 endforeach()
-if(NOT points_checked EQUAL 12)
-  message(FATAL_ERROR "expected 12 matrix points, checked ${points_checked}")
+if(NOT points_checked EQUAL 6)
+  message(FATAL_ERROR "expected 6 matrix points, checked ${points_checked}")
 endif()
 
 # --- 2. traffic-on trees are deterministic ---------------------------------
-# Sharded universe: shards=1 calendar --jobs 1 is the reference.
-run_tree(cbr-ref "${CBR}" calendar 1 1)
-run_tree(cbr-j2 "${CBR}" calendar 1 2)
-run_tree(cbr-heap "${CBR}" heap 1 1)
-run_tree(cbr-s4 "${CBR}" calendar 4 2)
-run_tree(cbr-s4h "${CBR}" heap 4 1)
-compare_trees(cbr-ref cbr-j2 FALSE FALSE FALSE "cbr jobs 1 vs 2")
-compare_trees(cbr-ref cbr-heap FALSE FALSE TRUE "cbr calendar vs heap")
-compare_trees(cbr-ref cbr-s4 FALSE TRUE FALSE "cbr shards 1 vs 4")
-compare_trees(cbr-ref cbr-s4h FALSE TRUE TRUE "cbr shards 4 heap")
-# Classic universe: shards=0 across jobs and engines.
-run_tree(cbr-c-ref "${CBR}" calendar 0 1)
-run_tree(cbr-c-heap "${CBR}" heap 0 2)
-compare_trees(cbr-c-ref cbr-c-heap FALSE FALSE TRUE "classic cbr determinism")
+# Sharded universe: shards=1 --jobs 1 is the reference.
+run_tree(cbr-ref "${CBR}" 1 1)
+run_tree(cbr-j2 "${CBR}" 1 2)
+run_tree(cbr-s4 "${CBR}" 4 2)
+compare_trees(cbr-ref cbr-j2 FALSE FALSE "cbr jobs 1 vs 2")
+compare_trees(cbr-ref cbr-s4 FALSE TRUE "cbr shards 1 vs 4")
+# Classic universe: shards=0 across jobs.
+run_tree(cbr-c-ref "${CBR}" 0 1)
+run_tree(cbr-c-j2 "${CBR}" 0 2)
+compare_trees(cbr-c-ref cbr-c-j2 FALSE FALSE "classic cbr determinism")
 
 # The load must actually be visible, or the whole matrix proves nothing:
 # the reference cbr tree carries nonzero drops somewhere.
@@ -175,8 +157,8 @@ endif()
 
 # --- 3. the gcs_diff gate agrees -------------------------------------------
 execute_process(
-  COMMAND "${GCS_DIFF}" "${OUT_DIR}/calendar-s0-j1-off"
-          "${OUT_DIR}/calendar-s0-j1-idle" --strict
+  COMMAND "${GCS_DIFF}" "${OUT_DIR}/s0-j1-off"
+          "${OUT_DIR}/s0-j1-idle" --strict
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE stdout
   ERROR_VARIABLE stderr)
@@ -186,7 +168,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 # ...and still flags a perturbed traffic counter by name.
-file(GLOB cell_files "${OUT_DIR}/calendar-s0-j1-idle/cells/*.json")
+file(GLOB cell_files "${OUT_DIR}/s0-j1-idle/cells/*.json")
 list(SORT cell_files)
 list(GET cell_files 0 victim)
 file(READ "${victim}" cell_text)
@@ -194,8 +176,8 @@ string(REGEX REPLACE "\"traffic_packets\": [0-9]+"
        "\"traffic_packets\": 777" cell_text "${cell_text}")
 file(WRITE "${victim}" "${cell_text}")
 execute_process(
-  COMMAND "${GCS_DIFF}" "${OUT_DIR}/calendar-s0-j1-off"
-          "${OUT_DIR}/calendar-s0-j1-idle" --strict
+  COMMAND "${GCS_DIFF}" "${OUT_DIR}/s0-j1-off"
+          "${OUT_DIR}/s0-j1-idle" --strict
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE stdout)
 if(rc EQUAL 0)
@@ -206,6 +188,6 @@ if(NOT stdout MATCHES "traffic_packets")
   message(FATAL_ERROR "gcs_diff did not name the perturbed field:\n${stdout}")
 endif()
 
-message(STATUS "link equivalence: off == idle at {calendar,heap} x "
-        "{shards 0,1,4} x {jobs 1,2} (12 points); saturated cbr trees "
-        "byte-deterministic across jobs/engine/shards; gcs_diff gate works")
+message(STATUS "link equivalence: off == idle at {shards 0,1,4} x "
+        "{jobs 1,2} (6 points); saturated cbr trees byte-deterministic "
+        "across jobs/shards; gcs_diff gate works")

@@ -1,12 +1,7 @@
-# End-to-end CTest for the telemetry determinism matrix: the series and
-# trace artifacts are trajectory-derived bytes only, so they must be
-# byte-identical across BOTH determinism axes at once --
-#
-#   * --jobs 1 vs --jobs 2 (workers compute, the committer writes in cell
-#     order): the FULL tree is identical, telemetry files included;
-#   * --engine=calendar vs --engine=heap (same trajectory, different
-#     scheduler): every *.series.csv and *.trace.jsonl is identical; the
-#     cell documents legitimately differ (config echo + engine_stats).
+# End-to-end CTest for the telemetry determinism contract: the series
+# and trace artifacts are trajectory-derived bytes only, so --jobs 1 vs
+# --jobs 2 (workers compute, the committer writes in cell order) must
+# give a FULL tree that is identical, telemetry files included.
 #
 # Plus the gcs_report stability contract: running the report twice on one
 # tree produces identical bytes.
@@ -24,16 +19,11 @@ endforeach()
 
 file(REMOVE_RECURSE "${OUT_DIR}")
 
-# Three trees; --engine=<policy> is a scalar override, so it never enters
-# the cell labels and the three trees share file names.
-foreach(cfg "jobs1-calendar;1;calendar" "jobs2-calendar;2;calendar"
-            "jobs1-heap;1;heap")
-  list(GET cfg 0 tree)
-  list(GET cfg 1 jobs)
-  list(GET cfg 2 engine)
+foreach(jobs 1 2)
+  set(tree "jobs${jobs}")
   execute_process(
     COMMAND "${GCS_RUN}" --campaign "${CAMPAIGN}" --check --quiet
-            --jobs ${jobs} --engine=${engine} --fixed-timing
+            --jobs ${jobs} --fixed-timing
             --series --trace=1024 --out "${OUT_DIR}/${tree}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE stdout
@@ -44,9 +34,8 @@ foreach(cfg "jobs1-calendar;1;calendar" "jobs2-calendar;2;calendar"
   endif()
 endforeach()
 
-set(TREE_A "${OUT_DIR}/jobs1-calendar")
-set(TREE_B "${OUT_DIR}/jobs2-calendar")
-set(TREE_H "${OUT_DIR}/jobs1-heap")
+set(TREE_A "${OUT_DIR}/jobs1")
+set(TREE_B "${OUT_DIR}/jobs2")
 
 file(GLOB_RECURSE a_files RELATIVE "${TREE_A}" "${TREE_A}/*")
 list(SORT a_files)
@@ -54,26 +43,17 @@ list(SORT a_files)
 set(series_count 0)
 set(trace_count 0)
 foreach(f ${a_files})
-  # Axis 1: --jobs never changes a byte, telemetry artifacts included.
+  # --jobs never changes a byte, telemetry artifacts included.
   execute_process(
     COMMAND ${CMAKE_COMMAND} -E compare_files "${TREE_A}/${f}" "${TREE_B}/${f}"
     RESULT_VARIABLE cmp)
   if(NOT cmp EQUAL 0)
     message(FATAL_ERROR "--jobs 2 produced different bytes for ${f}")
   endif()
-  # Axis 2: engine policy never changes a trajectory-derived byte.
-  if(f MATCHES "\\.series\\.csv$" OR f MATCHES "\\.trace\\.jsonl$")
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files "${TREE_A}/${f}" "${TREE_H}/${f}"
-      RESULT_VARIABLE cmp)
-    if(NOT cmp EQUAL 0)
-      message(FATAL_ERROR "--engine=heap produced different bytes for ${f}")
-    endif()
-    if(f MATCHES "\\.series\\.csv$")
-      math(EXPR series_count "${series_count} + 1")
-    else()
-      math(EXPR trace_count "${trace_count} + 1")
-    endif()
+  if(f MATCHES "\\.series\\.csv$")
+    math(EXPR series_count "${series_count} + 1")
+  elseif(f MATCHES "\\.trace\\.jsonl$")
+    math(EXPR trace_count "${trace_count} + 1")
   endif()
 endforeach()
 
@@ -104,5 +84,5 @@ if(NOT cmp EQUAL 0)
 endif()
 
 message(STATUS "telemetry determinism: ${series_count} series + ${trace_count} "
-        "trace files byte-identical across --jobs and engine policies; "
+        "trace files byte-identical across --jobs; "
         "gcs_report stable")

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/params.hpp"
 
 namespace {
@@ -76,6 +78,12 @@ TEST(BFunction, RejectsBadParameters) {
   EXPECT_THROW(gcs::core::BFunction(1.0, -1.0, 1.0, 0.1),
                std::invalid_argument);
   EXPECT_THROW(gcs::core::BFunction(1.0, 1.0, 1.0, 0.0), std::invalid_argument);
+  // A NaN fails every range test, whichever argument carries it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(gcs::core::BFunction(nan, 1.0, 1.0, 0.1), std::invalid_argument);
+  EXPECT_THROW(gcs::core::BFunction(1.0, nan, 1.0, 0.1), std::invalid_argument);
+  EXPECT_THROW(gcs::core::BFunction(1.0, 1.0, nan, 0.1), std::invalid_argument);
+  EXPECT_THROW(gcs::core::BFunction(1.0, 1.0, 1.0, nan), std::invalid_argument);
 }
 
 }  // namespace

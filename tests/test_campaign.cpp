@@ -4,6 +4,8 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "harness/experiment.hpp"
 #include "util/json.hpp"
@@ -77,7 +79,7 @@ TEST(Campaign, TrafficAxisSweepsAndValidatesSpecs) {
   ASSERT_EQ(campaign.cells.size(), 2u);
   EXPECT_EQ(campaign.cells[0].config.traffic, "off");
   EXPECT_EQ(campaign.cells[1].config.traffic, "cbr:bw=4000:rate=10");
-  // The traffic axis sits between delay and engine in label order, and
+  // The traffic axis sits between delay and variant in label order, and
   // the spec's ':'/'=' sanitize to '-' in the label part.
   EXPECT_EQ(campaign.cells[1].label, "001-cbr-bw-4000-rate-10");
 }
@@ -96,14 +98,24 @@ TEST(Campaign, VariantAxisSweepsProtocols) {
   EXPECT_EQ(campaign.cells[2].config.variant, "nojump");
   EXPECT_NE(campaign.cells[1].label.find("weighted"), std::string::npos)
       << campaign.cells[1].label;
-  // The node-store axis is retired: every variant runs in the one kernel,
-  // so "store" is an unknown key in a campaign file and as a flag.
-  EXPECT_THROW(from_text(R"({"defaults": {"n": 8, "store": "columns"}})"),
-               std::invalid_argument);
-  EXPECT_THROW(from_text(R"({"sweep": {"store": ["columns"]}})"),
-               std::invalid_argument);
-  EXPECT_THROW(from_text(R"({"defaults": {"n": 8}})", {{"store", "columns"}}),
-               std::invalid_argument);
+  // The store, engine and delivery axes are retired (one kernel, the
+  // calendar queue, batched delivery), so each is an unknown key in a
+  // campaign file and as a flag, even with a value a cell once ran.
+  for (const auto& [axis, value] :
+       {std::pair<std::string, std::string>{"store", "columns"},
+        {"engine", "calendar"},
+        {"delivery", "batched"}}) {
+    const std::string field = "\"" + axis + "\": ";
+    EXPECT_THROW(from_text("{\"defaults\": {" + field + "\"" + value + "\"}}"),
+                 std::invalid_argument)
+        << axis;
+    EXPECT_THROW(from_text("{\"sweep\": {" + field + "[\"" + value + "\"]}}"),
+                 std::invalid_argument)
+        << axis;
+    EXPECT_THROW(from_text(R"({"defaults": {"n": 8}})", {{axis, value}}),
+                 std::invalid_argument)
+        << axis;
+  }
 }
 
 TEST(Campaign, SeedListAndUnsweptAxesKeepDefaults) {
@@ -116,7 +128,7 @@ TEST(Campaign, SeedListAndUnsweptAxesKeepDefaults) {
   EXPECT_EQ(campaign.cells[1].config.seed, 9u);
   // Untouched axes keep the ExperimentConfig defaults.
   EXPECT_EQ(campaign.cells[0].config.topology, "path");
-  EXPECT_EQ(campaign.cells[0].config.engine, "calendar");
+  EXPECT_EQ(campaign.cells[0].config.drift, "spread");
   EXPECT_EQ(campaign.cells[0].config.params.n, 2u);
 }
 
@@ -163,13 +175,13 @@ TEST(Campaign, ScenarioAxisSweepsGenerators) {
 TEST(Campaign, OverridesPinOrResweepAxes) {
   const std::string text = R"({
     "name": "base",
-    "sweep": {"engine": ["calendar", "heap"], "n": [4, 8]}
+    "sweep": {"drift": ["spread", "walk"], "n": [4, 8]}
   })";
   // Scalar override pins a swept axis.
-  const cli::Campaign pinned = from_text(text, {{"engine", "heap"}});
+  const cli::Campaign pinned = from_text(text, {{"drift", "walk"}});
   ASSERT_EQ(pinned.cells.size(), 2u);
   for (const cli::Cell& cell : pinned.cells) {
-    EXPECT_EQ(cell.config.engine, "heap");
+    EXPECT_EQ(cell.config.drift, "walk");
   }
   // List override re-sweeps; ranges expand inclusively.
   const cli::Campaign reswept = from_text(text, {{"seeds", "1..3"}});

@@ -1,9 +1,12 @@
-// The determinism contract across the engine/delivery matrix: the same
-// seed and parameters must produce BIT-IDENTICAL logical-clock and skew
-// trajectories whether events come from the binary heap or the calendar
-// queue, and whether deliveries are batched or per-receiver.  This is
-// what makes the calendar queue and batched delivery safe defaults: they
-// are pure performance changes, invisible to the physics.
+// The determinism contract of batched delivery: the same seed and
+// parameters must produce BIT-IDENTICAL logical-clock and skew
+// trajectories whether same-instant deliveries share one engine event
+// (batched, what every cell runs) or get one event per message (the
+// reference, SimOptions::batched_delivery = false).  That
+// is what makes batching a pure performance change, invisible to the
+// physics.  The queue itself is checked the same way one layer down:
+// test_link.cpp's EngineReplay tests run the streams real cells produce
+// through the heap and the calendar queue.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +19,7 @@
 #include "net/scenario.hpp"
 #include "net/topology.hpp"
 #include "net/trace.hpp"
+#include "sim_fixture.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -23,99 +27,39 @@ namespace {
 using gcs::core::NetworkSimulation;
 using gcs::core::SimOptions;
 using gcs::core::SyncParams;
-using gcs::sim::EnginePolicy;
+using gcs::test::Trace;
+using gcs::test::expect_same_trajectory;
+using gcs::test::run_scenario;
+using gcs::test::test_params;
+using gcs::test::walk_schedules;
 
-SyncParams test_params(std::size_t n) {
-  SyncParams p;
-  p.n = n;
-  p.rho = 0.05;
-  p.T = 1.0;
-  p.D = 2.5;
-  p.delta_h = 0.5;
-  return p;
-}
-
-std::vector<gcs::clk::RateSchedule> walk_schedules(const SyncParams& p,
-                                                   std::uint64_t seed) {
-  std::vector<gcs::clk::RateSchedule> schedules;
-  for (std::size_t i = 0; i < p.n; ++i) {
-    schedules.push_back(gcs::clk::RateSchedule::random_walk(
-        p.rho, /*step_dt=*/1.0, /*sigma=*/p.rho / 4.0, seed * 7919 + i));
-  }
-  return schedules;
-}
-
-struct Trace {
-  std::vector<double> clocks;  // every node's logical clock, every sample
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t delivery_events = 0;
-  std::uint64_t jumps = 0;
-  std::uint64_t clamped = 0;
-};
-
-Trace run(const gcs::net::Scenario& scenario, EnginePolicy policy,
-          bool batched, double horizon) {
-  const SyncParams p = test_params(scenario.n);
+// shards == 0 is the classic engine, batched or one event per message;
+// shards >= 1 the sharded one, which needs the positive delay floor that
+// lo = 0.25 gives it (batched is then ignored).
+Trace run(const gcs::net::Scenario& scenario, bool batched, std::size_t shards,
+          double horizon) {
   SimOptions options;
-  options.seed = 1234;
-  options.engine_policy = policy;
   options.batched_delivery = batched;
-  NetworkSimulation sim(
-      p, scenario.to_dynamic_graph(), gcs::net::make_uniform_delay(p.T, 0.0, p.T),
-      walk_schedules(p, 99),
-      options);
-  Trace trace;
-  sim.schedule_periodic(0.25, 0.25, [&](gcs::sim::Time) {
-    for (std::size_t i = 0; i < sim.size(); ++i) {
-      trace.clocks.push_back(sim.logical_clock(static_cast<gcs::core::NodeId>(i)));
-    }
-  });
-  sim.run_until(horizon);
-  trace.messages_sent = sim.stats().messages_sent;
-  trace.messages_delivered = sim.stats().messages_delivered;
-  trace.messages_dropped = sim.stats().messages_dropped;
-  trace.delivery_events = sim.stats().delivery_events;
-  trace.jumps = sim.stats().jumps;
-  trace.clamped = sim.engine_clamped_count();
-  return trace;
+  options.shards = shards;
+  return run_scenario(
+      scenario, gcs::net::make_uniform_delay(1.0, shards > 0 ? 0.25 : 0.0, 1.0),
+      options, horizon);
 }
 
-// Runs the full 2x2 {engine} x {delivery} matrix on a scenario and
-// checks every observable against the baseline, bit for bit.
+// Runs a scenario batched and one event per message, and checks every
+// observable of the batched run against that reference, bit for bit.
 void expect_identical_across_modes(const gcs::net::Scenario& scenario,
                                    double horizon) {
-  const Trace base = run(scenario, EnginePolicy::kHeap, false, horizon);
+  const Trace base = run(scenario, /*batched=*/false, 0, horizon);
   ASSERT_FALSE(base.clocks.empty());
-  EXPECT_GT(base.messages_delivered, 0u);
+  EXPECT_GT(base.stats.messages_delivered, 0u);
   EXPECT_EQ(base.clamped, 0u);
-  const struct {
-    EnginePolicy policy;
-    bool batched;
-    const char* name;
-  } modes[] = {
-      {EnginePolicy::kHeap, true, "heap/batched"},
-      {EnginePolicy::kCalendar, false, "calendar/per-receiver"},
-      {EnginePolicy::kCalendar, true, "calendar/batched"},
-  };
-  for (const auto& mode : modes) {
-    const Trace got = run(scenario, mode.policy, mode.batched, horizon);
-    // EXPECT_EQ on the double vector: exact equality, not approximate --
-    // the trajectories must be the same floating-point numbers.
-    EXPECT_EQ(base.clocks, got.clocks) << scenario.name << " " << mode.name;
-    EXPECT_EQ(base.messages_sent, got.messages_sent) << mode.name;
-    EXPECT_EQ(base.messages_delivered, got.messages_delivered) << mode.name;
-    EXPECT_EQ(base.messages_dropped, got.messages_dropped) << mode.name;
-    EXPECT_EQ(base.jumps, got.jumps) << mode.name;
-    EXPECT_EQ(got.clamped, 0u) << mode.name;
-    // Batching must only ever reduce the delivery event count.
-    if (mode.batched) {
-      EXPECT_LE(got.delivery_events, base.delivery_events) << mode.name;
-    } else {
-      EXPECT_EQ(got.delivery_events, base.delivery_events) << mode.name;
-    }
-  }
+  EXPECT_EQ(base.stats.delivery_events, base.stats.messages_sent);
+  const Trace got = run(scenario, /*batched=*/true, 0, horizon);
+  expect_same_trajectory(base, got, scenario.name);
+  EXPECT_EQ(got.clamped, 0u);
+  // Batching must only ever reduce the delivery event count.
+  EXPECT_LE(got.stats.delivery_events, base.stats.delivery_events);
 }
 
 TEST(DeterminismMatrix, ChurnScenario) {
@@ -184,104 +128,53 @@ TEST(DeterminismMatrix, TraceScenarioWithEnforcedConnectivity) {
 // ~average degree.
 TEST(DeterminismMatrix, CompleteGraphBatchingCoalesces) {
   const std::size_t n = 16;
-  const SyncParams p = test_params(n);
-  auto run_complete = [&](EnginePolicy policy, bool batched) {
+  const gcs::net::Scenario complete =
+      gcs::net::make_static_scenario(gcs::net::make_complete(n));
+  const auto run_complete = [&](bool batched) {
     SimOptions options;
-    options.seed = 5;
-    options.engine_policy = policy;
     options.batched_delivery = batched;
     options.check_conformance = false;
-    NetworkSimulation sim(
-        p,
-        gcs::net::DynamicGraph(n, gcs::net::make_complete(n).edges(), {}),
-        gcs::net::make_constant_delay(p.T, p.T / 2.0), walk_schedules(p, 3),
-        options);
-    sim.run_until(30.0);
-    std::vector<double> clocks;
-    for (std::size_t i = 0; i < n; ++i) {
-      clocks.push_back(sim.logical_clock(static_cast<gcs::core::NodeId>(i)));
-    }
-    return std::make_pair(clocks, sim.stats());
+    return run_scenario(complete, gcs::net::make_constant_delay(1.0, 0.5),
+                        options, 30.0);
   };
-  const auto [clocks_unbatched, stats_unbatched] =
-      run_complete(EnginePolicy::kHeap, false);
-  const auto [clocks_batched, stats_batched] =
-      run_complete(EnginePolicy::kCalendar, true);
-  EXPECT_EQ(clocks_unbatched, clocks_batched);
-  EXPECT_EQ(stats_unbatched.messages_delivered, stats_batched.messages_delivered);
+  const Trace unbatched = run_complete(false);
+  const Trace batched = run_complete(true);
+  EXPECT_EQ(unbatched.clocks, batched.clocks);
+  EXPECT_EQ(unbatched.stats.messages_delivered,
+            batched.stats.messages_delivered);
   // Every broadcast fans out to n-1 receivers at one instant: batched
   // mode needs one event per broadcast, not n-1.
-  EXPECT_EQ(stats_unbatched.delivery_events, stats_unbatched.messages_sent);
-  EXPECT_LE(stats_batched.delivery_events * (n - 2),
-            stats_batched.messages_sent);
+  EXPECT_EQ(unbatched.stats.delivery_events, unbatched.stats.messages_sent);
+  EXPECT_LE(batched.stats.delivery_events * (n - 2),
+            batched.stats.messages_sent);
 }
 
 // ---------------------------------------------------------------------------
 // The sharded universe: options.shards >= 1 runs the conservative-
 // parallel engine on the delay floor.  Its contract is K-invariance --
-// every observable byte identical across shard counts and queue
-// policies, with shards=1 (inline, threadless) as the reference.  A
+// every observable byte identical across shard counts, with shards=1
+// (inline, threadless) as the reference.  A
 // sharded run is intentionally NOT compared against shards=0: per-node
 // RNG streams and per-message delivery events make it a separate
 // deterministic universe.
 // ---------------------------------------------------------------------------
 
-Trace run_sharded(const gcs::net::Scenario& scenario, EnginePolicy policy,
-                  std::size_t shards, double horizon) {
-  const SyncParams p = test_params(scenario.n);
-  SimOptions options;
-  options.seed = 1234;
-  options.engine_policy = policy;
-  options.shards = shards;
-  NetworkSimulation sim(
-      p, scenario.to_dynamic_graph(),
-      // lo = 0.25 gives the positive delay floor sharded mode needs.
-      gcs::net::make_uniform_delay(p.T, 0.25, p.T), walk_schedules(p, 99),
-      options);
-  Trace trace;
-  sim.schedule_periodic(0.25, 0.25, [&](gcs::sim::Time) {
-    for (std::size_t i = 0; i < sim.size(); ++i) {
-      trace.clocks.push_back(sim.logical_clock(static_cast<gcs::core::NodeId>(i)));
-    }
-  });
-  sim.run_until(horizon);
-  trace.messages_sent = sim.stats().messages_sent;
-  trace.messages_delivered = sim.stats().messages_delivered;
-  trace.messages_dropped = sim.stats().messages_dropped;
-  trace.delivery_events = sim.stats().delivery_events;
-  trace.jumps = sim.stats().jumps;
-  trace.clamped = sim.engine_clamped_count();
-  return trace;
-}
-
 void expect_identical_across_shard_counts(const gcs::net::Scenario& scenario,
                                           double horizon) {
-  const Trace base = run_sharded(scenario, EnginePolicy::kCalendar, 1, horizon);
+  const Trace base = run(scenario, true, 1, horizon);
   ASSERT_FALSE(base.clocks.empty());
-  EXPECT_GT(base.messages_delivered, 0u);
+  EXPECT_GT(base.stats.messages_delivered, 0u);
   EXPECT_EQ(base.clamped, 0u);
   // One engine event per message in sharded mode: the staging path has
   // no same-instant coalescing to do.
-  EXPECT_EQ(base.delivery_events, base.messages_sent);
-  const struct {
-    EnginePolicy policy;
-    std::size_t shards;
-    const char* name;
-  } modes[] = {
-      {EnginePolicy::kHeap, 1, "shards1/heap"},
-      {EnginePolicy::kCalendar, 2, "shards2/calendar"},
-      {EnginePolicy::kCalendar, 4, "shards4/calendar"},
-      {EnginePolicy::kHeap, 4, "shards4/heap"},
-  };
-  for (const auto& mode : modes) {
-    const Trace got = run_sharded(scenario, mode.policy, mode.shards, horizon);
-    EXPECT_EQ(base.clocks, got.clocks) << scenario.name << " " << mode.name;
-    EXPECT_EQ(base.messages_sent, got.messages_sent) << mode.name;
-    EXPECT_EQ(base.messages_delivered, got.messages_delivered) << mode.name;
-    EXPECT_EQ(base.messages_dropped, got.messages_dropped) << mode.name;
-    EXPECT_EQ(base.delivery_events, got.delivery_events) << mode.name;
-    EXPECT_EQ(base.jumps, got.jumps) << mode.name;
-    EXPECT_EQ(got.clamped, 0u) << mode.name;
+  EXPECT_EQ(base.stats.delivery_events, base.stats.messages_sent);
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    const Trace got = run(scenario, true, shards, horizon);
+    const std::string name =
+        scenario.name + " shards" + std::to_string(shards);
+    expect_same_trajectory(base, got, name);
+    EXPECT_EQ(base.stats.delivery_events, got.stats.delivery_events) << name;
+    EXPECT_EQ(got.clamped, 0u) << name;
   }
 }
 
@@ -313,10 +206,10 @@ TEST(DeterminismMatrixSharded, MoreShardsThanNodesClampsAndStaysInvariant) {
   gcs::util::Rng rng(7);
   const gcs::net::Scenario scenario =
       gcs::net::make_churn_scenario(12, 6, 8.0, 40.0, rng);
-  const Trace base = run_sharded(scenario, EnginePolicy::kCalendar, 1, 40.0);
-  const Trace wide = run_sharded(scenario, EnginePolicy::kCalendar, 64, 40.0);
+  const Trace base = run(scenario, true, 1, 40.0);
+  const Trace wide = run(scenario, true, 64, 40.0);
   EXPECT_EQ(base.clocks, wide.clocks);
-  EXPECT_EQ(base.messages_delivered, wide.messages_delivered);
+  EXPECT_EQ(base.stats.messages_delivered, wide.stats.messages_delivered);
 }
 
 TEST(DeterminismMatrixSharded, RefusesZeroFloorDelay) {

@@ -185,34 +185,48 @@ TEST(DiffTrees, DifferentCampaignNamesStillMatch) {
   EXPECT_TRUE(run.stats.clean()) << run.log;
 }
 
-TEST(DiffTrees, LegacyStoreEchoDiffsCleanAndAdapterFailsLoudly) {
-  // Trees written before the node-store axis was retired echo
-  // "store": "columns" in every cell; they must diff clean against
-  // current trees, while an "adapter" echo names the retired axis.
-  const fs::path a = make_tree("store-a");
-  const fs::path b = make_tree("store-b");
+// Trees written before an axis was retired echo it in every cell; they
+// must diff clean against current trees under --strict, while any other
+// value of the retired key fails loudly naming the axis.
+void expect_retired_echo_diffs_clean(
+    const std::string& tag, const std::function<void(json::Value&)>& legacy,
+    const char* key, const char* bad, const std::string& message) {
+  const fs::path a = make_tree(tag + "-a");
+  const fs::path b = make_tree(tag + "-b");
   for (const char* cell : {"000-s1.json", "001-s2.json", "002-s3.json"}) {
-    rewrite_cell(b, cell, [](json::Value& doc) {
-      doc["config"]["store"] = "columns";
-    });
+    rewrite_cell(b, cell, [&](json::Value& doc) { legacy(doc["config"]); });
   }
   cli::DiffOptions options;
   options.strict = true;
-  const DiffRun legacy = run_diff(a, b, options);
-  EXPECT_EQ(legacy.rc, 0) << legacy.log;
-  EXPECT_TRUE(legacy.stats.clean()) << legacy.log;
+  const DiffRun run = run_diff(a, b, options);
+  EXPECT_EQ(run.rc, 0) << run.log;
+  EXPECT_TRUE(run.stats.clean()) << run.log;
 
-  rewrite_cell(b, "001-s2.json", [](json::Value& doc) {
-    doc["config"]["store"] = "adapter";
-  });
+  rewrite_cell(b, "001-s2.json",
+               [&](json::Value& doc) { doc["config"][key] = bad; });
   try {
     run_diff(a, b, options);
-    FAIL() << "an adapter-store tree diffed";
+    FAIL() << "a tree echoing " << key << " " << bad << " diffed";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("node-store axis is retired"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
         << e.what();
   }
+}
+
+TEST(DiffTrees, LegacyStoreEchoDiffsCleanAndAdapterFailsLoudly) {
+  expect_retired_echo_diffs_clean(
+      "store", [](json::Value& config) { config["store"] = "columns"; },
+      "store", "adapter", "store axis is retired");
+}
+
+TEST(DiffTrees, RetiredExecutionEchoesDiffClean) {
+  expect_retired_echo_diffs_clean(
+      "exec",
+      [](json::Value& config) {
+        config["engine"] = "heap";
+        config["delivery"] = "per-receiver";
+      },
+      "engine", "wheel", "engine axis is retired");
 }
 
 // diff_files: the single-document mode gcs_diff uses to gate the

@@ -1,7 +1,8 @@
 // Engine tests run against BOTH scheduler policies: the binary heap and
 // the calendar queue must be observably identical (same callbacks, same
-// order, same counters) -- that equivalence is what lets the simulator
-// default to the calendar path.
+// order, same counters) -- that equivalence is what lets every cell run
+// the calendar path, with the heap kept as its oracle.  test_link.cpp's
+// EngineReplay tests feed both the message streams real cells produce.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>

@@ -166,16 +166,19 @@ TEST(EnvelopeFit, SingleNCollapsesToConstantAtTheMax) {
 TEST(EnvelopeFit, ExecutionLayoutAxesNeverSplitAGroup) {
   // Same physics, wildly different execution layout: one group.  This is
   // the property that makes the envelope artifact byte-stable across
-  // {--jobs} x {engine} x {shards} reruns
+  // {--jobs} x {shards} reruns
   // (tests/run_envelope_stability.cmake proves it end to end).
   harness::ExperimentConfig a;
   harness::ExperimentConfig b;
-  b.engine = "heap";
-  b.delivery = "per-receiver";
   b.shards = 4;
   std::map<std::string, json::Value> docs;
   docs["a"] = make_cell("a", 8, 2.0, 40.0, a, /*seed=*/1);
   docs["b"] = make_cell("b", 12, 2.5, 40.0, b, /*seed=*/7);
+  // A cell from a tree written before the engine and delivery axes were
+  // retired still carries their echoes; they fold out too.
+  docs["c"] = make_cell("c", 16, 3.0, 40.0, a, /*seed=*/3);
+  docs["c"]["config"]["engine"] = std::string("heap");
+  docs["c"]["config"]["delivery"] = std::string("per-receiver");
   const harness::EnvelopeFit fit = harness::fit_envelope(docs);
   EXPECT_EQ(fit.groups.size(), 1u);
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "harness/serialize.hpp"
 #include "net/scenario.hpp"
@@ -91,34 +94,41 @@ TEST(RunExperiment, RejectsBadConfigs) {
   cfg.params.n = 1;
   EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
   cfg = small_config();
-  cfg.engine = "wheel";
+  cfg.horizon = 0.0;
   EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
   cfg = small_config();
-  cfg.delivery = "multicast";
+  cfg.sample_dt = -1.0;
   EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
 }
 
-TEST(RunExperiment, EngineAndDeliveryKnobsAreTrajectoryNeutral) {
-  // The harness-level restatement of the determinism contract: every
-  // engine/delivery combination reports the same measured physics.
-  const auto base = gcs::harness::run_experiment(small_config());
-  EXPECT_EQ(base.clamped_events, 0u);
-  for (const char* engine : {"calendar", "heap"}) {
-    for (const char* delivery : {"batched", "per-receiver"}) {
+TEST(RunExperiment, RejectsNonFiniteParameters) {
+  // A NaN passes no ordered comparison, so without the up-front check a
+  // NaN horizon or D hung the engine and a NaN/Inf B0 ran the whole cell
+  // before the serializer refused it.  Each is rejected before any work,
+  // naming the field.
+  using Config = gcs::harness::ExperimentConfig;
+  const std::pair<const char*, double* (*)(Config&)> fields[] = {
+      {"rho", [](Config& c) { return &c.params.rho; }},
+      {"T", [](Config& c) { return &c.params.T; }},
+      {"D", [](Config& c) { return &c.params.D; }},
+      {"delta_h", [](Config& c) { return &c.params.delta_h; }},
+      {"B0", [](Config& c) { return &c.params.B0; }},
+      {"horizon", [](Config& c) { return &c.horizon; }},
+      {"sample_dt", [](Config& c) { return &c.sample_dt; }}};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const auto& [name, field] : fields) {
       auto cfg = small_config();
-      cfg.engine = engine;
-      cfg.delivery = delivery;
-      const auto result = gcs::harness::run_experiment(cfg);
-      EXPECT_EQ(result.max_global_skew, base.max_global_skew)
-          << engine << "/" << delivery;
-      EXPECT_EQ(result.max_local_skew, base.max_local_skew)
-          << engine << "/" << delivery;
-      EXPECT_EQ(result.run_stats.messages_delivered,
-                base.run_stats.messages_delivered)
-          << engine << "/" << delivery;
-      EXPECT_EQ(result.run_stats.jumps, base.run_stats.jumps)
-          << engine << "/" << delivery;
-      EXPECT_EQ(result.clamped_events, 0u) << engine << "/" << delivery;
+      *field(cfg) = bad;
+      try {
+        gcs::harness::run_experiment(cfg);
+        ADD_FAILURE() << name << "=" << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string(" ") + name +
+                                             " must be finite"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
 }
@@ -211,68 +221,64 @@ TEST(RunExperiment, NumberGrammarsRejectPartialTokens) {
   same_run("uniform:0.25:1", "uniform:0.250:1.0");
 }
 
-TEST(RunExperiment, VariantsAreInvariantAcrossShardsAndEngines) {
+TEST(RunExperiment, VariantsAreInvariantAcrossShards) {
   // Every variant runs in the one kernel under every execution layout:
   // within the sharded universe each is byte-identical across shard
-  // counts and scheduler policies (engine_stats describes the scheduler,
-  // not the trajectory, so it is left out of the comparison).
+  // counts (engine_stats describes the scheduler, not the trajectory, so
+  // it is left out of the comparison).
   for (const char* variant : {"weighted:0.5", "noblock", "nojump"}) {
     std::string reference;
     for (const std::uint64_t shards : {1u, 4u}) {
-      for (const char* engine : {"calendar", "heap"}) {
-        auto cfg = small_config();
-        cfg.params.n = 12;
-        cfg.drift = "walk";
-        cfg.delay = "uniform:0.25:1";
-        cfg.variant = variant;
-        cfg.shards = shards;
-        cfg.engine = engine;
-        gcs::util::Rng rng(5);
-        cfg.scenario =
-            gcs::net::make_churn_scenario(12, 6, 10.0, cfg.horizon, rng);
-        gcs::util::json::Value doc =
-            gcs::harness::to_json(gcs::harness::run_experiment(cfg));
-        EXPECT_GT(doc.at("run_stats").at("messages_delivered").as_u64(), 0u);
-        doc.as_object().erase("engine_stats");
-        const std::string bytes = gcs::util::json::dump(doc);
-        if (reference.empty()) reference = bytes;
-        EXPECT_EQ(bytes, reference)
-            << variant << " shards=" << shards << " " << engine;
-      }
+      auto cfg = small_config();
+      cfg.params.n = 12;
+      cfg.drift = "walk";
+      cfg.delay = "uniform:0.25:1";
+      cfg.variant = variant;
+      cfg.shards = shards;
+      gcs::util::Rng rng(5);
+      cfg.scenario =
+          gcs::net::make_churn_scenario(12, 6, 10.0, cfg.horizon, rng);
+      gcs::util::json::Value doc =
+          gcs::harness::to_json(gcs::harness::run_experiment(cfg));
+      EXPECT_GT(doc.at("run_stats").at("messages_delivered").as_u64(), 0u);
+      doc.as_object().erase("engine_stats");
+      const std::string bytes = gcs::util::json::dump(doc);
+      if (reference.empty()) reference = bytes;
+      EXPECT_EQ(bytes, reference) << variant << " shards=" << shards;
     }
   }
 }
 
 TEST(RunExperiment, SampleAtHorizonBoundaryFiresUnderBothEngines) {
-  // The periodic sample scheduled exactly at t == horizon fires: the
-  // engine's run_until executes events with t <= horizon under both
-  // scheduler policies, so horizon == k*sample_dt (with both exact in
+  // The periodic sample scheduled exactly at t == horizon fires: both the
+  // classic engine's and the sharded engine's run_until execute events
+  // with t <= horizon, so horizon == k*sample_dt (with both exact in
   // binary floating point) yields exactly k samples.  Pinned so `samples`
   // cannot drift across engine refactors.
-  for (const char* engine : {"calendar", "heap"}) {
+  for (const std::uint64_t shards : {0u, 1u}) {
     auto cfg = small_config();
-    cfg.engine = engine;
+    cfg.delay = "constant:0.5";  // the floor sharded runs need
+    cfg.shards = shards;
     cfg.horizon = 10.0;
     cfg.sample_dt = 0.5;
     const auto result = gcs::harness::run_experiment(cfg);
-    EXPECT_EQ(result.samples, 20u) << engine;  // t = 0.5, 1.0, ..., 10.0
+    EXPECT_EQ(result.samples, 20u) << shards;  // t = 0.5, 1.0, ..., 10.0
   }
 }
 
 TEST(RunExperiment, ReportsDeliveryEventStats) {
+  // Batched delivery: under constant delay a broadcast's fan-out shares
+  // one engine event; under a continuous delay every message gets its own.
   auto cfg = small_config();
   cfg.topology = "complete";
   cfg.delay = "constant:0.5";
-  const auto batched = gcs::harness::run_experiment(cfg);
-  cfg.delivery = "per-receiver";
-  const auto unbatched = gcs::harness::run_experiment(cfg);
-  // Per-receiver: one engine event per message.  Batched on a complete
-  // graph under constant delay: one event per broadcast fan-out.
-  EXPECT_EQ(unbatched.run_stats.delivery_events,
-            unbatched.run_stats.messages_sent);
-  EXPECT_LT(batched.run_stats.delivery_events,
-            batched.run_stats.messages_sent / 2);
-  EXPECT_LT(batched.events_executed, unbatched.events_executed);
+  const auto slotted = gcs::harness::run_experiment(cfg);
+  EXPECT_LT(slotted.run_stats.delivery_events,
+            slotted.run_stats.messages_sent / 2);
+  cfg.delay = "uniform";
+  const auto continuous = gcs::harness::run_experiment(cfg);
+  EXPECT_EQ(continuous.run_stats.delivery_events,
+            continuous.run_stats.messages_sent);
 }
 
 }  // namespace

@@ -10,13 +10,17 @@
 //     offered load with zero clamped events.
 //
 // Traffic-on trajectories are themselves deterministic (RNG-free pipeline,
-// fixed flow phases): byte-identical across engine policies and shard
-// counts, which the matrix tests here pin at the API level.
+// fixed flow phases): byte-identical across shard counts, which the
+// matrix tests here pin at the API level.  EngineReplay, at the end,
+// runs churn cells' message streams through the heap oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/network_sim.hpp"
@@ -24,20 +28,24 @@
 #include "net/link.hpp"
 #include "net/scenario.hpp"
 #include "net/topology.hpp"
+#include "obs/recorder.hpp"
+#include "sim/engine.hpp"
+#include "sim_fixture.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using gcs::core::NetworkSimulation;
-using gcs::core::RunStats;
 using gcs::core::SimOptions;
-using gcs::core::SyncParams;
 using gcs::net::LinkDecision;
 using gcs::net::LinkDir;
 using gcs::net::LinkModel;
 using gcs::net::parse_traffic;
 using gcs::net::TrafficModel;
+using gcs::sim::Engine;
 using gcs::sim::EnginePolicy;
+using gcs::test::Trace;
+using gcs::test::expect_same_trajectory;
+using gcs::test::run_scenario;
 
 // ---------------------------------------------------------------------------
 // parse_traffic grammar
@@ -175,75 +183,19 @@ TEST(FlowPhase, DeterministicFractionInOpenUnitInterval) {
 // NetworkSimulation contracts
 // ---------------------------------------------------------------------------
 
-SyncParams test_params(std::size_t n) {
-  SyncParams p;
-  p.n = n;
-  p.rho = 0.05;
-  p.T = 1.0;
-  p.D = 2.5;
-  p.delta_h = 0.5;
-  return p;
-}
-
-std::vector<gcs::clk::RateSchedule> walk_schedules(const SyncParams& p,
-                                                   std::uint64_t seed) {
-  std::vector<gcs::clk::RateSchedule> schedules;
-  for (std::size_t i = 0; i < p.n; ++i) {
-    schedules.push_back(gcs::clk::RateSchedule::random_walk(
-        p.rho, /*step_dt=*/1.0, /*sigma=*/p.rho / 4.0, seed * 7919 + i));
-  }
-  return schedules;
-}
-
-struct Trace {
-  std::vector<double> clocks;
-  RunStats stats;
-  std::uint64_t clamped = 0;
-};
-
 // Runs a churn scenario (flows must survive edge add/remove/re-add) under
 // the given traffic spec.  shards == 0 is the classic engine.
-Trace run_traffic(const std::string& traffic, EnginePolicy policy,
-                  std::size_t shards, double horizon) {
+Trace run_traffic(const std::string& traffic, std::size_t shards,
+                  double horizon, gcs::obs::Recorder* recorder = nullptr,
+                  gcs::net::DelayModel delay =
+                      gcs::net::make_uniform_delay(1.0, 0.25, 1.0)) {
   gcs::util::Rng scenario_rng(7);
-  const gcs::net::Scenario scenario =
-      gcs::net::make_churn_scenario(12, 6, 8.0, horizon, scenario_rng);
-  const SyncParams p = test_params(scenario.n);
   SimOptions options;
-  options.seed = 1234;
-  options.engine_policy = policy;
   options.shards = shards;
-  NetworkSimulation sim(
-      p, scenario.to_dynamic_graph(),
-      LinkModel(gcs::net::make_uniform_delay(p.T, 0.25, p.T),
-                parse_traffic(traffic)),
-      walk_schedules(p, 99),
-      options);
-  Trace trace;
-  sim.schedule_periodic(0.25, 0.25, [&](gcs::sim::Time) {
-    for (std::size_t i = 0; i < sim.size(); ++i) {
-      trace.clocks.push_back(sim.logical_clock(static_cast<gcs::core::NodeId>(i)));
-    }
-  });
-  sim.run_until(horizon);
-  trace.stats = sim.stats();
-  trace.clamped = sim.engine_clamped_count();
-  return trace;
-}
-
-void expect_same_trajectory_and_stats(const Trace& a, const Trace& b,
-                                      const std::string& what) {
-  EXPECT_EQ(a.clocks, b.clocks) << what;
-  EXPECT_EQ(a.stats.messages_sent, b.stats.messages_sent) << what;
-  EXPECT_EQ(a.stats.messages_delivered, b.stats.messages_delivered) << what;
-  EXPECT_EQ(a.stats.messages_dropped, b.stats.messages_dropped) << what;
-  EXPECT_EQ(a.stats.traffic_packets, b.stats.traffic_packets) << what;
-  EXPECT_EQ(a.stats.traffic_dropped, b.stats.traffic_dropped) << what;
-  EXPECT_EQ(a.stats.ecn_marks, b.stats.ecn_marks) << what;
-  EXPECT_EQ(a.stats.peak_queue_bytes, b.stats.peak_queue_bytes) << what;
-  // Bit-exact doubles: the fold order is pinned (node order / max).
-  EXPECT_EQ(a.stats.sync_delay_sum, b.stats.sync_delay_sum) << what;
-  EXPECT_EQ(a.stats.sync_delay_max, b.stats.sync_delay_max) << what;
+  options.recorder = recorder;
+  return run_scenario(
+      gcs::net::make_churn_scenario(12, 6, 8.0, horizon, scenario_rng),
+      LinkModel(std::move(delay), parse_traffic(traffic)), options, horizon);
 }
 
 // A cbr model saturated well past the link rate: 10 pkt/s x 1000 B over a
@@ -252,60 +204,47 @@ constexpr const char kSaturatedCbr[] =
     "cbr:bw=4000:rate=10:pkt=1000:queue=3000:mark=500";
 
 TEST(LinkEquivalence, OffMatchesIdleBitExactlyClassic) {
-  const Trace off = run_traffic("off", EnginePolicy::kCalendar, 0, 30.0);
-  const Trace idle = run_traffic("idle", EnginePolicy::kCalendar, 0, 30.0);
+  const Trace off = run_traffic("off", 0, 30.0);
+  const Trace idle = run_traffic("idle", 0, 30.0);
   ASSERT_FALSE(off.clocks.empty());
   EXPECT_GT(off.stats.messages_delivered, 0u);
-  expect_same_trajectory_and_stats(off, idle, "classic off vs idle");
+  expect_same_trajectory(off, idle, "classic off vs idle");
   EXPECT_EQ(idle.stats.traffic_packets, 0u);
   EXPECT_EQ(idle.stats.peak_queue_bytes, 0u);
 }
 
 TEST(LinkEquivalence, OffMatchesIdleBitExactlySharded) {
-  const Trace off = run_traffic("off", EnginePolicy::kCalendar, 2, 30.0);
-  const Trace idle = run_traffic("idle", EnginePolicy::kCalendar, 2, 30.0);
+  const Trace off = run_traffic("off", 2, 30.0);
+  const Trace idle = run_traffic("idle", 2, 30.0);
   ASSERT_FALSE(off.clocks.empty());
-  expect_same_trajectory_and_stats(off, idle, "sharded off vs idle");
+  expect_same_trajectory(off, idle, "sharded off vs idle");
 }
 
 TEST(LinkEquivalence, SyncDelayRecordedEvenWithTrafficOff) {
   // With the pipeline off the latency pair reduces to the propagation
   // draw: still recorded (that identity is what keeps off == idle byte-
   // exact), and bounded by the delay model's [floor, bound].
-  const Trace off = run_traffic("off", EnginePolicy::kCalendar, 0, 30.0);
+  const Trace off = run_traffic("off", 0, 30.0);
   EXPECT_GT(off.stats.sync_delay_sum, 0.0);
   EXPECT_GE(off.stats.sync_delay_max, 0.25);
   EXPECT_LE(off.stats.sync_delay_max, 1.0);
 }
 
-TEST(TrafficDeterminism, ClassicMatrixIsByteIdentical) {
-  const Trace base = run_traffic(kSaturatedCbr, EnginePolicy::kHeap, 0, 30.0);
-  ASSERT_FALSE(base.clocks.empty());
-  EXPECT_GT(base.stats.traffic_packets, 0u);
-  const Trace calendar =
-      run_traffic(kSaturatedCbr, EnginePolicy::kCalendar, 0, 30.0);
-  expect_same_trajectory_and_stats(base, calendar, "heap vs calendar");
-}
-
 TEST(TrafficDeterminism, ShardCountInvariantUnderLoad) {
-  const Trace base = run_traffic(kSaturatedCbr, EnginePolicy::kCalendar, 1, 30.0);
+  const Trace base = run_traffic(kSaturatedCbr, 1, 30.0);
   ASSERT_FALSE(base.clocks.empty());
   EXPECT_GT(base.stats.traffic_packets, 0u);
   for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    const Trace got =
-        run_traffic(kSaturatedCbr, EnginePolicy::kCalendar, shards, 30.0);
-    expect_same_trajectory_and_stats(base, got,
+    const Trace got = run_traffic(kSaturatedCbr, shards, 30.0);
+    expect_same_trajectory(base, got,
                                      "shards " + std::to_string(shards));
     EXPECT_EQ(got.clamped, 0u) << shards;
   }
-  const Trace heap = run_traffic(kSaturatedCbr, EnginePolicy::kHeap, 4, 30.0);
-  expect_same_trajectory_and_stats(base, heap, "shards 4 heap");
 }
 
 TEST(TrafficContention, SaturatedLinkMovesEveryCounterAndStaysBounded) {
   for (const std::size_t shards : {std::size_t{0}, std::size_t{4}}) {
-    const Trace loaded =
-        run_traffic(kSaturatedCbr, EnginePolicy::kCalendar, shards, 30.0);
+    const Trace loaded = run_traffic(kSaturatedCbr, shards, 30.0);
     const std::string what = "shards " + std::to_string(shards);
     EXPECT_GT(loaded.stats.traffic_packets, 0u) << what;
     EXPECT_GT(loaded.stats.traffic_dropped, 0u) << what;
@@ -322,7 +261,7 @@ TEST(TrafficContention, SaturatedLinkMovesEveryCounterAndStaysBounded) {
 
     // And the load is visible where the paper cares: mean sync latency
     // under saturation exceeds the unloaded mean.
-    const Trace off = run_traffic("off", EnginePolicy::kCalendar, shards, 30.0);
+    const Trace off = run_traffic("off", shards, 30.0);
     const double mean_loaded =
         loaded.stats.sync_delay_sum /
         static_cast<double>(loaded.stats.messages_sent);
@@ -333,13 +272,85 @@ TEST(TrafficContention, SaturatedLinkMovesEveryCounterAndStaysBounded) {
 }
 
 TEST(TrafficContention, BulkFlowsBackpressureInsteadOfDropping) {
-  const Trace bulk = run_traffic("bulk:bw=4000:bytes=6000:interval=5:queue=2000",
-                                 EnginePolicy::kCalendar, 0, 30.0);
+  const Trace bulk =
+      run_traffic("bulk:bw=4000:bytes=6000:interval=5:queue=2000", 0, 30.0);
   EXPECT_GT(bulk.stats.traffic_packets, 0u);
   // Bulk bursts are non-droppable by design: the bounded queue applies
   // only to droppable (cbr) packets.
   EXPECT_EQ(bulk.stats.traffic_dropped, 0u);
   EXPECT_GT(bulk.stats.peak_queue_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The heap oracle on the streams real cells produce.  Every cell runs the
+// calendar queue; these replay a churn cell's (send t, delivery t) stream
+// into Engine(kHeap) and Engine(kCalendar) -- advance to each send
+// instant, schedule its delivery -- and require the deliveries to run in
+// the same order.  test_engine.cpp checks the queues on random streams;
+// these pin the gap distributions the simulator actually makes.
+// ---------------------------------------------------------------------------
+
+using Stream = std::vector<std::pair<double, double>>;
+
+class SendRecorder final : public gcs::obs::Recorder {
+ public:
+  void on_trace(const gcs::obs::TraceEvent& event) override {
+    if (event.kind == gcs::obs::TraceEvent::Kind::kSend) {
+      sends.emplace_back(event.t, event.v2);
+    }
+  }
+  bool wants_trace() const override { return true; }
+  Stream sends;
+};
+
+// The order in which `policy` runs the stream's deliveries, as indices.
+std::vector<std::size_t> replay_order(const Stream& sends,
+                                      EnginePolicy policy) {
+  Engine engine(policy);
+  std::vector<std::size_t> order;
+  double last = 0.0;
+  for (std::size_t i = 0; i < sends.size(); ++i) {
+    engine.run_until(sends[i].first);
+    engine.at(sends[i].second, [&order, i] { order.push_back(i); });
+    last = std::max(last, sends[i].second);
+  }
+  engine.run_until(last);
+  EXPECT_EQ(engine.clamped_count(), 0u);
+  return order;
+}
+
+// Records the stream, checks how tied its delivery instants are, and
+// replays it under both policies.
+void expect_same_replay_order(const std::string& traffic,
+                              gcs::net::DelayModel delay, bool slotted) {
+  SendRecorder recorder;
+  const Trace run = run_traffic(traffic, 0, 30.0, &recorder, std::move(delay));
+  const Stream& sends = recorder.sends;
+  ASSERT_EQ(sends.size(), run.stats.messages_sent);
+  ASSERT_GT(sends.size(), 1000u);
+  EXPECT_GT(run.stats.messages_dropped, 0u);  // churn cuts edges mid-flight
+  std::set<double> instants;
+  for (const auto& send : sends) instants.insert(send.second);
+  EXPECT_EQ(instants.size() * 2 < sends.size(), slotted) << instants.size();
+  const std::vector<std::size_t> heap =
+      replay_order(sends, EnginePolicy::kHeap);
+  EXPECT_EQ(heap.size(), sends.size());
+  EXPECT_EQ(replay_order(sends, EnginePolicy::kCalendar), heap);
+}
+
+TEST(EngineReplay, SlottedChurnStreamRunsInTheSameOrder) {
+  // Constant delay: a broadcast's fan-out lands on one instant, so the
+  // stream is full of exact ties and FIFO tie-breaking decides the order.
+  expect_same_replay_order("off", gcs::net::make_constant_delay(1.0, 0.5),
+                           /*slotted=*/true);
+}
+
+TEST(EngineReplay, ContinuousSaturatedCbrStreamRunsInTheSameOrder) {
+  // Uniform delay behind a saturated cbr queue: continuous timestamps
+  // with bursts of queueing delay on top of the propagation draw.
+  expect_same_replay_order(kSaturatedCbr,
+                           gcs::net::make_uniform_delay(1.0, 0.25, 1.0),
+                           /*slotted=*/false);
 }
 
 }  // namespace

@@ -118,7 +118,7 @@ void check_invariants(const std::string& kind, std::uint64_t seed) {
       gcs::net::make_uniform_delay(p.T, 0.0, p.T), std::move(schedules),
       options);
 
-  const double slack = options.conformance_slack;
+  const double slack = gcs::core::kConformanceSlack;
   const double bound = p.global_skew_bound();
   std::vector<double> last_logical(p.n, 0.0);
   double max_global = 0.0;

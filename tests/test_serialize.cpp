@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
 #include "util/json.hpp"
@@ -144,28 +145,43 @@ TEST(Serialize, V7VariantEchoTravelsAndDefaults) {
   EXPECT_EQ(back.params.n, 6u);
 }
 
-TEST(Serialize, LegacyStoreEchoReadsAndAdapterIsRejected) {
-  // The echo no longer carries the retired node-store axis...
-  EXPECT_EQ(harness::config_to_json(harness::ExperimentConfig{}).find("store"),
+// An echo written before `key` was retired no longer appears in new
+// echoes, reads as the same config as one without the key, and any value
+// but the legacy ones throws naming the axis.
+void expect_retired_echo(const std::string& key,
+                         std::vector<const char*> legacy) {
+  EXPECT_EQ(harness::config_to_json(harness::ExperimentConfig{}).find(key),
             nullptr);
-  // ...but a v7 document written before the retirement still reads, and
-  // reads as the same config as one without the key.
-  const harness::ExperimentConfig legacy = harness::config_from_json(
-      json::parse(R"({"n": 6, "store": "columns", "variant": "nojump"})"));
-  EXPECT_EQ(harness::config_to_json(legacy),
-            harness::config_to_json(harness::config_from_json(
-                json::parse(R"({"n": 6, "variant": "nojump"})"))));
-  // Any other store value names the retired axis instead of guessing.
-  for (const char* doc : {R"({"store": "adapter"})", R"({"store": 1})"}) {
+  const auto reread = [](const json::Value& doc) {
+    return harness::config_to_json(harness::config_from_json(doc));
+  };
+  json::Value doc = json::parse(R"({"n": 6, "variant": "nojump"})");
+  const json::Value plain = reread(doc);
+  for (const char* value : legacy) {
+    doc[key] = std::string(value);
+    EXPECT_EQ(reread(doc), plain) << key << " " << value;
+  }
+  for (const json::Value& bad :
+       {json::Value("adapter"), json::Value("wheel"), json::Value(1)}) {
+    doc[key] = bad;
     try {
-      harness::config_from_json(json::parse(doc));
-      ADD_FAILURE() << doc << " was accepted";
+      reread(doc);
+      ADD_FAILURE() << key << " " << json::dump(bad) << " was accepted";
     } catch (const json::Error& e) {
-      EXPECT_NE(std::string(e.what()).find("node-store axis is retired"),
+      EXPECT_NE(std::string(e.what()).find("the " + key + " axis is retired"),
                 std::string::npos)
           << e.what();
     }
   }
+}
+
+TEST(Serialize, LegacyStoreEchoReadsAndAdapterIsRejected) {
+  expect_retired_echo("store", {"columns"});
+}
+
+TEST(Serialize, RetiredExecutionEchoes) {
+  expect_retired_echo("engine", {"calendar", "heap"});
+  expect_retired_echo("delivery", {"batched", "per-receiver"});
 }
 
 TEST(Serialize, V5MemoryCountersTravel) {
@@ -215,8 +231,6 @@ TEST(Serialize, ConfigRoundTrip) {
   cfg.topology = "complete";
   cfg.drift = "two-camp";
   cfg.delay = "constant:0.25";
-  cfg.engine = "heap";
-  cfg.delivery = "per-receiver";
   cfg.traffic = "cbr:bw=4000:rate=10";
   cfg.variant = "weighted:0.5";
   cfg.horizon = 75.0;
@@ -240,7 +254,6 @@ TEST(Serialize, ConfigReaderDefaultsMissingAndRejectsUnknownKeys) {
   EXPECT_EQ(sparse.params.n, 4u);
   EXPECT_EQ(sparse.drift, "walk");
   EXPECT_EQ(sparse.topology, "path");  // ExperimentConfig default
-  EXPECT_EQ(sparse.engine, "calendar");
   EXPECT_EQ(sparse.traffic, "off");
 
   EXPECT_THROW(

@@ -1,8 +1,8 @@
 // ShardedEngine tests: the K-invariance contract (every observable is
-// byte-identical across shard counts, under both queue policies, with
-// shards == 1 -- the inline, threadless configuration -- as the
-// reference), the globals-before-shards ordering rule, the lookahead
-// contract's loud failure, and clamp/validation passthrough.
+// byte-identical across shard counts, with shards == 1 -- the inline,
+// threadless configuration -- as the reference), the globals-before-
+// shards ordering rule, the lookahead contract's loud failure, and
+// clamp/validation passthrough.
 #include "sim/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 
 namespace {
 
-using gcs::sim::EnginePolicy;
 using gcs::sim::PostKey;
 using gcs::sim::ShardedEngine;
 using gcs::sim::Time;
@@ -36,10 +35,10 @@ struct PingRun {
   std::uint64_t shard_staged = 0;
 };
 
-PingRun run_pings(std::size_t n, std::size_t k, EnginePolicy policy) {
+PingRun run_pings(std::size_t n, std::size_t k) {
   const double kWindow = 0.5;
   const double kHorizon = 20.0;
-  ShardedEngine eng(k, kWindow, policy);
+  ShardedEngine eng(k, kWindow);
 
   std::vector<std::uint32_t> shard_of(n);
   for (std::size_t u = 0; u < n; ++u) {
@@ -87,29 +86,24 @@ PingRun run_pings(std::size_t n, std::size_t k, EnginePolicy policy) {
   return out;
 }
 
-TEST(ShardedEngine, TrajectoriesAreInvariantAcrossShardCountsAndPolicies) {
+TEST(ShardedEngine, TrajectoriesAreInvariantAcrossShardCounts) {
   const std::size_t n = 8;
-  const PingRun base = run_pings(n, 1, EnginePolicy::kCalendar);
+  const PingRun base = run_pings(n, 1);
   ASSERT_GT(base.events_executed, 0u);
   std::uint64_t logged = 0;
   for (const auto& log : base.logs) logged += log.size();
   ASSERT_GT(logged, 0u);
   ASSERT_FALSE(base.global_ticks.empty());
 
-  for (const EnginePolicy policy :
-       {EnginePolicy::kCalendar, EnginePolicy::kHeap}) {
-    for (const std::size_t k : {std::size_t{1}, std::size_t{2},
-                                std::size_t{3}, std::size_t{4}}) {
-      const PingRun got = run_pings(n, k, policy);
-      const std::string label =
-          "k=" + std::to_string(k) +
-          (policy == EnginePolicy::kHeap ? " heap" : " calendar");
-      EXPECT_EQ(base.logs, got.logs) << label;
-      EXPECT_EQ(base.global_ticks, got.global_ticks) << label;
-      EXPECT_EQ(base.events_executed, got.events_executed) << label;
-      EXPECT_EQ(base.shard_windows, got.shard_windows) << label;
-      EXPECT_EQ(base.shard_staged, got.shard_staged) << label;
-    }
+  for (const std::size_t k :
+       {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    const PingRun got = run_pings(n, k);
+    const std::string label = "k=" + std::to_string(k);
+    EXPECT_EQ(base.logs, got.logs) << label;
+    EXPECT_EQ(base.global_ticks, got.global_ticks) << label;
+    EXPECT_EQ(base.events_executed, got.events_executed) << label;
+    EXPECT_EQ(base.shard_windows, got.shard_windows) << label;
+    EXPECT_EQ(base.shard_staged, got.shard_staged) << label;
   }
 }
 
@@ -177,7 +171,7 @@ TEST(ShardedEngine, ShardCallbackExceptionsRethrowOnTheCaller) {
 }
 
 TEST(ShardedEngine, StatsReportShardCountersAndZeroPolicyCounters) {
-  ShardedEngine eng(2, /*window=*/1.0, EnginePolicy::kCalendar);
+  ShardedEngine eng(2, /*window=*/1.0);
   eng.at(0, 0.25, [&] {
     eng.post(0, 1, 1.5, PostKey{0.25, 0, 0}, [] {});
   });

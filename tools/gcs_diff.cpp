@@ -9,9 +9,10 @@
 // events_per_sec, arena_bytes, peak_rss_kb) are ignored unless --timing
 // is given (they describe the host and the arena's growth history, not
 // the trajectory, so a --jobs N tree diffs clean against a --jobs 1
-// baseline).  Trees written before the node-store axis was retired echo
-// "store": "columns" and diff clean against current trees; an
-// "adapter" echo exits 2 naming the retired axis.  Exit codes:
+// baseline).  Trees written before the store, engine and delivery axes
+// were retired echo them (store "columns", engine "heap", ...) and diff
+// clean against current trees; any other value of a retired key exits 2
+// naming the axis.  Exit codes:
 // 0 trees match (or differences found without --strict), 1 differences
 // under --strict, 2 bad usage or unreadable tree.
 #include <cstdlib>

@@ -49,15 +49,14 @@ options:
 
 sweepable keys (comma lists and integer ranges a..b become axes):
   n, topology (path|ring|star|complete), drift (spread|walk|two-camp),
-  delay (uniform[:lo[:hi]]|constant[:x]), engine (calendar|heap),
-  delivery (batched|per-receiver), shards (0 = classic single-queue
-  engine; >= 1 runs the sharded conservative-parallel engine, which
-  needs a delay with a positive floor, e.g. constant:0.5 or
-  uniform:0.25), rho, T, D, delta_h, B0, horizon, sample_dt, seed
-  (alias: seeds)
+  delay (uniform[:lo[:hi]]|constant[:x]), shards (0 = classic
+  single-queue engine; >= 1 runs the sharded conservative-parallel
+  engine, which needs a delay with a positive floor, e.g. constant:0.5
+  or uniform:0.25), rho, T, D, delta_h, B0, horizon, sample_dt (all
+  finite numbers), seed (alias: seeds)
   variant: dcsa (default) | weighted[:w] (uniform tolerance weight w,
   default 0.5) | noblock (no blocking cap) | nojump (free-running
-  clocks); every variant runs at any n, engine and shard count
+  clocks); every variant runs at any n and shard count
   (docs/envelope.md documents the ablation axis)
   traffic: off (default; stochastic delays only), or a link-pipeline
   spec idle|cbr|bulk with :knob=value knobs -- idle[:bw=B:queue=Q:
