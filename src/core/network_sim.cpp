@@ -23,6 +23,11 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t node) {
 
 }  // namespace
 
+std::uint32_t shard_of(std::size_t u, std::size_t k, std::size_t n) {
+  const std::size_t block = std::clamp<std::size_t>(n / k, 1, kShardBlock);
+  return static_cast<std::uint32_t>((u / block) % k);
+}
+
 // The DeliverySink pair: stats, traces, and conformance checks land
 // around each record the kernel applies.
 
@@ -150,11 +155,7 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     // contract holds under any load (see the class comment).
     sharded_ = std::make_unique<sim::ShardedEngine>(k, link_.prop.floor);
     shard_of_.resize(n);
-    for (std::size_t u = 0; u < n; ++u) {
-      // Contiguous blocks, a function of (u, k, n) only -- never of the
-      // run -- so the partition is reproducible from the config alone.
-      shard_of_[u] = static_cast<std::uint32_t>(u * k / n);
-    }
+    for (std::size_t u = 0; u < n; ++u) shard_of_[u] = shard_of(u, k, n);
     node_rngs_.reserve(n);
     for (std::size_t u = 0; u < n; ++u) {
       node_rngs_.emplace_back(mix_seed(options_.seed, u));

@@ -84,6 +84,28 @@ struct SimOptions {
   std::size_t shards = 0;
 };
 
+// The shard that owns node u when n nodes run on k shards (k >= 1):
+// blocks of B = clamp(n / k, 1, 64) consecutive ids, dealt round-robin,
+// so block j belongs to shard j mod k.  A pure function of (u, k, n),
+// never of the run, so the partition is reproducible from the config
+// alone (and K-invariance makes any partition trajectory-neutral).
+//
+// Why not contiguous ranges: broadcast phases are staggered by node id
+// (node i's first broadcast is at hardware time delta_h (i+1)/n), so a
+// range partition hands shard s all of its broadcasts -- and the
+// deliveries they cause -- in the s-th K-th of every delta_h period,
+// and each barrier window loads one or two shards while the rest idle.
+// Dealing blocks spreads every time slice wider than k*B/n of a period
+// over all shards.  Why blocks and not single ids: every per-node
+// column (offsets, clocks, counters) is written by its owning shard,
+// and 64 consecutive nodes fill whole cache lines of a double column,
+// so shards do not false-share node state.  B shrinks with n / k so
+// that every shard is non-empty whenever n >= k; shard sizes then
+// differ by at most one block, and any k*B consecutive ids touch
+// every shard.
+inline constexpr std::size_t kShardBlock = 64;
+std::uint32_t shard_of(std::size_t u, std::size_t k, std::size_t n);
+
 struct RunStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
@@ -303,10 +325,11 @@ class NetworkSimulation {
 
   sim::Engine engine_;
   // Sharded mode (options_.shards > 0): sharded_ replaces engine_
-  // (which then stays empty), nodes map contiguously onto shards, and
-  // every node draws delays from its own seeded RNG stream so sends on
-  // different shards never contend for -- or K-variantly reorder draws
-  // from -- a shared generator.  A node's Rng creates its engine on the
+  // (which then stays empty), nodes map onto shards in round-robin
+  // blocks (shard_of above, cached in shard_of_), and every node draws
+  // delays from its own seeded RNG stream so sends on different shards
+  // never contend for -- or K-variantly reorder draws from -- a shared
+  // generator.  A node's Rng creates its engine on the
   // first draw, in whichever single context owns the node at that moment
   // (its shard, or the coordinator at barriers), so a constant delay
   // allocates no engines at all.

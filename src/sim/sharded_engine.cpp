@@ -24,6 +24,7 @@ ShardedEngine::ShardedEngine(std::size_t shards, Duration window)
     engines_.push_back(std::make_unique<Engine>());
   }
   outboxes_.assign(shards + 1, std::vector<std::vector<Post>>(shards));
+  inboxes_.resize(shards);
   errors_.assign(shards, nullptr);
   for (std::size_t s = 1; s < shards; ++s) {
     workers_.emplace_back([this, s] { worker_loop(s); });
@@ -64,16 +65,18 @@ void ShardedEngine::cancel_every_global(PeriodicId id) {
 void ShardedEngine::worker_loop(std::size_t shard) {
   std::uint64_t seen = 0;
   for (;;) {
+    Phase phase;
     Time target;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_work_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
+      phase = phase_;
       target = target_;
     }
     try {
-      engines_[shard]->run_until(target);
+      run_shard_phase(shard, phase, target);
     } catch (...) {
       const std::lock_guard<std::mutex> lock(mu_);
       errors_[shard] = std::current_exception();
@@ -86,78 +89,96 @@ void ShardedEngine::worker_loop(std::size_t shard) {
   }
 }
 
-void ShardedEngine::run_shards_to(Time target) {
+void ShardedEngine::run_shard_phase(std::size_t shard, Phase phase, Time t) {
+  if (phase == Phase::kDrain) {
+    engines_[shard]->run_until(t);
+  } else {
+    merge_into(shard, t);
+  }
+}
+
+void ShardedEngine::run_phase(Phase phase, Time t) {
   if (engines_.size() == 1) {
-    engines_[0]->run_until(target);
+    run_shard_phase(0, phase, t);
     return;
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    target_ = target;
+    phase_ = phase;
+    target_ = t;
     remaining_ = engines_.size() - 1;
     ++generation_;
   }
   cv_work_.notify_all();
   // The coordinator doubles as shard 0's thread; its exception must not
-  // skip the rendezvous, or the workers of this window would outlive
-  // the call and race the barrier work.
-  std::exception_ptr coordinator_error;
+  // skip the rendezvous, or the workers of this phase would outlive the
+  // call and race the barrier work.
+  std::exception_ptr first;
   try {
-    engines_[0]->run_until(target);
+    run_shard_phase(0, phase, t);
   } catch (...) {
-    coordinator_error = std::current_exception();
+    first = std::current_exception();
   }
   {
     std::unique_lock<std::mutex> lock(mu_);
     cv_done_.wait(lock, [&] { return remaining_ == 0; });
   }
-  if (coordinator_error) std::rethrow_exception(coordinator_error);
   for (std::exception_ptr& error : errors_) {
-    if (error) {
-      std::exception_ptr first = error;
-      for (std::exception_ptr& e : errors_) e = nullptr;
-      std::rethrow_exception(first);
-    }
+    if (!first) first = error;
+    error = nullptr;
   }
+  if (first) std::rethrow_exception(first);
 }
 
-void ShardedEngine::merge_staged(Time barrier) {
-  const std::size_t k = engines_.size();
-  for (std::size_t dst = 0; dst < k; ++dst) {
-    merge_buf_.clear();
-    for (std::size_t src = 0; src <= k; ++src) {
-      std::vector<Post>& box = outboxes_[src][dst];
-      for (Post& post : box) merge_buf_.push_back(std::move(post));
-      box.clear();
+void ShardedEngine::merge_into(std::size_t dst, Time barrier) {
+  Inbox& inbox = inboxes_[dst];
+  inbox.records.clear();
+  inbox.starts.clear();
+  std::size_t slot = 0;
+  for (const std::vector<std::vector<Post>>& row : outboxes_) {
+    inbox.starts.push_back(static_cast<std::uint32_t>(slot));
+    for (const Post& post : row[dst]) {
+      inbox.records.push_back(MergeRecord{post.t, post.key.send_t,
+                                          post.key.index, post.key.origin,
+                                          static_cast<std::uint32_t>(slot)});
+      ++slot;
     }
-    if (merge_buf_.empty()) continue;
-    // The canonical order: gather order (which varies with K) must not
-    // matter, and the key is globally unique, so this sort has no ties.
-    std::sort(merge_buf_.begin(), merge_buf_.end(),
-              [](const Post& a, const Post& b) {
-                if (a.t != b.t) return a.t < b.t;
-                if (a.key.send_t != b.key.send_t) {
-                  return a.key.send_t < b.key.send_t;
-                }
-                if (a.key.origin != b.key.origin) {
-                  return a.key.origin < b.key.origin;
-                }
-                return a.key.index < b.key.index;
-              });
-    for (Post& post : merge_buf_) {
-      if (post.t < barrier) {
-        throw std::logic_error(
-            "ShardedEngine: lookahead contract violated -- event staged for "
-            "t=" +
-            std::to_string(post.t) + " merged at barrier " +
-            std::to_string(barrier) +
-            " (delay model delivered faster than its declared floor)");
-      }
-      engines_[dst]->at(post.t, std::move(post.fn));
-      ++staged_;
-    }
-    merge_buf_.clear();
   }
+  const auto discard = [&] {
+    for (std::vector<std::vector<Post>>& row : outboxes_) row[dst].clear();
+    inbox.records.clear();
+  };
+  if (slot == 0) return;
+  // The canonical order: gather order (which varies with K) must not
+  // matter, and the key is globally unique, so this sort has no ties.
+  std::sort(inbox.records.begin(), inbox.records.end(),
+            [](const MergeRecord& a, const MergeRecord& b) {
+              if (a.t != b.t) return a.t < b.t;
+              if (a.send_t != b.send_t) return a.send_t < b.send_t;
+              if (a.origin != b.origin) return a.origin < b.origin;
+              return a.index < b.index;
+            });
+  // Sorted by t, so the front is the earliest post: checking it alone
+  // enforces the contract for the whole destination before any insert.
+  if (inbox.records.front().t < barrier) {
+    const Time t = inbox.records.front().t;
+    discard();
+    throw std::logic_error(
+        "ShardedEngine: lookahead contract violated -- event staged for "
+        "t=" +
+        std::to_string(t) + " merged at barrier " + std::to_string(barrier) +
+        " (delay model delivered faster than its declared floor)");
+  }
+  Engine& engine = *engines_[dst];
+  for (const MergeRecord& r : inbox.records) {
+    const std::size_t src = static_cast<std::size_t>(
+        std::upper_bound(inbox.starts.begin(), inbox.starts.end(), r.slot) -
+        inbox.starts.begin() - 1);
+    Post& post = outboxes_[src][dst][r.slot - inbox.starts[src]];
+    engine.at(post.t, std::move(post.fn));
+  }
+  inbox.staged += inbox.records.size();
+  discard();
 }
 
 void ShardedEngine::sample_pending() {
@@ -178,8 +199,9 @@ void ShardedEngine::run_until(Time horizon) {
     // `now` (a clamped stray) yields a zero-width round, which pops it
     // and guarantees progress on the next lap.
     if (globals_.next_time(&tg)) b = std::min(b, std::max(tg, now));
-    run_shards_to(std::nextafter(b, -std::numeric_limits<Time>::infinity()));
-    merge_staged(b);
+    run_phase(Phase::kDrain,
+              std::nextafter(b, -std::numeric_limits<Time>::infinity()));
+    run_phase(Phase::kMerge, b);
     globals_.run_until(b);
     ++windows_;
     sample_pending();
@@ -189,8 +211,8 @@ void ShardedEngine::run_until(Time horizon) {
   // run_until is inclusive like Engine's: shard events at exactly the
   // horizon run now, and anything they stage is merged (for a later
   // call) before control returns.
-  run_shards_to(horizon);
-  merge_staged(horizon);
+  run_phase(Phase::kDrain, horizon);
+  run_phase(Phase::kMerge, horizon);
   sample_pending();
 }
 
@@ -239,7 +261,9 @@ EngineStats ShardedEngine::stats() const {
   EngineStats s;
   s.max_pending = max_pending_;
   s.shard_windows = windows_;
-  s.shard_staged_events = staged_;
+  for (const Inbox& inbox : inboxes_) {
+    s.shard_staged_events += inbox.staged;
+  }
   return s;
 }
 

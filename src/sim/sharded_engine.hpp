@@ -16,8 +16,11 @@
 //          b = min(now + window, horizon, next global event time);
 //   2. every shard drains its events with t < b in parallel (strictly
 //      less: the barrier time itself belongs to the next round);
-//   3. barrier.  Cross-shard events staged during the window are merged
-//      into their destination queues in a canonical order (below);
+//   3. barrier, then a second parallel phase: each shard merges the
+//      events staged for it during the window (by every context) into
+//      its own queue, in a canonical order (below).  The merge starts
+//      only after every shard has drained -- a source's outbox is
+//      complete only then -- and ends before the globals run;
 //   4. the globals engine runs inclusive to b on the coordinator --
 //      at equal times, globals run BEFORE shard events;
 //   5. repeat until b == horizon, then drain shard events at exactly
@@ -49,14 +52,19 @@
 // The lookahead contract: a post staged during a window must satisfy
 // t >= send_t + window >= the merge barrier.  merge enforces it with a
 // std::logic_error so a delay model lying about its floor fails loudly
-// instead of silently corrupting the order.
+// instead of silently corrupting the order.  The error is raised on the
+// destination's own thread, rethrown by run_until on the caller, and
+// the offending destination's staged posts are discarded whole.
 //
 // Threading: shard 0 runs on the coordinator thread, shards 1..K-1 on
-// dedicated workers parked between windows.  Shard state is touched
-// only by its owner inside a window; everything else (merges, globals,
-// counters) happens on the coordinator with all workers parked, and
-// the barrier mutex orders those accesses, so the engine is clean
-// under ThreadSanitizer by construction.
+// dedicated workers parked between phases.  Each barrier round is two
+// parallel phases over the same threads -- drain, then merge -- and in
+// both a shard's queue is touched only by its owner: in the drain a
+// context writes only its own outbox row, in the merge a destination
+// reads and clears only its own outbox column.  Globals and the shared
+// counters run on the coordinator with every worker parked, and the
+// mutex hand-off between phases orders all of it, so the engine is
+// clean under ThreadSanitizer by construction.
 #ifndef GCS_SIM_SHARDED_ENGINE_HPP
 #define GCS_SIM_SHARDED_ENGINE_HPP
 
@@ -154,9 +162,35 @@ class ShardedEngine {
     PostKey key;
     std::function<void()> fn;
   };
+  // The merge sorts these 32-byte (t, key, slot) records instead of the
+  // 64-byte Posts, then moves each closure once, straight from its
+  // outbox into the queue.  `slot` indexes the destination's outbox
+  // column read as one concatenated sequence (see Inbox::starts); 2^32
+  // posts for one shard in one window would be 256 GiB of Posts.
+  struct MergeRecord {
+    Time t;
+    Time send_t;
+    std::uint64_t index;
+    std::uint32_t origin;
+    std::uint32_t slot;
+  };
+  // One destination's merge state, touched only by that shard's thread;
+  // padded so two destinations never share a cache line.
+  struct alignas(64) Inbox {
+    std::vector<MergeRecord> records;
+    // starts[src] = slot of outboxes_[src][dst]'s first post.
+    std::vector<std::uint32_t> starts;
+    std::uint64_t staged = 0;
+  };
+  enum class Phase { kDrain, kMerge };
 
-  void run_shards_to(Time target);
-  void merge_staged(Time barrier);
+  // Runs `phase` on every shard in parallel (inline when K == 1) and
+  // rethrows the first error, coordinator's shard first, then workers
+  // in shard order; every error slot is cleared so no later call sees a
+  // stale one.
+  void run_phase(Phase phase, Time t);
+  void run_shard_phase(std::size_t shard, Phase phase, Time t);
+  void merge_into(std::size_t dst, Time barrier);
   void sample_pending();
   void worker_loop(std::size_t shard);
 
@@ -164,23 +198,25 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Engine>> engines_;
   Engine globals_;
   // outboxes_[src_ctx][dst_shard]; row global_ctx() belongs to the
-  // coordinator.
+  // coordinator.  Written by rows during a drain, read and cleared by
+  // columns during the merge.
   std::vector<std::vector<std::vector<Post>>> outboxes_;
-  std::vector<Post> merge_buf_;
+  std::vector<Inbox> inboxes_;  // one per destination shard
   std::uint64_t windows_ = 0;
-  std::uint64_t staged_ = 0;
   std::uint64_t max_pending_ = 0;
 
   // Worker pool (shards 1..K-1; empty when K == 1).  Workers park on
-  // cv_work_ between windows; a bumped generation_ releases them toward
-  // target_, and the coordinator waits on cv_done_ until remaining_
-  // hits zero.  The mutex hand-off is the happens-before edge that
-  // publishes window-side shard state to the coordinator and back.
+  // cv_work_ between phases; a bumped generation_ releases them into
+  // phase_ with argument target_, and the coordinator waits on cv_done_
+  // until remaining_ hits zero.  The mutex hand-off is the
+  // happens-before edge that publishes one phase's shard state to the
+  // coordinator and to the next phase.
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
   std::uint64_t generation_ = 0;
+  Phase phase_ = Phase::kDrain;
   Time target_ = 0.0;
   std::size_t remaining_ = 0;
   bool stop_ = false;

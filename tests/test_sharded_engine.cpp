@@ -16,14 +16,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/network_sim.hpp"
+
 namespace {
 
 using gcs::sim::PostKey;
 using gcs::sim::ShardedEngine;
 using gcs::sim::Time;
 
-// A synthetic ping workload over `n` entities partitioned contiguously
-// onto K shards, exactly the way NetworkSimulation partitions nodes.
+// A synthetic ping workload over `n` entities dealt onto K shards by
+// core::shard_of, exactly the way NetworkSimulation partitions nodes.
 // Every entity logs its deliveries; every send goes through post() with
 // the canonical key; delays are >= the window by construction.  The
 // returned observables must not depend on K.
@@ -42,7 +44,7 @@ PingRun run_pings(std::size_t n, std::size_t k) {
 
   std::vector<std::uint32_t> shard_of(n);
   for (std::size_t u = 0; u < n; ++u) {
-    shard_of[u] = static_cast<std::uint32_t>(u * k / n);
+    shard_of[u] = gcs::core::shard_of(u, k, n);
   }
   PingRun out;
   out.logs.resize(n);
@@ -94,6 +96,9 @@ TEST(ShardedEngine, TrajectoriesAreInvariantAcrossShardCounts) {
   for (const auto& log : base.logs) logged += log.size();
   ASSERT_GT(logged, 0u);
   ASSERT_FALSE(base.global_ticks.empty());
+  // Every shard merges its own staged posts; the per-destination counts
+  // must still sum to the same total for every K.
+  ASSERT_GT(base.shard_staged, 0u);
 
   for (const std::size_t k :
        {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
@@ -125,6 +130,43 @@ TEST(ShardedEngine, LookaheadViolationFailsLoudly) {
     eng.post(0, 1, 0.6, PostKey{0.5, 0, 0}, [] {});
   });
   EXPECT_THROW(eng.run_until(3.0), std::logic_error);
+}
+
+TEST(ShardedEngine, LookaheadViolationMergedOnAWorkerThrowsOnTheCaller) {
+  // Shard 3 of 4 merges its own staged posts on its worker thread; the
+  // violation must still surface on the caller, and only once.
+  ShardedEngine eng(4, /*window=*/1.0);
+  eng.at(0, 0.5, [&] {
+    eng.post(0, 3, 0.6, PostKey{0.5, 0, 0}, [] {});
+  });
+  EXPECT_THROW(eng.run_until(3.0), std::logic_error);
+  // The violating posts were discarded and the error slot cleared: a
+  // later run proceeds without rethrowing a stale error, and the
+  // destructor still joins every worker.
+  bool ran = false;
+  eng.at(3, 5.0, [&] { ran = true; });
+  EXPECT_NO_THROW(eng.run_until(6.0));
+  EXPECT_TRUE(ran);
+}
+
+TEST(ShardedEngine, ViolationsForTwoDestinationsSurfaceOneException) {
+  ShardedEngine eng(4, /*window=*/1.0);
+  eng.at(1, 0.5, [&] {
+    eng.post(1, 2, 0.6, PostKey{0.5, 1, 0}, [] {});
+  });
+  eng.at(2, 0.5, [&] {
+    eng.post(2, 3, 0.7, PostKey{0.5, 2, 0}, [] {});
+  });
+  int caught = 0;
+  try {
+    eng.run_until(3.0);
+  } catch (const std::logic_error&) {
+    ++caught;
+  }
+  EXPECT_EQ(caught, 1);
+  // The second destination's error must not leak into the next call.
+  EXPECT_NO_THROW(eng.run_until(4.0));
+  EXPECT_EQ(eng.pending(), 0u);
 }
 
 TEST(ShardedEngine, PostAtExactlyTheBarrierIsAccepted) {
