@@ -12,10 +12,19 @@
 // events).  Rates are strictly positive, so the value is strictly
 // increasing and invertible.
 //
-// A walk keeps its seed, not its engine: extending it re-seeds a
-// stack-local std::mt19937_64, replays the draws already used and
-// appends a chunk of segments, so a node's resident clock state is a few
-// dozen bytes plus its segments instead of a 2.5 KB engine.
+// A walk keeps its seed, not its engine, so a node's resident clock
+// state is a few dozen bytes plus its segments instead of a 2.5 KB
+// engine.  A walk that knows the last real time its run can query
+// generates every segment up to it in its first extension, from a fresh
+// engine with nothing to replay.  A query past that time (or any
+// extension of a walk built without one) re-seeds a stack-local engine,
+// replays the draws already used and appends a chunk of segments.  The
+// engine is util::LazyMt19937_64, whose output is std::mt19937_64's but
+// whose first few draws cost a fraction of a full seed-and-twist.
+//
+// Reads are O(1): a query already covered checks one cached bound and
+// indexes segment t / step_dt directly (adjusted by the stored t0s,
+// which accumulate rounding and are not exact multiples of step_dt).
 #ifndef GCS_CLK_CLOCK_HPP
 #define GCS_CLK_CLOCK_HPP
 
@@ -36,10 +45,17 @@ class RateSchedule {
   // Random-walk drift: the rate starts at `start_rate`, and every
   // `step_dt` seconds of real time takes a Gaussian step with deviation
   // `sigma`, clamped to [1 - rho, 1 + rho].  Deterministic per seed;
-  // segments are generated lazily, kMinChunk or more at a time, as the
-  // simulation queries further into the future.
+  // segments are generated lazily as the simulation queries further into
+  // the future.  `sized_until` (0 = unknown) is the last real time the
+  // caller will query: the first extension generates every segment up
+  // to it in one pass, and later ones append kMinChunk or more at a
+  // time.  It changes only how much work an extension does, never an
+  // answer.  Throws std::invalid_argument, naming the field, unless rho
+  // is in [0, 1), step_dt is finite and > 0, sigma is finite and >= 0,
+  // start_rate is finite and sized_until is finite and >= 0.
   static RateSchedule random_walk(double rho, double step_dt, double sigma,
-                                  std::uint64_t seed, double start_rate = 1.0);
+                                  std::uint64_t seed, double start_rate = 1.0,
+                                  double sized_until = 0.0);
 
   // Clock reading at real time t.  Throws std::invalid_argument unless t
   // is finite and >= 0.
@@ -68,12 +84,20 @@ class RateSchedule {
   void extend_to_value(double v) const;
   template <class Covered>
   void extend(Covered covered) const;
+  // Index of the segment holding real time t (t0 <= t < next t0); t
+  // must be covered.
+  std::size_t segment_at(double t) const;
 
   mutable std::vector<Segment> segments_;
-  double lo_ = 1.0;
-  double hi_ = 1.0;
+  // Where the last segment ends, in real time and in clock value:
+  // segments cover exactly the times t < end_t_ and the values
+  // v < end_v_.  Infinite for a constant clock.
+  mutable double end_t_;
+  mutable double end_v_;
+  double rho_ = 0.0;
   double step_dt_ = 1.0;
   double sigma_ = 0.0;
+  double sized_until_ = 0.0;
   std::uint64_t seed_ = 0;
   bool walk_ = false;
 };

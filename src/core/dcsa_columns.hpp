@@ -83,6 +83,9 @@ struct StoreDelivery {
   double value = 0.0;   // sender's logical clock, sampled at send time
   double hw_now = 0.0;  // receiver's hardware clock at delivery
   double now = 0.0;     // simulation time of delivery
+  // Opaque to the kernel: handed back to the sink untouched (the
+  // simulator puts the edge slot the message crossed here).
+  std::uint32_t tag = 0;
 };
 
 // Order-preserving hooks around each record of a batch: before() fires

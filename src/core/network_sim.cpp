@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,6 +27,15 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t node) {
 std::uint32_t shard_of(std::size_t u, std::size_t k, std::size_t n) {
   const std::size_t block = std::clamp<std::size_t>(n / k, 1, kShardBlock);
   return static_cast<std::uint32_t>((u / block) % k);
+}
+
+std::uint32_t next_incarnation(std::uint32_t current, std::uint32_t slot) {
+  if (current == std::numeric_limits<std::uint32_t>::max()) {
+    throw std::overflow_error(
+        "NetworkSimulation: edge slot " + std::to_string(slot) +
+        " exhausted its 2^32 - 1 incarnations");
+  }
+  return current + 1;
 }
 
 // The DeliverySink pair: stats, traces, and conformance checks land
@@ -53,8 +63,8 @@ struct NetworkSimulation::ClassicSink : DeliverySink {
       }
     }
     if (sim->options_.check_conformance) {
-      sim->check_edge_conformance(net::Edge(d.from, d.to));
       const double logical = sim->store_.logical_clock(d.to, d.hw_now);
+      sim->check_edge_conformance(d, logical);
       if (logical < sim->last_logical_[d.to] - kConformanceSlack) {
         ++sim->stats_.conformance_monotonicity_failures;
       }
@@ -170,7 +180,8 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     }
   }
 
-  edges_.reserve(graph.initial_edges().size() * 2 + 16);
+  edge_slot_of_.reserve(graph.initial_edges().size() * 2 + 16);
+  edge_slots_.reserve(graph.initial_edges().size() + 16);
   for (const net::Edge& e : graph.initial_edges()) add_edge(e, 0.0, true);
   for (const net::TopologyEvent& ev : graph.events()) {
     if (sharded_) {
@@ -255,33 +266,21 @@ void NetworkSimulation::sample_clocks(std::vector<double>& hw,
   store_.advance(hw.data(), logical.data(), n);
 }
 
-std::vector<net::Edge> NetworkSimulation::current_edges() const {
-  std::vector<net::Edge> out;
-  out.reserve(edges_.size());
-  for (const auto& [key, state] : edges_) {
-    (void)state;
-    out.emplace_back(static_cast<NodeId>(key >> 32),
-                     static_cast<NodeId>(key & 0xFFFFFFFFu));
-  }
-  std::sort(out.begin(), out.end());  // hash order is not deterministic
-  return out;
-}
-
 double NetworkSimulation::edge_age(const net::Edge& e) const {
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return -1.0;
-  return now() - it->second.up_time;
+  auto it = edge_slot_of_.find(edge_key(e));
+  if (it == edge_slot_of_.end()) return -1.0;
+  return now() - edge_slots_[it->second].up_time;
 }
 
 double NetworkSimulation::max_queue_backlog() const {
   const net::TrafficModel& m = link_.traffic;
   if (!m.pipeline_active() || m.bandwidth <= 0.0) return 0.0;
   const sim::Time t = now();
-  double worst = 0.0;  // residual busy time; max commutes, hash order ok
-  for (const auto& [key, state] : edges_) {
-    (void)key;
-    worst = std::max(worst, state.dir[0].busy_until - t);
-    worst = std::max(worst, state.dir[1].busy_until - t);
+  double worst = 0.0;  // residual busy time; max commutes, slot order ok
+  for (const EdgeSlot& s : edge_slots_) {
+    if (!s.live) continue;
+    worst = std::max(worst, s.dir[0].busy_until - t);
+    worst = std::max(worst, s.dir[1].busy_until - t);
   }
   return std::max(0.0, worst) * m.bandwidth;
 }
@@ -308,10 +307,21 @@ void NetworkSimulation::apply_event(const net::TopologyEvent& ev) {
 
 void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
                                  bool initial) {
-  if (edges_.count(edge_key(e))) return;  // redundant add
-  edges_[edge_key(e)] = EdgeState{t, ++next_incarnation_, {}};
-  adjacency_[e.u].push_back(e.v);
-  adjacency_[e.v].push_back(e.u);
+  const auto [it, fresh] = edge_slot_of_.try_emplace(edge_key(e), 0);
+  if (!fresh) return;  // redundant add
+  if (free_slots_.empty()) {
+    it->second = static_cast<std::uint32_t>(edge_slots_.size());
+    edge_slots_.emplace_back();
+  } else {
+    it->second = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint32_t slot = it->second;
+  EdgeSlot& s = edge_slots_[slot];
+  const EdgeRef ref{slot, next_incarnation(s.incarnation, slot)};
+  s = EdgeSlot{t, e.u, e.v, ref.incarnation, true, {}};
+  adjacency_[e.u].push_back(Neighbor{e.v, ref});
+  adjacency_[e.v].push_back(Neighbor{e.u, ref});
   const double hw_u = clocks_[e.u].value_at(t);
   const double hw_v = clocks_[e.v].value_at(t);
   store_.edge_up(NodeContext{e.u, hw_u, t}, e.v);
@@ -323,25 +333,29 @@ void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
       // Topology deltas run in the global context (shards parked), so
       // reading either endpoint's clock here is safe for any partition.
       const std::size_t ctx = sharded_->global_ctx();
-      send_sharded(ctx, e.u, e.v, store_.logical_clock(e.u, hw_u), t);
-      send_sharded(ctx, e.v, e.u, store_.logical_clock(e.v, hw_v), t);
+      send_sharded(ctx, e.u, e.v, ref, store_.logical_clock(e.u, hw_u), t);
+      send_sharded(ctx, e.v, e.u, ref, store_.logical_clock(e.v, hw_v), t);
     } else {
-      send(e.u, e.v, store_.logical_clock(e.u, hw_u), t);
-      send(e.v, e.u, store_.logical_clock(e.v, hw_v), t);
+      send(e.u, e.v, ref, store_.logical_clock(e.u, hw_u), t);
+      send(e.v, e.u, ref, store_.logical_clock(e.v, hw_v), t);
       flush_outbox();
     }
   }
   // Background flows ride every edge incarnation, initial ones included;
   // they stop by themselves when this incarnation dies.
-  start_flows(e, edges_[edge_key(e)].incarnation, t);
+  start_flows(e, ref, t);
 }
 
 void NetworkSimulation::remove_edge(const net::Edge& e, sim::Time t) {
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return;  // redundant remove
-  edges_.erase(it);
-  auto drop = [](std::vector<NodeId>& v, NodeId x) {
-    v.erase(std::remove(v.begin(), v.end(), x), v.end());
+  auto it = edge_slot_of_.find(edge_key(e));
+  if (it == edge_slot_of_.end()) return;  // redundant remove
+  edge_slots_[it->second].live = false;
+  free_slots_.push_back(it->second);
+  edge_slot_of_.erase(it);
+  auto drop = [](std::vector<Neighbor>& v, NodeId x) {
+    v.erase(std::remove_if(v.begin(), v.end(),
+                           [x](const Neighbor& nb) { return nb.peer == x; }),
+            v.end());
   };
   drop(adjacency_[e.u], e.v);
   drop(adjacency_[e.v], e.u);
@@ -361,37 +375,35 @@ void NetworkSimulation::schedule_broadcast(NodeId u) {
 void NetworkSimulation::broadcast(NodeId u) {
   if (sharded_) {
     // Runs on u's shard: u's clock, node state, and RNG are owner-local;
-    // adjacency_ and edges_ only ever change at barriers, so reading
+    // adjacency_ and edge_slots_ only ever change at barriers, so reading
     // them mid-window is race-free.
     const sim::Time t = sharded_->shard_now(shard_of_[u]);
     const double value = store_.logical_clock(u, clocks_[u].value_at(t));
-    for (NodeId v : adjacency_[u]) send_sharded(shard_of_[u], u, v, value, t);
+    for (const Neighbor& nb : adjacency_[u]) {
+      send_sharded(shard_of_[u], u, nb.peer, nb.edge, value, t);
+    }
     next_broadcast_hw_[u] += params_.delta_h;
     schedule_broadcast(u);
     return;
   }
   const sim::Time t = engine_.now();
   const double value = store_.logical_clock(u, clocks_[u].value_at(t));
-  for (NodeId v : adjacency_[u]) send(u, v, value, t);
+  for (const Neighbor& nb : adjacency_[u]) send(u, nb.peer, nb.edge, value, t);
   flush_outbox();
   next_broadcast_hw_[u] += params_.delta_h;
   schedule_broadcast(u);
 }
 
-void NetworkSimulation::send(NodeId from, NodeId to, double value,
-                             sim::Time t) {
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return;
-  const std::uint64_t incarnation = it->second.incarnation;
-  double d = link_.prop.sample(e, rng_);
+void NetworkSimulation::send(NodeId from, NodeId to, EdgeRef edge,
+                             double value, sim::Time t) {
+  double d = link_.prop.sample(net::Edge(from, to), rng_);
   d = std::clamp(d, 1e-12, link_.prop.bound);  // the model promises delay <= T
   // Through the link pipeline: queue wait + transmission time on top of
   // the propagation draw (bit-exactly d when no finite bandwidth is
   // configured).  Sync messages are never queue-dropped -- their
   // latency saturates at the bound instead, preserving the delay <= T
   // assumption the proofs rest on.
-  d = sync_link_delay(it->second, from, to, t, d, stats_.ecn_marks,
+  d = sync_link_delay(edge_slots_[edge.slot], from, to, t, d, stats_.ecn_marks,
                       stats_.peak_queue_bytes);
   stats_.sync_delay_sum += d;
   stats_.sync_delay_max = std::max(stats_.sync_delay_max, d);
@@ -400,16 +412,15 @@ void NetworkSimulation::send(NodeId from, NodeId to, double value,
     recorder_->on_trace(
         {obs::TraceEvent::Kind::kSend, t, from, to, value, t + d, false});
   }
+  const Delivery m{from, to, value, edge};
   if (!options_.batched_delivery) {
     ++stats_.delivery_events;
-    engine_.at(t + d, [this, from, to, value, incarnation] {
-      deliver(from, to, value, incarnation);
-    });
+    engine_.at(t + d, [this, m] { deliver(m); });
     return;
   }
   // Stage for the flush; delays are sampled per receiver in send order
   // either way, so the two modes draw identical randomness.
-  outbox_.emplace_back(t + d, Delivery{from, to, value, incarnation});
+  outbox_.emplace_back(t + d, m);
 }
 
 void NetworkSimulation::flush_outbox() {
@@ -429,9 +440,8 @@ void NetworkSimulation::flush_outbox() {
       // Uncoalesced instant (the common case under continuous delay
       // distributions): skip the batch vector, schedule the delivery
       // directly -- same cost as per-message mode.
-      const Delivery d = outbox_[i].second;
       engine_.at(outbox_[i].first,
-                 [this, d] { deliver(d.from, d.to, d.value, d.incarnation); });
+                 [this, m = outbox_[i].second] { deliver(m); });
     } else {
       std::vector<Delivery> batch;
       batch.reserve(j - i);
@@ -445,20 +455,18 @@ void NetworkSimulation::flush_outbox() {
   outbox_.clear();
 }
 
-void NetworkSimulation::deliver(NodeId from, NodeId to, double value,
-                                std::uint64_t incarnation) {
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end() || it->second.incarnation != incarnation) {
+void NetworkSimulation::deliver(const Delivery& m) {
+  if (!is_live(m.edge)) {
     ++stats_.messages_dropped;
     if (trace_) {
-      recorder_->on_trace({obs::TraceEvent::Kind::kDrop, engine_.now(), from,
-                           to, value, 0.0, false});
+      recorder_->on_trace({obs::TraceEvent::Kind::kDrop, engine_.now(), m.from,
+                           m.to, m.value, 0.0, false});
     }
     return;
   }
   const sim::Time t = engine_.now();
-  const StoreDelivery d{from, to, value, clocks_[to].value_at(t), t};
+  const StoreDelivery d{m.from, m.to, m.value, clocks_[m.to].value_at(t), t,
+                        m.edge.slot};
   ClassicSink sink(this);
   store_.on_deliveries(&d, 1, sink);
 }
@@ -473,8 +481,7 @@ void NetworkSimulation::deliver_batch(const std::vector<Delivery>& batch) {
     scratch_.clear();
   };
   for (const Delivery& m : batch) {
-    const auto it = edges_.find(edge_key(net::Edge(m.from, m.to)));
-    if (it == edges_.end() || it->second.incarnation != m.incarnation) {
+    if (!is_live(m.edge)) {
       // Emit the drop at its original position in the batch: flush the
       // accepted run so far, then count/trace the drop.
       flush();
@@ -485,19 +492,15 @@ void NetworkSimulation::deliver_batch(const std::vector<Delivery>& batch) {
       }
       continue;
     }
-    scratch_.push_back(
-        StoreDelivery{m.from, m.to, m.value, clocks_[m.to].value_at(t), t});
+    scratch_.push_back(StoreDelivery{m.from, m.to, m.value,
+                                     clocks_[m.to].value_at(t), t, m.edge.slot});
   }
   flush();
 }
 
 void NetworkSimulation::send_sharded(std::size_t ctx, NodeId from, NodeId to,
-                                     double value, sim::Time t) {
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return;
-  const std::uint64_t incarnation = it->second.incarnation;
-  double d = link_.prop.sample(e, node_rngs_[from]);
+                                     EdgeRef edge, double value, sim::Time t) {
+  double d = link_.prop.sample(net::Edge(from, to), node_rngs_[from]);
   // The clamp enforces BOTH halves of the delay contract: <= bound (the
   // algorithm's assumption) and >= floor (the lookahead the barrier
   // windows rest on), so a misbehaving sampler cannot smuggle an event
@@ -509,8 +512,8 @@ void NetworkSimulation::send_sharded(std::size_t ctx, NodeId from, NodeId to,
   // survives any traffic model.  Direction state is written from the
   // sender's context only (this shard, or the coordinator at barriers),
   // so no lock is needed.
-  d = sync_link_delay(it->second, from, to, t, d, counters.ecn_marks,
-                      counters.peak_queue_bytes);
+  d = sync_link_delay(edge_slots_[edge.slot], from, to, t, d,
+                      counters.ecn_marks, counters.peak_queue_bytes);
   node_sync_delay_[from] += d;
   counters.sync_delay_max = std::max(counters.sync_delay_max, d);
   ++counters.messages_sent;
@@ -521,31 +524,29 @@ void NetworkSimulation::send_sharded(std::size_t ctx, NodeId from, NodeId to,
   }
   sharded_->post(ctx, shard_of_[to], t + d,
                  sim::PostKey{t, from, node_msg_index_[from]++},
-                 [this, from, to, value, incarnation] {
-                   deliver_sharded(from, to, value, incarnation);
+                 [this, m = Delivery{from, to, value, edge}] {
+                   deliver_sharded(m);
                  });
 }
 
-void NetworkSimulation::deliver_sharded(NodeId from, NodeId to, double value,
-                                        std::uint64_t incarnation) {
-  const std::size_t ctx = shard_of_[to];
+void NetworkSimulation::deliver_sharded(const Delivery& m) {
+  const std::size_t ctx = shard_of_[m.to];
   const sim::Time t = sharded_->shard_now(ctx);
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end() || it->second.incarnation != incarnation) {
+  if (!is_live(m.edge)) {
     ++shard_counters_[ctx].messages_dropped;
     if (trace_) {
-      push_trace(ctx, to,
-                 {obs::TraceEvent::Kind::kDrop, t, from, to, value, 0.0, false});
+      push_trace(ctx, m.to, {obs::TraceEvent::Kind::kDrop, t, m.from, m.to,
+                             m.value, 0.0, false});
     }
     return;
   }
-  const StoreDelivery d{from, to, value, clocks_[to].value_at(t), t};
+  const StoreDelivery d{m.from, m.to, m.value, clocks_[m.to].value_at(t), t,
+                        m.edge.slot};
   ShardedSink sink(this);
   store_.on_deliveries(&d, 1, sink);
 }
 
-double NetworkSimulation::sync_link_delay(EdgeState& state, NodeId from,
+double NetworkSimulation::sync_link_delay(EdgeSlot& slot, NodeId from,
                                           NodeId to, sim::Time t, double d_prop,
                                           std::uint64_t& ecn_marks,
                                           std::uint64_t& peak_queue_bytes) {
@@ -555,7 +556,7 @@ double NetworkSimulation::sync_link_delay(EdgeState& state, NodeId from,
   // and infinite-bandwidth "idle" produce identical bytes (the
   // link-equivalence matrix holds this door shut).
   if (!m.pipeline_active() || m.bandwidth <= 0.0) return d_prop;
-  net::LinkDecision dec = net::link_offer(m, state.dir[dir_index(from, to)], t,
+  net::LinkDecision dec = net::link_offer(m, slot.dir[dir_index(from, to)], t,
                                           m.sync_bytes, /*droppable=*/false);
   if (dec.marked) ++ecn_marks;
   peak_queue_bytes = std::max(
@@ -563,8 +564,8 @@ double NetworkSimulation::sync_link_delay(EdgeState& state, NodeId from,
   return std::min(dec.wait + dec.tx + d_prop, link_.prop.bound);
 }
 
-void NetworkSimulation::start_flows(const net::Edge& e,
-                                    std::uint64_t incarnation, sim::Time t) {
+void NetworkSimulation::start_flows(const net::Edge& e, EdgeRef edge,
+                                    sim::Time t) {
   if (!link_.traffic.has_flows()) return;
   const double period = link_.traffic.flow_period();
   const std::uint64_t key = edge_key(e);
@@ -576,7 +577,7 @@ void NetworkSimulation::start_flows(const net::Edge& e,
     // across links without drawing randomness.
     const sim::Time first =
         t + period * net::flow_phase(2 * key + static_cast<std::uint64_t>(i));
-    auto fn = [this, from, to, incarnation] { flow_emit(from, to, incarnation); };
+    auto fn = [this, from, to, edge] { flow_emit(from, to, edge); };
     if (sharded_) {
       // add_edge runs at barriers (or in the constructor) with every
       // shard parked, exactly the context ShardedEngine::at allows.
@@ -587,17 +588,13 @@ void NetworkSimulation::start_flows(const net::Edge& e,
   }
 }
 
-void NetworkSimulation::flow_emit(NodeId from, NodeId to,
-                                  std::uint64_t incarnation) {
-  const net::Edge e(from, to);
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end() || it->second.incarnation != incarnation) {
-    return;  // the edge (incarnation) died; the flow dies with it
-  }
+void NetworkSimulation::flow_emit(NodeId from, NodeId to, EdgeRef edge) {
+  if (!is_live(edge)) return;  // the edge (incarnation) died; so does the flow
   const sim::Time t =
       sharded_ ? sharded_->shard_now(shard_of_[from]) : engine_.now();
   const net::LinkDecision dec =
-      net::link_offer(link_.traffic, it->second.dir[dir_index(from, to)], t,
+      net::link_offer(link_.traffic,
+                      edge_slots_[edge.slot].dir[dir_index(from, to)], t,
                       link_.traffic.flow_bytes(), link_.traffic.flow_droppable());
   if (sharded_) {
     ShardCounters& c = shard_counters_[shard_of_[from]];
@@ -614,7 +611,7 @@ void NetworkSimulation::flow_emit(NodeId from, NodeId to,
         stats_.peak_queue_bytes, static_cast<std::uint64_t>(dec.backlog_bytes));
   }
   const sim::Time next = t + link_.traffic.flow_period();
-  auto fn = [this, from, to, incarnation] { flow_emit(from, to, incarnation); };
+  auto fn = [this, from, to, edge] { flow_emit(from, to, edge); };
   if (sharded_) {
     sharded_->at(shard_of_[from], next, std::move(fn));
   } else {
@@ -700,24 +697,27 @@ void NetworkSimulation::compose_run_stats() const {
   stats_.conformance_envelope_failures = 0;
 }
 
-void NetworkSimulation::check_edge_conformance(const net::Edge& e) {
-  auto it = edges_.find(edge_key(e));
-  if (it == edges_.end()) return;
+void NetworkSimulation::check_edge_conformance(const StoreDelivery& d,
+                                               double logical_to) {
+  // The delivery was accepted and kernel callbacks never touch the edge
+  // set, so the slot still holds the edge the message crossed.
+  const EdgeSlot& s = edge_slots_[d.tag];
   ++stats_.conformance_checks;
   // The node-side B runs on hardware ages, which an outside observer
   // cannot see exactly; the slowest admissible clock gives the youngest
   // age and hence the loosest envelope any conforming node could be
   // holding, so checking against it never reports a false violation.
-  const double age_hw = (1.0 - params_.rho) * (engine_.now() - it->second.up_time);
+  const double age_hw = (1.0 - params_.rho) * (d.now - s.up_time);
   const double allowed = bfunc_(age_hw) + kConformanceSlack;
-  const double observed = std::abs(skew(e.u, e.v));
+  // |L_u - L_v| in either order is the same double.
+  const double observed = std::abs(logical_clock(d.from) - logical_to);
   const bool violated = observed > allowed;
   if (violated) {
     ++stats_.conformance_envelope_failures;
   }
   if (trace_) {
-    recorder_->on_trace({obs::TraceEvent::Kind::kConformance, engine_.now(),
-                         e.u, e.v, observed, allowed, violated});
+    recorder_->on_trace({obs::TraceEvent::Kind::kConformance, d.now, s.u, s.v,
+                         observed, allowed, violated});
   }
 }
 

@@ -106,6 +106,12 @@ struct SimOptions {
 inline constexpr std::size_t kShardBlock = 64;
 std::uint32_t shard_of(std::size_t u, std::size_t k, std::size_t n);
 
+// The incarnation an edge slot takes when a new edge fills it: one past
+// the slot's last.  Throws std::overflow_error naming the slot once it
+// has held 2^32 - 1 incarnations, instead of wrapping to a number that a
+// message still in flight on an old incarnation could carry.
+std::uint32_t next_incarnation(std::uint32_t current, std::uint32_t slot);
+
 struct RunStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
@@ -190,13 +196,21 @@ class NetworkSimulation {
   // resized to size(); logical[i] bit-matches logical_clock(i).
   void sample_clocks(std::vector<double>& hw, std::vector<double>& logical) const;
 
-  // Live edges at the current simulation time, sorted.
-  std::vector<net::Edge> current_edges() const;
+  // Calls fn(u, v, up_time) for every live edge (u < v) in slot order,
+  // which depends on the churn history, not on (u, v): use it only for
+  // folds that ignore order (max, count).  Real-time age is now() -
+  // up_time, bit-identical to edge_age().
+  template <class Fn>
+  void for_each_live_edge(Fn&& fn) const {
+    for (const EdgeSlot& s : edge_slots_) {
+      if (s.live) fn(s.u, s.v, s.up_time);
+    }
+  }
   // Real-time age of a live edge; negative if the edge is not present.
   double edge_age(const net::Edge& e) const;
   // Instantaneous worst queue backlog (bytes) over all live link
   // directions -- the per-interval queue-depth gauge.  Max commutes, so
-  // the hash-order edge walk is deterministic; 0.0 whenever no
+  // the slot-order edge walk is deterministic; 0.0 whenever no
   // finite-bandwidth pipeline is configured.  Safe at barriers/sample
   // times only (like the other whole-network accessors).
   double max_queue_backlog() const;
@@ -232,22 +246,40 @@ class NetworkSimulation {
   const DcsaColumns& store() const { return store_; }
 
  private:
-  struct EdgeState {
+  // One entry of the edge table.  A slot is filled when an edge comes up
+  // and freed when it goes down; a freed slot is reused by the next edge
+  // to come up, under a new incarnation.
+  struct EdgeSlot {
     sim::Time up_time = 0.0;
-    std::uint64_t incarnation = 0;
-    // Per-direction FIFO state; dir[0] carries u -> v (u <= v after
-    // Edge normalization), dir[1] the reverse.  Each direction is
-    // written only from its sender's execution context (broadcasts and
-    // flow emissions on the sender's shard, discovery exchanges at
-    // barriers), so sharded access is race-free by ownership.
+    NodeId u = 0;  // normalized: u < v
+    NodeId v = 0;
+    std::uint32_t incarnation = 0;
+    bool live = false;
+    // Per-direction FIFO state; dir[0] carries u -> v, dir[1] the
+    // reverse.  Each direction is written only from its sender's
+    // execution context (broadcasts and flow emissions on the sender's
+    // shard, discovery exchanges at barriers), so sharded access is
+    // race-free by ownership.
     net::LinkDir dir[2];
+  };
+  // Names one incarnation of one edge: it goes stale when that edge goes
+  // down, even after another edge (or the same one, back up) refills the
+  // slot.
+  struct EdgeRef {
+    std::uint32_t slot;
+    std::uint32_t incarnation;
+  };
+  struct Neighbor {
+    NodeId peer;
+    EdgeRef edge;
   };
   struct Delivery {
     NodeId from;
     NodeId to;
     double value;
-    std::uint64_t incarnation;
+    EdgeRef edge;
   };
+  static_assert(sizeof(Delivery) == 24, "in-flight message record grew");
   // Order-preserving DeliverySink impls (defined in the .cpp): they put
   // stats, traces, and conformance checks around each record.
   struct ClassicSink;
@@ -257,7 +289,12 @@ class NetworkSimulation {
   static std::uint64_t edge_key(const net::Edge& e) {
     return (static_cast<std::uint64_t>(e.u) << 32) | e.v;
   }
-  // Which EdgeState::dir slot carries from -> to traffic.
+  // True while the incarnation `r` names is still up.
+  bool is_live(EdgeRef r) const {
+    const EdgeSlot& s = edge_slots_[r.slot];
+    return s.live && s.incarnation == r.incarnation;
+  }
+  // Which EdgeSlot::dir entry carries from -> to traffic.
   static int dir_index(NodeId from, NodeId to) { return from < to ? 0 : 1; }
 
   void apply_event(const net::TopologyEvent& ev);
@@ -265,26 +302,29 @@ class NetworkSimulation {
   void remove_edge(const net::Edge& e, sim::Time t);
   void schedule_broadcast(NodeId u);
   void broadcast(NodeId u);
-  // Stages (batched) or schedules (per-message reference) one message.
-  // Batched callers must flush_outbox() before returning to the engine.
-  void send(NodeId from, NodeId to, double value, sim::Time t);
+  // Stages (batched) or schedules (per-message reference) one message
+  // on the live edge `edge`.  Batched callers must flush_outbox() before
+  // returning to the engine.
+  void send(NodeId from, NodeId to, EdgeRef edge, double value, sim::Time t);
   void flush_outbox();
-  void deliver(NodeId from, NodeId to, double value, std::uint64_t incarnation);
+  void deliver(const Delivery& m);
   // Same-instant coalesced deliveries: drop-checks every record up
   // front (kernel callbacks never touch the edge set, so the checks
   // cannot go stale mid-batch), then feeds the accepted runs to the
   // kernel as contiguous on_deliveries batches, emitting drops at their
   // original positions -- byte-order-identical to per-record delivery.
   void deliver_batch(const std::vector<Delivery>& batch);
-  void check_edge_conformance(const net::Edge& e);
+  // Per-delivery envelope audit of the edge the message `d` (tagged with
+  // its edge slot) just crossed; `logical_to` is the receiver's logical
+  // clock after the delivery, from the hardware reading it already took.
+  void check_edge_conformance(const StoreDelivery& d, double logical_to);
   // Sharded-mode message path: `ctx` is the execution context doing the
   // send (the node's shard, or global_ctx() for barrier-side discovery
   // exchanges); delivery is staged through the sharded engine's outbox
   // under the canonical (t, send_t, origin, index) key.
-  void send_sharded(std::size_t ctx, NodeId from, NodeId to, double value,
-                    sim::Time t);
-  void deliver_sharded(NodeId from, NodeId to, double value,
-                       std::uint64_t incarnation);
+  void send_sharded(std::size_t ctx, NodeId from, NodeId to, EdgeRef edge,
+                    double value, sim::Time t);
+  void deliver_sharded(const Delivery& m);
   // Background-flow machinery (TrafficModel::has_flows()): start_flows
   // schedules the first emission for both directions of a fresh edge
   // (constructor or barrier context); flow_emit offers one packet/burst
@@ -292,15 +332,15 @@ class NetworkSimulation {
   // shard until the edge incarnation dies.  Flows draw no randomness --
   // the phase is a pure function of the edge key -- so they cannot
   // shift a single propagation draw.
-  void start_flows(const net::Edge& e, std::uint64_t incarnation, sim::Time t);
-  void flow_emit(NodeId from, NodeId to, std::uint64_t incarnation);
+  void start_flows(const net::Edge& e, EdgeRef edge, sim::Time t);
+  void flow_emit(NodeId from, NodeId to, EdgeRef edge);
   // Shared per-send pipeline step: offers sync_bytes to the from -> to
   // FIFO, folds the traffic counters into `counters` (a shard slot or
   // the classic stats), and returns the total delay (wait + tx + the
   // already-clamped propagation draw `d_prop`), clamped above to the
   // propagation bound.  With no finite-bandwidth pipeline the result
   // is bit-exactly d_prop.
-  double sync_link_delay(EdgeState& state, NodeId from, NodeId to, sim::Time t,
+  double sync_link_delay(EdgeSlot& slot, NodeId from, NodeId to, sim::Time t,
                          double d_prop, std::uint64_t& ecn_marks,
                          std::uint64_t& peak_queue_bytes);
   void push_trace(std::size_t ctx, NodeId node, const obs::TraceEvent& ev);
@@ -384,12 +424,18 @@ class NetworkSimulation {
   std::vector<clk::RateSchedule> clocks_;
   // All node state, in the kernel's flat arenas.
   DcsaColumns store_;
-  std::vector<std::vector<NodeId>> adjacency_;
-  // Live edges keyed by packed (u << 32 | v): O(1) lookups on the
-  // delivery hot path (the old std::map cost O(log m) comparisons per
-  // message).  Iterated only by current_edges(), which sorts.
-  std::unordered_map<std::uint64_t, EdgeState> edges_;
-  std::uint64_t next_incarnation_ = 0;
+  // Per node, its live edges in the order they came up, each with the
+  // handle a send stamps on its message.
+  std::vector<std::vector<Neighbor>> adjacency_;
+  // The edge table.  The message path (send, delivery, flows, the
+  // per-delivery audit) indexes it by the EdgeRef a message or adjacency
+  // entry carries -- no hashing.  It changes only at barriers (topology
+  // deltas) and in the constructor, so shards read it mid-window freely.
+  std::vector<EdgeSlot> edge_slots_;
+  std::vector<std::uint32_t> free_slots_;  // reused last-freed first
+  // Live edges' slots keyed by packed (u << 32 | v), for what arrives as
+  // a bare (u, v): topology deltas and edge_age().
+  std::unordered_map<std::uint64_t, std::uint32_t> edge_slot_of_;
   std::vector<double> next_broadcast_hw_;
   std::vector<double> last_logical_;  // monotonicity conformance
   // Batched mode: messages staged by the current flush scope in send

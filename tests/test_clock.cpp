@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "util/lazy_mt.hpp"
+
 namespace {
 
 using gcs::clk::RateSchedule;
@@ -58,12 +60,18 @@ class EagerWalk {
     return std::prev(it)->rate;
   }
 
- private:
   struct Seg {
     double t0;
     double hw0;
     double rate;
   };
+  // The segments generated so far (at least those covering t <= `t`).
+  const std::vector<Seg>& segments_through(double t) {
+    value_at(t);
+    return segs_;
+  }
+
+ private:
 
   void push() {
     const Seg& last = segs_.back();
@@ -274,6 +282,162 @@ TEST(RateSchedule, RejectsNegativeNanAndInfiniteArguments) {
   // Zero is in the domain; -0.0 compares equal to it.
   EXPECT_EQ(walk.value_at(0.0), 0.0);
   EXPECT_EQ(walk.time_when(-0.0), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// util::LazyMt19937_64: std::mt19937_64's stream with lazy seeding
+// ---------------------------------------------------------------------------
+
+std::vector<std::uint64_t> engine_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1,
+                                      std::numeric_limits<std::uint64_t>::max()};
+  // The harness's walk seeds: 7919 * cfg.seed + node.
+  for (std::uint64_t k : {1u, 2u, 1000u}) {
+    for (std::uint64_t i : {0u, 1u, 311u, 99999u}) seeds.push_back(7919 * k + i);
+  }
+  return seeds;
+}
+
+TEST(LazyMt19937_64, MatchesStdEngineOverThreeGenerations) {
+  for (const std::uint64_t seed : engine_seeds()) {
+    std::mt19937_64 ref(seed);
+    gcs::util::LazyMt19937_64 lazy(seed);
+    for (int i = 0; i < 3 * 312 + 7; ++i) {
+      ASSERT_EQ(lazy(), ref()) << "seed " << seed << " output " << i;
+    }
+  }
+}
+
+TEST(LazyMt19937_64, NormalDrawsMatchStdEngine) {
+  for (const std::uint64_t seed : engine_seeds()) {
+    // A fresh distribution per draw (how the walk draws its steps) and
+    // one long-lived distribution (which caches its second value).
+    std::mt19937_64 ref(seed);
+    gcs::util::LazyMt19937_64 lazy(seed);
+    for (int i = 0; i < 400; ++i) {
+      std::normal_distribution<double> a(0.0, 0.25);
+      std::normal_distribution<double> b(0.0, 0.25);
+      ASSERT_EQ(bits(a(lazy)), bits(b(ref))) << "seed " << seed << " draw " << i;
+    }
+    std::normal_distribution<double> a(1.0, 3.0);
+    std::normal_distribution<double> b(1.0, 3.0);
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(bits(a(lazy)), bits(b(ref))) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Walks sized to a horizon
+// ---------------------------------------------------------------------------
+
+// Every answer of a walk sized to `horizon` against the eager reference:
+// queries before, at and past the horizon (past it the chunked fallback
+// extends), the exact segment boundaries, and time_when at every
+// segment's starting clock value.
+void expect_sized_walk_matches(const WalkShape& w, double horizon,
+                               double past) {
+  const RateSchedule s = RateSchedule::random_walk(
+      w.rho, w.step_dt, w.sigma, w.seed, w.start_rate, horizon);
+  EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed, w.start_rate);
+  const std::string what = "seed " + std::to_string(w.seed) + " horizon " +
+                           std::to_string(horizon);
+  std::vector<double> ts;
+  for (double t = 0.0; t <= past; t += w.step_dt * 0.37) ts.push_back(t);
+  ts.push_back(horizon);
+  ts.push_back(std::nextafter(horizon, 0.0));
+  ts.push_back(std::nextafter(horizon, past));
+  ts.push_back(past);
+  for (double t : ts) {
+    ASSERT_EQ(bits(s.value_at(t)), bits(ref.value_at(t))) << what << " t " << t;
+    ASSERT_EQ(bits(s.rate_at(t)), bits(ref.rate_at(t))) << what << " t " << t;
+  }
+  // The accumulated t0s are not multiples of step_dt (0.1 * k != the sum
+  // of k 0.1s), so t / step_dt lands one segment off near a boundary.
+  for (const auto& seg : ref.segments_through(past)) {
+    for (double t : {seg.t0, std::nextafter(seg.t0, 0.0),
+                     std::nextafter(seg.t0, past + 1.0)}) {
+      ASSERT_EQ(bits(s.value_at(t)), bits(ref.value_at(t))) << what << " t " << t;
+      ASSERT_EQ(bits(s.rate_at(t)), bits(ref.rate_at(t))) << what << " t " << t;
+    }
+    ASSERT_EQ(bits(s.time_when(seg.hw0)), bits(ref.time_when(seg.hw0)))
+        << what << " hw " << seg.hw0;
+    ASSERT_EQ(bits(s.time_when(std::nextafter(seg.hw0, 0.0))),
+              bits(ref.time_when(std::nextafter(seg.hw0, 0.0))))
+        << what << " hw " << seg.hw0;
+  }
+}
+
+TEST(SizedWalk, MatchesEagerReferenceBeforeAtAndPastTheHorizon) {
+  for (const WalkShape& w : kShapes) {
+    for (double horizon : {0.5, 4.0 + 0.5 / 0.98, 60.0, 250.0}) {
+      expect_sized_walk_matches(w, horizon, horizon * 2.0 + 40.0);
+    }
+  }
+}
+
+TEST(SizedWalk, FractionalStepBoundaries) {
+  for (const WalkShape& base : kShapes) {
+    WalkShape w = base;
+    w.step_dt = 0.1;
+    for (double horizon : {0.1, 3.3, 12.0}) {
+      expect_sized_walk_matches(w, horizon, horizon + 5.0);
+    }
+  }
+}
+
+TEST(SizedWalk, FirstQueryPastTheHorizon) {
+  // The first extension must cover both the horizon and the query.
+  for (const WalkShape& w : kShapes) {
+    const RateSchedule s = RateSchedule::random_walk(
+        w.rho, w.step_dt, w.sigma, w.seed, w.start_rate, 10.0);
+    EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed, w.start_rate);
+    EXPECT_EQ(bits(s.time_when(500.0)), bits(ref.time_when(500.0)));
+    for (double t = 0.0; t < 600.0; t += 3.7) {
+      ASSERT_EQ(bits(s.value_at(t)), bits(ref.value_at(t))) << "t " << t;
+    }
+  }
+}
+
+// One case per random_walk argument: each bad value is refused with a
+// message naming its field.
+TEST(RateSchedule, RandomWalkRejectsBadArguments) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* field;
+    double rho, step_dt, sigma, start_rate, sized_until;
+  };
+  const Bad cases[] = {
+      {"rho", nan, 1.0, 0.01, 1.0, 0.0},
+      {"rho", -0.1, 1.0, 0.01, 1.0, 0.0},
+      {"rho", 1.0, 1.0, 0.01, 1.0, 0.0},
+      {"step_dt", 0.05, nan, 0.01, 1.0, 0.0},
+      {"step_dt", 0.05, inf, 0.01, 1.0, 0.0},
+      {"step_dt", 0.05, 0.0, 0.01, 1.0, 0.0},
+      {"sigma", 0.05, 1.0, -0.01, 1.0, 0.0},
+      {"sigma", 0.05, 1.0, nan, 1.0, 0.0},
+      {"sigma", 0.05, 1.0, inf, 1.0, 0.0},
+      {"start_rate", 0.05, 1.0, 0.01, nan, 0.0},
+      {"start_rate", 0.05, 1.0, 0.01, inf, 0.0},
+      {"sized_until", 0.05, 1.0, 0.01, 1.0, nan},
+      {"sized_until", 0.05, 1.0, 0.01, 1.0, -1.0},
+      {"sized_until", 0.05, 1.0, 0.01, 1.0, inf},
+  };
+  for (const Bad& c : cases) {
+    try {
+      RateSchedule::random_walk(c.rho, c.step_dt, c.sigma, 1, c.start_rate,
+                                c.sized_until);
+      ADD_FAILURE() << "accepted a bad " << c.field;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(c.field) + " must"), std::string::npos)
+          << what;
+    }
+  }
+  // The edges of the domain are accepted.
+  EXPECT_NO_THROW(RateSchedule::random_walk(0.0, 1e-3, 0.0, 1, 0.0, 0.0));
+  EXPECT_NO_THROW(RateSchedule::random_walk(0.5, 1e3, 1.0, 1, -5.0, 1e9));
 }
 
 }  // namespace
