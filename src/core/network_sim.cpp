@@ -423,32 +423,77 @@ void NetworkSimulation::send(NodeId from, NodeId to, EdgeRef edge,
   outbox_.emplace_back(t + d, m);
 }
 
+void NetworkSimulation::sort_outbox() {
+  // Stable by delivery time, without std::stable_sort's temporary
+  // buffer.  A stable sort's output is unique, so every branch yields the
+  // same order.  Small outboxes (most broadcasts) take an in-place
+  // insertion sort; a large one (a star hub, a complete graph) sorts
+  // send positions by (time, position) in reusable scratch, keeping it
+  // O(d log d).  Constant delays leave the outbox already sorted.
+  constexpr std::size_t kInsertionSortMax = 32;
+  const std::size_t d = outbox_.size();
+  if (d <= kInsertionSortMax) {
+    for (std::size_t i = 1; i < d; ++i) {
+      const std::pair<sim::Time, Delivery> x = outbox_[i];
+      std::size_t j = i;
+      for (; j > 0 && x.first < outbox_[j - 1].first; --j) {
+        outbox_[j] = outbox_[j - 1];
+      }
+      outbox_[j] = x;
+    }
+    return;
+  }
+  const auto by_time = [](const std::pair<sim::Time, Delivery>& a,
+                          const std::pair<sim::Time, Delivery>& b) {
+    return a.first < b.first;
+  };
+  if (std::is_sorted(outbox_.begin(), outbox_.end(), by_time)) return;
+  outbox_order_.resize(d);
+  for (std::size_t i = 0; i < d; ++i) {
+    outbox_order_[i] = static_cast<std::uint32_t>(i);
+  }
+  std::sort(outbox_order_.begin(), outbox_order_.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              const sim::Time ta = outbox_[a].first;
+              const sim::Time tb = outbox_[b].first;
+              return ta < tb || (ta == tb && a < b);
+            });
+  outbox_sorted_.clear();
+  for (const std::uint32_t i : outbox_order_) {
+    outbox_sorted_.push_back(outbox_[i]);
+  }
+  outbox_.swap(outbox_sorted_);
+}
+
 void NetworkSimulation::flush_outbox() {
   if (outbox_.empty()) return;
   // Group by exact delivery instant.  The sort is stable so same-instant
   // messages keep their send order -- that, plus the fact that distinct
   // instants are ordered by time regardless of seq, is what makes
   // batched delivery trajectory-identical to the per-message reference.
-  std::stable_sort(
-      outbox_.begin(), outbox_.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
+  sort_outbox();
   for (std::size_t i = 0; i < outbox_.size();) {
     std::size_t j = i + 1;
     while (j < outbox_.size() && outbox_[j].first == outbox_[i].first) ++j;
     ++stats_.delivery_events;
     if (j == i + 1) {
       // Uncoalesced instant (the common case under continuous delay
-      // distributions): skip the batch vector, schedule the delivery
-      // directly -- same cost as per-message mode.
+      // distributions): skip the batch, schedule the delivery directly
+      // -- same cost as per-message mode.
       engine_.at(outbox_[i].first,
                  [this, m = outbox_[i].second] { deliver(m); });
     } else {
-      std::vector<Delivery> batch;
-      batch.reserve(j - i);
+      std::uint32_t id;
+      if (free_batches_.empty()) {
+        id = static_cast<std::uint32_t>(batches_.size());
+        batches_.emplace_back();
+      } else {
+        id = free_batches_.back();
+        free_batches_.pop_back();
+      }
+      std::vector<Delivery>& batch = batches_[id];
       for (std::size_t k = i; k < j; ++k) batch.push_back(outbox_[k].second);
-      engine_.at(outbox_[i].first, [this, batch = std::move(batch)] {
-        deliver_batch(batch);
-      });
+      engine_.at(outbox_[i].first, [this, id] { deliver_batch(id); });
     }
     i = j;
   }
@@ -471,7 +516,9 @@ void NetworkSimulation::deliver(const Delivery& m) {
   store_.on_deliveries(&d, 1, sink);
 }
 
-void NetworkSimulation::deliver_batch(const std::vector<Delivery>& batch) {
+void NetworkSimulation::deliver_batch(std::uint32_t id) {
+  // Delivery never sends, so batches_ cannot grow under this reference.
+  std::vector<Delivery>& batch = batches_[id];
   const sim::Time t = engine_.now();
   ClassicSink sink(this);
   scratch_.clear();
@@ -496,6 +543,8 @@ void NetworkSimulation::deliver_batch(const std::vector<Delivery>& batch) {
                                      clocks_[m.to].value_at(t), t, m.edge.slot});
   }
   flush();
+  batch.clear();
+  free_batches_.push_back(id);
 }
 
 void NetworkSimulation::send_sharded(std::size_t ctx, NodeId from, NodeId to,

@@ -307,13 +307,17 @@ class NetworkSimulation {
   // returning to the engine.
   void send(NodeId from, NodeId to, EdgeRef edge, double value, sim::Time t);
   void flush_outbox();
+  // Stable-sorts outbox_ by delivery time without allocating once the
+  // scratch below has grown to the largest broadcast.
+  void sort_outbox();
   void deliver(const Delivery& m);
-  // Same-instant coalesced deliveries: drop-checks every record up
-  // front (kernel callbacks never touch the edge set, so the checks
-  // cannot go stale mid-batch), then feeds the accepted runs to the
-  // kernel as contiguous on_deliveries batches, emitting drops at their
-  // original positions -- byte-order-identical to per-record delivery.
-  void deliver_batch(const std::vector<Delivery>& batch);
+  // Same-instant coalesced deliveries of pooled batch `id`: drop-checks
+  // every record up front (kernel callbacks never touch the edge set, so
+  // the checks cannot go stale mid-batch), then feeds the accepted runs
+  // to the kernel as contiguous on_deliveries batches, emitting drops at
+  // their original positions -- byte-order-identical to per-record
+  // delivery.  Returns the batch to the pool.
+  void deliver_batch(std::uint32_t id);
   // Per-delivery envelope audit of the edge the message `d` (tagged with
   // its edge slot) just crossed; `logical_to` is the receiver's logical
   // clock after the delivery, from the hardware reading it already took.
@@ -441,6 +445,17 @@ class NetworkSimulation {
   // Batched mode: messages staged by the current flush scope in send
   // order; flush_outbox sort-groups them by exact delivery instant.
   std::vector<std::pair<sim::Time, Delivery>> outbox_;
+  // sort_outbox's scratch for outboxes past the insertion-sort cutoff:
+  // send positions in delivery order, and the outbox gathered in that
+  // order (swapped with outbox_, so both keep their capacity).
+  std::vector<std::uint32_t> outbox_order_;
+  std::vector<std::pair<sim::Time, Delivery>> outbox_sorted_;
+  // The batches of scheduled multi-message instants, pooled: an event
+  // carries only its batch's index, and a delivered batch goes back on
+  // the free list with its capacity, so steady-state broadcasts
+  // allocate nothing.
+  std::vector<std::vector<Delivery>> batches_;
+  std::vector<std::uint32_t> free_batches_;
   // Scratch for deliver_batch's accepted runs (classic mode is
   // single-threaded, so one buffer serves every batch).
   std::vector<StoreDelivery> scratch_;

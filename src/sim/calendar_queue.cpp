@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
+#include <stdexcept>
 
 namespace gcs::sim {
 
@@ -21,24 +21,49 @@ bool earlier(const ScheduledEvent& a, const ScheduledEvent& b) {
 
 CalendarQueue::CalendarQueue() : buckets_(kMinBuckets) {}
 
-void CalendarQueue::push(ScheduledEvent ev) {
+void CalendarQueue::push(const ScheduledEvent& ev) {
   if (size_ + 1 > 2 * buckets_.size()) resize(2 * buckets_.size());
-  insert(std::move(ev));
+  std::uint32_t i = free_;
+  if (i != kNil) {
+    free_ = slab_[i].next;
+    slab_[i].ev = ev;
+  } else {
+    if (slab_.size() == kNil) {
+      throw std::length_error("CalendarQueue: more than 2^32 - 1 pending events");
+    }
+    i = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(Node{ev, kNil});
+  }
+  link(i);
   ++size_;
 }
 
-void CalendarQueue::insert(ScheduledEvent ev) {
-  const double year = year_of(ev.t);
+void CalendarQueue::link(std::uint32_t i) {
+  Node& node = slab_[i];
+  const double year = year_of(node.ev.t);
   const std::size_t idx = bucket_index(year);
   Bucket& b = buckets_[idx];
-  // Same-time events arrive in seq order and append in O(1); the search
-  // only pays when an event lands between already-pending times.
-  if (b.pending() == 0 || earlier(b.events.back(), ev)) {
-    b.events.push_back(std::move(ev));
+  // Same-time events arrive in seq order and append at the tail in O(1);
+  // the walk only pays when an event lands between pending times.
+  if (b.head == kNil) {
+    node.next = kNil;
+    b.head = b.tail = i;
+  } else if (earlier(slab_[b.tail].ev, node.ev)) {
+    node.next = kNil;
+    slab_[b.tail].next = i;
+    b.tail = i;
+  } else if (earlier(node.ev, slab_[b.head].ev)) {
+    node.next = b.head;
+    b.head = i;
   } else {
-    auto it = std::upper_bound(b.events.begin() + b.head, b.events.end(), ev,
-                               earlier);
-    b.events.insert(it, std::move(ev));
+    // Keys are unique and the tail is later than the event, so the walk
+    // stops before running off the list.
+    std::uint32_t prev = b.head;
+    while (!earlier(node.ev, slab_[slab_[prev].next].ev)) {
+      prev = slab_[prev].next;
+    }
+    node.next = slab_[prev].next;
+    slab_[prev].next = i;
   }
   // An event before the scan window would otherwise be skipped for a
   // whole lap; point the scan at it (this is what makes the queue
@@ -58,7 +83,7 @@ CalendarQueue::Bucket* CalendarQueue::locate_min() {
   for (std::size_t scanned = 0; scanned < buckets_.size(); ++scanned) {
     ++scan_steps_;
     Bucket& b = buckets_[current_bucket_];
-    if (b.pending() > 0 && year_of(b.events[b.head].t) <= year_) return &b;
+    if (b.head != kNil && year_of(slab_[b.head].ev.t) <= year_) return &b;
     current_bucket_ = current_bucket_ + 1 == buckets_.size()
                           ? 0
                           : current_bucket_ + 1;
@@ -71,8 +96,8 @@ CalendarQueue::Bucket* CalendarQueue::locate_min() {
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     ++scan_steps_;
     const Bucket& b = buckets_[i];
-    if (b.pending() == 0) continue;
-    const ScheduledEvent& front = b.events[b.head];
+    if (b.head == kNil) continue;
+    const ScheduledEvent& front = slab_[b.head].ev;
     if (best == nullptr || earlier(front, *best)) {
       best = &front;
       best_idx = i;
@@ -85,21 +110,21 @@ CalendarQueue::Bucket* CalendarQueue::locate_min() {
 
 bool CalendarQueue::min_time(double* out) {
   if (size_ == 0) return false;
-  Bucket& b = *locate_min();
-  *out = b.events[b.head].t;
+  *out = slab_[locate_min()->head].ev.t;
   return true;
 }
 
 bool CalendarQueue::pop_if_leq(double horizon, ScheduledEvent* out) {
   if (size_ == 0) return false;
   Bucket& b = *locate_min();
-  if (b.events[b.head].t > horizon) return false;
-  *out = std::move(b.events[b.head]);
-  ++b.head;
-  if (b.head == b.events.size()) {
-    b.events.clear();
-    b.head = 0;
-  }
+  const std::uint32_t i = b.head;
+  Node& node = slab_[i];
+  if (node.ev.t > horizon) return false;
+  *out = node.ev;
+  b.head = node.next;
+  if (b.head == kNil) b.tail = kNil;
+  node.next = free_;
+  free_ = i;
   --size_;
   if (size_ < buckets_.size() / 2 && buckets_.size() > kMinBuckets) {
     resize(buckets_.size() / 2);
@@ -108,42 +133,51 @@ bool CalendarQueue::pop_if_leq(double horizon, ScheduledEvent* out) {
 }
 
 void CalendarQueue::resize(std::size_t new_bucket_count) {
-  std::vector<ScheduledEvent> all;
-  all.reserve(size_);
-  for (Bucket& b : buckets_) {
-    for (std::size_t i = b.head; i < b.events.size(); ++i) {
-      all.push_back(std::move(b.events[i]));
+  std::vector<double> times;
+  times.reserve(size_);
+  for (const Bucket& b : buckets_) {
+    for (std::uint32_t i = b.head; i != kNil; i = slab_[i].next) {
+      times.push_back(slab_[i].ev.t);
     }
   }
-  width_ = estimate_width(all);
+  const double min_t =
+      times.empty() ? 0.0 : *std::min_element(times.begin(), times.end());
+  width_ = estimate_width(times);
   inv_width_ = 1.0 / width_;
-  buckets_.assign(new_bucket_count, Bucket{});
+  std::vector<Bucket> old(new_bucket_count);
+  old.swap(buckets_);
+  const std::size_t start = current_bucket_;
   // Re-anchor the scan at the global minimum so the no-pending-event-
   // before-the-window invariant holds in the new geometry.
-  if (!all.empty()) {
-    double min_t = all.front().t;
-    for (const ScheduledEvent& ev : all) min_t = std::min(min_t, ev.t);
+  if (!times.empty()) {
     year_ = year_of(min_t);
     current_bucket_ = bucket_index(year_);
   } else {
     year_ = 0.0;
     current_bucket_ = 0;
   }
-  for (ScheduledEvent& ev : all) insert(std::move(ev));
+  // Relink every node into the new geometry; no event moves.  The list
+  // order comes from the (t, seq) key alone, so the walk order only sets
+  // the cost: starting at the old scan position feeds the current year
+  // nearly in time order, and those links are O(1) tail appends.
+  for (std::size_t k = 0; k < old.size(); ++k) {
+    const Bucket& b = old[(start + k) % old.size()];
+    for (std::uint32_t i = b.head; i != kNil;) {
+      const std::uint32_t next = slab_[i].next;
+      link(i);
+      i = next;
+    }
+  }
   ++resizes_;
 }
 
-double CalendarQueue::estimate_width(
-    const std::vector<ScheduledEvent>& all) const {
-  if (all.size() < 2) return width_;
+double CalendarQueue::estimate_width(std::vector<double>& times) const {
+  if (times.size() < 2) return width_;
   // Brown's rule: the width must match the event density where dequeues
   // happen -- the head of the queue -- not the average over the whole
   // horizon (a single far-future event would blow up a span/size
   // estimate).  Take the K+1 smallest times and spread ~3 events per
   // bucket across their span.
-  std::vector<double> times;
-  times.reserve(all.size());
-  for (const ScheduledEvent& ev : all) times.push_back(ev.t);
   const std::size_t k = std::min<std::size_t>(kWidthSamples, times.size() - 1);
   std::nth_element(times.begin(), times.begin() + k, times.end());
   const double kth = times[k];

@@ -9,11 +9,19 @@
 // O(log n) for a binary heap -- the difference that lets dense dynamic
 // graph runs stay event-throughput-bound instead of queue-bound.
 //
+// Storage (Brown's original layout): every pending event sits in one
+// slab of fixed-size nodes with a LIFO free list, and a bucket is just
+// the (head, tail) slab indices of a singly linked list sorted by
+// (t, seq).  Memory is therefore one node per event at the high-water
+// mark plus 8 bytes per bucket, whatever the aliasing between years: a
+// popped event frees its node at once, and a resize relinks indices
+// without moving any event.
+//
 // Determinism contract (shared with Engine): events are totally ordered
-// by (t, seq) and ties are FIFO by seq.  Buckets keep their pending
-// range sorted by exactly that key, equal times always land in the same
-// bucket, and the resize rebuild preserves the key, so the pop sequence
-// is bit-identical to a binary heap ordered the same way.
+// by (t, seq) and ties are FIFO by seq.  Bucket lists are sorted by
+// exactly that key, equal times always land in the same bucket, and the
+// resize rebuild preserves the key, so the pop sequence is bit-identical
+// to a binary heap ordered the same way.
 //
 // The queue does NOT require monotone insertion: pushing an event
 // earlier than the current scan window resets the scan to that event's
@@ -26,26 +34,28 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
+
+#include "sim/task.hpp"
 
 namespace gcs::sim {
 
 // One scheduled callback; the unit both Engine queue implementations
-// store.  Ordered by (t, seq); seq ties are FIFO.
+// store.  Ordered by (t, seq); seq ties are FIFO.  Trivially copyable,
+// so queues move it with plain copies.
 struct ScheduledEvent {
   double t = 0.0;
   std::uint64_t seq = 0;
-  std::function<void()> fn;
+  Task task;
 };
 
 class CalendarQueue {
  public:
   CalendarQueue();
 
-  void push(ScheduledEvent ev);
+  void push(const ScheduledEvent& ev);
 
-  // If the minimum pending event (by (t, seq)) has t <= horizon, moves
+  // If the minimum pending event (by (t, seq)) has t <= horizon, copies
   // it into *out and returns true; otherwise leaves the queue unchanged
   // and returns false.
   bool pop_if_leq(double horizon, ScheduledEvent* out);
@@ -66,15 +76,23 @@ class CalendarQueue {
   // fallback-lap visits): the calendar queue's cost driver, surfaced in
   // sim::EngineStats so a mis-sized calendar shows up in result files.
   std::uint64_t scan_steps() const { return scan_steps_; }
+  // Event nodes the slab holds, live or free: the high-water size().
+  std::size_t storage_slots() const { return slab_.size(); }
 
  private:
-  // Pending events are events[head..end), sorted by (t, seq).  Popping
-  // advances `head` instead of erasing at the front, so same-time bursts
-  // (the common case in lockstep simulations) drain in O(1) per event.
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  // A slab node: a pending event and the next node of its bucket list
+  // (of the free list once the event has popped).
+  struct Node {
+    ScheduledEvent ev;
+    std::uint32_t next = kNil;
+  };
+  // A sorted singly linked list through the slab; kNil when empty.
+  // `tail` makes the common inserts -- monotone times and same-time
+  // bursts -- O(1) appends.
   struct Bucket {
-    std::vector<ScheduledEvent> events;
-    std::size_t head = 0;
-    std::size_t pending() const { return events.size() - head; }
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
 
   // Bucket count is always a power of two, so the ring index is a mask.
@@ -86,16 +104,20 @@ class CalendarQueue {
   // (never with a recomputed product bound), so insert and dequeue can
   // never disagree about a boundary however the rounding falls.
   double year_of(double t) const { return std::floor(t * inv_width_); }
-  // Inserts without triggering a resize (push and rebuild share it).
-  void insert(ScheduledEvent ev);
+  // Links slab node `i` into its bucket's sorted list, without
+  // triggering a resize (push and rebuild share it).
+  void link(std::uint32_t i);
   // Advances (current_bucket_, year_) to the bucket holding the global
   // minimum and returns it.  Precondition: size_ > 0.
   Bucket* locate_min();
   void resize(std::size_t new_bucket_count);
-  // Estimated bucket width from a sample of the pending events: ~3x the
-  // mean positive inter-event gap, so a bucket holds a few time slots.
-  double estimate_width(const std::vector<ScheduledEvent>& all) const;
+  // Estimated bucket width from the pending events' times: ~3x the mean
+  // positive inter-event gap, so a bucket holds a few time slots.
+  // Reorders `times`.
+  double estimate_width(std::vector<double>& times) const;
 
+  std::vector<Node> slab_;
+  std::uint32_t free_ = kNil;  // head of the free list through Node::next
   std::vector<Bucket> buckets_;
   double width_ = 1.0;
   double inv_width_ = 1.0;

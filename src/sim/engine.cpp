@@ -11,13 +11,16 @@ namespace gcs::sim {
 
 Engine::Engine(EnginePolicy policy) : policy_(policy) {}
 
-void Engine::at(Time t, std::function<void()> fn) {
+void Engine::require_finite(Time t) {
   // Reject before any queue or clamp math runs, so a bad timestamp has
   // the same (absence of) effect under both policies.
   if (!std::isfinite(t)) {
     throw std::invalid_argument("Engine::at: non-finite time " +
                                 std::to_string(t));
   }
+}
+
+void Engine::schedule(Time t, const Task& task) {
   if (t < now_) {
     if (clamped_ == 0) {
       first_clamped_time_ = t;
@@ -26,13 +29,13 @@ void Engine::at(Time t, std::function<void()> fn) {
     ++clamped_;
     t = now_;
   }
-  ScheduledEvent ev{t, next_seq_++, std::move(fn)};
+  const ScheduledEvent ev{t, next_seq_++, task};
   if (policy_ == EnginePolicy::kHeap) {
-    heap_.push_back(std::move(ev));
+    heap_.push_back(ev);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++heap_ops_;
   } else {
-    calendar_.push(std::move(ev));
+    calendar_.push(ev);
   }
   max_pending_ = std::max<std::uint64_t>(max_pending_, pending());
 }
@@ -50,43 +53,33 @@ PeriodicId Engine::every(Time first, Duration period,
                                 "positive, got " +
                                 std::to_string(period));
   }
-  struct Chain {
-    Engine* engine;
-    Duration period;
-    std::function<void(Time)> fn;
-    std::function<void(Time)> fire;
-  };
-  auto chain = std::make_shared<Chain>(Chain{this, period, std::move(fn), {}});
-  // The engine owns the chain; scheduled events capture only a weak_ptr,
-  // so there is no shared_ptr cycle, destroying the engine frees every
-  // periodic callback, and cancel_every only has to drop the owning
-  // reference.  A firing whose chain is gone is inert: it un-counts
-  // itself from the inert ledger as it pops (the engine outlives its
-  // queues, so the raw `self` pointer is safe wherever the event runs).
+  // The engine owns the chain and queued firings carry only its id, so
+  // destroying the engine frees every periodic callback and cancel_every
+  // only has to drop the table entry.
   const PeriodicId id = next_periodic_id_++;
-  periodic_chains_.emplace_back(id, chain);
-  std::weak_ptr<Chain> weak = chain;
-  Engine* const self = this;
-  chain->fire = [weak, self](Time t) {
-    auto c = weak.lock();
-    if (!c) return;
-    c->fn(t);
-    c->engine->at(t + c->period, [weak, self, next = t + c->period] {
-      if (auto c2 = weak.lock()) {
-        c2->fire(next);
-      } else {
-        --self->inert_pending_;
-      }
-    });
-  };
-  at(first, [weak, self, first] {
-    if (auto c = weak.lock()) {
-      c->fire(first);
-    } else {
-      --self->inert_pending_;
-    }
-  });
+  periodic_chains_.emplace_back(
+      id, std::make_shared<Chain>(Chain{period, std::move(fn)}));
+  at(first, [this, id, first] { fire(id, first); });
   return id;
+}
+
+void Engine::fire(PeriodicId id, Time t) {
+  std::shared_ptr<Chain> chain;
+  for (const auto& [chain_id, c] : periodic_chains_) {
+    if (chain_id == id) {
+      chain = c;
+      break;
+    }
+  }
+  if (!chain) {
+    // A cancelled chain's leftover firing: un-count it from the inert
+    // ledger as it pops.
+    --inert_pending_;
+    return;
+  }
+  chain->fn(t);
+  const Time next = t + chain->period;
+  at(next, [this, id, next] { fire(id, next); });
 }
 
 void Engine::cancel_every(PeriodicId id) {
@@ -115,18 +108,18 @@ void Engine::run_until(Time horizon) {
     while (!heap_.empty() && heap_.front().t <= horizon) {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
       ++heap_ops_;
-      ScheduledEvent ev = std::move(heap_.back());
+      ScheduledEvent ev = heap_.back();
       heap_.pop_back();
       now_ = std::max(now_, ev.t);
       ++executed_;
-      ev.fn();
+      ev.task();
     }
   } else {
     ScheduledEvent ev;
     while (calendar_.pop_if_leq(horizon, &ev)) {
       now_ = std::max(now_, ev.t);
       ++executed_;
-      ev.fn();
+      ev.task();
     }
   }
   now_ = std::max(now_, horizon);

@@ -18,16 +18,23 @@
 //     it; it is the oracle test_engine, test_calendar_queue and the
 //     engine-replay tests pop the calendar queue against, and the
 //     baseline bench_engine_perf times it against.
+//
+// Both store the same trivially copyable ScheduledEvent, whose sim::Task
+// holds small trivially copyable callables inline (task.hpp).  at()
+// accepts only such callables (a static_assert); periodic chains fit
+// because their queued firings carry only the chain id.
 #ifndef GCS_SIM_ENGINE_HPP
 #define GCS_SIM_ENGINE_HPP
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
+#include "sim/task.hpp"
 
 namespace gcs::sim {
 
@@ -79,7 +86,21 @@ class Engine {
   // locate_min is false, so the event becomes unreachable and stalls the
   // scan) and an Inf breaks width estimation, so neither may enter any
   // queue.
-  void at(Time t, std::function<void()> fn);
+  // `fn` must be trivially copyable and fit a Task's inline buffer
+  // (Task::fits_inline); a Task passes through unchanged.
+  template <class F>
+  void at(Time t, F&& fn) {
+    using D = std::decay_t<F>;
+    static_assert(std::is_same_v<D, Task> || Task::fits_inline<D>,
+                  "Engine::at schedules only trivially copyable callables "
+                  "of at most Task::kInlineBytes bytes");
+    require_finite(t);
+    if constexpr (std::is_same_v<D, Task>) {
+      schedule(t, fn);
+    } else {
+      schedule(t, Task(std::forward<F>(fn)));
+    }
+  }
 
   // Self-rescheduling periodic callback: fires at `first`, `first +
   // period`, ...  Returns a handle for cancel_every(); an uncancelled
@@ -91,10 +112,11 @@ class Engine {
   PeriodicId every(Time first, Duration period, std::function<void(Time)> fn);
 
   // Detaches the periodic callback created by every(): its callable is
-  // destroyed now and it never fires again.  The already-scheduled next
-  // firing stays in the queue as an inert event (events hold only weak
-  // references into the chain), so cancellation cannot perturb the
-  // (t, seq) order of anything else.  Inert events are excluded from
+  // destroyed now (or, when a chain cancels itself, as its callback
+  // returns) and it never fires again.  The already-scheduled next
+  // firing stays in the queue as an inert event (events hold only the
+  // chain id), so cancellation cannot perturb the (t, seq) order of
+  // anything else.  Inert events are excluded from
   // pending() and the max_pending high-water mark -- they are queue
   // residue, not workload.  Unknown or already-cancelled ids are ignored.
   void cancel_every(PeriodicId id);
@@ -145,15 +167,26 @@ class Engine {
       return a.seq > b.seq;
     }
   };
+  struct Chain {
+    Duration period;
+    std::function<void(Time)> fn;
+  };
+
+  static void require_finite(Time t);
+  void schedule(Time t, const Task& task);
+  // One firing of chain `id` at `t`: runs its callback and queues the
+  // next firing, or, if the chain was cancelled, retires an inert event.
+  void fire(PeriodicId id, Time t);
 
   EnginePolicy policy_;
   std::vector<ScheduledEvent> heap_;  // kHeap: min-heap via std::push_heap
   CalendarQueue calendar_;            // kCalendar
-  // Owners of the self-rescheduling chains created by every(), keyed by
-  // the PeriodicId handed back to the caller; scheduled events only hold
-  // weak references into these, so erasing an entry (cancel_every) makes
-  // the chain's future firings no-ops.
-  std::vector<std::pair<PeriodicId, std::shared_ptr<void>>> periodic_chains_;
+  // The self-rescheduling chains created by every(), keyed by the
+  // PeriodicId handed back to the caller; queued firings carry only the
+  // id, so erasing an entry (cancel_every) makes the chain's future
+  // firings no-ops.  shared_ptr so a firing keeps its chain alive while
+  // the callback cancels it.
+  std::vector<std::pair<PeriodicId, std::shared_ptr<Chain>>> periodic_chains_;
   PeriodicId next_periodic_id_ = 0;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;

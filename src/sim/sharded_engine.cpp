@@ -40,17 +40,13 @@ ShardedEngine::~ShardedEngine() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ShardedEngine::at(std::size_t shard, Time t, std::function<void()> fn) {
-  engines_[shard]->at(t, std::move(fn));
-}
-
-void ShardedEngine::post(std::size_t src_ctx, std::size_t dst_shard, Time t,
-                         PostKey key, std::function<void()> fn) {
-  outboxes_[src_ctx][dst_shard].push_back(Post{t, key, std::move(fn)});
-}
-
-void ShardedEngine::at_global(Time t, std::function<void()> fn) {
-  globals_.at(t, std::move(fn));
+void ShardedEngine::require_finite_post(Time t) {
+  // A NaN or infinite post would throw from Engine::at midway through a
+  // merge; rejecting it here names the producer instead.
+  if (!std::isfinite(t)) {
+    throw std::invalid_argument("ShardedEngine::post: non-finite time " +
+                                std::to_string(t));
+  }
 }
 
 PeriodicId ShardedEngine::every_global(Time first, Duration period,
@@ -132,6 +128,18 @@ void ShardedEngine::run_phase(Phase phase, Time t) {
 
 void ShardedEngine::merge_into(std::size_t dst, Time barrier) {
   Inbox& inbox = inboxes_[dst];
+  // Every exit -- normal or by exception -- leaves this destination's
+  // outbox column and merge records empty.
+  struct Discard {
+    ShardedEngine* self;
+    std::size_t dst;
+    ~Discard() {
+      for (std::vector<std::vector<Post>>& row : self->outboxes_) {
+        row[dst].clear();
+      }
+      self->inboxes_[dst].records.clear();
+    }
+  } discard{this, dst};
   inbox.records.clear();
   inbox.starts.clear();
   std::size_t slot = 0;
@@ -144,10 +152,6 @@ void ShardedEngine::merge_into(std::size_t dst, Time barrier) {
       ++slot;
     }
   }
-  const auto discard = [&] {
-    for (std::vector<std::vector<Post>>& row : outboxes_) row[dst].clear();
-    inbox.records.clear();
-  };
   if (slot == 0) return;
   // The canonical order: gather order (which varies with K) must not
   // matter, and the key is globally unique, so this sort has no ties.
@@ -161,12 +165,11 @@ void ShardedEngine::merge_into(std::size_t dst, Time barrier) {
   // Sorted by t, so the front is the earliest post: checking it alone
   // enforces the contract for the whole destination before any insert.
   if (inbox.records.front().t < barrier) {
-    const Time t = inbox.records.front().t;
-    discard();
     throw std::logic_error(
         "ShardedEngine: lookahead contract violated -- event staged for "
         "t=" +
-        std::to_string(t) + " merged at barrier " + std::to_string(barrier) +
+        std::to_string(inbox.records.front().t) + " merged at barrier " +
+        std::to_string(barrier) +
         " (delay model delivered faster than its declared floor)");
   }
   Engine& engine = *engines_[dst];
@@ -174,11 +177,10 @@ void ShardedEngine::merge_into(std::size_t dst, Time barrier) {
     const std::size_t src = static_cast<std::size_t>(
         std::upper_bound(inbox.starts.begin(), inbox.starts.end(), r.slot) -
         inbox.starts.begin() - 1);
-    Post& post = outboxes_[src][dst][r.slot - inbox.starts[src]];
-    engine.at(post.t, std::move(post.fn));
+    const Post& post = outboxes_[src][dst][r.slot - inbox.starts[src]];
+    engine.at(post.t, post.task);
   }
   inbox.staged += inbox.records.size();
-  discard();
 }
 
 void ShardedEngine::sample_pending() {

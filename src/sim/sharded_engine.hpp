@@ -76,9 +76,12 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/task.hpp"
 
 namespace gcs::sim {
 
@@ -112,20 +115,36 @@ class ShardedEngine {
   // Schedules a shard-local event.  Callable from the owning shard's
   // execution context during a window, or from the coordinator while
   // every shard is parked (construction, barriers, between runs).
-  void at(std::size_t shard, Time t, std::function<void()> fn);
+  template <class F>
+  void at(std::size_t shard, Time t, F&& fn) {
+    engines_[shard]->at(t, std::forward<F>(fn));
+  }
 
   // Stages an event for `dst_shard`, to be merged at the next barrier
   // under the canonical (t, key) order.  `src_ctx` is the CALLING
   // context (owning shard or global_ctx()); each context writes only
-  // its own outbox row, so staging is lock-free.  The event time must
-  // respect the lookahead contract (t >= barrier at merge time) or the
-  // merge throws std::logic_error.
+  // its own outbox row, so staging is lock-free.  The callable must fit
+  // a Task inline, as for Engine::at.  A non-finite `t` throws std::invalid_argument here,
+  // on the producing context, before anything is staged; a finite one
+  // must respect the lookahead contract (t >= barrier at merge time) or
+  // the merge throws std::logic_error.
+  template <class F>
   void post(std::size_t src_ctx, std::size_t dst_shard, Time t, PostKey key,
-            std::function<void()> fn);
+            F&& fn) {
+    static_assert(Task::fits_inline<std::decay_t<F>>,
+                  "ShardedEngine::post takes only callables a Task stores "
+                  "inline (trivially copyable, at most 32 bytes)");
+    require_finite_post(t);
+    outboxes_[src_ctx][dst_shard].push_back(
+        Post{t, key, Task(std::forward<F>(fn))});
+  }
 
   // Globals: events that may touch any shard's entities.  They execute
   // at barriers with every worker parked.  Coordinator-only.
-  void at_global(Time t, std::function<void()> fn);
+  template <class F>
+  void at_global(Time t, F&& fn) {
+    globals_.at(t, std::forward<F>(fn));
+  }
   PeriodicId every_global(Time first, Duration period,
                           std::function<void(Time)> fn);
   void cancel_every_global(PeriodicId id);
@@ -157,16 +176,21 @@ class ShardedEngine {
   EngineStats stats() const;
 
  private:
+  // One staged cross-shard event.  Trivially copyable: staging and the
+  // merge copy it like plain data.
   struct Post {
     Time t = 0.0;
     PostKey key;
-    std::function<void()> fn;
+    Task task;
   };
+  static_assert(std::is_trivially_copyable_v<Post>);
+  static_assert(sizeof(Post) == 72, "(t, PostKey, Task)");
+
   // The merge sorts these 32-byte (t, key, slot) records instead of the
-  // 64-byte Posts, then moves each closure once, straight from its
-  // outbox into the queue.  `slot` indexes the destination's outbox
-  // column read as one concatenated sequence (see Inbox::starts); 2^32
-  // posts for one shard in one window would be 256 GiB of Posts.
+  // 72-byte Posts, then copies each Task once, straight from its outbox
+  // into the queue.  `slot` indexes the destination's outbox column
+  // read as one concatenated sequence (see Inbox::starts); 2^32 posts
+  // for one shard in one window would be 288 GiB of Posts.
   struct MergeRecord {
     Time t;
     Time send_t;
@@ -190,6 +214,10 @@ class ShardedEngine {
   // stale one.
   void run_phase(Phase phase, Time t);
   void run_shard_phase(std::size_t shard, Phase phase, Time t);
+  static void require_finite_post(Time t);
+  // Merges destination `dst`'s staged posts into its queue.  On any
+  // exception the destination's staged posts are discarded whole, so a
+  // failed merge leaves no residue for pending() or a later barrier.
   void merge_into(std::size_t dst, Time barrier);
   void sample_pending();
   void worker_loop(std::size_t shard);

@@ -1,22 +1,36 @@
-// CalendarQueue unit tests: ordering against a sorted-vector oracle,
-// FIFO ties, size accounting through resizes, robustness to
-// non-monotone pushes and degenerate (all-equal) timestamp loads.
+// CalendarQueue unit tests: ordering against sorted-vector and heap
+// oracles, FIFO ties, size accounting through resizes, robustness to
+// non-monotone pushes and degenerate (all-equal) timestamp loads, and
+// the slab's storage bound.
 #include "sim/calendar_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "sim/task.hpp"
 
 namespace {
 
 using gcs::sim::CalendarQueue;
 using gcs::sim::ScheduledEvent;
+using gcs::sim::Task;
+
+// The records every queue stores are plain data: queues copy them, and
+// none of them owns heap memory (sharded_engine.hpp pins Post likewise).
+static_assert(std::is_trivially_copyable_v<Task>);
+static_assert(sizeof(Task) == 40, "function pointer + 32-byte buffer");
+static_assert(std::is_trivially_copyable_v<ScheduledEvent>);
+static_assert(sizeof(ScheduledEvent) == 56, "(t, seq, Task)");
 
 ScheduledEvent make_event(double t, std::uint64_t seq) {
-  return ScheduledEvent{t, seq, [] {}};
+  return ScheduledEvent{t, seq, Task([] {})};
 }
 
 // Drains the queue and returns the (t, seq) pop order.
@@ -156,6 +170,103 @@ TEST(CalendarQueue, InterleavedPushPopMatchesOracle) {
   }
   std::sort(oracle.begin(), oracle.end());
   EXPECT_EQ(popped, oracle);
+}
+
+// The (t, seq) min-heap every pop is checked against.
+using Key = std::pair<double, std::uint64_t>;
+using HeapOracle = std::priority_queue<Key, std::vector<Key>, std::greater<>>;
+
+TEST(CalendarQueue, DifferentialAgainstHeapOracle) {
+  CalendarQueue q;
+  HeapOracle oracle;
+  std::uint64_t seq = 0;
+  double now = 0.0;  // time of the last pop
+  const auto push = [&](double t) {
+    q.push(make_event(t, seq));
+    oracle.emplace(t, seq);
+    ++seq;
+  };
+  const auto pop_and_check = [&] {
+    ScheduledEvent ev;
+    ASSERT_TRUE(q.pop_if_leq(1e300, &ev));
+    ASSERT_FALSE(oracle.empty());
+    EXPECT_EQ(Key(ev.t, ev.seq), oracle.top());
+    oracle.pop();
+    EXPECT_EQ(q.size(), oracle.size());
+    now = ev.t;
+  };
+
+  // Every insert position in one bucket of the initial geometry (8
+  // buckets of width 1): into an empty bucket, after the tail, before
+  // the head, into the middle, equal times (FIFO behind the earlier
+  // seq, both mid-list and at the tail), and a next-year event that
+  // aliases into the same bucket.
+  for (const double t : {0.5, 0.7, 0.2, 0.6, 0.6, 0.7, 8.5, 0.65, 0.1}) {
+    push(t);
+  }
+  EXPECT_EQ(q.resizes(), 0u);
+  while (!oracle.empty()) pop_and_check();
+
+  // LIFO slot reuse: the slab never grows past the high-water size.
+  const std::size_t slots = q.storage_slots();
+  EXPECT_EQ(slots, 9u);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 9; ++i) push(3.0 + 0.25 * i);
+    EXPECT_EQ(q.storage_slots(), slots);
+    while (!oracle.empty()) pop_and_check();
+  }
+
+  // Grow and shrink resizes, twice over, with random pushes and
+  // interleaved pops (and bounded pops that must leave the queue be).
+  Lcg rng(7);
+  for (int cycle = 0; cycle < 2; ++cycle) {
+    for (int i = 0; i < 6000; ++i) {
+      push(now + rng.uniform(0.0, i % 5 == 0 ? 200.0 : 3.0));
+      if (i % 3 == 0) {
+        ScheduledEvent ev;
+        EXPECT_FALSE(q.pop_if_leq(oracle.top().first - 1.0, &ev));
+        pop_and_check();
+      }
+    }
+    const std::uint64_t grown = q.resizes();
+    EXPECT_GT(q.bucket_count(), 1024u);
+    while (!oracle.empty()) pop_and_check();
+    EXPECT_GT(q.resizes(), grown);
+    EXPECT_EQ(q.bucket_count(), 8u);
+  }
+  EXPECT_LE(q.storage_slots(), 4001u);
+}
+
+TEST(CalendarQueue, StorageStaysAtHighWaterUnderAliasedHoldStream) {
+  // A steady-state hold stream in which buckets always hold an event a
+  // year or more ahead: one push in eight lands up to ~100 years out.
+  // Storage that keeps a bucket's drained prefix until the bucket empties
+  // grows without bound here; the slab holds one node per pending event
+  // at the high-water mark.
+  CalendarQueue q;
+  Lcg rng(2024);
+  std::uint64_t seq = 0;
+  double now = 0.0;
+  const auto feed = [&] {
+    const double gap = seq % 8 == 0 ? rng.uniform(0.0, 400.0)
+                                    : rng.uniform(0.0, 4.0);
+    q.push(make_event(now + gap, seq++));
+  };
+  for (int i = 0; i < 4096; ++i) feed();
+  std::size_t high_water = q.size();
+  ScheduledEvent ev;
+  for (int i = 0; i < 1000000; ++i) {
+    ASSERT_TRUE(q.pop_if_leq(1e300, &ev));
+    ASSERT_GE(ev.t, now);
+    now = ev.t;
+    feed();
+    high_water = std::max(high_water, q.size());
+    if (i % 4096 == 0) {
+      ASSERT_LE(q.storage_slots(), high_water + 1);
+    }
+  }
+  EXPECT_EQ(q.size(), 4096u);
+  EXPECT_LE(q.storage_slots(), high_water + 1);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/network_sim.hpp"
@@ -19,6 +20,7 @@
 #include "net/scenario.hpp"
 #include "net/topology.hpp"
 #include "net/trace.hpp"
+#include "obs/recorder.hpp"
 #include "sim_fixture.hpp"
 #include "util/rng.hpp"
 
@@ -147,6 +149,49 @@ TEST(DeterminismMatrix, CompleteGraphBatchingCoalesces) {
   EXPECT_EQ(unbatched.stats.delivery_events, unbatched.stats.messages_sent);
   EXPECT_LE(batched.stats.delivery_events * (n - 2),
             batched.stats.messages_sent);
+}
+
+// Every delivery in execution order: (time, from, to).
+class DeliveryLog : public gcs::obs::Recorder {
+ public:
+  bool wants_trace() const override { return true; }
+  void on_trace(const gcs::obs::TraceEvent& e) override {
+    if (e.kind == gcs::obs::TraceEvent::Kind::kDeliver) {
+      order.emplace_back(e.t, e.a, e.b);
+    }
+  }
+  std::vector<std::tuple<double, std::uint32_t, std::uint32_t>> order;
+};
+
+// Hub broadcasts wider than flush_outbox's insertion-sort cutoff, under
+// a delay with a few discrete values: each outbox is both out of order
+// and full of ties, so the large-outbox sort must reproduce the
+// per-message reference's delivery order (send order within an
+// instant) exactly.
+TEST(DeterminismMatrix, WideOutboxWithTiedDelays) {
+  const std::size_t n = 80;
+  const gcs::net::Scenario star =
+      gcs::net::make_static_scenario(gcs::net::make_star(n));
+  gcs::net::DelayModel tied;
+  tied.bound = 1.0;
+  tied.sample = [](const gcs::net::Edge&, gcs::util::Rng& rng) {
+    return 0.25 * static_cast<double>(rng.uniform_int(1, 4));
+  };
+  const auto run_star = [&](bool batched, DeliveryLog* log) {
+    SimOptions options;
+    options.batched_delivery = batched;
+    options.recorder = log;
+    return run_scenario(star, tied, options, 30.0);
+  };
+  DeliveryLog unbatched_log;
+  DeliveryLog batched_log;
+  const Trace unbatched = run_star(false, &unbatched_log);
+  const Trace batched = run_star(true, &batched_log);
+  expect_same_trajectory(unbatched, batched, "wide-outbox star");
+  ASSERT_FALSE(unbatched_log.order.empty());
+  EXPECT_EQ(unbatched_log.order, batched_log.order);
+  // The hub's ties coalesced into shared delivery events.
+  EXPECT_LT(batched.stats.delivery_events, unbatched.stats.delivery_events);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -133,8 +135,8 @@ TEST_P(EngineTest, CancelledPeriodicStopsFiringOthersContinue) {
       engine.every(1.0, 1.0, [&](gcs::sim::Time) { ++cancelled_fires; });
   engine.every(1.0, 1.0, [&](gcs::sim::Time t) { kept_times.push_back(t); });
 
-  // Cancel mid-run: the firing already in the queue at t=3 is a weak
-  // reference to a destroyed chain, so it stays inert; every tick after
+  // Cancel mid-run: the firing already in the queue at t=3 names a
+  // chain that no longer exists, so it stays inert; every tick after
   // the cancellation point must come from the surviving chain only.
   engine.at(2.5, [&] { engine.cancel_every(doomed); });
   engine.run_until(5.0);

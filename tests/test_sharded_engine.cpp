@@ -169,6 +169,64 @@ TEST(ShardedEngine, ViolationsForTwoDestinationsSurfaceOneException) {
   EXPECT_EQ(eng.pending(), 0u);
 }
 
+TEST(ShardedEngine, PostRejectsNonFiniteTimesOnTheProducer) {
+  // A NaN or infinite post must fail where it is made, naming the time,
+  // and leave nothing staged: the valid posts around it still merge and
+  // run, and later runs do not rethrow.
+  ShardedEngine eng(2, /*window=*/1.0);
+  const std::size_t ctx = eng.global_ctx();
+  int delivered = 0;
+  eng.post(ctx, 1, 2.0, PostKey{0.0, 0, 0}, [&] { ++delivered; });
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    try {
+      eng.post(ctx, 1, bad, PostKey{0.0, 0, 1}, [&] { ++delivered; });
+      ADD_FAILURE() << "post accepted t=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite time"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  eng.post(ctx, 1, 3.0, PostKey{0.0, 0, 2}, [&] { ++delivered; });
+  EXPECT_EQ(eng.pending(), 2u);
+  // From inside a shard callback the throw reaches the caller of
+  // run_until, like any callback exception.
+  eng.at(0, 0.5, [&] {
+    eng.post(0, 1, std::numeric_limits<double>::quiet_NaN(),
+             PostKey{0.5, 0, 0}, [] {});
+  });
+  EXPECT_THROW(eng.run_until(1.0), std::invalid_argument);
+  EXPECT_EQ(eng.pending(), 2u);
+  EXPECT_NO_THROW(eng.run_until(4.0));
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_NO_THROW(eng.run_until(5.0));
+}
+
+TEST(ShardedEngine, FailedMergeDiscardsEveryStagedPostOfItsDestination) {
+  // One destination receives valid posts from two contexts and one
+  // violating post: the failed merge drops all of them (none reach the
+  // queue, none stay staged), the other destination merges normally,
+  // and the engine keeps running.
+  ShardedEngine eng(3, /*window=*/1.0);
+  int ran = 0;
+  eng.at(0, 0.5, [&] {
+    eng.post(0, 1, 2.0, PostKey{0.5, 0, 0}, [&] { ++ran; });
+    eng.post(0, 1, 0.6, PostKey{0.5, 0, 1}, [&] { ++ran; });
+    eng.post(0, 2, 2.0, PostKey{0.5, 0, 2}, [&] { ++ran; });
+  });
+  eng.at(2, 0.5, [&] {
+    eng.post(2, 1, 2.5, PostKey{0.5, 2, 0}, [&] { ++ran; });
+  });
+  EXPECT_THROW(eng.run_until(1.0), std::logic_error);
+  EXPECT_EQ(eng.pending(), 1u);  // only shard 2's merged post
+  EXPECT_NO_THROW(eng.run_until(4.0));
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
 TEST(ShardedEngine, PostAtExactlyTheBarrierIsAccepted) {
   // t == send_t + window lands exactly on the barrier: the tightest
   // schedule the contract allows must work.
