@@ -23,9 +23,35 @@ std::uint32_t DcsaColumns::find_slot(NodeId u, NodeId peer) const {
   const std::uint32_t head = head_[u];
   const std::uint32_t end = head + count_[u];
   for (std::uint32_t s = head; s < end; ++s) {
-    if (slot_peer_[s] == peer) return s;
+    if (slots_.peer[s] == peer) return s;
   }
   return kNpos;
+}
+
+bool DcsaColumns::find_tag(NodeId u, NodeId peer, std::uint32_t* tag) const {
+  const std::uint32_t s = find_slot(u, peer);
+  if (s == kNpos) return false;
+  *tag = slots_.tag[s];
+  return true;
+}
+
+void DcsaColumns::Slots::resize(std::size_t n) {
+  peer.resize(n);
+  hw_up.resize(n);
+  has_est.resize(n);
+  value.resize(n);
+  hw_recv.resize(n);
+  tag.resize(n);
+}
+
+void DcsaColumns::Slots::copy(std::uint32_t dst, const Slots& from,
+                              std::uint32_t src) {
+  peer[dst] = from.peer[src];
+  hw_up[dst] = from.hw_up[src];
+  has_est[dst] = from.has_est[src];
+  value[dst] = from.value[src];
+  hw_recv[dst] = from.hw_recv[src];
+  tag[dst] = from.tag[src];
 }
 
 void DcsaColumns::reserve_slot(NodeId u) {
@@ -35,18 +61,10 @@ void DcsaColumns::reserve_slot(NodeId u) {
   const std::uint32_t old_head = head_[u];
   const std::uint32_t old_count = count_[u];
   const std::uint32_t new_cap = cap_[u] ? cap_[u] * 2 : kInitialCap;
-  const std::uint32_t new_head = static_cast<std::uint32_t>(slot_peer_.size());
-  slot_peer_.resize(new_head + new_cap);
-  slot_hw_up_.resize(new_head + new_cap);
-  slot_has_est_.resize(new_head + new_cap);
-  slot_value_.resize(new_head + new_cap);
-  slot_hw_recv_.resize(new_head + new_cap);
+  const std::uint32_t new_head = static_cast<std::uint32_t>(slots_.peer.size());
+  slots_.resize(new_head + new_cap);
   for (std::uint32_t i = 0; i < old_count; ++i) {
-    slot_peer_[new_head + i] = slot_peer_[old_head + i];
-    slot_hw_up_[new_head + i] = slot_hw_up_[old_head + i];
-    slot_has_est_[new_head + i] = slot_has_est_[old_head + i];
-    slot_value_[new_head + i] = slot_value_[old_head + i];
-    slot_hw_recv_[new_head + i] = slot_hw_recv_[old_head + i];
+    slots_.copy(new_head + i, slots_, old_head + i);
   }
   hole_slots_ += cap_[u];
   head_[u] = new_head;
@@ -66,36 +84,26 @@ void DcsaColumns::maybe_compact() {
   // an immediate regrow.  Runs only from edge_up -- the simulator's
   // global context -- so no delivery can be scanning the arena
   // concurrently.
-  if (hole_slots_ < 4096 || hole_slots_ * 4 < slot_peer_.size()) return;
-  std::size_t packed = 0;
-  for (std::size_t u = 0; u < cap_.size(); ++u) packed += cap_[u];
-  std::vector<NodeId> peer(packed);
-  std::vector<double> hw_up(packed);
-  std::vector<std::uint8_t> has_est(packed);
-  std::vector<double> value(packed);
-  std::vector<double> hw_recv(packed);
+  if (hole_slots_ < 4096 || hole_slots_ * 4 < slots_.peer.size()) return;
+  std::size_t total = 0;
+  for (std::size_t u = 0; u < cap_.size(); ++u) total += cap_[u];
+  Slots packed;
+  packed.resize(total);
   std::uint32_t next = 0;
   for (std::size_t u = 0; u < cap_.size(); ++u) {
     const std::uint32_t old_head = head_[u];
     for (std::uint32_t i = 0; i < count_[u]; ++i) {
-      peer[next + i] = slot_peer_[old_head + i];
-      hw_up[next + i] = slot_hw_up_[old_head + i];
-      has_est[next + i] = slot_has_est_[old_head + i];
-      value[next + i] = slot_value_[old_head + i];
-      hw_recv[next + i] = slot_hw_recv_[old_head + i];
+      packed.copy(next + i, slots_, old_head + i);
     }
     head_[u] = next;
     next += cap_[u];
   }
-  slot_peer_ = std::move(peer);
-  slot_hw_up_ = std::move(hw_up);
-  slot_has_est_ = std::move(has_est);
-  slot_value_ = std::move(value);
-  slot_hw_recv_ = std::move(hw_recv);
+  slots_ = std::move(packed);
   hole_slots_ = 0;
 }
 
-void DcsaColumns::edge_up(const NodeContext& ctx, NodeId peer) {
+void DcsaColumns::edge_up(const NodeContext& ctx, NodeId peer,
+                          std::uint32_t tag) {
   const NodeId u = ctx.self;
   std::uint32_t s = find_slot(u, peer);
   if (s == kNpos) {
@@ -103,28 +111,24 @@ void DcsaColumns::edge_up(const NodeContext& ctx, NodeId peer) {
     s = head_[u] + count_[u];
     ++count_[u];
     ++live_slots_;
-    slot_peer_[s] = peer;
+    slots_.peer[s] = peer;
   }
   // Fresh edge state: no estimate yet, age counted from now.
-  slot_hw_up_[s] = ctx.hw_now;
-  slot_has_est_[s] = 0;
-  slot_value_[s] = 0.0;
-  slot_hw_recv_[s] = 0.0;
+  slots_.hw_up[s] = ctx.hw_now;
+  slots_.has_est[s] = 0;
+  slots_.value[s] = 0.0;
+  slots_.hw_recv[s] = 0.0;
+  slots_.tag[s] = tag;
 }
 
 void DcsaColumns::edge_down(const NodeContext& ctx, NodeId peer) {
   const NodeId u = ctx.self;
   const std::uint32_t s = find_slot(u, peer);
   if (s == kNpos) return;
-  // Swap-remove within the segment; segment order is free (see header).
-  const std::uint32_t last = head_[u] + count_[u] - 1;
-  if (s != last) {
-    slot_peer_[s] = slot_peer_[last];
-    slot_hw_up_[s] = slot_hw_up_[last];
-    slot_has_est_[s] = slot_has_est_[last];
-    slot_value_[s] = slot_value_[last];
-    slot_hw_recv_[s] = slot_hw_recv_[last];
-  }
+  // Ordered erase: the survivors keep their edge-up order, which is the
+  // simulator's broadcast order (see header).
+  const std::uint32_t end = head_[u] + count_[u];
+  for (std::uint32_t i = s; i + 1 < end; ++i) slots_.copy(i, slots_, i + 1);
   --count_[u];
   --live_slots_;
 }
@@ -135,7 +139,7 @@ double DcsaColumns::unconstrained_target(NodeId u, double hw_now,
   const std::uint32_t end = head + count_[u];
   double target = logical;
   for (std::uint32_t i = head; i < end; ++i) {
-    if (!slot_has_est_[i]) continue;
+    if (!slots_.has_est[i]) continue;
     const double est = estimate_low(i, hw_now);
     target = target > est ? target : est;
   }
@@ -143,7 +147,7 @@ double DcsaColumns::unconstrained_target(NodeId u, double hw_now,
 }
 
 double DcsaColumns::tolerance(std::uint32_t s, double hw_now) const {
-  const double base = bfunc_(hw_now - slot_hw_up_[s]);
+  const double base = bfunc_(hw_now - slots_.hw_up[s]);
   if (variant_.rule != Variant::Rule::kWeighted) return base;
   const double floor = bfunc_.floor();
   return variant_.weight * floor + (base - floor);
@@ -155,7 +159,7 @@ bool DcsaColumns::is_blocked_by(NodeId u, NodeId peer, double hw_now) const {
     return false;
   }
   const std::uint32_t s = find_slot(u, peer);
-  if (s == kNpos || !slot_has_est_[s]) return false;
+  if (s == kNpos || !slots_.has_est[s]) return false;
   const double target =
       unconstrained_target(u, hw_now, logical_clock(u, hw_now));
   return estimate_low(s, hw_now) + tolerance(s, hw_now) < target;
@@ -170,10 +174,10 @@ double DcsaColumns::apply_delivery(const StoreDelivery& d) {
   // mid-flight is stale input and updates nothing.
   const std::uint32_t s = find_slot(u, d.from);
   if (s != kNpos) {
-    if (!(slot_has_est_[s] && estimate_low(s, hw_now) >= d.value)) {
-      slot_value_[s] = d.value;
-      slot_hw_recv_[s] = hw_now;
-      slot_has_est_[s] = 1;
+    if (!(slots_.has_est[s] && estimate_low(s, hw_now) >= d.value)) {
+      slots_.value[s] = d.value;
+      slots_.hw_recv[s] = hw_now;
+      slots_.has_est[s] = 1;
     }
   }
   if (variant_.rule == Variant::Rule::kNoJump) {
@@ -190,14 +194,14 @@ double DcsaColumns::apply_delivery(const StoreDelivery& d) {
   const std::uint32_t end = head + count_[u];
   if (variant_.rule == Variant::Rule::kDcsa) {
     for (std::uint32_t i = head; i < end; ++i) {
-      if (!slot_has_est_[i]) continue;  // covered by B(0) > G(n)
+      if (!slots_.has_est[i]) continue;  // covered by B(0) > G(n)
       const double allowed =
-          estimate_low(i, hw_now) + bfunc_(hw_now - slot_hw_up_[i]);
+          estimate_low(i, hw_now) + bfunc_(hw_now - slots_.hw_up[i]);
       cap = cap < allowed ? cap : allowed;
     }
   } else if (variant_.rule == Variant::Rule::kWeighted) {
     for (std::uint32_t i = head; i < end; ++i) {
-      if (!slot_has_est_[i]) continue;
+      if (!slots_.has_est[i]) continue;
       const double allowed = estimate_low(i, hw_now) + tolerance(i, hw_now);
       cap = cap < allowed ? cap : allowed;
     }
@@ -229,8 +233,8 @@ std::size_t DcsaColumns::arena_bytes() const {
   const std::size_t per_node =
       sizeof(double) + sizeof(std::uint8_t) + 3 * sizeof(std::uint32_t);
   const std::size_t per_slot = sizeof(NodeId) + sizeof(std::uint8_t) +
-                               3 * sizeof(double);
-  return offset_.size() * per_node + slot_peer_.size() * per_slot;
+                               3 * sizeof(double) + sizeof(std::uint32_t);
+  return offset_.size() * per_node + slots_.peer.size() * per_slot;
 }
 
 }  // namespace gcs::core

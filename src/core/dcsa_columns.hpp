@@ -37,7 +37,7 @@
 // flag per node); per-edge estimate state lives in a single slot arena
 // carved into per-node segments, CSR-style: node u's peers occupy slots
 // [head_[u], head_[u] + count_[u]) of the parallel columns {peer, hw_up,
-// has_estimate, value, hw_recv}.  Segments grow by relocation to the
+// has_estimate, value, hw_recv, tag}.  Segments grow by relocation to the
 // arena tail (amortized doubling) and the arena compacts when abandoned
 // holes pile up past a quarter of it, so a million-node churn run costs
 // a handful of contiguous allocations instead of a million std::map
@@ -46,10 +46,14 @@
 // Peer lookup is a linear scan of the segment: DCSA degree is bounded in
 // every scaling workload (ring backbones plus volatile edges), and for
 // single-digit degrees the scan beats any hash on both time and memory.
-// Segment order is insertion order, NOT peer order -- valid because the
-// min/max folds and the single-slot estimate update are iteration-order
-// independent.  tests/test_dcsa.cpp holds the kernel bit-equal to a
-// per-node std::map oracle for all four variants.
+// A segment doubles as the simulator's adjacency: NetworkSimulation
+// broadcasts along for_each_peer and finds an edge's slot with find_tag
+// (the tag is a word edge_up stores and the kernel never reads).
+// Segment order is edge-up order, NOT peer order, kept by edge_down's
+// ordered erase: it is the send order, so the order of the delay draws
+// (the kernel's own folds ignore it).  tests/test_dcsa.cpp pins it and
+// holds the kernel bit-equal to a per-node std::map oracle for all four
+// variants.
 #ifndef GCS_CORE_DCSA_COLUMNS_HPP
 #define GCS_CORE_DCSA_COLUMNS_HPP
 
@@ -131,8 +135,17 @@ class DcsaColumns {
   // Lifecycle + topology inputs (always delivered through the
   // simulator's barrier/global context, never concurrently).
   void start(const NodeContext& ctx);
-  void edge_up(const NodeContext& ctx, NodeId peer);
+  void edge_up(const NodeContext& ctx, NodeId peer, std::uint32_t tag = 0);
   void edge_down(const NodeContext& ctx, NodeId peer);
+
+  // Calls fn(peer, tag) for each of u's live peers in edge-up order.
+  template <class Fn>
+  void for_each_peer(NodeId u, Fn&& fn) const {
+    const std::uint32_t end = head_[u] + count_[u];
+    for (auto s = head_[u]; s < end; ++s) fn(slots_.peer[s], slots_.tag[s]);
+  }
+  // True iff `peer` is in u's segment; then *tag is its edge_up tag.
+  bool find_tag(NodeId u, NodeId peer, std::uint32_t* tag) const;
 
   // Apply `count` delivery records IN ORDER: for each record, call
   // sink.before(d), update the receiver's estimate of the sender and run
@@ -181,7 +194,7 @@ class DcsaColumns {
   // since reception is at least (hw_now - hw_recv)/(1+rho), and the
   // peer's clock advances at rate >= 1-rho and never jumps backwards.
   double estimate_low(std::uint32_t s, double hw_now) const {
-    return slot_value_[s] + kappa_ * (hw_now - slot_hw_recv_[s]);
+    return slots_.value[s] + kappa_ * (hw_now - slots_.hw_recv[s]);
   }
   // Max over u's estimates and `logical`: the unconstrained jump target.
   double unconstrained_target(NodeId u, double hw_now, double logical) const;
@@ -202,11 +215,17 @@ class DcsaColumns {
   std::vector<std::uint32_t> cap_;
 
   // The peer-slot arena (parallel columns).
-  std::vector<NodeId> slot_peer_;
-  std::vector<double> slot_hw_up_;
-  std::vector<std::uint8_t> slot_has_est_;
-  std::vector<double> slot_value_;
-  std::vector<double> slot_hw_recv_;
+  struct Slots {
+    std::vector<NodeId> peer;
+    std::vector<double> hw_up;
+    std::vector<std::uint8_t> has_est;
+    std::vector<double> value;
+    std::vector<double> hw_recv;
+    std::vector<std::uint32_t> tag;
+    void resize(std::size_t n);
+    void copy(std::uint32_t dst, const Slots& from, std::uint32_t src);
+  };
+  Slots slots_;
 
   std::size_t live_slots_ = 0;  // sum of count_
   std::size_t hole_slots_ = 0;  // abandoned by relocation

@@ -135,12 +135,18 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
   if (!link_.prop.sample) {
     throw std::invalid_argument("NetworkSimulation: delay model has no sampler");
   }
+  // Each broadcast schedules the next one delta_h of hardware time later;
+  // at delta_h <= 0 that is the same instant, and the run never advances.
+  if (!(params_.delta_h > 0.0) || !std::isfinite(params_.delta_h)) {
+    throw std::invalid_argument(
+        "NetworkSimulation: delta_h must be finite and > 0, got " +
+        std::to_string(params_.delta_h));
+  }
   clocks_ = std::move(schedules);
   for (std::size_t i = 0; i < n; ++i) {
     store_.start(
         NodeContext{static_cast<NodeId>(i), clocks_[i].value_at(0.0), 0.0});
   }
-  adjacency_.assign(n, {});
   last_logical_.assign(n, 0.0);
 
   if (options_.shards > 0) {
@@ -180,7 +186,6 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     }
   }
 
-  edge_slot_of_.reserve(graph.initial_edges().size() * 2 + 16);
   edge_slots_.reserve(graph.initial_edges().size() + 16);
   for (const net::Edge& e : graph.initial_edges()) add_edge(e, 0.0, true);
   for (const net::TopologyEvent& ev : graph.events()) {
@@ -266,12 +271,6 @@ void NetworkSimulation::sample_clocks(std::vector<double>& hw,
   store_.advance(hw.data(), logical.data(), n);
 }
 
-double NetworkSimulation::edge_age(const net::Edge& e) const {
-  auto it = edge_slot_of_.find(edge_key(e));
-  if (it == edge_slot_of_.end()) return -1.0;
-  return now() - edge_slots_[it->second].up_time;
-}
-
 double NetworkSimulation::max_queue_backlog() const {
   const net::TrafficModel& m = link_.traffic;
   if (!m.pipeline_active() || m.bandwidth <= 0.0) return 0.0;
@@ -307,25 +306,22 @@ void NetworkSimulation::apply_event(const net::TopologyEvent& ev) {
 
 void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
                                  bool initial) {
-  const auto [it, fresh] = edge_slot_of_.try_emplace(edge_key(e), 0);
-  if (!fresh) return;  // redundant add
+  std::uint32_t slot;
+  if (store_.find_tag(e.u, e.v, &slot)) return;  // redundant add
   if (free_slots_.empty()) {
-    it->second = static_cast<std::uint32_t>(edge_slots_.size());
+    slot = static_cast<std::uint32_t>(edge_slots_.size());
     edge_slots_.emplace_back();
   } else {
-    it->second = free_slots_.back();
+    slot = free_slots_.back();
     free_slots_.pop_back();
   }
-  const std::uint32_t slot = it->second;
   EdgeSlot& s = edge_slots_[slot];
   const EdgeRef ref{slot, next_incarnation(s.incarnation, slot)};
   s = EdgeSlot{t, e.u, e.v, ref.incarnation, true, {}};
-  adjacency_[e.u].push_back(Neighbor{e.v, ref});
-  adjacency_[e.v].push_back(Neighbor{e.u, ref});
   const double hw_u = clocks_[e.u].value_at(t);
   const double hw_v = clocks_[e.v].value_at(t);
-  store_.edge_up(NodeContext{e.u, hw_u, t}, e.v);
-  store_.edge_up(NodeContext{e.v, hw_v, t}, e.u);
+  store_.edge_up(NodeContext{e.u, hw_u, t}, e.v, slot);
+  store_.edge_up(NodeContext{e.v, hw_v, t}, e.u, slot);
   if (!initial) {
     // Discovery exchange: both endpoints immediately send their clocks on
     // the new edge, so it carries an estimate within one delay bound.
@@ -347,18 +343,10 @@ void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
 }
 
 void NetworkSimulation::remove_edge(const net::Edge& e, sim::Time t) {
-  auto it = edge_slot_of_.find(edge_key(e));
-  if (it == edge_slot_of_.end()) return;  // redundant remove
-  edge_slots_[it->second].live = false;
-  free_slots_.push_back(it->second);
-  edge_slot_of_.erase(it);
-  auto drop = [](std::vector<Neighbor>& v, NodeId x) {
-    v.erase(std::remove_if(v.begin(), v.end(),
-                           [x](const Neighbor& nb) { return nb.peer == x; }),
-            v.end());
-  };
-  drop(adjacency_[e.u], e.v);
-  drop(adjacency_[e.v], e.u);
+  std::uint32_t slot;
+  if (!store_.find_tag(e.u, e.v, &slot)) return;  // redundant remove
+  edge_slots_[slot].live = false;
+  free_slots_.push_back(slot);
   store_.edge_down(NodeContext{e.u, clocks_[e.u].value_at(t), t}, e.v);
   store_.edge_down(NodeContext{e.v, clocks_[e.v].value_at(t), t}, e.u);
 }
@@ -375,20 +363,22 @@ void NetworkSimulation::schedule_broadcast(NodeId u) {
 void NetworkSimulation::broadcast(NodeId u) {
   if (sharded_) {
     // Runs on u's shard: u's clock, node state, and RNG are owner-local;
-    // adjacency_ and edge_slots_ only ever change at barriers, so reading
-    // them mid-window is race-free.
+    // u's peer segment and edge_slots_ only ever change at barriers, so
+    // reading them mid-window is race-free.
     const sim::Time t = sharded_->shard_now(shard_of_[u]);
     const double value = store_.logical_clock(u, clocks_[u].value_at(t));
-    for (const Neighbor& nb : adjacency_[u]) {
-      send_sharded(shard_of_[u], u, nb.peer, nb.edge, value, t);
-    }
+    store_.for_each_peer(u, [&](NodeId peer, std::uint32_t slot) {
+      send_sharded(shard_of_[u], u, peer, live_ref(slot), value, t);
+    });
     next_broadcast_hw_[u] += params_.delta_h;
     schedule_broadcast(u);
     return;
   }
   const sim::Time t = engine_.now();
   const double value = store_.logical_clock(u, clocks_[u].value_at(t));
-  for (const Neighbor& nb : adjacency_[u]) send(u, nb.peer, nb.edge, value, t);
+  store_.for_each_peer(u, [&](NodeId peer, std::uint32_t slot) {
+    send(u, peer, live_ref(slot), value, t);
+  });
   flush_outbox();
   next_broadcast_hw_[u] += params_.delta_h;
   schedule_broadcast(u);
@@ -617,7 +607,7 @@ void NetworkSimulation::start_flows(const net::Edge& e, EdgeRef edge,
                                     sim::Time t) {
   if (!link_.traffic.has_flows()) return;
   const double period = link_.traffic.flow_period();
-  const std::uint64_t key = edge_key(e);
+  const std::uint64_t key = (std::uint64_t{e.u} << 32) | e.v;
   const NodeId ends[2][2] = {{e.u, e.v}, {e.v, e.u}};
   for (int i = 0; i < 2; ++i) {
     const NodeId from = ends[i][0];

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -198,16 +197,14 @@ class NetworkSimulation {
 
   // Calls fn(u, v, up_time) for every live edge (u < v) in slot order,
   // which depends on the churn history, not on (u, v): use it only for
-  // folds that ignore order (max, count).  Real-time age is now() -
-  // up_time, bit-identical to edge_age().
+  // folds that ignore order (max, count).  The edge's real-time age is
+  // now() - up_time.
   template <class Fn>
   void for_each_live_edge(Fn&& fn) const {
     for (const EdgeSlot& s : edge_slots_) {
       if (s.live) fn(s.u, s.v, s.up_time);
     }
   }
-  // Real-time age of a live edge; negative if the edge is not present.
-  double edge_age(const net::Edge& e) const;
   // Instantaneous worst queue backlog (bytes) over all live link
   // directions -- the per-interval queue-depth gauge.  Max commutes, so
   // the slot-order edge walk is deterministic; 0.0 whenever no
@@ -269,10 +266,6 @@ class NetworkSimulation {
     std::uint32_t slot;
     std::uint32_t incarnation;
   };
-  struct Neighbor {
-    NodeId peer;
-    EdgeRef edge;
-  };
   struct Delivery {
     NodeId from;
     NodeId to;
@@ -285,9 +278,9 @@ class NetworkSimulation {
   struct ClassicSink;
   struct ShardedSink;
 
-  // Edges are normalized (u <= v), so one packed key per physical link.
-  static std::uint64_t edge_key(const net::Edge& e) {
-    return (static_cast<std::uint64_t>(e.u) << 32) | e.v;
+  // The edge a peer segment's tag names: segments hold live edges only.
+  EdgeRef live_ref(std::uint32_t slot) const {
+    return EdgeRef{slot, edge_slots_[slot].incarnation};
   }
   // True while the incarnation `r` names is still up.
   bool is_live(EdgeRef r) const {
@@ -426,20 +419,16 @@ class NetworkSimulation {
   std::vector<std::uint64_t> node_trace_seq_;
   std::uint64_t global_trace_seq_ = 0;
   std::vector<clk::RateSchedule> clocks_;
-  // All node state, in the kernel's flat arenas.
+  // All node state, in the kernel's flat arenas; each peer segment is
+  // also its node's adjacency, tagged with the edges' slots.
   DcsaColumns store_;
-  // Per node, its live edges in the order they came up, each with the
-  // handle a send stamps on its message.
-  std::vector<std::vector<Neighbor>> adjacency_;
   // The edge table.  The message path (send, delivery, flows, the
-  // per-delivery audit) indexes it by the EdgeRef a message or adjacency
-  // entry carries -- no hashing.  It changes only at barriers (topology
-  // deltas) and in the constructor, so shards read it mid-window freely.
+  // per-delivery audit) indexes it by a message's EdgeRef or a segment's
+  // tag, and a topology delta by find_tag -- no hashing.  It changes only
+  // at barriers (topology deltas) and in the constructor, so shards read
+  // it mid-window freely.
   std::vector<EdgeSlot> edge_slots_;
   std::vector<std::uint32_t> free_slots_;  // reused last-freed first
-  // Live edges' slots keyed by packed (u << 32 | v), for what arrives as
-  // a bare (u, v): topology deltas and edge_age().
-  std::unordered_map<std::uint64_t, std::uint32_t> edge_slot_of_;
   std::vector<double> next_broadcast_hw_;
   std::vector<double> last_logical_;  // monotonicity conformance
   // Batched mode: messages staged by the current flush scope in send

@@ -97,6 +97,15 @@ bool match_spec(const std::string& spec, const std::string& name,
 
 net::DelayModel build_delay(const ExperimentConfig& cfg) {
   const double T = cfg.params.T;
+  // The simulator clamps every draw into [0, T] (T is the model's delay
+  // bound), so a spec reaching outside it would silently run a different
+  // distribution.
+  const auto check_within_T = [&](double lo, double hi) {
+    if (!(0.0 <= lo && lo <= hi && hi <= T)) {
+      throw std::invalid_argument("run_experiment: delay '" + cfg.delay +
+                                  "' must lie within [0, T]");
+    }
+  };
   std::string args;
   if (match_spec(cfg.delay, "uniform", &args)) {
     // "uniform" = [0, T]; "uniform:lo" = [lo, T]; "uniform:lo:hi".  A
@@ -110,9 +119,7 @@ net::DelayModel build_delay(const ExperimentConfig& cfg) {
         hi = parse_number(args.substr(colon + 1), "delay", cfg.delay);
       }
     }
-    if (lo < 0.0) {
-      throw std::invalid_argument("run_experiment: uniform delay lo < 0");
-    }
+    check_within_T(lo, hi);
     return net::make_uniform_delay(T, lo, hi);
   }
   if (match_spec(cfg.delay, "constant", &args)) {
@@ -120,6 +127,7 @@ net::DelayModel build_delay(const ExperimentConfig& cfg) {
     if (cfg.delay != "constant") {
       value = parse_number(args, "delay", cfg.delay);
     }
+    check_within_T(value, value);
     return net::make_constant_delay(T, value);
   }
   throw std::invalid_argument("run_experiment: unknown delay '" + cfg.delay +

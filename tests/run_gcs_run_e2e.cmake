@@ -20,7 +20,7 @@ if(NOT OUT_DIR)
   message(FATAL_ERROR "OUT_DIR not set")
 endif()
 
-file(REMOVE_RECURSE "${OUT_DIR}" "${OUT_DIR}-nan")
+file(REMOVE_RECURSE "${OUT_DIR}" "${OUT_DIR}-refused")
 
 execute_process(
   COMMAND "${GCS_RUN}"
@@ -91,18 +91,28 @@ foreach(flag --store=columns --engine=heap --delivery=batched)
   endif()
 endforeach()
 
-# A non-finite horizon is refused up front, naming the field, instead of
-# hanging the engine (a timeout leaves rc non-numeric).
-execute_process(
-  COMMAND "${GCS_RUN}" --n=8 --topology=ring --horizon=nan --quiet
-          --out "${OUT_DIR}-nan"
-  RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
-  TIMEOUT 10)
-if(NOT rc MATCHES "^[1-9][0-9]*$" OR NOT "${stdout}${stderr}" MATCHES
-   "horizon must be finite")
-  message(FATAL_ERROR "gcs_run --horizon=nan: expected a prompt non-zero "
-          "exit naming the field, got ${rc}\n${stdout}\n${stderr}")
-endif()
+# Values the engine cannot run are refused up front, naming the field or
+# spec: a non-finite horizon and delta_h = 0 used to hang the engine (a
+# timeout leaves rc non-numeric), and a delay outside [0, T] was clamped
+# into a different distribution.
+function(expect_refused flag pattern)
+  execute_process(
+    COMMAND "${GCS_RUN}" --n=8 --topology=ring --horizon=4 --T=1 ${flag}
+            --quiet --out "${OUT_DIR}-refused"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
+    TIMEOUT 10)
+  if(NOT rc MATCHES "^[1-9][0-9]*$" OR NOT "${stdout}${stderr}" MATCHES
+     "${pattern}")
+    message(FATAL_ERROR "gcs_run ${flag}: expected a prompt non-zero exit "
+            "naming '${pattern}', got ${rc}\n${stdout}\n${stderr}")
+  endif()
+endfunction()
+expect_refused(--horizon=nan "horizon must be finite")
+expect_refused(--delta_h=0 "delta_h must be")
+expect_refused(--delay=constant:-1 "delay 'constant:-1'")
+expect_refused(--delay=constant:5 "delay 'constant:5'")
+expect_refused(--delay=uniform:0:5 "delay 'uniform:0:5'")
 
 message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, retired "
-        "axes rejected, --horizon=nan refused")
+        "axes rejected, --horizon=nan, --delta_h=0 and delays outside "
+        "[0, T] refused")

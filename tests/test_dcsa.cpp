@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/network_sim.hpp"
@@ -257,7 +260,7 @@ TEST(DcsaColumns, MirrorsDcsaNodeBitForBit) {
 }
 
 // Slot-arena mechanics: segments grow past the initial capacity by
-// relocation, edge_down swap-removes, and the books (live_slots,
+// relocation, edge_down erases in order, and the books (live_slots,
 // arena_bytes) stay consistent.
 TEST(DcsaColumns, SlotArenaGrowsAndShrinks) {
   const auto p = small_params(64);
@@ -288,7 +291,7 @@ TEST(DcsaColumns, SlotArenaGrowsAndShrinks) {
 
 // Adversarial grow/shrink churn on one segment: estimates set before a
 // cap-doubling relocation must ride along to the new region bit-exact,
-// swap-removes at the head/middle/tail of the segment must not corrupt
+// removals at the head/middle/tail of the segment must not corrupt
 // survivors, and reclaimed slots must come back clean -- all mirrored
 // delivery-for-delivery against the oracle, under every protocol.
 TEST(DcsaColumns, AdversarialChurnKeepsRelocatedSegmentsBitExact) {
@@ -331,7 +334,7 @@ TEST(DcsaColumns, AdversarialChurnKeepsRelocatedSegmentsBitExact) {
     }
     EXPECT_EQ(cols.live_slots(), 20u);
 
-    // Swap-remove the segment's first, middle, and last slot, then hear
+    // Remove the segment's first, middle, and last slot, then hear
     // from every survivor (a stale or mis-copied slot diverges instantly).
     down(1);
     down(10);
@@ -423,6 +426,70 @@ TEST(DcsaColumns, HoleCompactionFiresAndPreservesSegments) {
     }
     EXPECT_EQ(cols.live_slots(), n * 8u);
   }
+}
+
+// for_each_peer is the simulator's broadcast order, so the segment must
+// list peers in edge-up order (not peer order) with the tag each edge_up
+// gave them -- across an ordered erase in the middle, a relocation and a
+// compaction.  A swap-remove in edge_down reorders the survivors.
+TEST(DcsaColumns, PeerSegmentKeepsEdgeUpOrderAndTags) {
+  const std::size_t n = 600;
+  const auto p = small_params(n);
+  gcs::core::DcsaColumns cols(p, n);
+  for (gcs::core::NodeId u = 0; u < n; ++u) cols.start(at(u, 0.0));
+
+  using Entry = std::pair<gcs::core::NodeId, std::uint32_t>;
+  std::vector<Entry> want;
+  const auto tag_of = [](gcs::core::NodeId peer) { return 1000 + 7 * peer; };
+  const auto up = [&](gcs::core::NodeId peer) {
+    cols.edge_up(at(0, 0.0), peer, tag_of(peer));
+    want.emplace_back(peer, tag_of(peer));
+  };
+  const auto down = [&](gcs::core::NodeId peer) {
+    cols.edge_down(at(0, 1.0), peer);
+    want.erase(std::find(want.begin(), want.end(), Entry{peer, tag_of(peer)}));
+  };
+  const auto expect_segment = [&](const std::string& when) {
+    std::vector<Entry> got;
+    cols.for_each_peer(0, [&](gcs::core::NodeId peer, std::uint32_t tag) {
+      got.emplace_back(peer, tag);
+    });
+    EXPECT_EQ(got, want) << when;
+    for (const auto& [peer, tag] : want) {
+      std::uint32_t found = 0;
+      EXPECT_TRUE(cols.find_tag(0, peer, &found)) << when << " peer " << peer;
+      EXPECT_EQ(found, tag) << when << " peer " << peer;
+    }
+  };
+
+  for (gcs::core::NodeId peer : {7u, 3u, 9u, 1u}) up(peer);
+  down(9);  // the middle of a full initial segment
+  expect_segment("after a middle removal");
+  std::uint32_t unused = 0;
+  EXPECT_FALSE(cols.find_tag(0, 9, &unused));
+
+  // Past the initial capacity of 4: the segment relocates (cap 4 -> 8),
+  // then loses a middle entry again.
+  for (gcs::core::NodeId peer : {12u, 2u, 11u, 5u}) up(peer);
+  down(12);
+  expect_segment("after a relocation");
+
+  // Fill every other node to degree 9 (two relocations each) until the
+  // hole threshold compacts the arena under node 0's segment.
+  std::size_t compactions = 0;
+  std::size_t prev_bytes = cols.arena_bytes();
+  for (gcs::core::NodeId u = 1; u < n; ++u) {
+    for (gcs::core::NodeId k = 1; k <= 9; ++k) {
+      cols.edge_up(at(u, 0.0), (u + k) % n, k);
+      if (cols.arena_bytes() < prev_bytes) ++compactions;
+      prev_bytes = cols.arena_bytes();
+    }
+  }
+  ASSERT_GE(compactions, 1u);
+  expect_segment("after a compaction");
+  down(1);
+  up(9);
+  expect_segment("after a compaction, a removal and a re-add");
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// The simulator's edge table.  Adjacency entries, in-flight messages and
-// background flows name an edge by (slot, incarnation), so a message or
-// flow on an edge that went down must die with it -- also when the same
-// edge comes back up, and when a different edge refills the freed slot.
+// The simulator's edge table.  In-flight messages and background flows
+// name an edge by (slot, incarnation), so a message or flow on an edge
+// that went down must die with it -- also when the same edge comes back
+// up, and when a different edge refills the freed slot.  A broadcast
+// walks the sender's kernel peer segment, whose order is part of the
+// trajectory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,6 +166,51 @@ TEST(EdgeSlots, FlowsStopWithTheirIncarnation) {
           << "reborn (" << reborn.u << ", " << reborn.v << ") shards=" << shards;
       EXPECT_EQ(o.drops, o.expected_drops) << "shards=" << shards;
     }
+  }
+}
+
+// A broadcast sends along the sender's peer segment, so its send order --
+// and with it the order of the delay draws -- is the order the edges came
+// up in, minus the ones that went down.  Node 0 gains edges to 1, 2, 3, 4
+// in that order and loses (0, 2): its next broadcast must go to 1, 3, 4
+// (a swap-remove in the kernel would send to 1, 4, 3).
+TEST(EdgeSlots, BroadcastSendsInEdgeUpOrderAfterARemoval) {
+  constexpr std::size_t n = 5;
+  // Node 0 broadcasts at 0.1 + 0.5 k (rate 1, phase delta_h / n); every
+  // topology delta sits off those instants and off every delivery.
+  constexpr double kRemove = 2.03;
+  gcs::core::SyncParams p;
+  p.n = n;
+  p.rho = 0.05;
+  p.T = 1.0;
+  p.D = 2.5;
+  p.delta_h = 0.5;
+  for (const std::size_t shards : {0u, 1u, 4u}) {
+    gcs::net::DynamicGraph graph(n, {},
+                                 {{1.03, Edge(0, 1), true},
+                                  {1.23, Edge(0, 2), true},
+                                  {1.43, Edge(0, 3), true},
+                                  {1.63, Edge(0, 4), true},
+                                  {kRemove, Edge(0, 2), false}});
+    MessageLog log;
+    gcs::core::SimOptions options;
+    options.recorder = &log;
+    options.shards = shards;
+    NetworkSimulation sim(
+        p, std::move(graph), gcs::net::make_constant_delay(p.T, 0.5),
+        std::vector<gcs::clk::RateSchedule>(n, gcs::clk::RateSchedule(1.0)),
+        options);
+    sim.run_until(3.0);
+
+    std::vector<NodeId> receivers;
+    double at = -1.0;
+    for (const MessageLog::Send& s : log.sends) {
+      if (std::get<1>(s.m) != 0 || s.t <= kRemove) continue;
+      if (at < 0.0) at = s.t;
+      if (s.t == at) receivers.push_back(std::get<2>(s.m));
+    }
+    EXPECT_DOUBLE_EQ(at, 2.1) << "shards=" << shards;
+    EXPECT_EQ(receivers, (std::vector<NodeId>{1, 3, 4})) << "shards=" << shards;
   }
 }
 

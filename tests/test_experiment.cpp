@@ -99,6 +99,21 @@ TEST(RunExperiment, RejectsBadConfigs) {
   cfg = small_config();
   cfg.sample_dt = -1.0;
   EXPECT_THROW(gcs::harness::run_experiment(cfg), std::invalid_argument);
+  // delta_h <= 0 used to reschedule every broadcast at its own instant
+  // (0: a livelock) or fail late inside the clock (-1); both are refused
+  // up front, naming the field.
+  for (const double delta_h : {0.0, -1.0}) {
+    cfg = small_config();
+    cfg.params.delta_h = delta_h;
+    try {
+      gcs::harness::run_experiment(cfg);
+      ADD_FAILURE() << "delta_h=" << delta_h << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("delta_h must be"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RunExperiment, RejectsNonFiniteParameters) {
@@ -219,6 +234,25 @@ TEST(RunExperiment, NumberGrammarsRejectPartialTokens) {
   };
   same_run("constant:0.25", "constant:2.5e-1");
   same_run("uniform:0.25:1", "uniform:0.250:1.0");
+}
+
+TEST(RunExperiment, DelaysOutsideZeroToTAreRejected) {
+  // Every delay is clamped into [0, T] when it is drawn, so a spec that
+  // reaches outside would run a different distribution than it names.
+  // small_config has T = 1.
+  for (const char* delay :
+       {"constant:-1", "constant:5", "constant:1.0001", "uniform:-0.5",
+        "uniform:0:5", "uniform:0.25:1.5", "uniform:2", "uniform:0.5:0.25"}) {
+    auto cfg = small_config();
+    cfg.delay = delay;
+    expect_rejected(cfg, delay);
+  }
+  for (const char* delay : {"constant:0", "constant:1", "uniform:0:1"}) {
+    auto cfg = small_config();
+    cfg.delay = delay;
+    cfg.horizon = 4.0;
+    EXPECT_NO_THROW(gcs::harness::run_experiment(cfg)) << delay;
+  }
 }
 
 TEST(RunExperiment, VariantsAreInvariantAcrossShards) {

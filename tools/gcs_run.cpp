@@ -49,10 +49,10 @@ options:
 
 sweepable keys (comma lists and integer ranges a..b become axes):
   n, topology (path|ring|star|complete), drift (spread|walk|two-camp),
-  delay (uniform[:lo[:hi]]|constant[:x]), shards (0 = classic
+  delay (uniform[:lo[:hi]]|constant[:x], within [0, T]), shards (0 = classic
   single-queue engine; >= 1 runs the sharded conservative-parallel
   engine, which needs a delay with a positive floor, e.g. constant:0.5
-  or uniform:0.25), rho, T, D, delta_h, B0, horizon, sample_dt (all
+  or uniform:0.25), rho, T, D, delta_h (> 0), B0, horizon, sample_dt (all
   finite numbers), seed (alias: seeds)
   variant: dcsa (default) | weighted[:w] (uniform tolerance weight w,
   default 0.5) | noblock (no blocking cap) | nojump (free-running
