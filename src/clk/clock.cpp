@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <new>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -14,9 +16,10 @@ namespace gcs::clk {
 
 namespace {
 
-[[noreturn]] void throw_domain(const char* fn, const char* arg, double x) {
+[[noreturn]] void throw_domain(const char* cls, const char* fn,
+                               const char* arg, double x) {
   std::ostringstream msg;
-  msg << "RateSchedule::" << fn << ": " << arg
+  msg << cls << "::" << fn << ": " << arg
       << " must be finite and >= 0, got " << x;
   throw std::invalid_argument(msg.str());
 }
@@ -28,8 +31,9 @@ bool finite_at_least(double x, double lo) {
 
 // Rejects what would otherwise walk off the front of the segment table
 // (negative, NaN) or extend a walk forever (+inf).
-void check_domain(const char* fn, const char* arg, double x) {
-  if (!finite_at_least(x, 0.0)) throw_domain(fn, arg, x);
+void check_domain(const char* fn, const char* arg, double x,
+                  const char* cls = "RateSchedule") {
+  if (!finite_at_least(x, 0.0)) throw_domain(cls, fn, arg, x);
 }
 
 // One walk step.  A fresh distribution per draw, so the number of engine
@@ -38,6 +42,16 @@ void check_domain(const char* fn, const char* arg, double x) {
 double draw_step(util::LazyMt19937_64& gen, double sigma) {
   std::normal_distribution<double> step(0.0, sigma);
   return step(gen);
+}
+
+// The walk's recurrence: the segment after `last`, whose rate took one
+// step.  RateSchedule and ClockTable both extend through it, so they
+// generate the same segments bit for bit.
+Segment next_segment(const Segment& last, util::LazyMt19937_64& gen,
+                     double rho, double step_dt, double sigma) {
+  const double next_rate =
+      std::clamp(last.rate + draw_step(gen, sigma), 1.0 - rho, 1.0 + rho);
+  return Segment{last.t0 + step_dt, last.hw0 + last.rate * step_dt, next_rate};
 }
 
 // Names the first bad random_walk argument.  Every comparison is written
@@ -112,11 +126,8 @@ void RateSchedule::extend(Covered covered) const {
   }
   while (segments_.size() < want || (sized && !(sized_until_ < end_t_)) ||
          !covered()) {
-    const Segment& last = segments_.back();
-    const double next_rate = std::clamp(last.rate + draw_step(gen, sigma_),
-                                        1.0 - rho_, 1.0 + rho_);
-    segments_.push_back(Segment{last.t0 + step_dt_,
-                                last.hw0 + last.rate * step_dt_, next_rate});
+    segments_.push_back(
+        next_segment(segments_.back(), gen, rho_, step_dt_, sigma_));
     const Segment& s = segments_.back();
     end_t_ = s.t0 + step_dt_;
     end_v_ = s.hw0 + s.rate * step_dt_;
@@ -153,7 +164,7 @@ double RateSchedule::value_at(double t) const {
   check_domain("value_at", "t", t);
   if (!(t < end_t_)) extend_to_time(t);
   const Segment& s = segments_[segment_at(t)];
-  return s.hw0 + s.rate * (t - s.t0);
+  return value_on(s.t0, s.hw0, s.rate, t);
 }
 
 double RateSchedule::time_when(double value) const {
@@ -163,7 +174,215 @@ double RateSchedule::time_when(double value) const {
       segments_.begin(), segments_.end(), value,
       [](double v, const Segment& s) { return v < s.hw0; });
   const Segment& s = *std::prev(it);
-  return s.t0 + (value - s.hw0) / s.rate;
+  return time_on(s.t0, s.hw0, s.rate, value);
+}
+
+// ---------------------------------------------------------------------------
+// ClockTable
+// ---------------------------------------------------------------------------
+
+ClockTable::ClockTable(const std::vector<RateSchedule>& schedules) {
+  const std::size_t n = schedules.size();
+  keys_.resize(n);
+  std::vector<std::uint32_t> shape_of(n);
+  // Per shape, the largest sized_until among its walks (0 = none sized).
+  std::vector<double> sized;
+  for (std::size_t u = 0; u < n; ++u) {
+    const RateSchedule& r = schedules[u];
+    Shape want;
+    want.walk = r.walk_;
+    if (r.walk_) {
+      want.rho = r.rho_;
+      want.step_dt = r.step_dt_;
+      want.sigma = r.sigma_;
+      want.rate0 = r.segments_[0].rate;
+      keys_[u] = r.seed_;
+    } else {
+      const double rate = r.segments_[0].rate;
+      std::memcpy(&keys_[u], &rate, sizeof rate);
+    }
+    const auto same = [&want](const Shape& s) {
+      return s.walk == want.walk &&
+             (!want.walk ||
+              (s.rho == want.rho && s.step_dt == want.step_dt &&
+               s.sigma == want.sigma && s.rate0 == want.rate0));
+    };
+    // Schedules usually come in runs of one shape: try the last first.
+    std::size_t k;
+    if (u > 0 && same(shapes_[shape_of[u - 1]])) {
+      k = shape_of[u - 1];
+    } else {
+      k = static_cast<std::size_t>(
+          std::find_if(shapes_.begin(), shapes_.end(), same) - shapes_.begin());
+    }
+    if (k == shapes_.size()) {
+      shapes_.push_back(want);
+      sized.push_back(0.0);
+    }
+    shape_of[u] = static_cast<std::uint32_t>(k);
+    if (r.walk_) sized[k] = std::max(sized[k], r.sized_until_);
+  }
+  if (shapes_.size() > 1) shape_of_ = std::move(shape_of);
+  // The row width: the segments past the first that a sized walk's first
+  // extension generates (every segment with t0 <= sized_until), at the
+  // widest shape; kMinChunk when no walk was sized, as an unsized
+  // RateSchedule's first extension appends.
+  for (std::size_t k = 0; k < shapes_.size(); ++k) {
+    const Shape& s = shapes_[k];
+    if (!s.walk) continue;
+    std::size_t w = RateSchedule::kMinChunk;
+    if (sized[k] > 0.0) {
+      if (!(sized[k] / s.step_dt < 1e9)) {
+        throw std::length_error(
+            "ClockTable: sized_until / step_dt must be < 1e9 segments");
+      }
+      double t0 = 0.0;
+      w = 0;
+      while (!(sized[k] < t0 + s.step_dt)) {
+        t0 += s.step_dt;
+        ++w;
+      }
+    }
+    width_ = std::max(width_, w);
+  }
+  for (Shape& s : shapes_) {
+    if (!s.walk) continue;
+    s.inv_step = 1.0 / s.step_dt;
+    s.end_v0 = s.rate0 * s.step_dt;
+    s.t0.resize(width_ + 1);
+    s.t0[0] = 0.0;
+    for (std::size_t k = 1; k <= width_; ++k) s.t0[k] = s.t0[k - 1] + s.step_dt;
+    s.end_t = s.t0[width_] + s.step_dt;
+  }
+  if (width_ > 0 && n > 0) {
+    // calloc, not a value-initialized array: large zeroed allocations come
+    // straight from the kernel, so a row's pages stay untouched until it
+    // fills.
+    constexpr std::size_t kLine = 64;
+    if (n > (std::numeric_limits<std::size_t>::max() - kLine) / sizeof(Cell) /
+                width_) {
+      throw std::bad_alloc();
+    }
+    block_.reset(std::calloc(n * width_ * sizeof(Cell) + kLine, 1));
+    if (!block_) throw std::bad_alloc();
+    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(block_.get());
+    rows_ = reinterpret_cast<Cell*>((base + kLine - 1) & ~(kLine - 1));
+  }
+}
+
+double ClockTable::constant_rate(std::size_t u) const {
+  double rate;
+  std::memcpy(&rate, &keys_[u], sizeof rate);
+  return rate;
+}
+
+void ClockTable::fill(std::size_t u, const Shape& s) const {
+  util::LazyMt19937_64 gen(keys_[u]);
+  Cell* row = &rows_[u * width_];
+  Segment seg{0.0, 0.0, s.rate0};
+  for (std::size_t k = 0; k < width_; ++k) {
+    seg = next_segment(seg, gen, s.rho, s.step_dt, s.sigma);
+    row[k] = Cell{seg.hw0, seg.rate};
+  }
+  filled_.fetch_add(1, std::memory_order_relaxed);
+}
+
+template <class Covered>
+std::vector<Segment>& ClockTable::spill(std::size_t u, const Shape& s,
+                                        Covered covered) const {
+  std::vector<Segment>* list;
+  {
+    // Only the map's structure is shared; u's list is its reader's.
+    const std::lock_guard<std::mutex> lock(spill_mu_);
+    list = &spills_[u];
+  }
+  if (!list->empty() && covered(list->back())) return *list;
+  // RateSchedule's chunked extension, continuing from the row's last
+  // segment: replay the draws used so far, then append at least as many
+  // segments as the walk has.
+  Segment last{0.0, 0.0, s.rate0};
+  if (width_ > 0) {
+    const Cell& c = cell(u, s, width_);
+    last = Segment{s.t0[width_], c.hw0, c.rate};
+  }
+  util::LazyMt19937_64 gen(keys_[u]);
+  const std::size_t have = 1 + width_ + list->size();
+  for (std::size_t i = 1; i < have; ++i) draw_step(gen, s.sigma);
+  if (!list->empty()) last = list->back();
+  const std::size_t want =
+      list->size() + std::max(RateSchedule::kMinChunk, have);
+  list->reserve(want);
+  do {
+    last = next_segment(last, gen, s.rho, s.step_dt, s.sigma);
+    list->push_back(last);
+  } while (list->size() < want || !covered(last));
+  return *list;
+}
+
+Segment ClockTable::spill_at_time(std::size_t u, const Shape& s,
+                                  double t) const {
+  const std::vector<Segment>& list = spill(
+      u, s, [&s, t](const Segment& g) { return t < g.t0 + s.step_dt; });
+  // list[0].t0 == s.end_t <= t, so the segment before the first later
+  // start exists.
+  const auto it = std::upper_bound(
+      list.begin(), list.end(), t,
+      [](double x, const Segment& g) { return x < g.t0; });
+  return *std::prev(it);
+}
+
+Segment ClockTable::spill_at_value(std::size_t u, const Shape& s,
+                                   double v) const {
+  const std::vector<Segment>& list =
+      spill(u, s, [&s, v](const Segment& g) {
+        return v < g.hw0 + g.rate * s.step_dt;
+      });
+  const auto it = std::upper_bound(
+      list.begin(), list.end(), v,
+      [](double x, const Segment& g) { return x < g.hw0; });
+  return *std::prev(it);
+}
+
+double ClockTable::value_at_slow(std::size_t u, double t) const {
+  check_domain("value_at", "t", t, "ClockTable");
+  const Shape& s = shape(u);
+  if (!s.walk) return value_on(0.0, 0.0, constant_rate(u), t);
+  const Segment g = spill_at_time(u, s, t);
+  return value_on(g.t0, g.hw0, g.rate, t);
+}
+
+double ClockTable::rate_at(std::size_t u, double t) const {
+  check_domain("rate_at", "t", t, "ClockTable");
+  const Shape& s = shape(u);
+  if (!s.walk) return constant_rate(u);
+  if (t < s.end_t) {
+    const std::size_t k = segment_at(s, t);
+    return k == 0 ? s.rate0 : cell(u, s, k).rate;
+  }
+  return spill_at_time(u, s, t).rate;
+}
+
+double ClockTable::time_when(std::size_t u, double value) const {
+  check_domain("time_when", "value", value, "ClockTable");
+  const Shape& s = shape(u);
+  if (!s.walk) return time_on(0.0, 0.0, constant_rate(u), value);
+  if (value < s.end_v0) return time_on(0.0, 0.0, s.rate0, value);
+  if (width_ > 0) {
+    const Cell& last = cell(u, s, width_);
+    if (value < last.hw0 + last.rate * s.step_dt) {
+      // Cell i holds segment i + 1, and segment 1 starts at end_v0 <=
+      // value, so the first cell starting past value is cell k >= 1 and
+      // value lies on segment k.
+      const Cell* row = &rows_[u * width_];
+      const std::size_t k = static_cast<std::size_t>(
+          std::upper_bound(row, row + width_, value,
+                           [](double v, const Cell& c) { return v < c.hw0; }) -
+          row);
+      return time_on(s.t0[k], row[k - 1].hw0, row[k - 1].rate, value);
+    }
+  }
+  const Segment g = spill_at_value(u, s, value);
+  return time_on(g.t0, g.hw0, g.rate, value);
 }
 
 }  // namespace gcs::clk

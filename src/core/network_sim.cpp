@@ -126,12 +126,16 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
       rng_(options.seed),
       audit_sweep_(graph.initial_edges(), graph.events(),
                    params.T + params.D),
+      clocks_(schedules),
       store_(params, graph.n(), protocol) {
   const std::size_t n = graph.n();
   if (schedules.size() != n) {
     throw std::invalid_argument(
         "NetworkSimulation: one RateSchedule per node required");
   }
+  // The table answers every read; the per-node objects go now, before
+  // the rest of the set-up allocates.
+  std::vector<clk::RateSchedule>().swap(schedules);
   if (!link_.prop.sample) {
     throw std::invalid_argument("NetworkSimulation: delay model has no sampler");
   }
@@ -142,10 +146,9 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
         "NetworkSimulation: delta_h must be finite and > 0, got " +
         std::to_string(params_.delta_h));
   }
-  clocks_ = std::move(schedules);
   for (std::size_t i = 0; i < n; ++i) {
     store_.start(
-        NodeContext{static_cast<NodeId>(i), clocks_[i].value_at(0.0), 0.0});
+        NodeContext{static_cast<NodeId>(i), clocks_.value_at(i, 0.0), 0.0});
   }
   last_logical_.assign(n, 0.0);
 
@@ -250,11 +253,11 @@ void NetworkSimulation::cancel_periodic(sim::PeriodicId id) {
 }
 
 double NetworkSimulation::logical_clock(NodeId u) const {
-  return store_.logical_clock(u, clocks_[u].value_at(now()));
+  return store_.logical_clock(u, clocks_.value_at(u, now()));
 }
 
 double NetworkSimulation::hardware_clock(NodeId u) const {
-  return clocks_[u].value_at(now());
+  return clocks_.value_at(u, now());
 }
 
 double NetworkSimulation::skew(NodeId u, NodeId v) const {
@@ -267,7 +270,7 @@ void NetworkSimulation::sample_clocks(std::vector<double>& hw,
   hw.resize(n);
   logical.resize(n);
   const sim::Time t = now();
-  for (std::size_t i = 0; i < n; ++i) hw[i] = clocks_[i].value_at(t);
+  for (std::size_t i = 0; i < n; ++i) hw[i] = clocks_.value_at(i, t);
   store_.advance(hw.data(), logical.data(), n);
 }
 
@@ -318,8 +321,8 @@ void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
   EdgeSlot& s = edge_slots_[slot];
   const EdgeRef ref{slot, next_incarnation(s.incarnation, slot)};
   s = EdgeSlot{t, e.u, e.v, ref.incarnation, true, {}};
-  const double hw_u = clocks_[e.u].value_at(t);
-  const double hw_v = clocks_[e.v].value_at(t);
+  const double hw_u = clocks_.value_at(e.u, t);
+  const double hw_v = clocks_.value_at(e.v, t);
   store_.edge_up(NodeContext{e.u, hw_u, t}, e.v, slot);
   store_.edge_up(NodeContext{e.v, hw_v, t}, e.u, slot);
   if (!initial) {
@@ -347,12 +350,12 @@ void NetworkSimulation::remove_edge(const net::Edge& e, sim::Time t) {
   if (!store_.find_tag(e.u, e.v, &slot)) return;  // redundant remove
   edge_slots_[slot].live = false;
   free_slots_.push_back(slot);
-  store_.edge_down(NodeContext{e.u, clocks_[e.u].value_at(t), t}, e.v);
-  store_.edge_down(NodeContext{e.v, clocks_[e.v].value_at(t), t}, e.u);
+  store_.edge_down(NodeContext{e.u, clocks_.value_at(e.u, t), t}, e.v);
+  store_.edge_down(NodeContext{e.v, clocks_.value_at(e.v, t), t}, e.u);
 }
 
 void NetworkSimulation::schedule_broadcast(NodeId u) {
-  const sim::Time when = clocks_[u].time_when(next_broadcast_hw_[u]);
+  const sim::Time when = clocks_.time_when(u, next_broadcast_hw_[u]);
   if (sharded_) {
     sharded_->at(shard_of_[u], when, [this, u] { broadcast(u); });
     return;
@@ -366,7 +369,7 @@ void NetworkSimulation::broadcast(NodeId u) {
     // u's peer segment and edge_slots_ only ever change at barriers, so
     // reading them mid-window is race-free.
     const sim::Time t = sharded_->shard_now(shard_of_[u]);
-    const double value = store_.logical_clock(u, clocks_[u].value_at(t));
+    const double value = store_.logical_clock(u, clocks_.value_at(u, t));
     store_.for_each_peer(u, [&](NodeId peer, std::uint32_t slot) {
       send_sharded(shard_of_[u], u, peer, live_ref(slot), value, t);
     });
@@ -375,7 +378,7 @@ void NetworkSimulation::broadcast(NodeId u) {
     return;
   }
   const sim::Time t = engine_.now();
-  const double value = store_.logical_clock(u, clocks_[u].value_at(t));
+  const double value = store_.logical_clock(u, clocks_.value_at(u, t));
   store_.for_each_peer(u, [&](NodeId peer, std::uint32_t slot) {
     send(u, peer, live_ref(slot), value, t);
   });
@@ -500,7 +503,7 @@ void NetworkSimulation::deliver(const Delivery& m) {
     return;
   }
   const sim::Time t = engine_.now();
-  const StoreDelivery d{m.from, m.to, m.value, clocks_[m.to].value_at(t), t,
+  const StoreDelivery d{m.from, m.to, m.value, clocks_.value_at(m.to, t), t,
                         m.edge.slot};
   ClassicSink sink(this);
   store_.on_deliveries(&d, 1, sink);
@@ -530,7 +533,8 @@ void NetworkSimulation::deliver_batch(std::uint32_t id) {
       continue;
     }
     scratch_.push_back(StoreDelivery{m.from, m.to, m.value,
-                                     clocks_[m.to].value_at(t), t, m.edge.slot});
+                                     clocks_.value_at(m.to, t), t,
+                                     m.edge.slot});
   }
   flush();
   batch.clear();
@@ -579,7 +583,7 @@ void NetworkSimulation::deliver_sharded(const Delivery& m) {
     }
     return;
   }
-  const StoreDelivery d{m.from, m.to, m.value, clocks_[m.to].value_at(t), t,
+  const StoreDelivery d{m.from, m.to, m.value, clocks_.value_at(m.to, t), t,
                         m.edge.slot};
   ShardedSink sink(this);
   store_.on_deliveries(&d, 1, sink);

@@ -1,6 +1,6 @@
 // gcs::core -- NetworkSimulation: the glue layer.
 //
-// Owns the event engine, one hardware clock per node, the Algorithm 2
+// Owns the event engine, the hardware-clock table, the Algorithm 2
 // kernel (core::DcsaColumns) holding every node's state, the live edge set, and the link model (traffic pipeline +
 // propagation delay; see net/link.hpp), and turns a DynamicGraph
 // schedule into edge-up/edge-down callbacks, periodic per-node broadcasts
@@ -241,6 +241,8 @@ class NetworkSimulation {
   // The Algorithm 2 kernel driving this run (is_blocked_by, arena_bytes,
   // live_slots, ...).
   const DcsaColumns& store() const { return store_; }
+  // The hardware-clock table every clock read goes through.
+  const clk::ClockTable& clocks() const { return clocks_; }
 
  private:
   // One entry of the edge table.  A slot is filled when an edge comes up
@@ -418,7 +420,9 @@ class NetworkSimulation {
   std::vector<std::vector<PendingTrace>> trace_bufs_;
   std::vector<std::uint64_t> node_trace_seq_;
   std::uint64_t global_trace_seq_ = 0;
-  std::vector<clk::RateSchedule> clocks_;
+  // Every node's hardware clock (rows fill on first read, each by the
+  // context that owns the node at that moment).
+  clk::ClockTable clocks_;
   // All node state, in the kernel's flat arenas; each peer segment is
   // also its node's adjacency, tagged with the edges' slots.
   DcsaColumns store_;

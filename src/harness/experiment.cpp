@@ -194,6 +194,22 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                   std::to_string(value));
     }
   }
+  // Out-of-range model constants used to fail deep inside the clock or
+  // the B function without naming the field (rho, D) or run silently as
+  // another value (a negative B0 ran as min_b0).
+  if (!(p.rho > 0.0 && p.rho < 1.0)) {
+    throw std::invalid_argument("run_experiment: rho must be in (0, 1), got " +
+                                std::to_string(p.rho));
+  }
+  if (p.D < 0.0) {
+    throw std::invalid_argument("run_experiment: D must be >= 0, got " +
+                                std::to_string(p.D));
+  }
+  if (p.B0 < 0.0) {
+    throw std::invalid_argument(
+        "run_experiment: B0 must be >= 0 (0 selects min_b0), got " +
+        std::to_string(p.B0));
+  }
   if (!(cfg.horizon > 0.0)) {
     throw std::invalid_argument("run_experiment: horizon must be > 0");
   }

@@ -12,7 +12,8 @@ constexpr std::size_t kMinBuckets = 8;
 constexpr std::size_t kWidthSamples = 64;
 constexpr double kMinWidth = 1e-9;
 
-bool earlier(const ScheduledEvent& a, const ScheduledEvent& b) {
+template <class A, class B>
+bool earlier(const A& a, const B& b) {
   if (a.t != b.t) return a.t < b.t;
   return a.seq < b.seq;
 }
@@ -25,22 +26,24 @@ void CalendarQueue::push(const ScheduledEvent& ev) {
   if (size_ + 1 > 2 * buckets_.size()) resize(2 * buckets_.size());
   std::uint32_t i = free_;
   if (i != kNil) {
-    free_ = slab_[i].next;
-    slab_[i].ev = ev;
+    free_ = keys_[i].next;
+    keys_[i] = Key{ev.t, ev.seq, kNil};
+    tasks_[i] = ev.task;
   } else {
-    if (slab_.size() == kNil) {
+    if (keys_.size() == kNil) {
       throw std::length_error("CalendarQueue: more than 2^32 - 1 pending events");
     }
-    i = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(Node{ev, kNil});
+    i = static_cast<std::uint32_t>(keys_.size());
+    keys_.push_back(Key{ev.t, ev.seq, kNil});
+    tasks_.push_back(ev.task);
   }
   link(i);
   ++size_;
 }
 
 void CalendarQueue::link(std::uint32_t i) {
-  Node& node = slab_[i];
-  const double year = year_of(node.ev.t);
+  Key& node = keys_[i];
+  const double year = year_of(node.t);
   const std::size_t idx = bucket_index(year);
   Bucket& b = buckets_[idx];
   // Same-time events arrive in seq order and append at the tail in O(1);
@@ -48,22 +51,22 @@ void CalendarQueue::link(std::uint32_t i) {
   if (b.head == kNil) {
     node.next = kNil;
     b.head = b.tail = i;
-  } else if (earlier(slab_[b.tail].ev, node.ev)) {
+  } else if (earlier(keys_[b.tail], node)) {
     node.next = kNil;
-    slab_[b.tail].next = i;
+    keys_[b.tail].next = i;
     b.tail = i;
-  } else if (earlier(node.ev, slab_[b.head].ev)) {
+  } else if (earlier(node, keys_[b.head])) {
     node.next = b.head;
     b.head = i;
   } else {
     // Keys are unique and the tail is later than the event, so the walk
     // stops before running off the list.
     std::uint32_t prev = b.head;
-    while (!earlier(node.ev, slab_[slab_[prev].next].ev)) {
-      prev = slab_[prev].next;
+    while (!earlier(node, keys_[keys_[prev].next])) {
+      prev = keys_[prev].next;
     }
-    node.next = slab_[prev].next;
-    slab_[prev].next = i;
+    node.next = keys_[prev].next;
+    keys_[prev].next = i;
   }
   // An event before the scan window would otherwise be skipped for a
   // whole lap; point the scan at it (this is what makes the queue
@@ -83,7 +86,7 @@ CalendarQueue::Bucket* CalendarQueue::locate_min() {
   for (std::size_t scanned = 0; scanned < buckets_.size(); ++scanned) {
     ++scan_steps_;
     Bucket& b = buckets_[current_bucket_];
-    if (b.head != kNil && year_of(slab_[b.head].ev.t) <= year_) return &b;
+    if (b.head != kNil && year_of(keys_[b.head].t) <= year_) return &b;
     current_bucket_ = current_bucket_ + 1 == buckets_.size()
                           ? 0
                           : current_bucket_ + 1;
@@ -91,13 +94,13 @@ CalendarQueue::Bucket* CalendarQueue::locate_min() {
   }
   // A whole lap without a hit: the next event is more than nbuckets
   // windows ahead.  Jump straight to the globally minimal bucket front.
-  const ScheduledEvent* best = nullptr;
+  const Key* best = nullptr;
   std::size_t best_idx = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     ++scan_steps_;
     const Bucket& b = buckets_[i];
     if (b.head == kNil) continue;
-    const ScheduledEvent& front = slab_[b.head].ev;
+    const Key& front = keys_[b.head];
     if (best == nullptr || earlier(front, *best)) {
       best = &front;
       best_idx = i;
@@ -110,7 +113,7 @@ CalendarQueue::Bucket* CalendarQueue::locate_min() {
 
 bool CalendarQueue::min_time(double* out) {
   if (size_ == 0) return false;
-  *out = slab_[locate_min()->head].ev.t;
+  *out = keys_[locate_min()->head].t;
   return true;
 }
 
@@ -118,11 +121,18 @@ bool CalendarQueue::pop_if_leq(double horizon, ScheduledEvent* out) {
   if (size_ == 0) return false;
   Bucket& b = *locate_min();
   const std::uint32_t i = b.head;
-  Node& node = slab_[i];
-  if (node.ev.t > horizon) return false;
-  *out = node.ev;
+  Key& node = keys_[i];
+  if (node.t > horizon) return false;
+  *out = ScheduledEvent{node.t, node.seq, tasks_[i]};
   b.head = node.next;
-  if (b.head == kNil) b.tail = kNil;
+  if (b.head == kNil) {
+    b.tail = kNil;
+  } else {
+    // The bucket's next event is usually the next to pop (same-time
+    // bursts, nearby times): start loading its key and task now.
+    __builtin_prefetch(&keys_[b.head]);
+    __builtin_prefetch(&tasks_[b.head]);
+  }
   node.next = free_;
   free_ = i;
   --size_;
@@ -136,8 +146,8 @@ void CalendarQueue::resize(std::size_t new_bucket_count) {
   std::vector<double> times;
   times.reserve(size_);
   for (const Bucket& b : buckets_) {
-    for (std::uint32_t i = b.head; i != kNil; i = slab_[i].next) {
-      times.push_back(slab_[i].ev.t);
+    for (std::uint32_t i = b.head; i != kNil; i = keys_[i].next) {
+      times.push_back(keys_[i].t);
     }
   }
   const double min_t =
@@ -163,7 +173,7 @@ void CalendarQueue::resize(std::size_t new_bucket_count) {
   for (std::size_t k = 0; k < old.size(); ++k) {
     const Bucket& b = old[(start + k) % old.size()];
     for (std::uint32_t i = b.head; i != kNil;) {
-      const std::uint32_t next = slab_[i].next;
+      const std::uint32_t next = keys_[i].next;
       link(i);
       i = next;
     }

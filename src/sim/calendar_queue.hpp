@@ -12,10 +12,14 @@
 // Storage (Brown's original layout): every pending event sits in one
 // slab of fixed-size nodes with a LIFO free list, and a bucket is just
 // the (head, tail) slab indices of a singly linked list sorted by
-// (t, seq).  Memory is therefore one node per event at the high-water
-// mark plus 8 bytes per bucket, whatever the aliasing between years: a
-// popped event frees its node at once, and a resize relinks indices
-// without moving any event.
+// (t, seq).  The slab is split in two parallel arrays indexed by the
+// same slot: 24-byte key nodes (t, seq, next), which are all that
+// linking, the minimum search and a resize ever walk, and the 40-byte
+// Tasks, touched once on push and once on pop.  Memory is therefore
+// one 64-byte slot per event at the high-water mark plus 8 bytes per
+// bucket, whatever the aliasing between years: a popped event frees
+// its slot at once, and a resize relinks indices without moving any
+// event.
 //
 // Determinism contract (shared with Engine): events are totally ordered
 // by (t, seq) and ties are FIFO by seq.  Bucket lists are sorted by
@@ -76,17 +80,19 @@ class CalendarQueue {
   // fallback-lap visits): the calendar queue's cost driver, surfaced in
   // sim::EngineStats so a mis-sized calendar shows up in result files.
   std::uint64_t scan_steps() const { return scan_steps_; }
-  // Event nodes the slab holds, live or free: the high-water size().
-  std::size_t storage_slots() const { return slab_.size(); }
+  // Event slots the slab holds, live or free: the high-water size().
+  std::size_t storage_slots() const { return keys_.size(); }
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  // A slab node: a pending event and the next node of its bucket list
-  // (of the free list once the event has popped).
-  struct Node {
-    ScheduledEvent ev;
-    std::uint32_t next = kNil;
+  // A slot's key node: its event's (t, seq) and the next slot of its
+  // bucket list (of the free list once the event has popped).
+  struct Key {
+    double t;
+    std::uint64_t seq;
+    std::uint32_t next;
   };
+  static_assert(sizeof(Key) == 24, "a calendar key node is (t, seq, next)");
   // A sorted singly linked list through the slab; kNil when empty.
   // `tail` makes the common inserts -- monotone times and same-time
   // bursts -- O(1) appends.
@@ -104,7 +110,7 @@ class CalendarQueue {
   // (never with a recomputed product bound), so insert and dequeue can
   // never disagree about a boundary however the rounding falls.
   double year_of(double t) const { return std::floor(t * inv_width_); }
-  // Links slab node `i` into its bucket's sorted list, without
+  // Links slot `i` into its bucket's sorted list, without
   // triggering a resize (push and rebuild share it).
   void link(std::uint32_t i);
   // Advances (current_bucket_, year_) to the bucket holding the global
@@ -116,8 +122,10 @@ class CalendarQueue {
   // Reorders `times`.
   double estimate_width(std::vector<double>& times) const;
 
-  std::vector<Node> slab_;
-  std::uint32_t free_ = kNil;  // head of the free list through Node::next
+  // The slab: slot i's key and its event's task.
+  std::vector<Key> keys_;
+  std::vector<Task> tasks_;
+  std::uint32_t free_ = kNil;  // head of the free list through Key::next
   std::vector<Bucket> buckets_;
   double width_ = 1.0;
   double inv_width_ = 1.0;

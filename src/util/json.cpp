@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -359,16 +360,31 @@ Value parse(const std::string& text) { return Parser(text).run(); }
 std::string dump_number(double v) {
   if (!std::isfinite(v)) throw Error("json: cannot serialize non-finite number");
   char buf[40];
+  char* const end = buf + sizeof(buf);
+  // to_chars with a format and precision prints exactly what printf's
+  // %.*f / %.*g print, and from_chars reads exactly what strtod reads.
   if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
+    char* const last =
+        std::to_chars(buf, end, v, std::chars_format::fixed, 0).ptr;
+    return std::string(buf, last);
   }
-  // Shortest representation that strtods back to exactly v.
-  for (int prec = 1; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  // The %.*g output with the fewest digits that reads back as exactly v.
+  // No precision below the digit count of the shortest round-tripping
+  // form can round-trip, so the search starts there instead of at 1 --
+  // and almost always stops there.
+  char* const shortest =
+      std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+  int prec = 0;
+  for (const char* c = buf; c != shortest && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++prec;
   }
-  return buf;
+  for (;; ++prec) {
+    char* const last =
+        std::to_chars(buf, end, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    std::from_chars(buf, last, back);
+    if (back == v || prec >= 17) return std::string(buf, last);
+  }
 }
 
 namespace {

@@ -93,8 +93,9 @@ endforeach()
 
 # Values the engine cannot run are refused up front, naming the field or
 # spec: a non-finite horizon and delta_h = 0 used to hang the engine (a
-# timeout leaves rc non-numeric), and a delay outside [0, T] was clamped
-# into a different distribution.
+# timeout leaves rc non-numeric), a delay outside [0, T] was clamped
+# into a different distribution, rho = 1 and D = -1 failed without
+# naming the field, and B0 = -5 ran as B0 = 0.
 function(expect_refused flag pattern)
   execute_process(
     COMMAND "${GCS_RUN}" --n=8 --topology=ring --horizon=4 --T=1 ${flag}
@@ -112,7 +113,10 @@ expect_refused(--delta_h=0 "delta_h must be")
 expect_refused(--delay=constant:-1 "delay 'constant:-1'")
 expect_refused(--delay=constant:5 "delay 'constant:5'")
 expect_refused(--delay=uniform:0:5 "delay 'uniform:0:5'")
+expect_refused(--rho=1 "rho must be in")
+expect_refused(--D=-1 "D must be >= 0")
+expect_refused(--B0=-5 "B0 must be >= 0")
 
 message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, retired "
-        "axes rejected, --horizon=nan, --delta_h=0 and delays outside "
-        "[0, T] refused")
+        "axes rejected, --horizon=nan, --delta_h=0, delays outside "
+        "[0, T], --rho=1, --D=-1 and --B0=-5 refused")

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "harness/serialize.hpp"
@@ -114,6 +115,32 @@ TEST(RunExperiment, RejectsBadConfigs) {
           << e.what();
     }
   }
+  // rho outside (0, 1), D < 0 and B0 < 0 are refused naming the field;
+  // they used to fail inside the clock or the B function (rho, D) or
+  // run as min_b0 (B0).
+  using Config = gcs::harness::ExperimentConfig;
+  const std::tuple<const char*, double* (*)(Config&), double> bad[] = {
+      {"rho must be", [](Config& c) { return &c.params.rho; }, 0.0},
+      {"rho must be", [](Config& c) { return &c.params.rho; }, 1.0},
+      {"rho must be", [](Config& c) { return &c.params.rho; }, -0.1},
+      {"D must be", [](Config& c) { return &c.params.D; }, -1.0},
+      {"B0 must be", [](Config& c) { return &c.params.B0; }, -5.0}};
+  for (const auto& [message, field, value] : bad) {
+    cfg = small_config();
+    *field(cfg) = value;
+    try {
+      gcs::harness::run_experiment(cfg);
+      ADD_FAILURE() << message << " " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // B0 = 0 stays the min_b0 sentinel, and D = 0 is a valid model.
+  cfg = small_config();
+  cfg.params.B0 = 0.0;
+  cfg.params.D = 0.0;
+  EXPECT_NO_THROW(gcs::harness::run_experiment(cfg));
 }
 
 TEST(RunExperiment, RejectsNonFiniteParameters) {

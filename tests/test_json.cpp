@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -117,6 +123,66 @@ TEST(Json, ParseDumpParseIsIdentity) {
     const Value twice = parse(emitted);
     EXPECT_EQ(once, twice) << doc;
     EXPECT_EQ(emitted, dump(twice)) << doc;  // byte-stable
+  }
+}
+
+// The formatter dump_number replaced: a %.0f integer branch, then every
+// %.*g precision from 1 up until strtod reads the text back as v.
+std::string reference_dump_number(double v) {
+  char buf[40];
+  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+    return buf;
+  }
+  for (int prec = 1; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+double from_bits(std::uint64_t b) {
+  double x;
+  std::memcpy(&x, &b, sizeof x);
+  return x;
+}
+
+TEST(Json, DumpNumberMatchesThePrintfLoopByteForByte) {
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 1.0 / 3.0,
+                                2.0 / 3.0, 1e-300, 1e300, -1e-7, 123.456,
+                                9007199254740991.0, 9007199254740992.0,
+                                9007199254740993.0, 1e22, 1e23, 5e-324,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::epsilon()};
+  for (int k = -1074; k <= 1023; ++k) {
+    values.push_back(std::ldexp(1.0, k));
+    values.push_back(-std::ldexp(1.0, k));
+    values.push_back(std::nextafter(std::ldexp(1.0, k), 0.0));
+  }
+  for (std::int64_t i = -1000; i <= 1000; ++i) {
+    values.push_back(static_cast<double>(i));
+    values.push_back(static_cast<double>(i) / 1000.0);
+  }
+  std::mt19937_64 gen(20261018);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 20000; ++i) {
+    // Random bit patterns (subnormals and huge exponents included) and
+    // the short decimals simulation output is made of.
+    const double x = from_bits(gen());
+    if (std::isfinite(x)) values.push_back(x);
+    values.push_back(std::round(unit(gen) * 1e6) / 1e4);
+    values.push_back(from_bits(gen() & 0x800FFFFFFFFFFFFFULL));  // subnormal
+  }
+  for (const double v : values) {
+    ASSERT_EQ(dump_number(v), reference_dump_number(v))
+        << "bits " << std::hex << [&] {
+             std::uint64_t b;
+             std::memcpy(&b, &v, sizeof b);
+             return b;
+           }();
   }
 }
 
