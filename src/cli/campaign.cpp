@@ -1,6 +1,7 @@
 #include "cli/campaign.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -180,6 +181,12 @@ ScenarioSpec ScenarioSpec::from_flag(const std::string& spec) {
       const double num = std::strtod(value.c_str(), &end);
       if (end != value.c_str() + value.size()) {
         fail("bad scenario knob value '" + value + "' for knob '" + key +
+             "'");
+      }
+      // strtod reads "nan", "inf" and overflows such as 1e400 whole; the
+      // JSON form cannot hold them, so refuse them here by name.
+      if (!std::isfinite(num)) {
+        fail("scenario knob '" + key + "' must be finite, got '" + value +
              "'");
       }
       doc[key] = num;

@@ -16,10 +16,9 @@ namespace gcs::clk {
 
 namespace {
 
-[[noreturn]] void throw_domain(const char* cls, const char* fn,
-                               const char* arg, double x) {
+[[noreturn]] void throw_domain(const char* fn, const char* arg, double x) {
   std::ostringstream msg;
-  msg << cls << "::" << fn << ": " << arg
+  msg << "ClockTable::" << fn << ": " << arg
       << " must be finite and >= 0, got " << x;
   throw std::invalid_argument(msg.str());
 }
@@ -29,11 +28,10 @@ bool finite_at_least(double x, double lo) {
   return x >= lo && x <= std::numeric_limits<double>::max();
 }
 
-// Rejects what would otherwise walk off the front of the segment table
-// (negative, NaN) or extend a walk forever (+inf).
-void check_domain(const char* fn, const char* arg, double x,
-                  const char* cls = "RateSchedule") {
-  if (!finite_at_least(x, 0.0)) throw_domain(cls, fn, arg, x);
+// Rejects what would otherwise walk off the front of a row (negative,
+// NaN) or grow a spill list forever (+inf).
+void check_domain(const char* fn, const char* arg, double x) {
+  if (!finite_at_least(x, 0.0)) throw_domain(fn, arg, x);
 }
 
 // One walk step.  A fresh distribution per draw, so the number of engine
@@ -45,8 +43,8 @@ double draw_step(util::LazyMt19937_64& gen, double sigma) {
 }
 
 // The walk's recurrence: the segment after `last`, whose rate took one
-// step.  RateSchedule and ClockTable both extend through it, so they
-// generate the same segments bit for bit.
+// step.  Row fills and spill lists both generate segments through it, so
+// they agree bit for bit.
 Segment next_segment(const Segment& last, util::LazyMt19937_64& gen,
                      double rho, double step_dt, double sigma) {
   const double next_rate =
@@ -78,11 +76,12 @@ Segment next_segment(const Segment& last, util::LazyMt19937_64& gen,
 
 }  // namespace
 
-RateSchedule::RateSchedule(double rate)
-    : end_t_(std::numeric_limits<double>::infinity()),
-      end_v_(std::numeric_limits<double>::infinity()) {
-  if (rate <= 0.0) throw std::invalid_argument("clock rate must be positive");
-  segments_.push_back(Segment{0.0, 0.0, rate});
+RateSchedule::RateSchedule(double rate) : rate_(rate) {
+  if (!(rate > 0.0 && std::isfinite(rate))) {
+    std::ostringstream msg;
+    msg << "RateSchedule: rate must be finite and > 0, got " << rate;
+    throw std::invalid_argument(msg.str());
+  }
 }
 
 RateSchedule RateSchedule::random_walk(double rho, double step_dt, double sigma,
@@ -100,81 +99,7 @@ RateSchedule RateSchedule::random_walk(double rho, double step_dt, double sigma,
   s.sigma_ = sigma;
   s.sized_until_ = sized_until;
   s.seed_ = seed;
-  s.end_t_ = step_dt;
-  s.end_v_ = s.segments_[0].rate * step_dt;
   return s;
-}
-
-template <class Covered>
-void RateSchedule::extend(Covered covered) const {
-  if (!walk_ || covered()) return;
-  util::LazyMt19937_64 gen(seed_);
-  const std::size_t have = segments_.size();
-  for (std::size_t i = 1; i < have; ++i) draw_step(gen, sigma_);
-  // The first extension runs to sized_until_, reserving one segment of
-  // headroom for the accumulated t0s drifting from exact multiples of
-  // step_dt (the reserve is only a hint; a count too large to be one is
-  // left to grow).  Later ones at least double the table, so replays
-  // stay amortized O(1).
-  const bool sized = have == 1 && sized_until_ > 0.0;
-  const std::size_t want = sized ? 1 : have + std::max(kMinChunk, have);
-  const double estimate = sized_until_ / step_dt_ + 2.0;
-  if (!sized) {
-    segments_.reserve(want);
-  } else if (estimate < 1e8) {
-    segments_.reserve(static_cast<std::size_t>(estimate));
-  }
-  while (segments_.size() < want || (sized && !(sized_until_ < end_t_)) ||
-         !covered()) {
-    segments_.push_back(
-        next_segment(segments_.back(), gen, rho_, step_dt_, sigma_));
-    const Segment& s = segments_.back();
-    end_t_ = s.t0 + step_dt_;
-    end_v_ = s.hw0 + s.rate * step_dt_;
-  }
-}
-
-void RateSchedule::extend_to_time(double t) const {
-  extend([this, t] { return t < end_t_; });
-}
-
-void RateSchedule::extend_to_value(double v) const {
-  extend([this, v] { return v < end_v_; });
-}
-
-std::size_t RateSchedule::segment_at(double t) const {
-  const std::size_t last = segments_.size() - 1;
-  if (last == 0) return 0;  // constant, or a walk not yet extended
-  const double guess = t / step_dt_;
-  std::size_t k = guess < static_cast<double>(last)
-                      ? static_cast<std::size_t>(guess)
-                      : last;
-  while (k < last && segments_[k + 1].t0 <= t) ++k;
-  while (segments_[k].t0 > t) --k;
-  return k;
-}
-
-double RateSchedule::rate_at(double t) const {
-  check_domain("rate_at", "t", t);
-  if (!(t < end_t_)) extend_to_time(t);
-  return segments_[segment_at(t)].rate;
-}
-
-double RateSchedule::value_at(double t) const {
-  check_domain("value_at", "t", t);
-  if (!(t < end_t_)) extend_to_time(t);
-  const Segment& s = segments_[segment_at(t)];
-  return value_on(s.t0, s.hw0, s.rate, t);
-}
-
-double RateSchedule::time_when(double value) const {
-  check_domain("time_when", "value", value);
-  if (!(value < end_v_)) extend_to_value(value);
-  auto it = std::upper_bound(
-      segments_.begin(), segments_.end(), value,
-      [](double v, const Segment& s) { return v < s.hw0; });
-  const Segment& s = *std::prev(it);
-  return time_on(s.t0, s.hw0, s.rate, value);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,15 +115,15 @@ ClockTable::ClockTable(const std::vector<RateSchedule>& schedules) {
   for (std::size_t u = 0; u < n; ++u) {
     const RateSchedule& r = schedules[u];
     Shape want;
-    want.walk = r.walk_;
-    if (r.walk_) {
-      want.rho = r.rho_;
-      want.step_dt = r.step_dt_;
-      want.sigma = r.sigma_;
-      want.rate0 = r.segments_[0].rate;
-      keys_[u] = r.seed_;
+    want.walk = r.walk();
+    if (r.walk()) {
+      want.rho = r.rho();
+      want.step_dt = r.step_dt();
+      want.sigma = r.sigma();
+      want.rate0 = r.rate();
+      keys_[u] = r.seed();
     } else {
-      const double rate = r.segments_[0].rate;
+      const double rate = r.rate();
       std::memcpy(&keys_[u], &rate, sizeof rate);
     }
     const auto same = [&want](const Shape& s) {
@@ -220,17 +145,16 @@ ClockTable::ClockTable(const std::vector<RateSchedule>& schedules) {
       sized.push_back(0.0);
     }
     shape_of[u] = static_cast<std::uint32_t>(k);
-    if (r.walk_) sized[k] = std::max(sized[k], r.sized_until_);
+    if (r.walk()) sized[k] = std::max(sized[k], r.sized_until());
   }
   if (shapes_.size() > 1) shape_of_ = std::move(shape_of);
-  // The row width: the segments past the first that a sized walk's first
-  // extension generates (every segment with t0 <= sized_until), at the
-  // widest shape; kMinChunk when no walk was sized, as an unsized
-  // RateSchedule's first extension appends.
+  // The row width: the segments past the first that a sized walk reaches
+  // (every segment with t0 <= sized_until), at the widest shape;
+  // kMinChunk when no walk was sized.
   for (std::size_t k = 0; k < shapes_.size(); ++k) {
     const Shape& s = shapes_[k];
     if (!s.walk) continue;
-    std::size_t w = RateSchedule::kMinChunk;
+    std::size_t w = kMinChunk;
     if (sized[k] > 0.0) {
       if (!(sized[k] / s.step_dt < 1e9)) {
         throw std::length_error(
@@ -297,20 +221,20 @@ std::vector<Segment>& ClockTable::spill(std::size_t u, const Shape& s,
     list = &spills_[u];
   }
   if (!list->empty() && covered(list->back())) return *list;
-  // RateSchedule's chunked extension, continuing from the row's last
-  // segment: replay the draws used so far, then append at least as many
-  // segments as the walk has.
+  // Continue the walk from its last segment, the list's or the row's:
+  // replay the draws used so far on a fresh engine, then append at least
+  // as many segments as the walk has.
   Segment last{0.0, 0.0, s.rate0};
-  if (width_ > 0) {
+  if (!list->empty()) {
+    last = list->back();
+  } else if (width_ > 0) {
     const Cell& c = cell(u, s, width_);
     last = Segment{s.t0[width_], c.hw0, c.rate};
   }
   util::LazyMt19937_64 gen(keys_[u]);
   const std::size_t have = 1 + width_ + list->size();
   for (std::size_t i = 1; i < have; ++i) draw_step(gen, s.sigma);
-  if (!list->empty()) last = list->back();
-  const std::size_t want =
-      list->size() + std::max(RateSchedule::kMinChunk, have);
+  const std::size_t want = list->size() + std::max(kMinChunk, have);
   list->reserve(want);
   do {
     last = next_segment(last, gen, s.rho, s.step_dt, s.sigma);
@@ -344,7 +268,7 @@ Segment ClockTable::spill_at_value(std::size_t u, const Shape& s,
 }
 
 double ClockTable::value_at_slow(std::size_t u, double t) const {
-  check_domain("value_at", "t", t, "ClockTable");
+  check_domain("value_at", "t", t);
   const Shape& s = shape(u);
   if (!s.walk) return value_on(0.0, 0.0, constant_rate(u), t);
   const Segment g = spill_at_time(u, s, t);
@@ -352,7 +276,7 @@ double ClockTable::value_at_slow(std::size_t u, double t) const {
 }
 
 double ClockTable::rate_at(std::size_t u, double t) const {
-  check_domain("rate_at", "t", t, "ClockTable");
+  check_domain("rate_at", "t", t);
   const Shape& s = shape(u);
   if (!s.walk) return constant_rate(u);
   if (t < s.end_t) {
@@ -363,7 +287,7 @@ double ClockTable::rate_at(std::size_t u, double t) const {
 }
 
 double ClockTable::time_when(std::size_t u, double value) const {
-  check_domain("time_when", "value", value, "ClockTable");
+  check_domain("time_when", "value", value);
   const Shape& s = shape(u);
   if (!s.walk) return time_on(0.0, 0.0, constant_rate(u), value);
   if (value < s.end_v0) return time_on(0.0, 0.0, s.rate0, value);

@@ -3,32 +3,17 @@
 // The paper's model (Sec. 3): every node has a hardware clock whose rate
 // stays within [1 - rho, 1 + rho] of real time.  Nodes never see real
 // time; every timeout and edge age in the algorithm layer is measured on
-// these clocks.  A RateSchedule is a clock starting at value 0 at real
-// time 0 with a piecewise-constant rate trajectory, either a single
-// constant rate or a seeded, lazily extended random walk clamped to the
-// drift bounds.  It answers both directions: value_at(real time) and
-// time_when(clock value) (the latter is what the simulator uses to
-// schedule "every delta_h of hardware time" broadcasts as real-time
-// events).  Rates are strictly positive, so the value is strictly
-// increasing and invertible.
+// these clocks.  A clock starts at value 0 at real time 0 and follows a
+// piecewise-constant rate trajectory: a single constant rate, or a seeded
+// random walk clamped to the drift bounds.
 //
-// A walk keeps its seed, not its engine, so a node's resident clock
-// state is a few dozen bytes plus its segments instead of a 2.5 KB
-// engine.  A walk that knows the last real time its run can query
-// generates every segment up to it in its first extension, from a fresh
-// engine with nothing to replay.  A query past that time (or any
-// extension of a walk built without one) re-seeds a stack-local engine,
-// replays the draws already used and appends a chunk of segments.  The
-// engine is util::LazyMt19937_64, whose output is std::mt19937_64's but
-// whose first few draws cost a fraction of a full seed-and-twist.
-//
-// Reads are O(1): a query already covered checks one cached bound and
-// indexes segment t / step_dt directly (adjusted by the stored t0s,
-// which accumulate rounding and are not exact multiples of step_dt).
-//
-// A simulation does not keep its RateSchedules: ClockTable (below) takes
-// one per node and holds every node's segments in one node-major table,
-// answering every read bit for bit as the node's RateSchedule would.
+// A RateSchedule describes one such clock: its rate, or its walk's
+// parameters and seed.  It is a few trivially copyable fields and
+// evaluates nothing.  ClockTable (below) evaluates every node's clock in
+// both directions: value_at(real time) and time_when(clock value) (the
+// latter is what the simulator uses to schedule "every delta_h of
+// hardware time" broadcasts as real-time events).  Rates are strictly
+// positive, so every clock is strictly increasing and invertible.
 #ifndef GCS_CLK_CLOCK_HPP
 #define GCS_CLK_CLOCK_HPP
 
@@ -51,8 +36,9 @@ struct Segment {
 };
 
 // A segment's clock reading at real time t, and the real time at which
-// it reads v.  Both clock classes evaluate segments only through these,
-// so their answers agree bit for bit (signed zeros included).
+// it reads v.  ClockTable evaluates segments only through these, so
+// reads from its rows and from its spill lists agree bit for bit
+// (signed zeros included).
 inline double value_on(double t0, double hw0, double rate, double t) {
   return hw0 + rate * (t - t0);
 }
@@ -62,60 +48,37 @@ inline double time_on(double t0, double hw0, double rate, double v) {
 
 class RateSchedule {
  public:
-  // Constant-rate clock (rate must be positive; the drift model expects it
-  // in [1 - rho, 1 + rho] but this is not enforced here so tests can build
-  // degenerate clocks).
+  // Constant-rate clock.  The drift model expects the rate in
+  // [1 - rho, 1 + rho], but this is not enforced here so tests can build
+  // degenerate clocks.  Throws std::invalid_argument, naming the value,
+  // unless rate is finite and > 0.
   RateSchedule(double rate = 1.0);  // NOLINT(runtime/explicit) -- benches
                                     // emplace_back(double) into vectors.
 
-  // Random-walk drift: the rate starts at `start_rate`, and every
-  // `step_dt` seconds of real time takes a Gaussian step with deviation
-  // `sigma`, clamped to [1 - rho, 1 + rho].  Deterministic per seed;
-  // segments are generated lazily as the simulation queries further into
-  // the future.  `sized_until` (0 = unknown) is the last real time the
-  // caller will query: the first extension generates every segment up
-  // to it in one pass, and later ones append kMinChunk or more at a
-  // time.  It changes only how much work an extension does, never an
-  // answer.  Throws std::invalid_argument, naming the field, unless rho
-  // is in [0, 1), step_dt is finite and > 0, sigma is finite and >= 0,
-  // start_rate is finite and sized_until is finite and >= 0.
+  // Random-walk drift: the rate starts at `start_rate` clamped to
+  // [1 - rho, 1 + rho], and every `step_dt` seconds of real time takes a
+  // Gaussian step with deviation `sigma`, clamped to the same bounds.
+  // Deterministic per seed.  `sized_until` (0 = unknown) is the last
+  // real time the caller will query; ClockTable sizes its rows to it.
+  // It changes only how much work a read does, never an answer.  Throws
+  // std::invalid_argument, naming the field, unless rho is in [0, 1),
+  // step_dt is finite and > 0, sigma is finite and >= 0, start_rate is
+  // finite and sized_until is finite and >= 0.
   static RateSchedule random_walk(double rho, double step_dt, double sigma,
                                   std::uint64_t seed, double start_rate = 1.0,
                                   double sized_until = 0.0);
 
-  // Clock reading at real time t.  Throws std::invalid_argument unless t
-  // is finite and >= 0.
-  double value_at(double t) const;
-  // Inverse: the real time at which the clock reads `value`.  Throws
-  // std::invalid_argument unless value is finite and >= 0.
-  double time_when(double value) const;
-  // Rate at real time t; same domain as value_at.
-  double rate_at(double t) const;
-
-  bool is_constant() const { return !walk_; }
+  bool walk() const { return walk_; }
+  // The constant rate, or a walk's rate during its first step.
+  double rate() const { return rate_; }
+  double rho() const { return rho_; }
+  double step_dt() const { return step_dt_; }
+  double sigma() const { return sigma_; }
+  double sized_until() const { return sized_until_; }
+  std::uint64_t seed() const { return seed_; }
 
  private:
-  friend class ClockTable;
-
-  // Fewest segments one extension appends; it appends at least as many
-  // as the walk already has, so the replay cost stays amortized O(1).
-  static constexpr std::size_t kMinChunk = 16;
-
-  // Ensures segments cover real time `t` / clock value `v`.
-  void extend_to_time(double t) const;
-  void extend_to_value(double v) const;
-  template <class Covered>
-  void extend(Covered covered) const;
-  // Index of the segment holding real time t (t0 <= t < next t0); t
-  // must be covered.
-  std::size_t segment_at(double t) const;
-
-  mutable std::vector<Segment> segments_;
-  // Where the last segment ends, in real time and in clock value:
-  // segments cover exactly the times t < end_t_ and the values
-  // v < end_v_.  Infinite for a constant clock.
-  mutable double end_t_;
-  mutable double end_v_;
+  double rate_;
   double rho_ = 0.0;
   double step_dt_ = 1.0;
   double sigma_ = 0.0;
@@ -124,9 +87,9 @@ class RateSchedule {
   bool walk_ = false;
 };
 
-// Every node's hardware clock in one table, built from one RateSchedule
-// per node (which the caller may then drop).  Node u's reads answer bit
-// for bit what schedules[u] would answer, at any time or clock value.
+// Every node's hardware clock in one table: node u reads the clock that
+// schedules[u] describes, at any real time or clock value.  The table
+// keeps no reference to the schedules.
 //
 // Layout.  Nodes whose walks share (rho, step_dt, sigma, start rate)
 // share one Shape, and with it one grid of segment start times t0 (the
@@ -135,17 +98,22 @@ class RateSchedule {
 // rows laid out node-major in one zeroed, line-aligned allocation;
 // segment 0 starts at (t0, hw0) = (0, 0) at the shape's start rate and
 // needs no cell.  W is the number of segments past the first that the
-// largest sized_until among the schedules needs (RateSchedule::kMinChunk
-// when none was sized), so a read up to the run's last readable time
-// costs the grid lookup plus one cell.  A constant clock keeps only its
-// rate.
+// largest sized_until among the schedules needs (kMinChunk when none
+// was sized), so a read up to the run's last readable time costs the
+// grid lookup plus one cell.  A constant clock keeps only its rate.
 //
 // Rows fill lazily: a row stays zero (never touched, so its pages are
 // never faulted in) until its node's first read past segment 0, which
 // generates the whole row from the node's seed.  A zero rate marks an
 // unfilled cell; every generated rate is positive.  A read past a row's
-// end (past the sized horizon) extends that node's walk into a spill
-// list with RateSchedule's chunked, doubling replay.
+// end (past the sized horizon) continues that node's walk in a spill
+// list, a chunk at a time: a stack-local engine is re-seeded, replays the
+// draws the row and the list already used, and appends at least as many
+// segments as the walk already has (kMinChunk or more), so the replay
+// cost stays amortized O(1) per segment.  The engine is
+// util::LazyMt19937_64, whose output is std::mt19937_64's but whose first
+// few draws cost a fraction of a full seed-and-twist.  The table thus
+// keeps a seed per node, not a 2.5 KB engine.
 //
 // Concurrency.  Reads of different nodes may run on different threads
 // as long as each node is read by one thread at a time (the sharded
@@ -158,9 +126,11 @@ class ClockTable {
   ClockTable(const ClockTable&) = delete;
   ClockTable& operator=(const ClockTable&) = delete;
 
-  // Node u's RateSchedule::value_at / time_when / rate_at, with the same
-  // domain checks.  A walk read inside the rows is inline: the grid
-  // lookup and one cell.
+  // Node u's clock reading at real time t, the real time at which it
+  // reads `value`, and its rate at real time t.  Each throws
+  // std::invalid_argument, naming the function and the value, unless its
+  // argument is finite and >= 0.  A walk read inside the rows is inline:
+  // the grid lookup and one cell.
   double value_at(std::size_t u, double t) const {
     const Shape& s = shape(u);
     if (s.walk && t >= 0.0 && t < s.end_t) {
@@ -183,6 +153,9 @@ class ClockTable {
   }
 
  private:
+  // Fewest segments one spill chunk appends.
+  static constexpr std::size_t kMinChunk = 16;
+
   struct Cell {
     double hw0;
     double rate;
@@ -214,9 +187,10 @@ class ClockTable {
     if (c.rate == 0.0) fill(u, s);
     return c;
   }
-  // Index k <= width_ of the segment holding t (0 <= t < s.end_t):
-  // RateSchedule::segment_at on the shared grid.  The guess only has to
-  // land near k; the two loops settle it on the stored t0s.
+  // Index k <= width_ of the segment holding t (0 <= t < s.end_t) on the
+  // shared grid.  The stored t0s accumulate rounding and are not exact
+  // multiples of step_dt, so the guess t / step_dt only has to land near
+  // k; the two loops settle it on the t0s.
   std::size_t segment_at(const Shape& s, double t) const {
     const double guess = t * s.inv_step;
     std::size_t k = guess < static_cast<double>(width_)
@@ -230,7 +204,7 @@ class ClockTable {
   double value_at_slow(std::size_t u, double t) const;
   void fill(std::size_t u, const Shape& s) const;
   // The segment holding real time t / clock value v past the row's end,
-  // extending u's spill list as needed.
+  // growing u's spill list as needed.
   Segment spill_at_time(std::size_t u, const Shape& s, double t) const;
   Segment spill_at_value(std::size_t u, const Shape& s, double v) const;
   template <class Covered>

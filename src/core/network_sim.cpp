@@ -111,12 +111,10 @@ struct NetworkSimulation::ShardedSink : DeliverySink {
   }
 };
 
-NetworkSimulation::NetworkSimulation(const SyncParams& params,
-                                     net::DynamicGraph graph,
-                                     net::LinkModel link,
-                                     std::vector<clk::RateSchedule> schedules,
-                                     SimOptions options,
-                                     const Protocol& protocol)
+NetworkSimulation::NetworkSimulation(
+    const SyncParams& params, net::DynamicGraph graph, net::LinkModel link,
+    const std::vector<clk::RateSchedule>& schedules, SimOptions options,
+    const Protocol& protocol)
     : params_(params),
       bfunc_(params),
       link_(std::move(link)),
@@ -133,9 +131,6 @@ NetworkSimulation::NetworkSimulation(const SyncParams& params,
     throw std::invalid_argument(
         "NetworkSimulation: one RateSchedule per node required");
   }
-  // The table answers every read; the per-node objects go now, before
-  // the rest of the set-up allocates.
-  std::vector<clk::RateSchedule>().swap(schedules);
   if (!link_.prop.sample) {
     throw std::invalid_argument("NetworkSimulation: delay model has no sampler");
   }

@@ -171,7 +171,7 @@ class NetworkSimulation {
   // no traffic pipeline).
   NetworkSimulation(const SyncParams& params, net::DynamicGraph graph,
                     net::LinkModel link,
-                    std::vector<clk::RateSchedule> schedules,
+                    const std::vector<clk::RateSchedule>& schedules,
                     SimOptions options = SimOptions{},
                     const Protocol& protocol = Protocol{});
 

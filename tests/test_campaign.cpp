@@ -219,6 +219,18 @@ TEST(Campaign, ScenarioFlagSyntax) {
   EXPECT_THROW(cli::ScenarioSpec::from_flag("churn:period=3"),
                std::invalid_argument);  // knob of the wrong kind
   EXPECT_THROW(cli::ScenarioSpec::from_flag("warp"), std::invalid_argument);
+  // strtod reads these whole; the refusal names the knob and the value.
+  for (const char* value : {"nan", "inf", "1e400"}) {
+    try {
+      cli::ScenarioSpec::from_flag(std::string("churn:lifetime=") + value);
+      ADD_FAILURE() << "accepted lifetime=" << value;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'lifetime'"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + value + "'"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(Campaign, SpecJsonRoundTrip) {

@@ -1,3 +1,5 @@
+// clk::RateSchedule, the clock description, read through a one-node
+// clk::ClockTable, the only clock evaluator, against an eager reference.
 #include "clk/clock.hpp"
 
 #include <gtest/gtest.h>
@@ -7,86 +9,40 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "eager_walk.hpp"
 #include "util/lazy_mt.hpp"
 
 namespace {
 
+using gcs::clk::ClockTable;
 using gcs::clk::RateSchedule;
+using gcs::test::EagerWalk;
 
-// A walk must stay a seed plus its segments: an engine member (2.5 KB)
-// is exactly what this bound keeps out.
-static_assert(sizeof(RateSchedule) <= 96,
-              "RateSchedule must not hold a random engine");
+// A description holds no evaluation state: no engine (2.5 KB), no
+// segments, nothing a copy would have to deep-copy.
+static_assert(std::is_trivially_copyable_v<RateSchedule>,
+              "RateSchedule must stay a plain description");
+static_assert(sizeof(RateSchedule) <= 56,
+              "RateSchedule must not grow per-node clock state");
 
-// The reference walk: one resident std::mt19937_64 per schedule,
-// extended one segment per draw.  The chunked replay must reproduce its
-// segments, and hence every answer, bit for bit.
-class EagerWalk {
+// The clock one RateSchedule describes, read through a one-node table.
+class OneClock {
  public:
-  EagerWalk(double rho, double step_dt, double sigma, std::uint64_t seed,
-            double start_rate = 1.0)
-      : lo_(1.0 - rho),
-        hi_(1.0 + rho),
-        step_dt_(step_dt),
-        sigma_(sigma),
-        gen_(seed) {
-    segs_.push_back(Seg{0.0, 0.0, std::clamp(start_rate, lo_, hi_)});
-  }
-
-  double value_at(double t) {
-    while (segs_.back().t0 + step_dt_ <= t) push();
-    auto it = std::upper_bound(segs_.begin(), segs_.end(), t,
-                               [](double x, const Seg& s) { return x < s.t0; });
-    const Seg& s = *std::prev(it);
-    return s.hw0 + s.rate * (t - s.t0);
-  }
-
-  double time_when(double v) {
-    while (segs_.back().hw0 + segs_.back().rate * step_dt_ <= v) push();
-    auto it = std::upper_bound(segs_.begin(), segs_.end(), v,
-                               [](double x, const Seg& s) { return x < s.hw0; });
-    const Seg& s = *std::prev(it);
-    return s.t0 + (v - s.hw0) / s.rate;
-  }
-
-  double rate_at(double t) {
-    while (segs_.back().t0 + step_dt_ <= t) push();
-    auto it = std::upper_bound(segs_.begin(), segs_.end(), t,
-                               [](double x, const Seg& s) { return x < s.t0; });
-    return std::prev(it)->rate;
-  }
-
-  struct Seg {
-    double t0;
-    double hw0;
-    double rate;
-  };
-  // The segments generated so far (at least those covering t <= `t`).
-  const std::vector<Seg>& segments_through(double t) {
-    value_at(t);
-    return segs_;
-  }
+  explicit OneClock(const RateSchedule& s)
+      : table_(std::vector<RateSchedule>{s}) {}
+  double value_at(double t) const { return table_.value_at(0, t); }
+  double time_when(double v) const { return table_.time_when(0, v); }
+  double rate_at(double t) const { return table_.rate_at(0, t); }
 
  private:
-
-  void push() {
-    const Seg& last = segs_.back();
-    std::normal_distribution<double> step(0.0, sigma_);
-    const double next_rate = std::clamp(last.rate + step(gen_), lo_, hi_);
-    segs_.push_back(
-        Seg{last.t0 + step_dt_, last.hw0 + last.rate * step_dt_, next_rate});
-  }
-
-  std::vector<Seg> segs_;
-  double lo_;
-  double hi_;
-  double step_dt_;
-  double sigma_;
-  std::mt19937_64 gen_;
+  ClockTable table_;
 };
 
 std::uint64_t bits(double x) {
@@ -125,12 +81,13 @@ std::vector<double> query_points() {
 
 enum class Query { kValue, kTime, kRate };
 
-// Runs the same (kind, x) queries against a chunked schedule and an eager
+// Runs the same (kind, x) queries against an unsized walk (whose reads
+// past its 16-segment row go to the table's chunked spill) and an eager
 // reference, in the given order, and demands bit-identical answers.
 void expect_same_answers(const WalkShape& w,
                          const std::vector<std::pair<Query, double>>& qs) {
-  const RateSchedule s = RateSchedule::random_walk(w.rho, w.step_dt, w.sigma,
-                                                   w.seed, w.start_rate);
+  const OneClock s(RateSchedule::random_walk(w.rho, w.step_dt, w.sigma, w.seed,
+                                             w.start_rate));
   EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed, w.start_rate);
   for (const auto& [kind, x] : qs) {
     switch (kind) {
@@ -211,8 +168,9 @@ TEST(RateSchedule, PastQueriesAfterEachExtension) {
 }
 
 TEST(RateSchedule, WalkRespectsDriftBoundsAndIsInvertible) {
-  const RateSchedule s = RateSchedule::random_walk(0.1, 1.0, 0.2, 9);
-  EXPECT_FALSE(s.is_constant());
+  const RateSchedule walk = RateSchedule::random_walk(0.1, 1.0, 0.2, 9);
+  EXPECT_TRUE(walk.walk());
+  const OneClock s(walk);
   for (double t = 0.0; t < 200.0; t += 0.9) {
     const double r = s.rate_at(t);
     EXPECT_GE(r, 0.9);
@@ -223,37 +181,44 @@ TEST(RateSchedule, WalkRespectsDriftBoundsAndIsInvertible) {
 
 TEST(RateSchedule, ConstantSchedules) {
   for (double rate : {0.98, 1.0, 1.02, 3.0}) {
-    const RateSchedule s(rate);
-    EXPECT_TRUE(s.is_constant());
+    const RateSchedule fixed(rate);
+    EXPECT_FALSE(fixed.walk());
+    EXPECT_EQ(fixed.rate(), rate);
+    const OneClock s(fixed);
     for (double t : {0.0, 0.5, 17.25, 1e3, 1e9}) {
       EXPECT_EQ(s.value_at(t), rate * t);
       EXPECT_EQ(s.rate_at(t), rate);
       EXPECT_EQ(s.time_when(rate * t), (rate * t) / rate);
     }
   }
-  EXPECT_THROW(RateSchedule(0.0), std::invalid_argument);
-  EXPECT_THROW(RateSchedule(-1.0), std::invalid_argument);
-}
-
-TEST(RateSchedule, MovedScheduleContinuesTheSameWalk) {
-  const WalkShape& w = kShapes[0];
-  RateSchedule a = RateSchedule::random_walk(w.rho, w.step_dt, w.sigma, w.seed);
-  EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed);
-  EXPECT_EQ(bits(a.value_at(20.0)), bits(ref.value_at(20.0)));
-  const RateSchedule b = std::move(a);
-  EXPECT_EQ(bits(b.value_at(300.0)), bits(ref.value_at(300.0)));
-  EXPECT_EQ(bits(b.time_when(5.0)), bits(ref.time_when(5.0)));
+  // A NaN rate would read NaN everywhere, and +inf would read inf at every
+  // t and time_when 0 at every value.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double rate : {0.0, -1.0, nan, inf, -inf}) {
+    try {
+      const RateSchedule bad(rate);
+      ADD_FAILURE() << "accepted rate " << bad.rate();
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("rate must be finite and > 0"), std::string::npos)
+          << what;
+      std::ostringstream value;
+      value << rate;
+      EXPECT_NE(what.find("got " + value.str()), std::string::npos) << what;
+    }
+  }
 }
 
 // value_at/time_when/rate_at used to walk off the front of the segment
 // table (std::prev(begin())) for a negative or NaN argument in Release
 // builds; they now refuse it and name the value.
 TEST(RateSchedule, RejectsNegativeNanAndInfiniteArguments) {
-  const RateSchedule walk = RateSchedule::random_walk(0.02, 1.0, 0.005, 3);
-  const RateSchedule fixed(1.0);
+  const OneClock walk(RateSchedule::random_walk(0.02, 1.0, 0.005, 3));
+  const OneClock fixed(RateSchedule(1.0));
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
-  for (const RateSchedule* s : {&walk, &fixed}) {
+  for (const OneClock* s : {&walk, &fixed}) {
     EXPECT_THROW(s->value_at(-1.0), std::invalid_argument);
     EXPECT_THROW(s->value_at(nan), std::invalid_argument);
     EXPECT_THROW(s->value_at(inf), std::invalid_argument);
@@ -332,13 +297,13 @@ TEST(LazyMt19937_64, NormalDrawsMatchStdEngine) {
 // ---------------------------------------------------------------------------
 
 // Every answer of a walk sized to `horizon` against the eager reference:
-// queries before, at and past the horizon (past it the chunked fallback
-// extends), the exact segment boundaries, and time_when at every
-// segment's starting clock value.
+// queries before, at and past the horizon (past it the table spills),
+// the exact segment boundaries, and time_when at every segment's
+// starting clock value.
 void expect_sized_walk_matches(const WalkShape& w, double horizon,
                                double past) {
-  const RateSchedule s = RateSchedule::random_walk(
-      w.rho, w.step_dt, w.sigma, w.seed, w.start_rate, horizon);
+  const OneClock s(RateSchedule::random_walk(w.rho, w.step_dt, w.sigma, w.seed,
+                                             w.start_rate, horizon));
   EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed, w.start_rate);
   const std::string what = "seed " + std::to_string(w.seed) + " horizon " +
                            std::to_string(horizon);
@@ -387,10 +352,10 @@ TEST(SizedWalk, FractionalStepBoundaries) {
 }
 
 TEST(SizedWalk, FirstQueryPastTheHorizon) {
-  // The first extension must cover both the horizon and the query.
+  // The first spill must continue from the row's end to the query.
   for (const WalkShape& w : kShapes) {
-    const RateSchedule s = RateSchedule::random_walk(
-        w.rho, w.step_dt, w.sigma, w.seed, w.start_rate, 10.0);
+    const OneClock s(RateSchedule::random_walk(w.rho, w.step_dt, w.sigma,
+                                               w.seed, w.start_rate, 10.0));
     EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed, w.start_rate);
     EXPECT_EQ(bits(s.time_when(500.0)), bits(ref.time_when(500.0)));
     for (double t = 0.0; t < 600.0; t += 3.7) {

@@ -1,4 +1,5 @@
-// clk::ClockTable against the RateSchedules it is built from, and the
+// clk::ClockTable against the clocks its RateSchedules describe (an
+// eager reference walk, or exact rate * t for a constant clock), and the
 // table's lazy rows inside a simulation.
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <utility>
@@ -14,6 +16,7 @@
 
 #include "clk/clock.hpp"
 #include "core/network_sim.hpp"
+#include "eager_walk.hpp"
 #include "net/dynamic_graph.hpp"
 #include "net/link.hpp"
 #include "net/topology.hpp"
@@ -22,6 +25,7 @@ namespace {
 
 using gcs::clk::ClockTable;
 using gcs::clk::RateSchedule;
+using gcs::test::EagerWalk;
 
 std::uint64_t bits(double x) {
   std::uint64_t b;
@@ -42,6 +46,27 @@ struct NodeClock {
     return RateSchedule::random_walk(rho, step_dt, sigma, seed, start_rate,
                                      sized_until);
   }
+};
+
+// The clock a NodeClock describes, evaluated independently of the table:
+// exact rate * t and v / rate for a constant clock, an EagerWalk for a
+// walk.
+class Reference {
+ public:
+  explicit Reference(const NodeClock& c) : rate_(c.rate) {
+    if (c.walk) eager_.emplace(c.rho, c.step_dt, c.sigma, c.seed, c.start_rate);
+  }
+  double value_at(double t) {
+    return eager_ ? eager_->value_at(t) : rate_ * t;
+  }
+  double time_when(double v) {
+    return eager_ ? eager_->time_when(v) : v / rate_;
+  }
+  double rate_at(double t) { return eager_ ? eager_->rate_at(t) : rate_; }
+
+ private:
+  double rate_;
+  std::optional<EagerWalk> eager_;
 };
 
 NodeClock constant(double rate) {
@@ -91,7 +116,7 @@ void add_queries(std::size_t u, const NodeClock& c, double horizon,
   } else {
     for (double t = 0.0; t <= past; t += 0.73) ts.push_back(t);
   }
-  const RateSchedule ref = c.make();
+  Reference ref(c);
   for (const double t : ts) {
     qs->push_back({u, Kind::kValue, t});
     qs->push_back({u, Kind::kRate, t});
@@ -103,21 +128,21 @@ void add_queries(std::size_t u, const NodeClock& c, double horizon,
 }
 
 // Builds a table from `clocks` and runs `qs` against it and against a
-// separate RateSchedule per node, demanding identical bits.
+// separate Reference per node, demanding identical bits.
 void expect_table_matches(const std::vector<NodeClock>& clocks,
                           const std::vector<Query>& qs,
                           const std::string& what) {
   std::vector<RateSchedule> schedules;
-  std::vector<RateSchedule> refs;
+  std::vector<Reference> refs;
   for (const NodeClock& c : clocks) {
     schedules.push_back(c.make());
-    refs.push_back(c.make());
+    refs.emplace_back(c);
   }
   const ClockTable table(schedules);
   schedules.clear();  // the table must not need them
   ASSERT_EQ(table.size(), clocks.size());
   for (const Query& q : qs) {
-    const RateSchedule& r = refs[q.u];
+    Reference& r = refs[q.u];
     switch (q.kind) {
       case Kind::kValue:
         ASSERT_EQ(bits(table.value_at(q.u, q.x)), bits(r.value_at(q.x)))
@@ -156,6 +181,8 @@ void expect_table_matches_in_any_order(const std::vector<NodeClock>& clocks,
 // unsized walk.
 const double kHorizons[] = {0.5, 1.5, 4.0 + 0.5 / 0.98, 60.0, 0.0};
 
+// "Matches RateSchedule": node u reads, bit for bit, the clock that its
+// RateSchedule describes, as a Reference evaluates it.
 TEST(ClockTable, MatchesRateScheduleForEveryWalkSeedAndHorizon) {
   for (const double horizon : kHorizons) {
     std::vector<NodeClock> clocks;
@@ -231,7 +258,7 @@ TEST(ClockTable, RowsAreSizedToTheLastReadableTimeAndFillLazily) {
   // Constant clocks keep no rows at all.
   const ClockTable fixed(std::vector<RateSchedule>(8, RateSchedule(1.01)));
   EXPECT_EQ(fixed.row_width(), 0u);
-  EXPECT_EQ(fixed.value_at(7, 50.0), RateSchedule(1.01).value_at(50.0));
+  EXPECT_EQ(fixed.value_at(7, 50.0), 1.01 * 50.0);
 }
 
 TEST(ClockTable, RejectsWhatRateScheduleRejects) {
