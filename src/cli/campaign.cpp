@@ -45,6 +45,19 @@ const std::set<std::string>& knobs_for(const std::string& kind) {
   fail("unknown scenario kind '" + kind + "'");
 }
 
+// A count knob (volatile_edges, groups) as the exact non-negative
+// integer it must be, refused by name: a flag hands its value over as a
+// double, and 2.5, -3 or 1e30 would otherwise fail in the JSON reader
+// without naming the knob.
+std::size_t count_knob(const std::string& key, const json::Value& value) {
+  try {
+    return static_cast<std::size_t>(value.as_u64());
+  } catch (const json::Error&) {
+    fail("scenario knob '" + key + "' must be a whole number >= 0, got '" +
+         json::dump(value) + "'");
+  }
+}
+
 // splitmix64: decorrelates the scenario generator's random stream from the
 // delay/drift streams that consume the raw cell seed.
 std::uint64_t mix_seed(std::uint64_t seed) {
@@ -108,7 +121,7 @@ ScenarioSpec ScenarioSpec::from_json(const json::Value& doc) {
       fail("scenario kind '" + spec.kind + "' has no knob '" + key + "'");
     }
     if (key == "volatile_edges") {
-      spec.volatile_edges = static_cast<std::size_t>(value.as_u64());
+      spec.volatile_edges = count_knob(key, value);
     } else if (key == "lifetime") {
       spec.lifetime = value.as_number();
     } else if (key == "period") {
@@ -134,7 +147,7 @@ ScenarioSpec ScenarioSpec::from_json(const json::Value& doc) {
     } else if (key == "dir_sigma") {
       spec.dir_sigma = value.as_number();
     } else if (key == "groups") {
-      spec.groups = static_cast<std::size_t>(value.as_u64());
+      spec.groups = count_knob(key, value);
     } else if (key == "group_radius") {
       spec.group_radius = value.as_number();
     } else if (key == "switch_prob") {
@@ -147,6 +160,12 @@ ScenarioSpec ScenarioSpec::from_json(const json::Value& doc) {
   }
   if (spec.kind == "trace" && spec.path.empty()) {
     fail("trace scenario needs path=<file.csv|file.json>");
+  }
+  // The churn generator needs a positive lifetime; refusing it here
+  // names the knob before any cell runs.
+  if (spec.kind == "churn" && !(spec.lifetime > 0.0)) {
+    fail("scenario knob 'lifetime' must be > 0, got '" +
+         json::dump_number(spec.lifetime) + "'");
   }
   return spec;
 }

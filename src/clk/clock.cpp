@@ -180,17 +180,12 @@ ClockTable::ClockTable(const std::vector<RateSchedule>& schedules) {
   }
   if (width_ > 0 && n > 0) {
     // calloc, not a value-initialized array: large zeroed allocations come
-    // straight from the kernel, so a row's pages stay untouched until it
-    // fills.
-    constexpr std::size_t kLine = 64;
-    if (n > (std::numeric_limits<std::size_t>::max() - kLine) / sizeof(Cell) /
-                width_) {
+    // straight from the kernel, so no page is touched until a row fills.
+    if (n > std::numeric_limits<std::size_t>::max() / sizeof(Cell) / width_) {
       throw std::bad_alloc();
     }
-    block_.reset(std::calloc(n * width_ * sizeof(Cell) + kLine, 1));
-    if (!block_) throw std::bad_alloc();
-    const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(block_.get());
-    rows_ = reinterpret_cast<Cell*>((base + kLine - 1) & ~(kLine - 1));
+    rows_.reset(static_cast<Cell*>(std::calloc(n * width_, sizeof(Cell))));
+    if (!rows_) throw std::bad_alloc();
   }
 }
 
@@ -202,11 +197,12 @@ double ClockTable::constant_rate(std::size_t u) const {
 
 void ClockTable::fill(std::size_t u, const Shape& s) const {
   util::LazyMt19937_64 gen(keys_[u]);
-  Cell* row = &rows_[u * width_];
+  const std::size_t n = keys_.size();
+  Cell* row = rows_.get() + u;  // segment k + 1 at row[k * n]
   Segment seg{0.0, 0.0, s.rate0};
   for (std::size_t k = 0; k < width_; ++k) {
     seg = next_segment(seg, gen, s.rho, s.step_dt, s.sigma);
-    row[k] = Cell{seg.hw0, seg.rate};
+    row[k * n] = Cell{seg.hw0, seg.rate};
   }
   filled_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -294,15 +290,24 @@ double ClockTable::time_when(std::size_t u, double value) const {
   if (width_ > 0) {
     const Cell& last = cell(u, s, width_);
     if (value < last.hw0 + last.rate * s.step_dt) {
-      // Cell i holds segment i + 1, and segment 1 starts at end_v0 <=
-      // value, so the first cell starting past value is cell k >= 1 and
-      // value lies on segment k.
-      const Cell* row = &rows_[u * width_];
-      const std::size_t k = static_cast<std::size_t>(
-          std::upper_bound(row, row + width_, value,
-                           [](double v, const Cell& c) { return v < c.hw0; }) -
-          row);
-      return time_on(s.t0[k], row[k - 1].hw0, row[k - 1].rate, value);
+      // The row's cells sit n apart.  Segment 1 starts at end_v0 <=
+      // value, so a binary search for the last segment k in [1, width_]
+      // starting at or below value (hw0s increase with k) finds the one
+      // value lies on.
+      const std::size_t n = keys_.size();
+      const Cell* row = rows_.get() + u;  // segment k at row[(k - 1) * n]
+      std::size_t lo = 1;       // hw0 of segment lo <= value
+      std::size_t hi = width_;  // the answer is in [lo, hi]
+      while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo + 1) / 2;
+        if (row[(mid - 1) * n].hw0 <= value) {
+          lo = mid;
+        } else {
+          hi = mid - 1;
+        }
+      }
+      const Cell& c = row[(lo - 1) * n];
+      return time_on(s.t0[lo], c.hw0, c.rate, value);
     }
   }
   const Segment g = spill_at_value(u, s, value);

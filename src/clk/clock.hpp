@@ -94,18 +94,21 @@ class RateSchedule {
 // Layout.  Nodes whose walks share (rho, step_dt, sigma, start rate)
 // share one Shape, and with it one grid of segment start times t0 (the
 // t0s depend only on step_dt, so one copy serves every node).  A walk
-// node's row holds its segments 1 .. W as 16-byte (hw0, rate) cells,
-// rows laid out node-major in one zeroed, line-aligned allocation;
+// node's row holds its segments 1 .. W as 16-byte (hw0, rate) cells;
 // segment 0 starts at (t0, hw0) = (0, 0) at the shape's start rate and
-// needs no cell.  W is the number of segments past the first that the
-// largest sized_until among the schedules needs (kMinChunk when none
-// was sized), so a read up to the run's last readable time costs the
-// grid lookup plus one cell.  A constant clock keeps only its rate.
+// needs no cell.  The rows are stored time-major in one zeroed
+// allocation: cell (k, u), node u's segment k, sits at (k - 1) * n + u,
+// so a sweep reading consecutive nodes at one instant (a broadcast
+// round, a sample) walks consecutive 16-byte cells instead of touching
+// one row per node.  W is the number of segments past the first that
+// the largest sized_until among the schedules needs (kMinChunk when
+// none was sized), so a read up to the run's last readable time costs
+// the grid lookup plus one cell.  A constant clock keeps only its rate.
 //
-// Rows fill lazily: a row stays zero (never touched, so its pages are
-// never faulted in) until its node's first read past segment 0, which
-// generates the whole row from the node's seed.  A zero rate marks an
-// unfilled cell; every generated rate is positive.  A read past a row's
+// Rows fill lazily: a row stays zero (never written, so a table nobody
+// reads past segment 0 faults in no pages) until its node's first read
+// past segment 0, which generates the whole row from the node's seed.
+// A zero rate marks an unfilled cell; every generated rate is positive.  A read past a row's
 // end (past the sized horizon) continues that node's walk in a spill
 // list, a chunk at a time: a stack-local engine is re-seeded, replays the
 // draws the row and the list already used, and appends at least as many
@@ -183,7 +186,7 @@ class ClockTable {
   double constant_rate(std::size_t u) const;
   // Segment k >= 1 of walk node u, filling the row first if needed.
   const Cell& cell(std::size_t u, const Shape& s, std::size_t k) const {
-    const Cell& c = rows_[u * width_ + k - 1];
+    const Cell& c = rows_.get()[(k - 1) * keys_.size() + u];
     if (c.rate == 0.0) fill(u, s);
     return c;
   }
@@ -217,10 +220,8 @@ class ClockTable {
   // A walk node's seed, or the bits of a constant node's rate.
   std::vector<std::uint64_t> keys_;
   std::size_t width_ = 0;
-  // The zeroed allocation, and the rows from its first cache-line
-  // boundary on (a 4-cell row is then exactly one line).
-  std::unique_ptr<void, FreeDeleter> block_;
-  Cell* rows_ = nullptr;
+  // The zeroed, time-major cell block (null when width_ or n is 0).
+  std::unique_ptr<Cell, FreeDeleter> rows_;
   mutable std::atomic<std::size_t> filled_{0};
   mutable std::mutex spill_mu_;
   mutable std::unordered_map<std::size_t, std::vector<Segment>> spills_;

@@ -1,5 +1,7 @@
 #include "core/dcsa_columns.hpp"
 
+#include <stdexcept>
+
 namespace gcs::core {
 
 DcsaColumns::DcsaColumns(const SyncParams& params, std::size_t n,
@@ -12,6 +14,26 @@ DcsaColumns::DcsaColumns(const SyncParams& params, std::size_t n,
   head_.assign(n, 0);
   count_.assign(n, 0);
   cap_.assign(n, 0);
+}
+
+void DcsaColumns::reserve_segments(const std::vector<net::Edge>& edges) {
+  if (!slots_.peer.empty()) {
+    throw std::logic_error(
+        "DcsaColumns::reserve_segments: call before the first edge_up");
+  }
+  for (const net::Edge& e : edges) {
+    ++cap_[e.u];
+    ++cap_[e.v];
+  }
+  std::uint64_t next = 0;
+  for (std::size_t u = 0; u < cap_.size(); ++u) {
+    head_[u] = static_cast<std::uint32_t>(next);
+    next += cap_[u];
+  }
+  if (next > kNpos) {
+    throw std::length_error("DcsaColumns: more than 2^32 - 1 peer slots");
+  }
+  slots_.resize(static_cast<std::size_t>(next));
 }
 
 void DcsaColumns::start(const NodeContext& ctx) {
@@ -222,11 +244,8 @@ void DcsaColumns::on_deliveries(const StoreDelivery* batch, std::size_t count,
   }
 }
 
-void DcsaColumns::advance(const double* hw_now, double* logical,
-                          std::size_t count) const {
-  for (std::size_t i = 0; i < count; ++i) {
-    logical[i] = hw_now[i] + offset_[i];
-  }
+void DcsaColumns::advance(double* clocks, std::size_t count) const {
+  for (std::size_t i = 0; i < count; ++i) clocks[i] += offset_[i];
 }
 
 std::size_t DcsaColumns::arena_bytes() const {

@@ -37,11 +37,14 @@
 // flag per node); per-edge estimate state lives in a single slot arena
 // carved into per-node segments, CSR-style: node u's peers occupy slots
 // [head_[u], head_[u] + count_[u]) of the parallel columns {peer, hw_up,
-// has_estimate, value, hw_recv, tag}.  Segments grow by relocation to the
-// arena tail (amortized doubling) and the arena compacts when abandoned
-// holes pile up past a quarter of it, so a million-node churn run costs
-// a handful of contiguous allocations instead of a million std::map
-// instances.
+// has_estimate, value, hw_recv, tag}.  reserve_segments lays the
+// initial segments out back to back in one counting pass, each at its
+// node's initial degree (21 B per node plus 33 B per peer slot: a ring
+// costs 87 B/node, with no holes).  Segments grow by relocation to the
+// arena tail (amortized doubling from kInitialCap) and the arena
+// compacts when abandoned holes pile up past a quarter of it, so a
+// million-node churn run costs a handful of contiguous allocations
+// instead of a million std::map instances.
 //
 // Peer lookup is a linear scan of the segment: DCSA degree is bounded in
 // every scaling workload (ring backbones plus volatile edges), and for
@@ -132,6 +135,13 @@ class DcsaColumns {
 
   std::size_t size() const { return offset_.size(); }
 
+  // Sizes every node's segment to its degree in `edges` (an edge listed
+  // twice counts twice), back to back in node order, so the edge_up
+  // calls that bring those edges up relocate nothing.  Call once,
+  // before the first edge_up; a node left at degree 0 gets kInitialCap
+  // slots at the arena tail on its first edge_up, as without this call.
+  void reserve_segments(const std::vector<net::Edge>& edges);
+
   // Lifecycle + topology inputs (always delivered through the
   // simulator's barrier/global context, never concurrently).
   void start(const NodeContext& ctx);
@@ -155,10 +165,11 @@ class DcsaColumns {
   void on_deliveries(const StoreDelivery* batch, std::size_t count,
                      DeliverySink& sink);
 
-  // Whole-population logical-clock read: logical[i] = L_i(hw_now[i]) for
-  // all `count == size()` nodes.  Pure -- state between inputs is a
-  // clock free-running at hardware rate, so advancing it is a read.
-  void advance(const double* hw_now, double* logical, std::size_t count) const;
+  // Whole-population logical-clock read, in place: clocks[i] holds node
+  // i's hardware reading on entry and L_i of it on return, for all
+  // `count == size()` nodes.  Pure -- state between inputs is a clock
+  // free-running at hardware rate, so advancing it is a read.
+  void advance(double* clocks, std::size_t count) const;
 
   double logical_clock(NodeId u, double hw_now) const {
     return hw_now + offset_[u];

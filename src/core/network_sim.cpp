@@ -184,7 +184,11 @@ NetworkSimulation::NetworkSimulation(
     }
   }
 
+  store_.reserve_segments(graph.initial_edges());
   edge_slots_.reserve(graph.initial_edges().size() + 16);
+  if (link_.traffic.pipeline_active()) {
+    link_dirs_.reserve(edge_slots_.capacity());
+  }
   for (const net::Edge& e : graph.initial_edges()) add_edge(e, 0.0, true);
   for (const net::TopologyEvent& ev : graph.events()) {
     if (sharded_) {
@@ -222,10 +226,12 @@ void NetworkSimulation::run_until(sim::Time t) {
   // Audit the paper's standing assumption over the (T+D)-windows newly
   // completed by this call; the sweep's delta cursor makes repeated
   // incremental run_until calls cost one schedule pass in total, and
-  // the set-range is_connected avoids materializing each union.
+  // each union is visited in place, never copied.
   while (audit_sweep_.next(now())) {
     ++stats_.connectivity_windows_checked;
-    if (!net::is_connected(store_.size(), audit_sweep_.window_union())) {
+    if (!net::is_connected(store_.size(), [this](const auto& fn) {
+          audit_sweep_.for_each_union_edge(fn);
+        })) {
       ++stats_.connectivity_windows_disconnected;
     }
   }
@@ -259,14 +265,12 @@ double NetworkSimulation::skew(NodeId u, NodeId v) const {
   return logical_clock(u) - logical_clock(v);
 }
 
-void NetworkSimulation::sample_clocks(std::vector<double>& hw,
-                                      std::vector<double>& logical) const {
+void NetworkSimulation::sample_clocks(std::vector<double>& logical) const {
   const std::size_t n = store_.size();
-  hw.resize(n);
   logical.resize(n);
   const sim::Time t = now();
-  for (std::size_t i = 0; i < n; ++i) hw[i] = clocks_.value_at(i, t);
-  store_.advance(hw.data(), logical.data(), n);
+  for (std::size_t i = 0; i < n; ++i) logical[i] = clocks_.value_at(i, t);
+  store_.advance(logical.data(), n);
 }
 
 double NetworkSimulation::max_queue_backlog() const {
@@ -274,10 +278,10 @@ double NetworkSimulation::max_queue_backlog() const {
   if (!m.pipeline_active() || m.bandwidth <= 0.0) return 0.0;
   const sim::Time t = now();
   double worst = 0.0;  // residual busy time; max commutes, slot order ok
-  for (const EdgeSlot& s : edge_slots_) {
-    if (!s.live) continue;
-    worst = std::max(worst, s.dir[0].busy_until - t);
-    worst = std::max(worst, s.dir[1].busy_until - t);
+  for (std::size_t i = 0; i < edge_slots_.size(); ++i) {
+    if (!edge_slots_[i].live) continue;
+    worst = std::max(worst, link_dirs_[i].dir[0].busy_until - t);
+    worst = std::max(worst, link_dirs_[i].dir[1].busy_until - t);
   }
   return std::max(0.0, worst) * m.bandwidth;
 }
@@ -306,16 +310,19 @@ void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
                                  bool initial) {
   std::uint32_t slot;
   if (store_.find_tag(e.u, e.v, &slot)) return;  // redundant add
+  const bool pipeline = link_.traffic.pipeline_active();
   if (free_slots_.empty()) {
     slot = static_cast<std::uint32_t>(edge_slots_.size());
     edge_slots_.emplace_back();
+    if (pipeline) link_dirs_.emplace_back();
   } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
+    if (pipeline) link_dirs_[slot] = LinkPair{};
   }
   EdgeSlot& s = edge_slots_[slot];
   const EdgeRef ref{slot, next_incarnation(s.incarnation, slot)};
-  s = EdgeSlot{t, e.u, e.v, ref.incarnation, true, {}};
+  s = EdgeSlot{t, e.u, e.v, ref.incarnation, true};
   const double hw_u = clocks_.value_at(e.u, t);
   const double hw_v = clocks_.value_at(e.v, t);
   store_.edge_up(NodeContext{e.u, hw_u, t}, e.v, slot);
@@ -391,7 +398,7 @@ void NetworkSimulation::send(NodeId from, NodeId to, EdgeRef edge,
   // configured).  Sync messages are never queue-dropped -- their
   // latency saturates at the bound instead, preserving the delay <= T
   // assumption the proofs rest on.
-  d = sync_link_delay(edge_slots_[edge.slot], from, to, t, d, stats_.ecn_marks,
+  d = sync_link_delay(edge.slot, from, to, t, d, stats_.ecn_marks,
                       stats_.peak_queue_bytes);
   stats_.sync_delay_sum += d;
   stats_.sync_delay_max = std::max(stats_.sync_delay_max, d);
@@ -550,8 +557,8 @@ void NetworkSimulation::send_sharded(std::size_t ctx, NodeId from, NodeId to,
   // survives any traffic model.  Direction state is written from the
   // sender's context only (this shard, or the coordinator at barriers),
   // so no lock is needed.
-  d = sync_link_delay(edge_slots_[edge.slot], from, to, t, d,
-                      counters.ecn_marks, counters.peak_queue_bytes);
+  d = sync_link_delay(edge.slot, from, to, t, d, counters.ecn_marks,
+                      counters.peak_queue_bytes);
   node_sync_delay_[from] += d;
   counters.sync_delay_max = std::max(counters.sync_delay_max, d);
   ++counters.messages_sent;
@@ -584,7 +591,7 @@ void NetworkSimulation::deliver_sharded(const Delivery& m) {
   store_.on_deliveries(&d, 1, sink);
 }
 
-double NetworkSimulation::sync_link_delay(EdgeSlot& slot, NodeId from,
+double NetworkSimulation::sync_link_delay(std::uint32_t slot, NodeId from,
                                           NodeId to, sim::Time t, double d_prop,
                                           std::uint64_t& ecn_marks,
                                           std::uint64_t& peak_queue_bytes) {
@@ -594,8 +601,9 @@ double NetworkSimulation::sync_link_delay(EdgeSlot& slot, NodeId from,
   // and infinite-bandwidth "idle" produce identical bytes (the
   // link-equivalence matrix holds this door shut).
   if (!m.pipeline_active() || m.bandwidth <= 0.0) return d_prop;
-  net::LinkDecision dec = net::link_offer(m, slot.dir[dir_index(from, to)], t,
-                                          m.sync_bytes, /*droppable=*/false);
+  net::LinkDecision dec =
+      net::link_offer(m, link_dirs_[slot].dir[dir_index(from, to)], t,
+                      m.sync_bytes, /*droppable=*/false);
   if (dec.marked) ++ecn_marks;
   peak_queue_bytes = std::max(
       peak_queue_bytes, static_cast<std::uint64_t>(dec.backlog_bytes));
@@ -632,7 +640,7 @@ void NetworkSimulation::flow_emit(NodeId from, NodeId to, EdgeRef edge) {
       sharded_ ? sharded_->shard_now(shard_of_[from]) : engine_.now();
   const net::LinkDecision dec =
       net::link_offer(link_.traffic,
-                      edge_slots_[edge.slot].dir[dir_index(from, to)], t,
+                      link_dirs_[edge.slot].dir[dir_index(from, to)], t,
                       link_.traffic.flow_bytes(), link_.traffic.flow_droppable());
   if (sharded_) {
     ShardCounters& c = shard_counters_[shard_of_[from]];
@@ -747,8 +755,17 @@ void NetworkSimulation::check_edge_conformance(const StoreDelivery& d,
   // holding, so checking against it never reports a false violation.
   const double age_hw = (1.0 - params_.rho) * (d.now - s.up_time);
   const double allowed = bfunc_(age_hw) + kConformanceSlack;
-  // |L_u - L_v| in either order is the same double.
-  const double observed = std::abs(logical_clock(d.from) - logical_to);
+  // |L_u - L_v| in either order is the same double.  The sender's
+  // offset is read per record: a sender that jumped earlier in this
+  // batch (an edge-up exchange delivers both ways at once) must read
+  // exactly what logical_clock(d.from) would.
+  if (d.from != audit_from_ || d.now != audit_t_) {
+    audit_from_ = d.from;
+    audit_t_ = d.now;
+    audit_hw_ = clocks_.value_at(d.from, d.now);
+  }
+  const double observed =
+      std::abs(store_.logical_clock(d.from, audit_hw_) - logical_to);
   const bool violated = observed > allowed;
   if (violated) {
     ++stats_.conformance_envelope_failures;

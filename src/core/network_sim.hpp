@@ -1,11 +1,11 @@
 // gcs::core -- NetworkSimulation: the glue layer.
 //
 // Owns the event engine, the hardware-clock table, the Algorithm 2
-// kernel (core::DcsaColumns) holding every node's state, the live edge set, and the link model (traffic pipeline +
-// propagation delay; see net/link.hpp), and turns a DynamicGraph
-// schedule into edge-up/edge-down callbacks, periodic per-node broadcasts
-// (every delta_h of HARDWARE time), background-flow emissions, and
-// message deliveries.  Everything observable (skew, clocks, stats) is
+// kernel (core::DcsaColumns) holding every node's state, the live edge
+// set, and the link model (traffic pipeline + propagation delay; see
+// net/link.hpp), and turns a DynamicGraph schedule into edge-up/edge-down
+// callbacks, periodic per-node broadcasts (every delta_h of HARDWARE
+// time), background-flow emissions, and message deliveries.  Everything observable (skew, clocks, stats) is
 // queryable from outside, which is what the harness and the benches
 // build on.
 //
@@ -25,6 +25,13 @@
 // (1-rho) * real age) and checks that logical clocks never run backwards.
 // Violations are counted, never fatal -- bench_ablation deliberately runs
 // crippled tolerances to show the counters moving.
+//
+// Memory: a run holds live state only.  The DynamicGraph is consumed by
+// the constructor (its events become engine events; the audit sweep
+// keeps the event list and a flat live edge set), the kernel's peer
+// segments start at each node's initial degree, an edge-table entry is
+// 24 bytes, and the link pipeline's per-direction FIFO state lives in a
+// parallel array that exists only when a traffic model is on.
 #ifndef GCS_CORE_NETWORK_SIM_HPP
 #define GCS_CORE_NETWORK_SIM_HPP
 
@@ -190,10 +197,11 @@ class NetworkSimulation {
   double hardware_clock(NodeId u) const;
   // L_u - L_v at the current simulation time.
   double skew(NodeId u, NodeId v) const;
-  // Whole-population clock sample at the current simulation time: one
-  // kernel advance() instead of n per-node reads.  Both vectors are
-  // resized to size(); logical[i] bit-matches logical_clock(i).
-  void sample_clocks(std::vector<double>& hw, std::vector<double>& logical) const;
+  // Whole-population clock sample at the current simulation time: the
+  // hardware readings go into `logical`, and one kernel advance() turns
+  // them into logical clocks in place.  Resized to size(); logical[i]
+  // bit-matches logical_clock(i).
+  void sample_clocks(std::vector<double>& logical) const;
 
   // Calls fn(u, v, up_time) for every live edge (u < v) in slot order,
   // which depends on the churn history, not on (u, v): use it only for
@@ -254,11 +262,14 @@ class NetworkSimulation {
     NodeId v = 0;
     std::uint32_t incarnation = 0;
     bool live = false;
-    // Per-direction FIFO state; dir[0] carries u -> v, dir[1] the
-    // reverse.  Each direction is written only from its sender's
-    // execution context (broadcasts and flow emissions on the sender's
-    // shard, discovery exchanges at barriers), so sharded access is
-    // race-free by ownership.
+  };
+  static_assert(sizeof(EdgeSlot) == 24, "edge table entry grew");
+  // An edge slot's per-direction FIFO state; dir[0] carries u -> v,
+  // dir[1] the reverse.  Each direction is written only from its
+  // sender's execution context (broadcasts and flow emissions on the
+  // sender's shard, discovery exchanges at barriers), so sharded access
+  // is race-free by ownership.
+  struct LinkPair {
     net::LinkDir dir[2];
   };
   // Names one incarnation of one edge: it goes stale when that edge goes
@@ -339,8 +350,8 @@ class NetworkSimulation {
   // already-clamped propagation draw `d_prop`), clamped above to the
   // propagation bound.  With no finite-bandwidth pipeline the result
   // is bit-exactly d_prop.
-  double sync_link_delay(EdgeSlot& slot, NodeId from, NodeId to, sim::Time t,
-                         double d_prop, std::uint64_t& ecn_marks,
+  double sync_link_delay(std::uint32_t slot, NodeId from, NodeId to,
+                         sim::Time t, double d_prop, std::uint64_t& ecn_marks,
                          std::uint64_t& peak_queue_bytes);
   void push_trace(std::size_t ctx, NodeId node, const obs::TraceEvent& ev);
   void flush_sharded_trace();
@@ -432,9 +443,20 @@ class NetworkSimulation {
   // at barriers (topology deltas) and in the constructor, so shards read
   // it mid-window freely.
   std::vector<EdgeSlot> edge_slots_;
+  // The link pipeline's FIFO state, parallel to edge_slots_ -- and empty
+  // unless TrafficModel::pipeline_active(), so an ideal link holds none.
+  std::vector<LinkPair> link_dirs_;
   std::vector<std::uint32_t> free_slots_;  // reused last-freed first
   std::vector<double> next_broadcast_hw_;
   std::vector<double> last_logical_;  // monotonicity conformance
+  // check_edge_conformance's last sender clock reading, keyed by (node,
+  // instant): a broadcast's batch has one sender and one instant, so
+  // the audit reads that hardware clock once per batch, not per record.
+  // A reading is a pure function of (node, instant), so reusing it is
+  // exact.
+  NodeId audit_from_ = 0;
+  sim::Time audit_t_ = -1.0;  // no reading yet: times are >= 0
+  double audit_hw_ = 0.0;
   // Batched mode: messages staged by the current flush scope in send
   // order; flush_outbox sort-groups them by exact delivery instant.
   std::vector<std::pair<sim::Time, Delivery>> outbox_;

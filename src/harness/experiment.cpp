@@ -16,15 +16,18 @@ namespace gcs::harness {
 
 namespace {
 
-net::Scenario build_scenario(const ExperimentConfig& cfg) {
-  if (cfg.scenario) return *cfg.scenario;
+// The run's schedule, built straight from the config's scenario (no
+// copy of it outlives this call) or from a static topology.
+net::DynamicGraph build_graph(const ExperimentConfig& cfg) {
+  if (cfg.scenario) return cfg.scenario->to_dynamic_graph();
   const std::size_t n = cfg.params.n;
-  if (cfg.topology == "path") return net::make_static_scenario(net::make_path(n));
-  if (cfg.topology == "ring") return net::make_static_scenario(net::make_ring(n));
-  if (cfg.topology == "star") return net::make_static_scenario(net::make_star(n));
-  if (cfg.topology == "complete") {
-    return net::make_static_scenario(net::make_complete(n));
-  }
+  const auto graph = [n](const net::Topology& topology) {
+    return net::DynamicGraph(n, topology.edges(), {});
+  };
+  if (cfg.topology == "path") return graph(net::make_path(n));
+  if (cfg.topology == "ring") return graph(net::make_ring(n));
+  if (cfg.topology == "star") return graph(net::make_star(n));
+  if (cfg.topology == "complete") return graph(net::make_complete(n));
   throw std::invalid_argument("run_experiment: unknown topology '" +
                               cfg.topology + "'");
 }
@@ -217,8 +220,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
     throw std::invalid_argument("run_experiment: sample_dt must be > 0");
   }
 
-  net::Scenario scenario = build_scenario(cfg);
-  if (scenario.n != p.n) {
+  net::DynamicGraph graph = build_graph(cfg);
+  if (graph.n() != p.n) {
     throw std::invalid_argument(
         "run_experiment: scenario size disagrees with params.n");
   }
@@ -229,7 +232,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   options.shards = static_cast<std::size_t>(cfg.shards);
   core::Protocol protocol;
   protocol.variant = parse_variant(cfg.variant);
-  core::NetworkSimulation sim(p, scenario.to_dynamic_graph(), build_link(cfg),
+  core::NetworkSimulation sim(p, std::move(graph), build_link(cfg),
                               build_schedules(cfg), options, protocol);
 
   ExperimentResult result;
@@ -240,14 +243,14 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   const core::BFunction& bfunc = sim.bfunc();
   const double slack = core::kConformanceSlack;
   obs::SeriesAggregator series;
-  // Sample buffers reused across ticks: one batch advance() per sample
-  // instead of n virtual calls (the logical values bit-match the
-  // per-node accessor, so the series bytes cannot move).
-  std::vector<double> hw_sample;
+  // One sample buffer reused across ticks and filled in place: one
+  // batch advance() per sample instead of n virtual calls (the logical
+  // values bit-match the per-node accessor, so the series bytes cannot
+  // move).
   std::vector<double> logical_sample;
   sim.schedule_periodic(cfg.sample_dt, cfg.sample_dt, [&](sim::Time t) {
     ++result.samples;
-    sim.sample_clocks(hw_sample, logical_sample);
+    sim.sample_clocks(logical_sample);
     double lo = logical_sample[0];
     double hi = lo;
     for (std::size_t i = 1; i < sim.size(); ++i) {

@@ -1,5 +1,6 @@
 #include "net/topology.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -8,34 +9,25 @@
 
 namespace gcs::net {
 
-namespace {
+Components::Components(std::size_t n) : parent_(n), count_(n) {
+  std::iota(parent_.begin(), parent_.end(), NodeId{0});
+}
 
-// Union-find over n nodes.
-class DisjointSets {
- public:
-  explicit DisjointSets(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), NodeId{0});
+NodeId Components::label(NodeId u) {
+  while (parent_[u] != u) {
+    parent_[u] = parent_[parent_[u]];
+    u = parent_[u];
   }
-  NodeId find(NodeId x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  bool unite(NodeId a, NodeId b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return false;
-    parent_[a] = b;
-    return true;
-  }
+  return u;
+}
 
- private:
-  std::vector<NodeId> parent_;
-};
-
-}  // namespace
+void Components::add(const Edge& e) {
+  const NodeId a = label(e.u);
+  const NodeId b = label(e.v);
+  if (a == b) return;
+  parent_[std::max(a, b)] = std::min(a, b);
+  --count_;
+}
 
 Topology::Topology(std::size_t n, std::vector<Edge> edges)
     : n_(n), edges_(std::move(edges)) {
@@ -46,27 +38,10 @@ Topology::Topology(std::size_t n, std::vector<Edge> edges)
   }
 }
 
-namespace {
-
-template <typename Range>
-bool is_connected_range(std::size_t n, const Range& edges) {
-  if (n <= 1) return true;
-  DisjointSets sets(n);
-  std::size_t components = n;
-  for (const Edge& e : edges) {
-    if (sets.unite(e.u, e.v)) --components;
-  }
-  return components == 1;
-}
-
-}  // namespace
-
 bool is_connected(std::size_t n, const std::vector<Edge>& edges) {
-  return is_connected_range(n, edges);
-}
-
-bool is_connected(std::size_t n, const std::set<Edge>& edges) {
-  return is_connected_range(n, edges);
+  return is_connected(n, [&edges](const auto& fn) {
+    for (const Edge& e : edges) fn(e);
+  });
 }
 
 bool Topology::is_connected() const { return net::is_connected(n_, edges_); }

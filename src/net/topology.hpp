@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <tuple>
 #include <vector>
 
@@ -56,12 +55,38 @@ Topology make_star(std::size_t n, NodeId hub = 0);
 Topology make_complete(std::size_t n);
 Topology make_random_tree(std::size_t n, util::Rng& rng);
 
+// Union-find over nodes 0..n-1 that roots every component at its
+// smallest node id, so label() is the same whatever order the edges
+// arrive in -- the connectivity audit and the enforcer visit a window's
+// union in hash order.
+class Components {
+ public:
+  explicit Components(std::size_t n);
+
+  // Joins e's endpoints; an edge seen twice changes nothing.
+  void add(const Edge& e);
+  // The smallest node id in u's component.
+  NodeId label(NodeId u);
+  std::size_t count() const { return count_; }
+
+ private:
+  std::vector<NodeId> parent_;
+  std::size_t count_;
+};
+
 // Connectivity over an arbitrary edge list (shared by Topology and the
 // dynamic-graph replay checks).
 bool is_connected(std::size_t n, const std::vector<Edge>& edges);
-// Set-range overload so window-union audits (SnapshotUnionSweep) never
-// materialize a vector copy of the union on the simulation path.
-bool is_connected(std::size_t n, const std::set<Edge>& edges);
+// Connectivity over the edges `for_each_edge(fn)` feeds to fn, in any
+// order and with repeats allowed: the window audits visit a union in
+// place (SnapshotUnionSweep::for_each_union_edge) instead of copying it.
+template <class ForEachEdge>
+bool is_connected(std::size_t n, const ForEachEdge& for_each_edge) {
+  if (n <= 1) return true;
+  Components c(n);
+  for_each_edge([&c](const Edge& e) { c.add(e); });
+  return c.count() == 1;
+}
 
 }  // namespace gcs::net
 

@@ -20,7 +20,8 @@ if(NOT OUT_DIR)
   message(FATAL_ERROR "OUT_DIR not set")
 endif()
 
-file(REMOVE_RECURSE "${OUT_DIR}" "${OUT_DIR}-refused")
+file(REMOVE_RECURSE "${OUT_DIR}" "${OUT_DIR}-refused"
+     "${OUT_DIR}-help-example")
 
 execute_process(
   COMMAND "${GCS_RUN}"
@@ -117,6 +118,43 @@ expect_refused(--rho=1 "rho must be in")
 expect_refused(--D=-1 "D must be >= 0")
 expect_refused(--B0=-5 "B0 must be >= 0")
 
+# Bad scenario knobs are refused at campaign validation, naming the
+# knob: a non-positive churn lifetime used to error every cell at run
+# time, and a fractional, negative or huge volatile_edges exited naming
+# neither the knob nor the flag.
+function(expect_scenario_refused spec pattern)
+  execute_process(
+    COMMAND "${GCS_RUN}" --n=6 --scenario=${spec} --quiet
+            --out "${OUT_DIR}-refused"
+    RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
+    TIMEOUT 10)
+  if(NOT rc EQUAL 2 OR NOT "${stdout}${stderr}" MATCHES "${pattern}")
+    message(FATAL_ERROR "gcs_run --scenario=${spec}: expected exit 2 "
+            "naming '${pattern}', got ${rc}\n${stdout}\n${stderr}")
+  endif()
+endfunction()
+expect_scenario_refused(churn:lifetime=-1 "'lifetime' must be > 0, got '-1'")
+expect_scenario_refused(churn:lifetime=0 "'lifetime' must be > 0, got '0'")
+expect_scenario_refused(churn:volatile_edges=2.5
+                        "'volatile_edges' must be a whole number >= 0, got '2.5'")
+expect_scenario_refused(churn:volatile_edges=-3
+                        "'volatile_edges' must be a whole number >= 0, got '-3'")
+expect_scenario_refused(churn:volatile_edges=1e30
+                        "'volatile_edges' must be a whole number >= 0")
+
+# The backbone-free example from gcs_run --help must pass --check under
+# the default T + D = 3 (its connect_window is that window).
+execute_process(
+  COMMAND "${GCS_RUN}" --n=10
+          --scenario=gauss-markov:alpha=0.85:backbone=false:connect_window=3
+          --check --quiet --out "${OUT_DIR}-help-example"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "gcs_run --help's gauss-markov example exited ${rc}\n"
+          "${stdout}\n${stderr}")
+endif()
+
 message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, retired "
         "axes rejected, --horizon=nan, --delta_h=0, delays outside "
-        "[0, T], --rho=1, --D=-1 and --B0=-5 refused")
+        "[0, T], --rho=1, --D=-1, --B0=-5 and bad churn knobs refused, "
+        "--help's gauss-markov example passes --check")

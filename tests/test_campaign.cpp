@@ -231,6 +231,31 @@ TEST(Campaign, ScenarioFlagSyntax) {
           << what;
     }
   }
+  // Campaign validation refuses knobs the generators cannot run, naming
+  // the knob and the value: a non-positive lifetime, and a count knob
+  // that is not a whole number >= 0 (huge values are not exact).
+  const std::pair<const char*, const char*> refused[] = {
+      {"churn:lifetime=-1", "'lifetime' must be > 0, got '-1'"},
+      {"churn:lifetime=0", "'lifetime' must be > 0, got '0'"},
+      {"churn:volatile_edges=2.5", "'volatile_edges' must be a whole number"},
+      {"churn:volatile_edges=-3", "got '-3'"},
+      {"churn:volatile_edges=1e30", "'volatile_edges' must be a whole number"},
+      {"group:groups=1.5", "'groups' must be a whole number >= 0, got '1.5'"},
+  };
+  for (const auto& [flag, message] : refused) {
+    try {
+      cli::build_campaign(nullptr, {{"n", "6"}, {"scenario", flag}});
+      ADD_FAILURE() << "accepted " << flag;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << flag << ": " << e.what();
+    }
+  }
+  // The same rules hold for the JSON form of a spec.
+  json::Value doc;
+  doc["kind"] = "churn";
+  doc["lifetime"] = -2.0;
+  EXPECT_THROW(cli::ScenarioSpec::from_json(doc), std::invalid_argument);
 }
 
 TEST(Campaign, SpecJsonRoundTrip) {

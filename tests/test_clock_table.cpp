@@ -335,9 +335,8 @@ TEST(ClockTable, ShardedRunFillsRowsOnOwnerShards) {
         options);
     sim.run_until(kHorizon);
     EXPECT_EQ(sim.clocks().rows_filled(), p.n) << "shards=" << shards;
-    std::vector<double> hw;
     logical.emplace_back();
-    sim.sample_clocks(hw, logical.back());
+    sim.sample_clocks(logical.back());
   }
   ASSERT_EQ(logical[0].size(), logical[1].size());
   for (std::size_t i = 0; i < logical[0].size(); ++i) {

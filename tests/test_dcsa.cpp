@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -490,6 +491,62 @@ TEST(DcsaColumns, PeerSegmentKeepsEdgeUpOrderAndTags) {
   down(1);
   up(9);
   expect_segment("after a compaction, a removal and a re-add");
+}
+
+// reserve_segments lays the initial segments out back to back at each
+// node's degree, so bringing the initial edges up relocates nothing:
+// the ring's arena is exactly 21 B per node plus 33 B per peer slot, no
+// holes, and every segment still lists its peers in edge-up order (the
+// broadcast order).  Growth past the initial degree is unchanged.
+TEST(DcsaColumns, DegreeSizedSegmentsHoldTheRingWithoutHoles) {
+  const std::size_t n = 1000;
+  const auto p = small_params(n);
+  const std::vector<gcs::net::Edge> ring = gcs::net::make_ring(n).edges();
+  constexpr std::size_t kPerNode = 21;
+  constexpr std::size_t kPerSlot = 33;
+
+  // Through the simulator, which sizes the segments from its graph.
+  gcs::core::NetworkSimulation sim(
+      p, gcs::net::DynamicGraph(n, ring, {}),
+      gcs::net::make_constant_delay(p.T, 0.25),
+      std::vector<gcs::clk::RateSchedule>(n, gcs::clk::RateSchedule(1.0)));
+  EXPECT_EQ(sim.store().live_slots(), 2 * n);
+  EXPECT_EQ(sim.store().arena_bytes(), n * kPerNode + 2 * n * kPerSlot);
+  std::vector<std::vector<gcs::core::NodeId>> want(n);
+  for (const gcs::net::Edge& e : ring) {
+    want[e.u].push_back(e.v);
+    want[e.v].push_back(e.u);
+  }
+  for (gcs::core::NodeId u = 0; u < n; ++u) {
+    std::vector<gcs::core::NodeId> got;
+    sim.store().for_each_peer(
+        u, [&got](gcs::core::NodeId peer, std::uint32_t) { got.push_back(peer); });
+    ASSERT_EQ(got, want[u]) << "node " << u;
+  }
+
+  // And on the kernel alone, with a degree-0 node and later growth.
+  gcs::core::DcsaColumns cols(p, n);
+  std::vector<gcs::net::Edge> edges(ring.begin(), ring.end() - 1);  // a path
+  edges.pop_back();  // node n - 1 keeps degree 0
+  cols.reserve_segments(edges);
+  for (gcs::core::NodeId u = 0; u < n; ++u) cols.start(at(u, 0.0));
+  for (const gcs::net::Edge& e : edges) {
+    cols.edge_up(at(e.u, 0.0), e.v);
+    cols.edge_up(at(e.v, 0.0), e.u);
+  }
+  const std::size_t laid_out = n * kPerNode + 2 * edges.size() * kPerSlot;
+  EXPECT_EQ(cols.arena_bytes(), laid_out);
+  // Node 5 (degree 2) grows to kInitialCap = 4 slots at the tail; node
+  // n - 1 (degree 0) takes 4 fresh ones.
+  cols.edge_up(at(5, 1.0), 9);
+  cols.edge_up(at(n - 1, 1.0), 9);
+  EXPECT_EQ(cols.arena_bytes(), laid_out + 8 * kPerSlot);
+  std::vector<gcs::core::NodeId> got;
+  cols.for_each_peer(
+      5, [&got](gcs::core::NodeId peer, std::uint32_t) { got.push_back(peer); });
+  EXPECT_EQ(got, (std::vector<gcs::core::NodeId>{4, 6, 9}));
+  // The layout is a set-up step: once a segment exists it would move.
+  EXPECT_THROW(cols.reserve_segments(edges), std::logic_error);
 }
 
 }  // namespace

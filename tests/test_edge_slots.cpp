@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -19,8 +20,10 @@
 #include "net/delay.hpp"
 #include "net/dynamic_graph.hpp"
 #include "net/link.hpp"
+#include "net/scenario.hpp"
 #include "net/topology.hpp"
 #include "obs/recorder.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -212,6 +215,58 @@ TEST(EdgeSlots, BroadcastSendsInEdgeUpOrderAfterARemoval) {
     EXPECT_DOUBLE_EQ(at, 2.1) << "shards=" << shards;
     EXPECT_EQ(receivers, (std::vector<NodeId>{1, 3, 4})) << "shards=" << shards;
   }
+}
+
+// The per-delivery envelope audit reads a sender's hardware clock once
+// per (sender, instant) and adds the sender's offset per record.  Every
+// audited skew must still be exactly |L_u - L_v| as the accessors read
+// it at that moment: under walk drift, with a constant delay that
+// coalesces each broadcast into one batch, and with churn whose edge-up
+// exchanges deliver both ways in one batch (a sender there may have
+// jumped earlier in the same batch).
+TEST(EdgeSlots, ConformanceAuditReadsTheClocksExactly) {
+  class Audit : public gcs::obs::Recorder {
+   public:
+    bool wants_trace() const override { return true; }
+    void on_trace(const TraceEvent& e) override {
+      if (e.kind != TraceEvent::Kind::kConformance) return;
+      ++checked;
+      const double want =
+          std::abs(sim->logical_clock(e.a) - sim->logical_clock(e.b));
+      if (e.v1 != want) ++mismatched;
+    }
+    const NetworkSimulation* sim = nullptr;
+    std::size_t checked = 0;
+    std::size_t mismatched = 0;
+  };
+  constexpr std::size_t n = 24;
+  constexpr double kRun = 30.0;
+  gcs::core::SyncParams p;
+  p.n = n;
+  p.rho = 0.05;
+  p.T = 1.0;
+  p.D = 2.5;
+  p.delta_h = 0.5;
+  std::vector<gcs::clk::RateSchedule> clocks;
+  for (std::size_t i = 0; i < n; ++i) {
+    clocks.push_back(gcs::clk::RateSchedule::random_walk(
+        p.rho, 1.0, p.rho / 4.0, 7919 + i, 1.0, kRun + 1.0));
+  }
+  gcs::util::Rng rng(5);
+  const gcs::net::Scenario churn =
+      gcs::net::make_churn_scenario(n, 10, 2.0, kRun, rng);
+  Audit audit;
+  gcs::core::SimOptions options;
+  options.recorder = &audit;
+  NetworkSimulation sim(p, churn.to_dynamic_graph(),
+                        gcs::net::make_constant_delay(p.T, 0.5), clocks,
+                        options);
+  audit.sim = &sim;
+  sim.run_until(kRun);
+  EXPECT_EQ(audit.checked, sim.stats().conformance_checks);
+  EXPECT_GT(audit.checked, 1000u);
+  EXPECT_GT(sim.stats().jumps, 0u);
+  EXPECT_EQ(audit.mismatched, 0u);
 }
 
 TEST(EdgeSlots, IncarnationOverflowFailsLoudly) {

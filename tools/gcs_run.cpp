@@ -76,7 +76,7 @@ examples:
   gcs_run --campaign campaigns/churn.json --check --series --trace=2048
   gcs_run --n=8,16,32 --topology=ring,complete --seeds=1..5
   gcs_run --campaign campaigns/churn.json --check --shards=4 --delay=constant:0.5
-  gcs_run --n=10 --scenario=gauss-markov:alpha=0.85:backbone=false:connect_window=3.5 --check
+  gcs_run --n=10 --scenario=gauss-markov:alpha=0.85:backbone=false:connect_window=3 --check
   gcs_run --campaign campaigns/contention.json --check --series
   gcs_run --n=12 --traffic=off,cbr:bw=4000:rate=40 --delay=constant:0.5 --check
   gcs_run --campaign campaigns/churn.json --horizon=120 --out /tmp/churn
