@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <set>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -22,41 +22,58 @@ namespace {
   throw std::invalid_argument("campaign: " + msg);
 }
 
-// Per-kind knob sets; strict so a knob on the wrong kind is a loud typo.
-const std::set<std::string>& knobs_for(const std::string& kind) {
-  static const std::set<std::string> kChurn = {"volatile_edges", "lifetime"};
-  static const std::set<std::string> kStar = {"period", "overlap"};
-  static const std::set<std::string> kMobility = {
-      "radius", "speed_min", "speed_max", "update_dt", "backbone",
-      "connect_window"};
-  static const std::set<std::string> kGaussMarkov = {
-      "radius",    "mean_speed", "alpha",    "speed_sigma",
-      "dir_sigma", "update_dt",  "backbone", "connect_window"};
-  static const std::set<std::string> kGroup = {
-      "groups",    "radius",    "group_radius",   "speed_min", "speed_max",
-      "update_dt", "switch_prob", "backbone", "connect_window"};
-  static const std::set<std::string> kTrace = {"path", "connect_window"};
-  if (kind == "churn") return kChurn;
-  if (kind == "switching-star") return kStar;
-  if (kind == "mobility") return kMobility;
-  if (kind == "gauss-markov") return kGaussMarkov;
-  if (kind == "group") return kGroup;
-  if (kind == "trace") return kTrace;
-  fail("unknown scenario kind '" + kind + "'");
+// Scenario kinds, as bits of each knob's kind mask.
+enum : unsigned {
+  kChurn = 1,
+  kStar = 2,
+  kMobility = 4,
+  kGaussMarkov = 8,
+  kGroup = 16,
+  kTrace = 32,
+  kMobile = kMobility | kGaussMarkov | kGroup,
+};
+
+// The kind's bit, or 0 for an unknown kind (including the static "").
+unsigned kind_bit(const std::string& kind) {
+  const char* const kNames[] = {"churn", "switching-star", "mobility",
+                                "gauss-markov", "group", "trace"};
+  for (unsigned i = 0; i < 6; ++i) {
+    if (kind == kNames[i]) return 1u << i;
+  }
+  return 0;
 }
 
-// A count knob (volatile_edges, groups) as the exact non-negative
-// integer it must be, refused by name: a flag hands its value over as a
-// double, and 2.5, -3 or 1e30 would otherwise fail in the JSON reader
-// without naming the knob.
-std::size_t count_knob(const std::string& key, const json::Value& value) {
-  try {
-    return static_cast<std::size_t>(value.as_u64());
-  } catch (const json::Error&) {
-    fail("scenario knob '" + key + "' must be a whole number >= 0, got '" +
-         json::dump(value) + "'");
-  }
-}
+// Every knob and the kinds that accept it; strict, so a knob on the
+// wrong kind is a loud typo.
+struct Knob {
+  util::Field<ScenarioSpec> field;
+  unsigned kinds;
+};
+
+using util::field;
+using Spec = ScenarioSpec;
+constexpr util::DiffClass kExact = util::DiffClass::kExact;
+constexpr util::DiffClass kFloat = util::DiffClass::kFloat;
+const Knob kKnobs[] = {
+    {field<&Spec::volatile_edges>("volatile_edges", kExact), kChurn},
+    {field<&Spec::lifetime>("lifetime", kFloat), kChurn},
+    {field<&Spec::period>("period", kFloat), kStar},
+    {field<&Spec::overlap>("overlap", kFloat), kStar},
+    {field<&Spec::radius>("radius", kFloat), kMobile},
+    {field<&Spec::speed_min>("speed_min", kFloat), kMobility | kGroup},
+    {field<&Spec::speed_max>("speed_max", kFloat), kMobility | kGroup},
+    {field<&Spec::update_dt>("update_dt", kFloat), kMobile},
+    {field<&Spec::backbone>("backbone", kExact), kMobile},
+    {field<&Spec::mean_speed>("mean_speed", kFloat), kGaussMarkov},
+    {field<&Spec::alpha>("alpha", kFloat), kGaussMarkov},
+    {field<&Spec::speed_sigma>("speed_sigma", kFloat), kGaussMarkov},
+    {field<&Spec::dir_sigma>("dir_sigma", kFloat), kGaussMarkov},
+    {field<&Spec::groups>("groups", kExact), kGroup},
+    {field<&Spec::group_radius>("group_radius", kFloat), kGroup},
+    {field<&Spec::switch_prob>("switch_prob", kFloat), kGroup},
+    {field<&Spec::path>("path", kExact), kTrace},
+    {field<&Spec::connect_window>("connect_window", kFloat), kMobile | kTrace},
+};
 
 // splitmix64: decorrelates the scenario generator's random stream from the
 // delay/drift streams that consume the raw cell seed.
@@ -72,41 +89,9 @@ std::uint64_t mix_seed(std::uint64_t seed) {
 json::Value ScenarioSpec::to_json() const {
   json::Value v;
   v["kind"] = kind;
-  if (kind == "churn") {
-    v["volatile_edges"] = static_cast<std::uint64_t>(volatile_edges);
-    v["lifetime"] = lifetime;
-  } else if (kind == "switching-star") {
-    v["period"] = period;
-    v["overlap"] = overlap;
-  } else if (kind == "mobility") {
-    v["radius"] = radius;
-    v["speed_min"] = speed_min;
-    v["speed_max"] = speed_max;
-    v["update_dt"] = update_dt;
-    v["backbone"] = backbone;
-    v["connect_window"] = connect_window;
-  } else if (kind == "gauss-markov") {
-    v["radius"] = radius;
-    v["mean_speed"] = mean_speed;
-    v["alpha"] = alpha;
-    v["speed_sigma"] = speed_sigma;
-    v["dir_sigma"] = dir_sigma;
-    v["update_dt"] = update_dt;
-    v["backbone"] = backbone;
-    v["connect_window"] = connect_window;
-  } else if (kind == "group") {
-    v["groups"] = static_cast<std::uint64_t>(groups);
-    v["radius"] = radius;
-    v["group_radius"] = group_radius;
-    v["speed_min"] = speed_min;
-    v["speed_max"] = speed_max;
-    v["update_dt"] = update_dt;
-    v["switch_prob"] = switch_prob;
-    v["backbone"] = backbone;
-    v["connect_window"] = connect_window;
-  } else if (kind == "trace") {
-    v["path"] = path;
-    v["connect_window"] = connect_window;
+  const unsigned bit = kind_bit(kind);
+  for (const Knob& knob : kKnobs) {
+    if ((knob.kinds & bit) != 0) v[knob.field.key] = knob.field.get(*this);
   }
   return v;
 }
@@ -114,48 +99,21 @@ json::Value ScenarioSpec::to_json() const {
 ScenarioSpec ScenarioSpec::from_json(const json::Value& doc) {
   ScenarioSpec spec;
   spec.kind = doc.at("kind").as_string();
-  const std::set<std::string>& knobs = knobs_for(spec.kind);
+  const unsigned bit = kind_bit(spec.kind);
+  if (bit == 0) fail("unknown scenario kind '" + spec.kind + "'");
   for (const auto& [key, value] : doc.as_object()) {
     if (key == "kind") continue;
-    if (knobs.count(key) == 0) {
+    const auto knob = std::find_if(
+        std::begin(kKnobs), std::end(kKnobs), [&](const Knob& k) {
+          return key == k.field.key && (k.kinds & bit) != 0;
+        });
+    if (knob == std::end(kKnobs)) {
       fail("scenario kind '" + spec.kind + "' has no knob '" + key + "'");
     }
-    if (key == "volatile_edges") {
-      spec.volatile_edges = count_knob(key, value);
-    } else if (key == "lifetime") {
-      spec.lifetime = value.as_number();
-    } else if (key == "period") {
-      spec.period = value.as_number();
-    } else if (key == "overlap") {
-      spec.overlap = value.as_number();
-    } else if (key == "radius") {
-      spec.radius = value.as_number();
-    } else if (key == "speed_min") {
-      spec.speed_min = value.as_number();
-    } else if (key == "speed_max") {
-      spec.speed_max = value.as_number();
-    } else if (key == "update_dt") {
-      spec.update_dt = value.as_number();
-    } else if (key == "backbone") {
-      spec.backbone = value.as_bool();
-    } else if (key == "mean_speed") {
-      spec.mean_speed = value.as_number();
-    } else if (key == "alpha") {
-      spec.alpha = value.as_number();
-    } else if (key == "speed_sigma") {
-      spec.speed_sigma = value.as_number();
-    } else if (key == "dir_sigma") {
-      spec.dir_sigma = value.as_number();
-    } else if (key == "groups") {
-      spec.groups = count_knob(key, value);
-    } else if (key == "group_radius") {
-      spec.group_radius = value.as_number();
-    } else if (key == "switch_prob") {
-      spec.switch_prob = value.as_number();
-    } else if (key == "path") {
-      spec.path = value.as_string();
-    } else if (key == "connect_window") {
-      spec.connect_window = value.as_number();
+    try {
+      util::read_field(knob->field, value, spec, "scenario knob");
+    } catch (const json::Error& e) {
+      fail(e.what());
     }
   }
   if (spec.kind == "trace" && spec.path.empty()) {
@@ -168,6 +126,14 @@ ScenarioSpec ScenarioSpec::from_json(const json::Value& doc) {
          json::dump_number(spec.lifetime) + "'");
   }
   return spec;
+}
+
+std::vector<util::FieldClass> ScenarioSpec::field_classes() {
+  std::vector<util::FieldClass> out;
+  for (const Knob& knob : kKnobs) {
+    out.emplace_back(knob.field.key, knob.field.diff);
+  }
+  return out;
 }
 
 ScenarioSpec ScenarioSpec::from_flag(const std::string& spec) {
@@ -361,7 +327,13 @@ std::vector<json::Value> parse_override_values(const std::string& key,
       }
       for (std::uint64_t v = lo; v <= hi; ++v) values.emplace_back(v);
     } else if (!token.empty()) {
-      values.push_back(parse_scalar(token));
+      json::Value value = parse_scalar(token);
+      // strtod reads "nan", "inf" and overflows such as 1e400 whole, and
+      // no config field can hold them.
+      if (value.is_number() && !std::isfinite(value.as_number())) {
+        fail("--" + key + " must be finite, got '" + token + "'");
+      }
+      values.push_back(std::move(value));
     } else {
       fail("empty value in --" + key + "=" + raw);
     }

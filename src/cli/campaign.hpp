@@ -35,6 +35,7 @@
 
 #include "harness/experiment.hpp"
 #include "net/scenario.hpp"
+#include "util/fields.hpp"
 #include "util/json.hpp"
 
 namespace gcs::cli {
@@ -85,6 +86,8 @@ struct ScenarioSpec {
   // Only the knobs of the selected kind are serialized.
   util::json::Value to_json() const;
   static ScenarioSpec from_json(const util::json::Value& doc);
+  // The (key, diff class) of every knob, for gcs_diff.
+  static std::vector<util::FieldClass> field_classes();
   // Compact flag syntax: "churn:lifetime=5:volatile_edges=4".
   static ScenarioSpec from_flag(const std::string& spec);
 

@@ -2,75 +2,23 @@
 
 #include <cmath>
 #include <cstddef>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "cli/campaign.hpp"
+#include "harness/envelope.hpp"
 #include "harness/serialize.hpp"
 #include "util/json.hpp"
 
 namespace gcs::cli {
 
 namespace json = gcs::util::json;
+namespace util = gcs::util;
 
 namespace {
-
-// Fields compared within the tolerance rather than exactly.  Everything
-// else numeric is a counter, a seed, or a size and must match exactly.
-// Classification is by leaf key name so the same rule applies wherever
-// the field appears (result, run_stats, config echo, scenario spec).
-bool is_float_field(const std::string& key) {
-  static const std::set<std::string> kFloatKeys = {
-      // result
-      "max_global_skew", "max_local_skew", "global_skew_bound",
-      "local_skew_floor",
-      // result.series (schema v3); the peak_* fields are counters
-      "mean_global_skew", "max_envelope_ratio",
-      // run_stats
-      "total_jump", "first_clamped_time",
-      // run_stats sync-latency pair (schema v6); the queue/drop/mark
-      // fields next to them are counters
-      "sync_delay_sum", "sync_delay_max",
-      // envelope-fit document (schema v7): the fitted model and the
-      // per-cell skews/ratios are all derived float physics; "points"
-      // and "n" next to them are counters
-      "observed", "analytic", "fitted", "envelope_ratio", "bound_gap",
-      "intercept", "slope", "shift", "rss",
-      // timing
-      "wall_ms", "events_per_sec",
-      // config echo
-      "rho", "T", "D", "delta_h", "B0", "horizon", "sample_dt",
-      // scenario spec knobs
-      "lifetime", "period", "overlap", "radius", "speed_min", "speed_max",
-      "update_dt", "mean_speed", "alpha", "speed_sigma", "dir_sigma",
-      "group_radius", "switch_prob", "connect_window"};
-  return kFloatKeys.count(key) > 0;
-}
-
-// Machine-describing fields, skipped unless --timing asks for them:
-// wall-clock timing plus the schema-v5 memory pair (arena_bytes depends
-// on the arena's growth history, not the physics; peak_rss_kb is a
-// per-process high-water mark that varies run to run).
-bool is_timing_field(const std::string& key) {
-  return key == "wall_ms" || key == "events_per_sec" ||
-         key == "arena_bytes" || key == "peak_rss_kb";
-}
-
-const char* kind_name(json::Value::Kind kind) {
-  switch (kind) {
-    case json::Value::Kind::kNull: return "null";
-    case json::Value::Kind::kBool: return "bool";
-    case json::Value::Kind::kNumber: return "number";
-    case json::Value::Kind::kString: return "string";
-    case json::Value::Kind::kArray: return "array";
-    case json::Value::Kind::kObject: return "object";
-  }
-  return "?";
-}
 
 std::string brief(const json::Value& v) {
   std::string text = json::dump(v);
@@ -96,6 +44,24 @@ struct Differ {
     ++reported;
   }
 
+  void print_suppressed() {
+    if (suppressed > 0 && !options.quiet) {
+      log << "... " << suppressed << " more difference line(s) suppressed"
+          << " (--max-diffs)\n";
+    }
+  }
+
+  // Ends the summary line with the match verdict; returns the exit code.
+  int verdict(const char* what, DiffStats* stats_out) {
+    if (stats.clean()) {
+      log << " -- " << what << " match"
+          << (options.compare_timing ? "" : " (timing ignored)");
+    }
+    log << "\n";
+    if (stats_out != nullptr) *stats_out = stats;
+    return options.strict && !stats.clean() ? 1 : 0;
+  }
+
   // Records one differing field at `path` of the cell being compared.
   void field_diff(const std::string& cell, const std::string& path,
                   const std::string& detail) {
@@ -110,8 +76,8 @@ struct Differ {
                   const json::Value& b) {
     if (a.kind() != b.kind()) {
       field_diff(cell, path,
-                 std::string(kind_name(a.kind())) + " vs " +
-                     kind_name(b.kind()));
+                 std::string(json::kind_name(a.kind())) + " vs " +
+                     json::kind_name(b.kind()));
       return;
     }
     switch (a.kind()) {
@@ -120,7 +86,10 @@ struct Differ {
         for (const auto& kv : a.as_object()) keys.insert(kv.first);
         for (const auto& kv : b.as_object()) keys.insert(kv.first);
         for (const std::string& k : keys) {
-          if (!options.compare_timing && is_timing_field(k)) continue;
+          if (!options.compare_timing &&
+              field_class(k) == util::DiffClass::kTiming) {
+            continue;
+          }
           const std::string child =
               path.empty() ? k : path + "." + k;
           const json::Value* av = a.find(k);
@@ -159,10 +128,11 @@ struct Differ {
         const double y = b.as_number();
         if (x == y) return;
         const double delta = std::abs(x - y);
-        if (is_float_field(key) && delta <= options.tolerance) return;
+        const bool tolerant = field_class(key) != util::DiffClass::kExact;
+        if (tolerant && delta <= options.tolerance) return;
         std::string detail =
             json::dump_number(x) + " != " + json::dump_number(y);
-        if (is_float_field(key)) {
+        if (tolerant) {
           detail += " (|delta| " + json::dump_number(delta) + " > tol " +
                     json::dump_number(options.tolerance) + ")";
         }
@@ -238,22 +208,32 @@ struct Differ {
 
 }  // namespace
 
+std::vector<util::FieldClass> declared_field_classes() {
+  std::vector<util::FieldClass> out = harness::document_field_classes();
+  for (std::vector<util::FieldClass> more :
+       {harness::envelope_field_classes(), ScenarioSpec::field_classes()}) {
+    out.insert(out.end(), more.begin(), more.end());
+  }
+  return out;
+}
+
+util::DiffClass field_class(const std::string& key) {
+  static const std::map<std::string, util::DiffClass> kClasses = [] {
+    std::map<std::string, util::DiffClass> classes;
+    for (const auto& [key, diff] : declared_field_classes()) {
+      classes.emplace(key, diff);
+    }
+    return classes;
+  }();
+  const auto it = kClasses.find(key);
+  return it == kClasses.end() ? util::DiffClass::kExact : it->second;
+}
+
 int diff_files(const std::string& file_a, const std::string& file_b,
                const DiffOptions& options, std::ostream& log,
                DiffStats* stats_out) {
-  const auto load = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot read " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    try {
-      return json::parse(buf.str());
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ": " + e.what());
-    }
-  };
-  const json::Value a = load(file_a);
-  const json::Value b = load(file_b);
+  const json::Value a = json::parse_file(file_a);
+  const json::Value b = json::parse_file(file_b);
 
   Differ differ{options, log, {}, 0, 0};
   DiffStats& stats = differ.stats;
@@ -263,21 +243,11 @@ int diff_files(const std::string& file_a, const std::string& file_b,
   // routinely carries another campaign name), not trajectory.
   differ.diff_cell("<document>", a, b);
 
-  if (differ.suppressed > 0 && !options.quiet) {
-    log << "... " << differ.suppressed << " more difference line(s) suppressed"
-        << " (--max-diffs)\n";
-  }
+  differ.print_suppressed();
   log << "compared 1 document(s): " << stats.cells_differing << " differ ("
       << stats.field_diffs << " field diff(s), " << stats.schema_mismatches
       << " schema mismatch(es))";
-  if (stats.clean()) {
-    log << " -- documents match"
-        << (options.compare_timing ? "" : " (timing ignored)");
-  }
-  log << "\n";
-
-  if (stats_out != nullptr) *stats_out = stats;
-  return options.strict && !stats.clean() ? 1 : 0;
+  return differ.verdict("documents", stats_out);
 }
 
 int diff_trees(const std::string& dir_a, const std::string& dir_b,
@@ -309,23 +279,13 @@ int diff_trees(const std::string& dir_a, const std::string& dir_b,
     }
   }
 
-  if (differ.suppressed > 0 && !options.quiet) {
-    log << "... " << differ.suppressed << " more difference line(s) suppressed"
-        << " (--max-diffs)\n";
-  }
+  differ.print_suppressed();
   log << "compared " << stats.cells_compared << " cell(s): "
       << stats.cells_differing << " differ (" << stats.field_diffs
       << " field diff(s), " << stats.schema_mismatches
       << " schema mismatch(es)), " << stats.missing_cells << " only in A, "
       << stats.extra_cells << " only in B";
-  if (stats.clean()) {
-    log << " -- trees match"
-        << (options.compare_timing ? "" : " (timing ignored)");
-  }
-  log << "\n";
-
-  if (stats_out != nullptr) *stats_out = stats;
-  return options.strict && !stats.clean() ? 1 : 0;
+  return differ.verdict("trees", stats_out);
 }
 
 }  // namespace gcs::cli

@@ -4,13 +4,16 @@
 // their "cell" label (not by file name), and every field of the matched
 // cell documents is compared --
 //
-//   * counters and strings exactly (events_executed, violation counts,
-//     config echoes, scenario specs, ...);
+//   * each leaf key by the diff class its field table declares
+//     (field_class): counters and strings exactly (events_executed,
+//     violation counts, config echoes, scenario specs, ...);
 //   * float-valued physics fields (skews, bounds, total_jump, ...) within
 //     an absolute tolerance, 0 by default so "compare" means "identical";
-//   * wall_ms / events_per_sec are timing, not trajectory: they are
-//     ignored unless compare_timing is set, which is what lets a --jobs 4
-//     tree diff clean against a --jobs 1 baseline without --fixed-timing;
+//   * timing fields (wall_ms / events_per_sec and the arena_bytes /
+//     peak_rss_kb memory pair) describe the machine, not the trajectory:
+//     they are ignored unless compare_timing is set (then within the
+//     tolerance), which is what lets a --jobs 4 tree diff clean against a
+//     --jobs 1 baseline without --fixed-timing;
 //   * a schema_version mismatch is reported once per cell as schema drift
 //     rather than as a pile of per-field noise.
 //
@@ -24,14 +27,17 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <vector>
+
+#include "util/fields.hpp"
 
 namespace gcs::cli {
 
 struct DiffOptions {
-  // Absolute tolerance for float-classified fields; counters, strings,
-  // and structure always compare exactly.
+  // Absolute tolerance for float- and timing-classified fields;
+  // counters, strings, and structure always compare exactly.
   double tolerance = 0.0;
-  bool compare_timing = false;  // include wall_ms / events_per_sec
+  bool compare_timing = false;  // include the timing-class fields
   bool strict = false;          // return 1 on any difference
   bool quiet = false;           // print the summary line only
   std::size_t max_report = 64;  // cap on printed difference lines
@@ -50,6 +56,13 @@ struct DiffStats {
            extra_cells == 0 && schema_mismatches == 0;
   }
 };
+
+// Every (key, diff class) the document field tables declare: result,
+// config echo, cell timing, scenario knobs and envelope rows.
+std::vector<util::FieldClass> declared_field_classes();
+// The declared class of a leaf key wherever it appears; undeclared keys
+// (schema_version, campaign, kind, ...) compare exactly.
+util::DiffClass field_class(const std::string& key);
 
 // Compares the trees at dir_a and dir_b cell by cell, writing human-
 // readable difference lines and a one-line summary to `log`.  Returns 0

@@ -19,23 +19,13 @@ namespace json = gcs::util::json;
 
 namespace {
 
-// One decoded cell, reduced to what the report prints.
+// One decoded cell.
 struct Row {
   std::string label;
   std::string workload;  // scenario kind, or "static:<topology>"
   harness::ExperimentConfig config;
-  double observed = 0.0;   // result.max_global_skew
-  double bound = 0.0;      // result.global_skew_bound
-  double ratio = 0.0;      // observed / bound
-  double env_ratio = 0.0;  // result.series.max_envelope_ratio
-  std::uint64_t messages = 0;
-  std::uint64_t violations = 0;  // global + envelope
-  // Link-pipeline counters (schema v6) for the contention view.
-  std::uint64_t traffic_packets = 0;
-  std::uint64_t traffic_dropped = 0;
-  std::uint64_t ecn_marks = 0;
-  std::uint64_t peak_queue_bytes = 0;
-  double sync_delay_sum = 0.0;
+  harness::ExperimentResult result;
+  double ratio = 0.0;  // max_global_skew / global_skew_bound
 };
 
 std::string num(double v) { return json::dump_number(v); }
@@ -78,25 +68,15 @@ int write_report(const std::string& tree_dir, const ReportOptions& options,
       Row row;
       row.label = label;
       row.config = harness::config_from_json(doc.at("config"));
-      const harness::ExperimentResult result =
-          harness::result_from_json(doc.at("result"));
+      row.result = harness::result_from_json(doc.at("result"));
       if (const json::Value* spec = doc.find("scenario");
           spec != nullptr && spec->is_object()) {
         row.workload = spec->at("kind").as_string();
       } else {
         row.workload = "static:" + row.config.topology;
       }
-      row.observed = result.max_global_skew;
-      row.bound = result.global_skew_bound;
-      row.ratio = row.bound > 0.0 ? row.observed / row.bound : 0.0;
-      row.env_ratio = result.series.max_envelope_ratio;
-      row.violations = result.global_violations + result.envelope_violations;
-      row.messages = result.run_stats.messages_sent;
-      row.traffic_packets = result.run_stats.traffic_packets;
-      row.traffic_dropped = result.run_stats.traffic_dropped;
-      row.ecn_marks = result.run_stats.ecn_marks;
-      row.peak_queue_bytes = result.run_stats.peak_queue_bytes;
-      row.sync_delay_sum = result.run_stats.sync_delay_sum;
+      const double bound = row.result.global_skew_bound;
+      row.ratio = bound > 0.0 ? row.result.max_global_skew / bound : 0.0;
       rows.push_back(std::move(row));
     } catch (const std::exception& e) {
       skipped.push_back(label + ": " + e.what());
@@ -109,16 +89,21 @@ int write_report(const std::string& tree_dir, const ReportOptions& options,
   for (const std::string& s : skipped) out << "  SKIPPED " << s << "\n";
 
   std::uint64_t total_violations = 0;
-  for (const Row& row : rows) total_violations += row.violations;
+  for (const Row& row : rows) {
+    total_violations +=
+        row.result.global_violations + row.result.envelope_violations;
+  }
   out << "violations: " << total_violations << "\n";
 
   // Per-cell table (docs is a sorted map, so rows are in label order).
   out << "\nper-cell observed/bound\n";
   out << "  ratio  env_ratio  observed  bound  messages  cell\n";
   for (const Row& row : rows) {
-    out << "  " << num(row.ratio) << "  " << num(row.env_ratio) << "  "
-        << num(row.observed) << "  " << num(row.bound) << "  " << row.messages
-        << "  " << row.label << "\n";
+    const harness::ExperimentResult& r = row.result;
+    out << "  " << num(row.ratio) << "  "
+        << num(r.series.max_envelope_ratio) << "  " << num(r.max_global_skew)
+        << "  " << num(r.global_skew_bound) << "  "
+        << r.run_stats.messages_sent << "  " << row.label << "\n";
   }
 
   // Tightest cells: highest observed/bound ratio first, label as the
@@ -176,17 +161,20 @@ int write_report(const std::string& tree_dir, const ReportOptions& options,
     for (const Row& row : rows) frontier.push_back(&row);
     std::sort(frontier.begin(), frontier.end(),
               [](const Row* a, const Row* b) {
-                if (a->messages != b->messages) return a->messages < b->messages;
+                const std::uint64_t am = a->result.run_stats.messages_sent;
+                const std::uint64_t bm = b->result.run_stats.messages_sent;
+                if (am != bm) return am < bm;
                 if (a->ratio != b->ratio) return a->ratio > b->ratio;
                 return a->label < b->label;
               });
     out << "\nskew-vs-message-cost frontier\n";
     out << "  messages  delta_h  B0  observed  ratio  cell\n";
     for (const Row* row : frontier) {
-      out << "  " << row->messages << "  " << num(row->config.params.delta_h)
-          << "  " << num(row->config.params.effective_b0()) << "  "
-          << num(row->observed) << "  " << num(row->ratio) << "  "
-          << row->label << "\n";
+      out << "  " << row->result.run_stats.messages_sent << "  "
+          << num(row->config.params.delta_h) << "  "
+          << num(row->config.params.effective_b0()) << "  "
+          << num(row->result.max_global_skew) << "  " << num(row->ratio)
+          << "  " << row->label << "\n";
     }
   }
 
@@ -207,14 +195,15 @@ int write_report(const std::string& tree_dir, const ReportOptions& options,
     };
     std::map<std::string, Group> groups;
     for (const Row& row : rows) {
+      const core::RunStats& stats = row.result.run_stats;
       Group& g = groups[row.config.traffic];
       g.ratio.add(row.ratio);
-      g.sync_delay_sum += row.sync_delay_sum;
-      g.messages += row.messages;
-      g.packets += row.traffic_packets;
-      g.dropped += row.traffic_dropped;
-      g.marks += row.ecn_marks;
-      g.peak_queue = std::max(g.peak_queue, row.peak_queue_bytes);
+      g.sync_delay_sum += stats.sync_delay_sum;
+      g.messages += stats.messages_sent;
+      g.packets += stats.traffic_packets;
+      g.dropped += stats.traffic_dropped;
+      g.marks += stats.ecn_marks;
+      g.peak_queue = std::max(g.peak_queue, stats.peak_queue_bytes);
     }
     out << "\ncontention: observed skew vs offered load\n";
     out << "  cells  mean_ratio  max_ratio  mean_sync_delay  packets  "

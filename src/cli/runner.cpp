@@ -49,14 +49,6 @@ std::string csv_field(const std::string& field) {
 
 namespace {
 
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot read " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 void write_file(const fs::path& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
@@ -137,7 +129,7 @@ std::vector<std::string> audit_cell(const harness::ExperimentResult& result,
         " as seq=" + std::to_string(result.run_stats.first_clamped_seq));
   }
   try {
-    const json::Value reread = json::parse(read_file(cell_path));
+    const json::Value reread = json::parse_file(cell_path.string());
     const harness::ExperimentResult decoded =
         harness::result_from_json(reread.at("result"));
     if (json::dump(harness::to_json(decoded)) !=
@@ -254,9 +246,9 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
     std::ofstream series_out;
     if (options.series || options.trace) {
       recorder.emplace(options.trace ? options.trace_limit : 0);
-      if (options.series && options.stream_artifacts) {
-        // Streamed series: rows go to disk as they are sampled, so the
-        // recorder holds no per-sample state however long the horizon.
+      if (options.series) {
+        // Rows go to disk as they are sampled, so the recorder holds no
+        // per-sample state however long the horizon.
         series_out.open(series_path, std::ios::binary | std::ios::trunc);
         if (!series_out) {
           ex.fatal = std::make_exception_ptr(std::runtime_error(
@@ -283,8 +275,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
                              .count();
     if (ex.outcome.errored) {
       // A partially streamed series file describes a run that never
-      // happened; drop it so errored cells leave no telemetry artifacts,
-      // same as buffered mode.
+      // happened; drop it so errored cells leave no telemetry artifacts.
       if (series_out.is_open()) {
         series_out.close();
         std::error_code ec;
@@ -316,13 +307,9 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
       const fs::path cell_path = out_dir / "cells" / file_names[i];
       write_file(cell_path, json::dump(doc, 2) + "\n");
       if (options.series) {
-        if (options.stream_artifacts) {
-          series_out.close();
-          if (!series_out) {
-            throw std::runtime_error("cannot write " + series_path.string());
-          }
-        } else {
-          write_file(series_path, recorder->series_csv());
+        series_out.close();
+        if (!series_out) {
+          throw std::runtime_error("cannot write " + series_path.string());
         }
       }
       if (options.trace) {
@@ -379,26 +366,16 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
     }
   } joiner{pool, cancelled};
 
-  // Campaign artifacts: appended per committed cell (streaming, the
-  // default) or buffered whole and written at the end.  Commits happen
-  // strictly in cell order in both modes, so the bytes cannot differ.
-  std::ofstream csv_stream;
-  std::ofstream jsonl_stream;
-  std::string csv;
-  std::string jsonl;
-  if (options.stream_artifacts) {
-    csv_stream.open(out_dir / "campaign.csv",
-                    std::ios::binary | std::ios::trunc);
-    jsonl_stream.open(out_dir / "campaign.jsonl",
-                      std::ios::binary | std::ios::trunc);
-    if (!csv_stream || !jsonl_stream) {
-      throw std::runtime_error("cannot write campaign artifacts in " +
-                               out_dir.string());
-    }
-    csv_stream << kCsvHeader << "\n";
-  } else {
-    csv = std::string(kCsvHeader) + "\n";
+  // Campaign artifacts, appended per committed cell.
+  std::ofstream csv_stream(out_dir / "campaign.csv",
+                           std::ios::binary | std::ios::trunc);
+  std::ofstream jsonl_stream(out_dir / "campaign.jsonl",
+                             std::ios::binary | std::ios::trunc);
+  if (!csv_stream || !jsonl_stream) {
+    throw std::runtime_error("cannot write campaign artifacts in " +
+                             out_dir.string());
   }
+  csv_stream << kCsvHeader << "\n";
   double max_global = 0.0;
   double max_local = 0.0;
   double total_wall_ms = 0.0;
@@ -419,17 +396,12 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
     if (cell_out.errored) {
       ++out.errored_cells;
     } else {
-      if (options.stream_artifacts) {
-        csv_stream << ex.csv_line;
-        jsonl_stream << ex.jsonl_line;
-        // Free the committed lines eagerly; with many cells in flight the
-        // slots themselves are the next-largest resident state.
-        std::string().swap(ex.csv_line);
-        std::string().swap(ex.jsonl_line);
-      } else {
-        csv += ex.csv_line;
-        jsonl += ex.jsonl_line;
-      }
+      csv_stream << ex.csv_line;
+      jsonl_stream << ex.jsonl_line;
+      // Free the committed lines eagerly; with many cells in flight the
+      // slots themselves are the next-largest resident state.
+      std::string().swap(ex.csv_line);
+      std::string().swap(ex.jsonl_line);
       max_global = std::max(max_global, cell_out.result.max_global_skew);
       max_local = std::max(max_local, cell_out.result.max_local_skew);
       total_events += cell_out.result.events_executed;
@@ -456,16 +428,11 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
     out.cells.push_back(std::move(ex.outcome));
   }
 
-  if (options.stream_artifacts) {
-    csv_stream.close();
-    jsonl_stream.close();
-    if (!csv_stream || !jsonl_stream) {
-      throw std::runtime_error("cannot write campaign artifacts in " +
-                               out_dir.string());
-    }
-  } else {
-    write_file(out_dir / "campaign.csv", csv);
-    write_file(out_dir / "campaign.jsonl", jsonl);
+  csv_stream.close();
+  jsonl_stream.close();
+  if (!csv_stream || !jsonl_stream) {
+    throw std::runtime_error("cannot write campaign artifacts in " +
+                             out_dir.string());
   }
 
   json::Value summary;

@@ -15,6 +15,12 @@
 //                          each, for jq-style slicing
 //     summary.json         campaign name, cell/failure counts, worst skews
 //
+// Every artifact has one writer.  campaign.csv and campaign.jsonl are
+// appended as each cell commits, and series rows go straight from the
+// recorder to cells/<file>.series.csv, so runner memory stays flat in
+// cell count and horizon (the trace is bounded by trace_limit, and cell
+// JSON is per-cell).
+//
 // Series and trace bytes are trajectory-derived only (no timing, no
 // scheduler counters), so they are byte-identical across --jobs values;
 // tests/run_telemetry_determinism.cmake enforces it.
@@ -67,14 +73,6 @@ struct RunnerOptions {
   // to trace_limit kept records by deterministic geometric decimation.
   bool trace = false;
   std::uint64_t trace_limit = 4096;
-  // Stream artifacts instead of buffering them whole: campaign.csv and
-  // campaign.jsonl are appended as each cell commits, and series rows go
-  // straight from the recorder to cells/<file>.series.csv.  Runner memory
-  // then stays flat in cell count and horizon (the trace is bounded by
-  // trace_limit either way, and cell JSON was always per-cell).  Bytes
-  // are identical in both modes -- commits are strictly in cell order --
-  // which test_runner.cpp's streaming-vs-buffered tree comparison pins.
-  bool stream_artifacts = true;
 };
 
 // The exact campaign.csv header line (no trailing newline).  The e2e test

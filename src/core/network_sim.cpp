@@ -237,20 +237,15 @@ void NetworkSimulation::run_until(sim::Time t) {
   }
 }
 
-sim::PeriodicId NetworkSimulation::schedule_periodic(
+void NetworkSimulation::schedule_periodic(
     sim::Time start, sim::Duration period, std::function<void(sim::Time)> fn) {
   // Samplers may read any node's state, so in sharded mode they are
   // globals: they fire at barriers with every shard parked.
-  if (sharded_) return sharded_->every_global(start, period, std::move(fn));
-  return engine_.every(start, period, std::move(fn));
-}
-
-void NetworkSimulation::cancel_periodic(sim::PeriodicId id) {
   if (sharded_) {
-    sharded_->cancel_every_global(id);
-    return;
+    sharded_->every_global(start, period, std::move(fn));
+  } else {
+    engine_.every(start, period, std::move(fn));
   }
-  engine_.cancel_every(id);
 }
 
 double NetworkSimulation::logical_clock(NodeId u) const {

@@ -186,12 +186,9 @@ class NetworkSimulation {
   NetworkSimulation& operator=(const NetworkSimulation&) = delete;
 
   void run_until(sim::Time t);
-  // Forwards to Engine::every / Engine::cancel_every: the returned
-  // handle detaches the sampler cleanly (probes that outlive their
-  // usefulness stop firing instead of sampling a dead observer).
-  sim::PeriodicId schedule_periodic(sim::Time start, sim::Duration period,
-                                    std::function<void(sim::Time)> fn);
-  void cancel_periodic(sim::PeriodicId id);
+  // Forwards to Engine::every (ShardedEngine::every_global when sharded).
+  void schedule_periodic(sim::Time start, sim::Duration period,
+                         std::function<void(sim::Time)> fn);
 
   double logical_clock(NodeId u) const;
   double hardware_clock(NodeId u) const;

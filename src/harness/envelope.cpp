@@ -203,6 +203,36 @@ EnvelopeFit fit_envelope_tree(const std::string& tree_dir) {
   return fit_envelope(load_cell_documents(tree_dir));
 }
 
+namespace {
+
+using util::DiffClass;
+using util::field;
+
+using G = EnvelopeGroup;
+const util::Field<G> kGroupFields[] = {
+    field<&G::group>("group", DiffClass::kExact),
+    field<&G::basis>("basis", DiffClass::kExact),
+    field<&G::intercept>("intercept", DiffClass::kFloat),
+    field<&G::slope>("slope", DiffClass::kFloat),
+    field<&G::shift>("shift", DiffClass::kFloat),
+    field<&G::rss>("rss", DiffClass::kFloat),
+    field<&G::points>("points", DiffClass::kExact),
+};
+
+using Pt = EnvelopePoint;
+const util::Field<Pt> kPointFields[] = {
+    field<&Pt::cell>("cell", DiffClass::kExact),
+    field<&Pt::group>("group", DiffClass::kExact),
+    field<&Pt::n>("n", DiffClass::kExact),
+    field<&Pt::observed>("observed", DiffClass::kFloat),
+    field<&Pt::analytic>("analytic", DiffClass::kFloat),
+    field<&Pt::fitted>("fitted", DiffClass::kFloat),
+    field<&Pt::envelope_ratio>("envelope_ratio", DiffClass::kFloat),
+    field<&Pt::bound_gap>("bound_gap", DiffClass::kFloat),
+};
+
+}  // namespace
+
 json::Value to_json(const EnvelopeFit& fit) {
   json::Value doc;
   doc["schema_version"] = kResultSchemaVersion;
@@ -210,29 +240,12 @@ json::Value to_json(const EnvelopeFit& fit) {
   doc["campaign"] = fit.campaign;
   json::Array groups;
   for (const EnvelopeGroup& group : fit.groups) {
-    json::Value g;
-    g["group"] = group.group;
-    g["basis"] = group.basis;
-    g["intercept"] = group.intercept;
-    g["slope"] = group.slope;
-    g["shift"] = group.shift;
-    g["rss"] = group.rss;
-    g["points"] = group.points;
-    groups.push_back(std::move(g));
+    groups.push_back(util::write_record(kGroupFields, group));
   }
   doc["groups"] = json::Value(std::move(groups));
   json::Array cells;
   for (const EnvelopePoint& point : fit.cells) {
-    json::Value c;
-    c["cell"] = point.cell;
-    c["group"] = point.group;
-    c["n"] = point.n;
-    c["observed"] = point.observed;
-    c["analytic"] = point.analytic;
-    c["fitted"] = point.fitted;
-    c["envelope_ratio"] = point.envelope_ratio;
-    c["bound_gap"] = point.bound_gap;
-    cells.push_back(std::move(c));
+    cells.push_back(util::write_record(kPointFields, point));
   }
   doc["cells"] = json::Value(std::move(cells));
   return doc;
@@ -252,29 +265,19 @@ EnvelopeFit envelope_from_json(const json::Value& doc) {
   EnvelopeFit fit;
   fit.campaign = doc.at("campaign").as_string();
   for (const json::Value& g : doc.at("groups").as_array()) {
-    EnvelopeGroup group;
-    group.group = g.at("group").as_string();
-    group.basis = g.at("basis").as_string();
-    group.intercept = g.at("intercept").as_number();
-    group.slope = g.at("slope").as_number();
-    group.shift = g.at("shift").as_number();
-    group.rss = g.at("rss").as_number();
-    group.points = g.at("points").as_u64();
-    fit.groups.push_back(std::move(group));
+    fit.groups.push_back(util::read_record(kGroupFields, g, "envelope group"));
   }
   for (const json::Value& c : doc.at("cells").as_array()) {
-    EnvelopePoint point;
-    point.cell = c.at("cell").as_string();
-    point.group = c.at("group").as_string();
-    point.n = c.at("n").as_u64();
-    point.observed = c.at("observed").as_number();
-    point.analytic = c.at("analytic").as_number();
-    point.fitted = c.at("fitted").as_number();
-    point.envelope_ratio = c.at("envelope_ratio").as_number();
-    point.bound_gap = c.at("bound_gap").as_number();
-    fit.cells.push_back(std::move(point));
+    fit.cells.push_back(util::read_record(kPointFields, c, "envelope cell"));
   }
   return fit;
+}
+
+std::vector<util::FieldClass> envelope_field_classes() {
+  std::vector<util::FieldClass> out;
+  util::declare_classes(kGroupFields, out);
+  util::declare_classes(kPointFields, out);
+  return out;
 }
 
 }  // namespace gcs::harness

@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "util/fields.hpp"
 #include "util/json.hpp"
 
 namespace gcs::harness {
@@ -99,6 +100,9 @@ EnvelopeFit fit_envelope_tree(const std::string& tree_dir);
 // byte-for-byte under json::dump (enforced by test_envelope.cpp).
 util::json::Value to_json(const EnvelopeFit& fit);
 EnvelopeFit envelope_from_json(const util::json::Value& doc);
+
+// The (key, diff class) of every group and cell row, for gcs_diff.
+std::vector<util::FieldClass> envelope_field_classes();
 
 }  // namespace gcs::harness
 

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <filesystem>
-#include <fstream>
 #include <iterator>
-#include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,186 +14,153 @@ namespace util = gcs::util;
 
 namespace {
 
-// Strict field readers: a result document must contain exactly what the
-// writer of this schema version produced.
-double req_num(const util::json::Value& doc, const char* key) {
-  return doc.at(key).as_number();
-}
+using util::DiffClass;
+using util::field;
+constexpr DiffClass kExact = DiffClass::kExact;
+constexpr DiffClass kFloat = DiffClass::kFloat;
+constexpr DiffClass kTiming = DiffClass::kTiming;
 
-std::uint64_t req_u64(const util::json::Value& doc, const char* key) {
-  return doc.at(key).as_u64();
-}
+using S = core::RunStats;
+const util::Field<S> kRunStatsFields[] = {
+    field<&S::messages_sent>("messages_sent", kExact),
+    field<&S::messages_delivered>("messages_delivered", kExact),
+    field<&S::messages_dropped>("messages_dropped", kExact),
+    field<&S::delivery_events>("delivery_events", kExact),
+    field<&S::jumps>("jumps", kExact),
+    field<&S::total_jump>("total_jump", kFloat),
+    field<&S::topology_events_applied>("topology_events_applied", kExact),
+    field<&S::conformance_checks>("conformance_checks", kExact),
+    field<&S::conformance_envelope_failures>("conformance_envelope_failures",
+                                             kExact),
+    field<&S::conformance_monotonicity_failures>(
+        "conformance_monotonicity_failures", kExact),
+    field<&S::first_clamped_time>("first_clamped_time", kFloat),
+    field<&S::first_clamped_seq>("first_clamped_seq", kExact),
+    field<&S::connectivity_windows_checked>("connectivity_windows_checked",
+                                            kExact),
+    field<&S::connectivity_windows_disconnected>(
+        "connectivity_windows_disconnected", kExact),
+    // The memory pair describes the machine and the arena's growth
+    // history, not the trajectory.
+    field<&S::arena_bytes>("arena_bytes", kTiming),
+    field<&S::peak_rss_kb>("peak_rss_kb", kTiming),
+    field<&S::traffic_packets>("traffic_packets", kExact),
+    field<&S::traffic_dropped>("traffic_dropped", kExact),
+    field<&S::ecn_marks>("ecn_marks", kExact),
+    field<&S::peak_queue_bytes>("peak_queue_bytes", kExact),
+    field<&S::sync_delay_sum>("sync_delay_sum", kFloat),
+    field<&S::sync_delay_max>("sync_delay_max", kFloat),
+};
+
+using E = sim::EngineStats;
+const util::Field<E> kEngineStatsFields[] = {
+    field<&E::max_pending>("max_pending", kExact),
+    field<&E::heap_ops>("heap_ops", kExact),
+    field<&E::calendar_resizes>("calendar_resizes", kExact),
+    field<&E::calendar_bucket_scans>("calendar_bucket_scans", kExact),
+    field<&E::shard_windows>("shard_windows", kExact),
+    field<&E::shard_staged_events>("shard_staged_events", kExact),
+};
+
+using Q = obs::SeriesSummary;
+const util::Field<Q> kSeriesFields[] = {
+    field<&Q::points>("points", kExact),
+    field<&Q::mean_global_skew>("mean_global_skew", kFloat),
+    field<&Q::max_envelope_ratio>("max_envelope_ratio", kFloat),
+    field<&Q::peak_live_edges>("peak_live_edges", kExact),
+    field<&Q::peak_in_flight>("peak_in_flight", kExact),
+    field<&Q::peak_engine_pending>("peak_engine_pending", kExact),
+    // A double, but a byte count: compared exactly like its run_stats twin.
+    field<&Q::peak_queue_bytes>("peak_queue_bytes", kExact),
+};
+
+// The result's scalars; the three subobjects have their own tables.
+using R = ExperimentResult;
+const util::Field<R> kResultFields[] = {
+    field<&R::name>("name", kExact),
+    field<&R::max_global_skew>("max_global_skew", kFloat),
+    field<&R::max_local_skew>("max_local_skew", kFloat),
+    field<&R::global_skew_bound>("global_skew_bound", kFloat),
+    field<&R::local_skew_floor>("local_skew_floor", kFloat),
+    field<&R::global_violations>("global_violations", kExact),
+    field<&R::envelope_violations>("envelope_violations", kExact),
+    field<&R::samples>("samples", kExact),
+    field<&R::events_executed>("events_executed", kExact),
+    field<&R::clamped_events>("clamped_events", kExact),
+};
+
+using C = ExperimentConfig;
+using P = core::SyncParams;
+const util::Field<C> kConfigFields[] = {
+    field<&C::name>("name", kExact),
+    field<&C::params, &P::n>("n", kExact),
+    field<&C::params, &P::rho>("rho", kFloat),
+    field<&C::params, &P::T>("T", kFloat),
+    field<&C::params, &P::D>("D", kFloat),
+    field<&C::params, &P::delta_h>("delta_h", kFloat),
+    field<&C::params, &P::B0>("B0", kFloat),
+    field<&C::topology>("topology", kExact),
+    field<&C::drift>("drift", kExact),
+    field<&C::delay>("delay", kExact),
+    field<&C::shards>("shards", kExact),
+    field<&C::traffic>("traffic", kExact),
+    field<&C::variant>("variant", kExact),
+    field<&C::horizon>("horizon", kFloat),
+    field<&C::sample_dt>("sample_dt", kFloat),
+    field<&C::seed>("seed", kExact),
+};
+
+// The cell document's wall-clock pair, pinned to 0 by --fixed-timing.
+struct CellTiming {
+  double wall_ms = 0.0;
+  double events_per_sec = 0.0;
+};
+const util::Field<CellTiming> kCellTimingFields[] = {
+    field<&CellTiming::wall_ms>("wall_ms", kTiming),
+    field<&CellTiming::events_per_sec>("events_per_sec", kTiming),
+};
 
 }  // namespace
 
-util::json::Value to_json(const core::RunStats& stats) {
-  util::json::Value v;
-  v["messages_sent"] = stats.messages_sent;
-  v["messages_delivered"] = stats.messages_delivered;
-  v["messages_dropped"] = stats.messages_dropped;
-  v["delivery_events"] = stats.delivery_events;
-  v["jumps"] = stats.jumps;
-  v["total_jump"] = stats.total_jump;
-  v["topology_events_applied"] = stats.topology_events_applied;
-  v["conformance_checks"] = stats.conformance_checks;
-  v["conformance_envelope_failures"] = stats.conformance_envelope_failures;
-  v["conformance_monotonicity_failures"] =
-      stats.conformance_monotonicity_failures;
-  v["first_clamped_time"] = stats.first_clamped_time;
-  v["first_clamped_seq"] = stats.first_clamped_seq;
-  v["connectivity_windows_checked"] = stats.connectivity_windows_checked;
-  v["connectivity_windows_disconnected"] =
-      stats.connectivity_windows_disconnected;
-  v["arena_bytes"] = stats.arena_bytes;
-  v["peak_rss_kb"] = stats.peak_rss_kb;
-  v["traffic_packets"] = stats.traffic_packets;
-  v["traffic_dropped"] = stats.traffic_dropped;
-  v["ecn_marks"] = stats.ecn_marks;
-  v["peak_queue_bytes"] = stats.peak_queue_bytes;
-  v["sync_delay_sum"] = stats.sync_delay_sum;
-  v["sync_delay_max"] = stats.sync_delay_max;
-  return v;
-}
-
-core::RunStats run_stats_from_json(const util::json::Value& doc) {
-  core::RunStats stats;
-  stats.messages_sent = req_u64(doc, "messages_sent");
-  stats.messages_delivered = req_u64(doc, "messages_delivered");
-  stats.messages_dropped = req_u64(doc, "messages_dropped");
-  stats.delivery_events = req_u64(doc, "delivery_events");
-  stats.jumps = req_u64(doc, "jumps");
-  stats.total_jump = req_num(doc, "total_jump");
-  stats.topology_events_applied = req_u64(doc, "topology_events_applied");
-  stats.conformance_checks = req_u64(doc, "conformance_checks");
-  stats.conformance_envelope_failures =
-      req_u64(doc, "conformance_envelope_failures");
-  stats.conformance_monotonicity_failures =
-      req_u64(doc, "conformance_monotonicity_failures");
-  stats.first_clamped_time = req_num(doc, "first_clamped_time");
-  stats.first_clamped_seq = req_u64(doc, "first_clamped_seq");
-  stats.connectivity_windows_checked =
-      req_u64(doc, "connectivity_windows_checked");
-  stats.connectivity_windows_disconnected =
-      req_u64(doc, "connectivity_windows_disconnected");
-  stats.arena_bytes = req_u64(doc, "arena_bytes");
-  stats.peak_rss_kb = req_u64(doc, "peak_rss_kb");
-  stats.traffic_packets = req_u64(doc, "traffic_packets");
-  stats.traffic_dropped = req_u64(doc, "traffic_dropped");
-  stats.ecn_marks = req_u64(doc, "ecn_marks");
-  stats.peak_queue_bytes = req_u64(doc, "peak_queue_bytes");
-  stats.sync_delay_sum = req_num(doc, "sync_delay_sum");
-  stats.sync_delay_max = req_num(doc, "sync_delay_max");
-  return stats;
-}
-
-util::json::Value to_json(const sim::EngineStats& stats) {
-  util::json::Value v;
-  v["max_pending"] = stats.max_pending;
-  v["heap_ops"] = stats.heap_ops;
-  v["calendar_resizes"] = stats.calendar_resizes;
-  v["calendar_bucket_scans"] = stats.calendar_bucket_scans;
-  v["shard_windows"] = stats.shard_windows;
-  v["shard_staged_events"] = stats.shard_staged_events;
-  return v;
-}
-
-sim::EngineStats engine_stats_from_json(const util::json::Value& doc) {
-  sim::EngineStats stats;
-  stats.max_pending = req_u64(doc, "max_pending");
-  stats.heap_ops = req_u64(doc, "heap_ops");
-  stats.calendar_resizes = req_u64(doc, "calendar_resizes");
-  stats.calendar_bucket_scans = req_u64(doc, "calendar_bucket_scans");
-  stats.shard_windows = req_u64(doc, "shard_windows");
-  stats.shard_staged_events = req_u64(doc, "shard_staged_events");
-  return stats;
-}
-
-util::json::Value to_json(const obs::SeriesSummary& series) {
-  util::json::Value v;
-  v["points"] = series.points;
-  v["mean_global_skew"] = series.mean_global_skew;
-  v["max_envelope_ratio"] = series.max_envelope_ratio;
-  v["peak_live_edges"] = series.peak_live_edges;
-  v["peak_in_flight"] = series.peak_in_flight;
-  v["peak_engine_pending"] = series.peak_engine_pending;
-  v["peak_queue_bytes"] = series.peak_queue_bytes;
-  return v;
-}
-
-obs::SeriesSummary series_summary_from_json(const util::json::Value& doc) {
-  obs::SeriesSummary series;
-  series.points = req_u64(doc, "points");
-  series.mean_global_skew = req_num(doc, "mean_global_skew");
-  series.max_envelope_ratio = req_num(doc, "max_envelope_ratio");
-  series.peak_live_edges = req_u64(doc, "peak_live_edges");
-  series.peak_in_flight = req_u64(doc, "peak_in_flight");
-  series.peak_engine_pending = req_u64(doc, "peak_engine_pending");
-  series.peak_queue_bytes = req_num(doc, "peak_queue_bytes");
-  return series;
-}
-
 util::json::Value to_json(const ExperimentResult& result) {
-  util::json::Value v;
+  util::json::Value v = util::write_record(kResultFields, result);
   v["schema_version"] = kResultSchemaVersion;
-  v["name"] = result.name;
-  v["max_global_skew"] = result.max_global_skew;
-  v["max_local_skew"] = result.max_local_skew;
-  v["global_skew_bound"] = result.global_skew_bound;
-  v["local_skew_floor"] = result.local_skew_floor;
-  v["global_violations"] = result.global_violations;
-  v["envelope_violations"] = result.envelope_violations;
-  v["samples"] = result.samples;
-  v["events_executed"] = result.events_executed;
-  v["clamped_events"] = result.clamped_events;
-  v["run_stats"] = to_json(result.run_stats);
-  v["engine_stats"] = to_json(result.engine_stats);
-  v["series"] = to_json(result.series);
+  v["run_stats"] = util::write_record(kRunStatsFields, result.run_stats);
+  v["engine_stats"] =
+      util::write_record(kEngineStatsFields, result.engine_stats);
+  v["series"] = util::write_record(kSeriesFields, result.series);
   return v;
 }
 
 ExperimentResult result_from_json(const util::json::Value& doc) {
-  const std::uint64_t version = req_u64(doc, "schema_version");
+  const std::uint64_t version = doc.at("schema_version").as_u64();
   if (version != static_cast<std::uint64_t>(kResultSchemaVersion)) {
     throw util::json::Error(
         "result schema drift: document has version " + std::to_string(version) +
         ", this reader expects " + std::to_string(kResultSchemaVersion));
   }
-  ExperimentResult result;
-  result.name = doc.at("name").as_string();
-  result.max_global_skew = req_num(doc, "max_global_skew");
-  result.max_local_skew = req_num(doc, "max_local_skew");
-  result.global_skew_bound = req_num(doc, "global_skew_bound");
-  result.local_skew_floor = req_num(doc, "local_skew_floor");
-  result.global_violations = req_u64(doc, "global_violations");
-  result.envelope_violations = req_u64(doc, "envelope_violations");
-  result.samples = req_u64(doc, "samples");
-  result.events_executed = req_u64(doc, "events_executed");
-  result.clamped_events = req_u64(doc, "clamped_events");
-  result.run_stats = run_stats_from_json(doc.at("run_stats"));
-  result.engine_stats = engine_stats_from_json(doc.at("engine_stats"));
-  result.series = series_summary_from_json(doc.at("series"));
+  ExperimentResult result = util::read_record(kResultFields, doc, "result");
+  result.run_stats =
+      util::read_record(kRunStatsFields, doc.at("run_stats"), "run_stats");
+  result.engine_stats = util::read_record(
+      kEngineStatsFields, doc.at("engine_stats"), "engine_stats");
+  result.series = util::read_record(kSeriesFields, doc.at("series"), "series");
   return result;
 }
 
 util::json::Value config_to_json(const ExperimentConfig& config) {
-  util::json::Value v;
-  v["name"] = config.name;
-  v["n"] = config.params.n;
-  v["rho"] = config.params.rho;
-  v["T"] = config.params.T;
-  v["D"] = config.params.D;
-  v["delta_h"] = config.params.delta_h;
-  v["B0"] = config.params.B0;
-  v["topology"] = config.topology;
-  v["drift"] = config.drift;
-  v["delay"] = config.delay;
-  v["shards"] = config.shards;
-  v["traffic"] = config.traffic;
-  v["variant"] = config.variant;
-  v["horizon"] = config.horizon;
-  v["sample_dt"] = config.sample_dt;
-  v["seed"] = config.seed;
-  return v;
+  return util::write_record(kConfigFields, config);
+}
+
+std::vector<util::FieldClass> document_field_classes() {
+  std::vector<util::FieldClass> out;
+  util::declare_classes(kRunStatsFields, out);
+  util::declare_classes(kEngineStatsFields, out);
+  util::declare_classes(kSeriesFields, out);
+  util::declare_classes(kResultFields, out);
+  util::declare_classes(kConfigFields, out);
+  util::declare_classes(kCellTimingFields, out);
+  return out;
 }
 
 namespace {
@@ -243,37 +207,14 @@ void drop_retired_axes(util::json::Value& config) {
 }
 
 ExperimentConfig config_from_json(const util::json::Value& doc) {
-  static const std::set<std::string> kKnown = {
-      "name",     "n",       "rho",     "T",      "D",
-      "delta_h",  "B0",      "topology", "drift", "delay",
-      "shards",   "traffic", "variant", "horizon", "sample_dt",
-      "seed"};
+  ExperimentConfig config;
   for (const auto& [key, value] : doc.as_object()) {
-    if (kKnown.count(key) == 0 && !retired_echo(key, value)) {
+    if (const auto* row = util::find_field(kConfigFields, key)) {
+      util::read_field(*row, value, config, "config key");
+    } else if (!retired_echo(key, value)) {
       throw util::json::Error("config: unknown key '" + key + "'");
     }
   }
-  ExperimentConfig config;
-  if (const auto* v = doc.find("name")) config.name = v->as_string();
-  if (const auto* v = doc.find("n")) {
-    config.params.n = static_cast<std::size_t>(v->as_u64());
-  }
-  if (const auto* v = doc.find("rho")) config.params.rho = v->as_number();
-  if (const auto* v = doc.find("T")) config.params.T = v->as_number();
-  if (const auto* v = doc.find("D")) config.params.D = v->as_number();
-  if (const auto* v = doc.find("delta_h")) {
-    config.params.delta_h = v->as_number();
-  }
-  if (const auto* v = doc.find("B0")) config.params.B0 = v->as_number();
-  if (const auto* v = doc.find("topology")) config.topology = v->as_string();
-  if (const auto* v = doc.find("drift")) config.drift = v->as_string();
-  if (const auto* v = doc.find("delay")) config.delay = v->as_string();
-  if (const auto* v = doc.find("shards")) config.shards = v->as_u64();
-  if (const auto* v = doc.find("traffic")) config.traffic = v->as_string();
-  if (const auto* v = doc.find("variant")) config.variant = v->as_string();
-  if (const auto* v = doc.find("horizon")) config.horizon = v->as_number();
-  if (const auto* v = doc.find("sample_dt")) config.sample_dt = v->as_number();
-  if (const auto* v = doc.find("seed")) config.seed = v->as_u64();
   return config;
 }
 
@@ -293,9 +234,9 @@ util::json::Value cell_document(const std::string& campaign,
   doc["config"] = config;
   if (scenario != nullptr) doc["scenario"] = *scenario;
   doc["result"] = to_json(result);
-  doc["wall_ms"] = wall_ms;
-  doc["events_per_sec"] = events_per_sec;
-  return doc;
+  return util::write_record(kCellTimingFields,
+                            CellTiming{wall_ms, events_per_sec},
+                            std::move(doc));
 }
 
 std::map<std::string, util::json::Value> load_cell_documents(
@@ -322,16 +263,7 @@ std::map<std::string, util::json::Value> load_cell_documents(
 
   std::map<std::string, util::json::Value> cells;
   for (const fs::path& file : files) {
-    std::ifstream in(file, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot read " + file.string());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    util::json::Value doc;
-    try {
-      doc = util::json::parse(buf.str());
-    } catch (const std::exception& e) {
-      throw std::runtime_error(file.string() + ": " + e.what());
-    }
+    util::json::Value doc = util::json::parse_file(file.string());
     const util::json::Value* label = doc.find("cell");
     if (label == nullptr || !label->is_string()) {
       throw std::runtime_error(file.string() +

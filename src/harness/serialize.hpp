@@ -14,13 +14,19 @@
 //   * to_json(result_from_json(doc)) reproduces doc byte-for-byte under
 //     json::dump (round-trip identity; enforced by test_serialize.cpp and
 //     re-checked on every gcs_run --check).
+//
+// Each record is one util::Field table in serialize.cpp (key, member,
+// diff class); the writers, readers and document_field_classes() are all
+// derived from it.
 #ifndef GCS_HARNESS_SERIALIZE_HPP
 #define GCS_HARNESS_SERIALIZE_HPP
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
+#include "util/fields.hpp"
 #include "util/json.hpp"
 
 namespace gcs::harness {
@@ -58,20 +64,11 @@ namespace gcs::harness {
 //        legacy "store": "columns" and reject any other value.
 inline constexpr int kResultSchemaVersion = 7;
 
-util::json::Value to_json(const core::RunStats& stats);
-core::RunStats run_stats_from_json(const util::json::Value& doc);
-
-util::json::Value to_json(const sim::EngineStats& stats);
-sim::EngineStats engine_stats_from_json(const util::json::Value& doc);
-
-util::json::Value to_json(const obs::SeriesSummary& series);
-obs::SeriesSummary series_summary_from_json(const util::json::Value& doc);
-
-// The result document: all ExperimentResult fields, a "run_stats"
-// subobject, and "schema_version".
+// The result document: all ExperimentResult fields, the "run_stats",
+// "engine_stats" and "series" subobjects, and "schema_version".
 util::json::Value to_json(const ExperimentResult& result);
-// Throws util::json::Error on a missing/mistyped field or on any
-// schema_version other than kResultSchemaVersion.
+// Throws util::json::Error naming the key on a missing/mistyped field,
+// and on any schema_version other than kResultSchemaVersion.
 ExperimentResult result_from_json(const util::json::Value& doc);
 
 // The declarative slice of an ExperimentConfig (everything except the
@@ -80,7 +77,8 @@ ExperimentResult result_from_json(const util::json::Value& doc);
 // adds its own "scenario" key next to this when a generator spec is used.
 util::json::Value config_to_json(const ExperimentConfig& config);
 // Reads the same shape back; missing keys keep the ExperimentConfig
-// defaults, unknown keys throw (they are typos, not forward compat).
+// defaults, unknown keys throw (they are typos, not forward compat), and
+// a value of the wrong kind throws naming its key.
 // Retired-axis echoes read as no-ops (drop_retired_axes).
 ExperimentConfig config_from_json(const util::json::Value& doc);
 // Config echoes written before an axis was retired still carry it: the
@@ -102,6 +100,10 @@ util::json::Value cell_document(const std::string& campaign,
                                 const util::json::Value* scenario,
                                 const ExperimentResult& result, double wall_ms,
                                 double events_per_sec);
+
+// The (key, diff class) of every row of the result, config echo and
+// cell-document tables, for gcs_diff's classification.
+std::vector<util::FieldClass> document_field_classes();
 
 // Loads every cells/*.json under `tree_dir` (a gcs_run results tree),
 // keyed by each document's "cell" label.  Validation is shape-only -- a

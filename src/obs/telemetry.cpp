@@ -42,25 +42,9 @@ void TelemetryRecorder::on_trace(const TraceEvent& event) {
   trace_.push_back(Kept{seq, event});
 }
 
-void TelemetryRecorder::on_sample(const SeriesSample& sample) {
-  if (series_sink_ != nullptr) {
-    *series_sink_ << series_row(sample);
-    return;
-  }
-  samples_.push_back(sample);
-}
+namespace {
 
-void TelemetryRecorder::stream_series_to(std::ostream& sink) {
-  series_sink_ = &sink;
-  sink << series_csv_header();
-}
-
-const char* TelemetryRecorder::series_csv_header() {
-  return "t,global_skew,max_local_skew,max_envelope_ratio,live_edges,"
-         "in_flight,engine_pending,queue_bytes\n";
-}
-
-std::string TelemetryRecorder::series_row(const SeriesSample& s) {
+std::string series_row(const SeriesSample& s) {
   std::string out;
   out += json::dump_number(s.t);
   out += ',';
@@ -81,10 +65,16 @@ std::string TelemetryRecorder::series_row(const SeriesSample& s) {
   return out;
 }
 
-std::string TelemetryRecorder::series_csv() const {
-  std::string out = series_csv_header();
-  for (const SeriesSample& s : samples_) out += series_row(s);
-  return out;
+}  // namespace
+
+void TelemetryRecorder::on_sample(const SeriesSample& sample) {
+  if (series_sink_ != nullptr) *series_sink_ << series_row(sample);
+}
+
+void TelemetryRecorder::stream_series_to(std::ostream& sink) {
+  series_sink_ = &sink;
+  sink << "t,global_skew,max_local_skew,max_envelope_ratio,live_edges,"
+          "in_flight,engine_pending,queue_bytes\n";
 }
 
 std::string TelemetryRecorder::trace_jsonl() const {

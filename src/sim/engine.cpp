@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -40,8 +39,8 @@ void Engine::schedule(Time t, const Task& task) {
   max_pending_ = std::max<std::uint64_t>(max_pending_, pending());
 }
 
-PeriodicId Engine::every(Time first, Duration period,
-                         std::function<void(Time)> fn) {
+void Engine::every(Time first, Duration period,
+                   std::function<void(Time)> fn) {
   if (!std::isfinite(first)) {
     throw std::invalid_argument("Engine::every: non-finite first time " +
                                 std::to_string(first));
@@ -53,45 +52,16 @@ PeriodicId Engine::every(Time first, Duration period,
                                 "positive, got " +
                                 std::to_string(period));
   }
-  // The engine owns the chain and queued firings carry only its id, so
-  // destroying the engine frees every periodic callback and cancel_every
-  // only has to drop the table entry.
-  const PeriodicId id = next_periodic_id_++;
-  periodic_chains_.emplace_back(
-      id, std::make_shared<Chain>(Chain{period, std::move(fn)}));
+  const std::size_t id = chains_.size();
+  chains_.push_back(Chain{period, std::move(fn)});
   at(first, [this, id, first] { fire(id, first); });
-  return id;
 }
 
-void Engine::fire(PeriodicId id, Time t) {
-  std::shared_ptr<Chain> chain;
-  for (const auto& [chain_id, c] : periodic_chains_) {
-    if (chain_id == id) {
-      chain = c;
-      break;
-    }
-  }
-  if (!chain) {
-    // A cancelled chain's leftover firing: un-count it from the inert
-    // ledger as it pops.
-    --inert_pending_;
-    return;
-  }
-  chain->fn(t);
-  const Time next = t + chain->period;
+void Engine::fire(std::size_t id, Time t) {
+  const Chain& chain = chains_[id];
+  chain.fn(t);
+  const Time next = t + chain.period;
   at(next, [this, id, next] { fire(id, next); });
-}
-
-void Engine::cancel_every(PeriodicId id) {
-  for (auto it = periodic_chains_.begin(); it != periodic_chains_.end(); ++it) {
-    if (it->first == id) {
-      periodic_chains_.erase(it);
-      // An alive chain always has exactly one firing queued; it just
-      // became inert, so take it out of the pending accounting now.
-      ++inert_pending_;
-      return;
-    }
-  }
 }
 
 bool Engine::next_time(Time* out) {

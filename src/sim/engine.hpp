@@ -26,9 +26,10 @@
 #ifndef GCS_SIM_ENGINE_HPP
 #define GCS_SIM_ENGINE_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -42,10 +43,6 @@ using Time = double;
 using Duration = double;
 
 enum class EnginePolicy { kCalendar, kHeap };
-
-// Handle returned by every(); pass to cancel_every() to detach the
-// periodic callback.
-using PeriodicId = std::uint64_t;
 
 // Scheduler-health counters, composed on demand by Engine::stats().
 // max_pending is the queue's high-water mark; the policy-specific
@@ -103,23 +100,12 @@ class Engine {
   }
 
   // Self-rescheduling periodic callback: fires at `first`, `first +
-  // period`, ...  Returns a handle for cancel_every(); an uncancelled
-  // callback simply stops being serviced once run_until() is never
-  // called past its next firing time.
+  // period`, ... for the engine's lifetime; it simply stops being
+  // serviced once run_until() is never called past its next firing.
   // Throws std::invalid_argument unless `first` is finite and `period` is
   // finite and positive: a period <= 0 builds a chain that re-fires at
   // the same timestamp forever, livelocking run_until().
-  PeriodicId every(Time first, Duration period, std::function<void(Time)> fn);
-
-  // Detaches the periodic callback created by every(): its callable is
-  // destroyed now (or, when a chain cancels itself, as its callback
-  // returns) and it never fires again.  The already-scheduled next
-  // firing stays in the queue as an inert event (events hold only the
-  // chain id), so cancellation cannot perturb the (t, seq) order of
-  // anything else.  Inert events are excluded from
-  // pending() and the max_pending high-water mark -- they are queue
-  // residue, not workload.  Unknown or already-cancelled ids are ignored.
-  void cancel_every(PeriodicId id);
+  void every(Time first, Duration period, std::function<void(Time)> fn);
 
   // Executes every pending event with timestamp <= horizon, including
   // events scheduled by callbacks during the run, in (time, seq) order.
@@ -129,19 +115,13 @@ class Engine {
   // If any event is pending, stores the earliest pending timestamp in
   // *out and returns true.  Non-const because the calendar advances its
   // scan cursor to the minimum (the same walk the next pop would do, so
-  // the peek is effectively free).  Counts a cancelled periodic's inert
-  // leftover like any event: it still occupies a (t, seq) slot.
+  // the peek is effectively free).
   bool next_time(Time* out);
 
   Time now() const { return now_; }
   std::uint64_t events_executed() const { return executed_; }
   std::size_t pending() const {
-    const std::size_t raw =
-        policy_ == EnginePolicy::kHeap ? heap_.size() : calendar_.size();
-    // inert_pending_ can exceed the queued residue only transiently,
-    // inside a periodic callback that cancels itself (the chain's next
-    // firing is counted as inert before it is physically scheduled).
-    return raw > inert_pending_ ? raw - inert_pending_ : 0;
+    return policy_ == EnginePolicy::kHeap ? heap_.size() : calendar_.size();
   }
   // Number of at() calls that asked for a time strictly before now().
   std::uint64_t clamped_count() const { return clamped_; }
@@ -175,27 +155,19 @@ class Engine {
   static void require_finite(Time t);
   void schedule(Time t, const Task& task);
   // One firing of chain `id` at `t`: runs its callback and queues the
-  // next firing, or, if the chain was cancelled, retires an inert event.
-  void fire(PeriodicId id, Time t);
+  // next firing.
+  void fire(std::size_t id, Time t);
 
   EnginePolicy policy_;
   std::vector<ScheduledEvent> heap_;  // kHeap: min-heap via std::push_heap
   CalendarQueue calendar_;            // kCalendar
-  // The self-rescheduling chains created by every(), keyed by the
-  // PeriodicId handed back to the caller; queued firings carry only the
-  // id, so erasing an entry (cancel_every) makes the chain's future
-  // firings no-ops.  shared_ptr so a firing keeps its chain alive while
-  // the callback cancels it.
-  std::vector<std::pair<PeriodicId, std::shared_ptr<Chain>>> periodic_chains_;
-  PeriodicId next_periodic_id_ = 0;
+  // The self-rescheduling chains created by every(), indexed by id;
+  // queued firings carry only the id.  A deque, so a callback that adds
+  // a chain cannot move the one running.
+  std::deque<Chain> chains_;
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  // Queued events whose periodic chain has been cancelled: physically in
-  // a queue (preserving everyone else's (t, seq) order) but guaranteed
-  // no-ops.  Incremented by cancel_every, decremented when the inert
-  // event pops; pending() subtracts it.
-  std::size_t inert_pending_ = 0;
   std::uint64_t max_pending_ = 0;
   std::uint64_t heap_ops_ = 0;
   std::uint64_t clamped_ = 0;

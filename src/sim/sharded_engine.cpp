@@ -49,13 +49,9 @@ void ShardedEngine::require_finite_post(Time t) {
   }
 }
 
-PeriodicId ShardedEngine::every_global(Time first, Duration period,
-                                       std::function<void(Time)> fn) {
-  return globals_.every(first, period, std::move(fn));
-}
-
-void ShardedEngine::cancel_every_global(PeriodicId id) {
-  globals_.cancel_every(id);
+void ShardedEngine::every_global(Time first, Duration period,
+                                 std::function<void(Time)> fn) {
+  globals_.every(first, period, std::move(fn));
 }
 
 void ShardedEngine::worker_loop(std::size_t shard) {

@@ -145,9 +145,8 @@ class ShardedEngine {
   void at_global(Time t, F&& fn) {
     globals_.at(t, std::forward<F>(fn));
   }
-  PeriodicId every_global(Time first, Duration period,
-                          std::function<void(Time)> fn);
-  void cancel_every_global(PeriodicId id);
+  void every_global(Time first, Duration period,
+                    std::function<void(Time)> fn);
 
   // Runs every event with t <= horizon in barrier-window rounds.
   // Rethrows (on the calling thread) anything a shard callback threw.

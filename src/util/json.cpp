@@ -5,16 +5,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 namespace gcs::util::json {
+
+const char* kind_name(Value::Kind kind) {
+  static const char* const kNames[] = {"null",   "bool",  "number",
+                                       "string", "array", "object"};
+  return kNames[static_cast<int>(kind)];
+}
 
 namespace {
 
 [[noreturn]] void kind_error(const char* want, Value::Kind got) {
-  static const char* const kNames[] = {"null",   "bool",  "number",
-                                       "string", "array", "object"};
   throw Error(std::string("json: expected ") + want + ", got " +
-              kNames[static_cast<int>(got)]);
+              kind_name(got));
 }
 
 }  // namespace
@@ -353,6 +359,18 @@ class Parser {
 }  // namespace
 
 Value parse(const std::string& text) { return Parser(text).run(); }
+
+Value parse_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw Error("cannot read " + path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  try {
+    return parse(buf.str());
+  } catch (const Error& e) {
+    throw Error(path + ": " + e.what());
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Writer

@@ -94,6 +94,12 @@ class Value {
 // Parses one JSON document (trailing whitespace allowed, trailing garbage is
 // an error).  Throws Error with a byte offset on malformed input.
 Value parse(const std::string& text);
+// parse() of a whole file; throws Error naming the path when the file
+// cannot be read or does not parse.
+Value parse_file(const std::string& path);
+
+// "null", "bool", "number", "string", "array" or "object".
+const char* kind_name(Value::Kind kind);
 
 // Serializes.  indent < 0: compact single line; indent >= 0: pretty-printed
 // with that many spaces per level.  Object keys are emitted in sorted order

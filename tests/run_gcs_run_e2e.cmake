@@ -117,6 +117,14 @@ expect_refused(--delay=uniform:0:5 "delay 'uniform:0:5'")
 expect_refused(--rho=1 "rho must be in")
 expect_refused(--D=-1 "D must be >= 0")
 expect_refused(--B0=-5 "B0 must be >= 0")
+# A value of the wrong kind names its field, and a token strtod reads as
+# non-finite names its flag.
+expect_refused(--horizon=abc "config key 'horizon' must be a number")
+expect_refused(--n=2.5 "config key 'n' must be a whole number >= 0, got '2.5'")
+expect_refused(--n=1e30 "config key 'n' must be a whole number >= 0")
+expect_refused(--seed=-1 "config key 'seed' must be a whole number >= 0, got '-1'")
+expect_refused(--shards=1.5 "config key 'shards' must be a whole number >= 0")
+expect_refused(--seed=1e400 "--seed must be finite, got '1e400'")
 
 # Bad scenario knobs are refused at campaign validation, naming the
 # knob: a non-positive churn lifetime used to error every cell at run
@@ -156,5 +164,6 @@ endif()
 
 message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, retired "
         "axes rejected, --horizon=nan, --delta_h=0, delays outside "
-        "[0, T], --rho=1, --D=-1, --B0=-5 and bad churn knobs refused, "
+        "[0, T], --rho=1, --D=-1, --B0=-5, mistyped and non-finite "
+        "values and bad churn knobs refused, "
         "--help's gauss-markov example passes --check")

@@ -33,8 +33,8 @@ endforeach()
 if(NOT violations STREQUAL "")
   message(FATAL_ERROR
           "edges_at() is deprecated on hot paths (see DESIGN.md, 'Topology "
-          "delta cursors'); use DynamicGraph::delta_cursor() or "
-          "SnapshotUnionSweep instead.  Found:\n${violations}")
+          "delta cursors'); use net::EdgeDeltaCursor or "
+          "net::SnapshotUnionSweep instead.  Found:\n${violations}")
 endif()
 
 message(STATUS "hot-path gate: no edges_at() references in "

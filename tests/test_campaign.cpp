@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -348,6 +349,47 @@ TEST(Campaign, RejectsMalformedCampaigns) {
                std::invalid_argument);
   EXPECT_THROW(cli::build_campaign(nullptr, {{"seeds", "1..x"}}),
                std::invalid_argument);
+}
+
+// A value of the wrong kind, from a file or a flag, is refused naming
+// its field (and, for a flag, the value that could not be held).
+TEST(Campaign, MistypedValuesNameTheField) {
+  const auto expect_named = [](const std::function<void()>& build,
+                               const std::string& message) {
+    try {
+      build();
+      ADD_FAILURE() << "accepted; wanted '" << message << "'";
+    } catch (const std::exception& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named([] { from_text(R"({"defaults": {"horizon": "2"}})"); },
+               "config key 'horizon' must be a number, got '\"2\"'");
+  expect_named(
+      [] {
+        from_text(R"({"sweep": {"scenario": [{"kind": "churn",
+                                              "lifetime": "5"}]}})");
+      },
+      "scenario knob 'lifetime' must be a number, got '\"5\"'");
+  const std::pair<const char*, const char*> flags[] = {
+      {"horizon=abc", "config key 'horizon' must be a number"},
+      {"n=2.5", "config key 'n' must be a whole number >= 0, got '2.5'"},
+      {"n=1e30", "config key 'n' must be a whole number >= 0"},
+      {"seed=-1", "config key 'seed' must be a whole number >= 0, got '-1'"},
+      {"shards=1.5", "config key 'shards' must be a whole number >= 0"},
+      {"seed=1e400", "--seed must be finite, got '1e400'"},
+      {"horizon=nan", "--horizon must be finite, got 'nan'"},
+      {"rho=-inf", "--rho must be finite, got '-inf'"},
+  };
+  for (const auto& [flag, message] : flags) {
+    const std::string text = flag;
+    const std::string key = text.substr(0, text.find('='));
+    const std::string value = text.substr(text.find('=') + 1);
+    expect_named(
+        [&] { cli::build_campaign(nullptr, {{key, value}}); },
+        message);
+  }
 }
 
 TEST(Campaign, NameIsSanitizedForPathsAndCsv) {

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -294,6 +295,51 @@ TEST(DiffTrees, UnreadableTreeThrows) {
         cli::diff_trees(a.string(), (a / "nope").string(), {}, log);
       },
       std::runtime_error);
+}
+
+// The classes the field tables declare reproduce the key lists gcs_diff
+// kept before the tables existed.
+TEST(FieldClass, DeclaredClassesMatchTheFormerKeyLists) {
+  using gcs::util::DiffClass;
+  for (const char* key :
+       {"max_global_skew", "max_local_skew", "global_skew_bound",
+        "local_skew_floor", "mean_global_skew", "max_envelope_ratio",
+        "total_jump", "first_clamped_time", "sync_delay_sum",
+        "sync_delay_max", "observed", "analytic", "fitted", "envelope_ratio",
+        "bound_gap", "intercept", "slope", "shift", "rss", "rho", "T", "D",
+        "delta_h", "B0", "horizon", "sample_dt", "lifetime", "period",
+        "overlap", "radius", "speed_min", "speed_max", "update_dt",
+        "mean_speed", "alpha", "speed_sigma", "dir_sigma", "group_radius",
+        "switch_prob", "connect_window"}) {
+    EXPECT_EQ(cli::field_class(key), DiffClass::kFloat) << key;
+  }
+  for (const char* key :
+       {"wall_ms", "events_per_sec", "arena_bytes", "peak_rss_kb"}) {
+    EXPECT_EQ(cli::field_class(key), DiffClass::kTiming) << key;
+  }
+  // Counters, sizes and strings, including the double-valued series
+  // peak_queue_bytes next to its run_stats twin, and undeclared keys.
+  for (const char* key :
+       {"messages_sent", "n", "seed", "points", "peak_queue_bytes", "name",
+        "volatile_edges", "backbone", "schema_version", "campaign"}) {
+    EXPECT_EQ(cli::field_class(key), DiffClass::kExact) << key;
+  }
+}
+
+// A leaf key is classified wherever it appears, so no two tables may
+// declare it with different classes.
+TEST(FieldClass, NoKeyIsDeclaredWithTwoClasses) {
+  std::map<std::string, gcs::util::DiffClass> seen;
+  for (const auto& [key, diff] : cli::declared_field_classes()) {
+    const auto [it, fresh] = seen.emplace(key, diff);
+    EXPECT_TRUE(fresh || it->second == diff) << key;
+  }
+  // Every record's table contributes: result, config, cell timing,
+  // scenario knobs and envelope rows.
+  for (const char* key : {"messages_sent", "max_pending", "points", "name",
+                          "rho", "wall_ms", "lifetime", "bound_gap", "rss"}) {
+    EXPECT_EQ(seen.count(key), 1u) << key;
+  }
 }
 
 }  // namespace

@@ -127,37 +127,6 @@ TEST_P(EngineTest, PeriodicCallbackFiresOnSchedule) {
   EXPECT_DOUBLE_EQ(fire_times.back(), 3.0);
 }
 
-TEST_P(EngineTest, CancelledPeriodicStopsFiringOthersContinue) {
-  Engine engine = make_engine();
-  std::vector<double> kept_times;
-  int cancelled_fires = 0;
-  const gcs::sim::PeriodicId doomed =
-      engine.every(1.0, 1.0, [&](gcs::sim::Time) { ++cancelled_fires; });
-  engine.every(1.0, 1.0, [&](gcs::sim::Time t) { kept_times.push_back(t); });
-
-  // Cancel mid-run: the firing already in the queue at t=3 names a
-  // chain that no longer exists, so it stays inert; every tick after
-  // the cancellation point must come from the surviving chain only.
-  engine.at(2.5, [&] { engine.cancel_every(doomed); });
-  engine.run_until(5.0);
-
-  EXPECT_EQ(cancelled_fires, 2);  // t = 1, 2; the t = 3 firing was inert
-  ASSERT_EQ(kept_times.size(), 5u);  // 1, 2, 3, 4, 5
-  EXPECT_DOUBLE_EQ(kept_times.back(), 5.0);
-}
-
-TEST_P(EngineTest, CancelEveryIgnoresUnknownIdsAndIsIdempotent) {
-  Engine engine = make_engine();
-  int fires = 0;
-  const gcs::sim::PeriodicId id =
-      engine.every(1.0, 1.0, [&](gcs::sim::Time) { ++fires; });
-  engine.cancel_every(id + 1000);  // unknown: a no-op, not an error
-  engine.cancel_every(id);
-  engine.cancel_every(id);  // double-cancel is fine too
-  engine.run_until(4.0);
-  EXPECT_EQ(fires, 0);
-}
-
 TEST_P(EngineTest, StatsTrackPendingHighWater) {
   Engine engine = make_engine();
   for (int i = 0; i < 32; ++i) {
@@ -268,48 +237,6 @@ TEST_P(EngineTest, EveryRejectsNonPositiveOrNonFinitePeriods) {
   engine.run_until(5.0);  // returns: nothing was queued
   EXPECT_EQ(engine.events_executed(), 0u);
   EXPECT_EQ(engine.pending(), 0u);
-}
-
-TEST_P(EngineTest, CancelEveryRemovesInertFiringFromPendingAccounting) {
-  // A cancelled chain leaves its already-queued firing behind as an inert
-  // event; pending() must not count it (it is not schedulable work), and
-  // the inert pop must not disturb the surviving chain's accounting.
-  Engine engine = make_engine();
-  int doomed_fires = 0;
-  int kept_fires = 0;
-  const gcs::sim::PeriodicId doomed =
-      engine.every(1.0, 1.0, [&](gcs::sim::Time) { ++doomed_fires; });
-  engine.every(1.0, 1.0, [&](gcs::sim::Time) { ++kept_fires; });
-  engine.run_until(1.5);  // both fired at t=1; both refires queued for t=2
-  EXPECT_EQ(engine.pending(), 2u);
-  engine.cancel_every(doomed);
-  // The doomed chain's t=2 firing is still physically queued but inert.
-  EXPECT_EQ(engine.pending(), 1u);
-  engine.run_until(2.5);
-  EXPECT_EQ(doomed_fires, 1);
-  EXPECT_EQ(kept_fires, 2);
-  EXPECT_EQ(engine.pending(), 1u);  // the kept chain's t=3 refire
-  // The high-water mark saw both chains queued, never the inert ghost.
-  EXPECT_EQ(engine.stats().max_pending, 2u);
-}
-
-TEST_P(EngineTest, SelfCancellingPeriodicKeepsAccountingConsistent) {
-  // Cancelling from inside the chain's own callback hits the transient
-  // window where the inert count is bumped before the refire is queued;
-  // the clamped subtraction must keep pending() sane through it.
-  Engine engine = make_engine();
-  int fires = 0;
-  gcs::sim::PeriodicId id = 0;
-  id = engine.every(1.0, 1.0, [&](gcs::sim::Time) {
-    ++fires;
-    engine.cancel_every(id);
-    EXPECT_EQ(engine.pending(), 0u);  // mid-callback: nothing schedulable
-  });
-  engine.run_until(5.0);
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(engine.pending(), 0u);
-  // The chain's firing at t=1 plus its inert refire at t=2 both popped.
-  EXPECT_EQ(engine.events_executed(), 2u);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -332,6 +333,29 @@ TEST(EnvelopeFromJson, RejectsForeignDocuments) {
   doc["schema_version"] = harness::kResultSchemaVersion;
   doc["kind"] = std::string("report");
   EXPECT_THROW(harness::envelope_from_json(doc), json::Error);
+}
+
+TEST(EnvelopeFromJson, EveryDroppedRowKeyIsRefusedByName) {
+  const json::Value doc = harness::to_json(harness::fit_envelope(
+      {{"a", make_cell("a", 8, 2.0, 40.0)}}));
+  std::size_t dropped = 0;
+  for (const char* rows : {"groups", "cells"}) {
+    for (const auto& entry : doc.at(rows).as_array().front().as_object()) {
+      json::Value broken = doc;
+      broken[rows].as_array().front().as_object().erase(entry.first);
+      try {
+        harness::envelope_from_json(broken);
+        ADD_FAILURE() << rows << " row without '" << entry.first
+                      << "' was accepted";
+      } catch (const json::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("'" + entry.first + "'"),
+                  std::string::npos)
+            << e.what();
+      }
+      ++dropped;
+    }
+  }
+  EXPECT_EQ(dropped, 7u + 8u);
 }
 
 }  // namespace

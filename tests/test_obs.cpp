@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -127,14 +128,20 @@ TEST(TelemetryRecorder, GeometricDecimationKeepsStrideMultiplesOnly) {
 TEST(TelemetryRecorder, ZeroCapacityDisablesTraceButCountsNothing) {
   obs::TelemetryRecorder recorder(0);
   EXPECT_FALSE(recorder.wants_trace());
+  std::ostringstream series;
+  recorder.stream_series_to(series);
   obs::SeriesSample sample;
   sample.t = 1.0;
   recorder.on_sample(sample);
-  EXPECT_EQ(recorder.samples().size(), 1u);
+  EXPECT_EQ(recorder.trace_seen(), 0u);
+  const std::string text = series.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
 TEST(TelemetryRecorder, SeriesCsvIsHeaderPlusOneRowPerSample) {
   obs::TelemetryRecorder recorder(0);
+  std::ostringstream series;
+  recorder.stream_series_to(series);
   obs::SeriesSample s;
   s.t = 1.5;
   s.global_skew = 0.25;
@@ -145,7 +152,7 @@ TEST(TelemetryRecorder, SeriesCsvIsHeaderPlusOneRowPerSample) {
   s.engine_pending = 9;
   s.queue_bytes = 750.0;
   recorder.on_sample(s);
-  EXPECT_EQ(recorder.series_csv(),
+  EXPECT_EQ(series.str(),
             "t,global_skew,max_local_skew,max_envelope_ratio,live_edges,"
             "in_flight,engine_pending,queue_bytes\n"
             "1.5,0.25,0.125,0.5,4,2,9,750\n");
@@ -172,29 +179,59 @@ TEST(TelemetryRecorder, AttachedRecorderNeverPerturbsTheRun) {
       harness::run_experiment(small_config());
 
   obs::TelemetryRecorder recorder(64);
+  std::ostringstream series;
+  recorder.stream_series_to(series);
   const harness::ExperimentResult observed =
       harness::run_experiment(small_config(), &recorder);
 
   EXPECT_EQ(json::dump(harness::to_json(bare)),
             json::dump(harness::to_json(observed)));
-  EXPECT_EQ(recorder.samples().size(), observed.samples);
+  // Header plus one row per sample.
+  const std::string text = series.str();
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            observed.samples + 1);
   EXPECT_GT(recorder.trace_seen(), 0u);
 
   obs::TelemetryRecorder again(64);
+  std::ostringstream series_again;
+  again.stream_series_to(series_again);
   harness::run_experiment(small_config(), &again);
-  EXPECT_EQ(recorder.series_csv(), again.series_csv());
+  EXPECT_EQ(series.str(), series_again.str());
   EXPECT_EQ(recorder.trace_jsonl(), again.trace_jsonl());
 }
 
-// The series the recorder captures is the same series the result
-// digests: fold the CSV rows back into an aggregator and compare.
+// The series the recorder streams is the same series the result
+// digests: fold the CSV rows back into an aggregator and compare.  Every
+// number is written in shortest round-trip form, so the fold is exact.
 TEST(TelemetryRecorder, SeriesSamplesMatchResultSummary) {
   obs::TelemetryRecorder recorder(0);
+  std::ostringstream series;
+  recorder.stream_series_to(series);
   const harness::ExperimentResult result =
       harness::run_experiment(small_config(), &recorder);
 
   obs::SeriesAggregator agg;
-  for (const obs::SeriesSample& s : recorder.samples()) agg.add(s);
+  std::istringstream rows(series.str());
+  std::string row;
+  ASSERT_TRUE(std::getline(rows, row));  // header
+  while (std::getline(rows, row)) {
+    std::istringstream cells(row);
+    std::string cell;
+    std::vector<double> v;
+    while (std::getline(cells, cell, ',')) v.push_back(std::stod(cell));
+    ASSERT_EQ(v.size(), 8u) << row;
+    obs::SeriesSample s;
+    s.t = v[0];
+    s.global_skew = v[1];
+    s.max_local_skew = v[2];
+    s.max_envelope_ratio = v[3];
+    s.live_edges = static_cast<std::uint64_t>(v[4]);
+    s.in_flight = static_cast<std::uint64_t>(v[5]);
+    s.engine_pending = static_cast<std::uint64_t>(v[6]);
+    s.queue_bytes = v[7];
+    agg.add(s);
+  }
   const obs::SeriesSummary folded = agg.summary();
   EXPECT_EQ(folded.points, result.series.points);
   EXPECT_EQ(folded.mean_global_skew, result.series.mean_global_skew);

@@ -148,48 +148,6 @@ TEST(Runner, ParallelRunIsByteIdenticalToSerial) {
             log_b.str().substr(0, log_b.str().find(" events in")));
 }
 
-TEST(Runner, StreamedArtifactsAreByteIdenticalToBuffered) {
-  // The streaming writer (campaign.csv/jsonl appended per committed
-  // cell, series rows flushed straight from the recorder) must produce
-  // exactly the bytes the buffered writer produced -- it is a memory
-  // optimization, not a format change.
-  const fs::path dir_s = fresh_dir("streamed");
-  const fs::path dir_b = fresh_dir("buffered");
-  const cli::Campaign campaign = small_campaign();
-
-  cli::RunnerOptions options;
-  options.quiet = true;
-  options.fixed_timing = true;
-  options.series = true;
-  options.trace = true;
-  options.trace_limit = 64;
-  options.jobs = 2;
-  std::ostringstream log;
-
-  options.stream_artifacts = true;
-  options.out_dir = dir_s.string();
-  ASSERT_EQ(cli::run_campaign(campaign, options, log), 0);
-  options.stream_artifacts = false;
-  options.out_dir = dir_b.string();
-  ASSERT_EQ(cli::run_campaign(campaign, options, log), 0);
-
-  for (const char* artifact : {"campaign.csv", "campaign.jsonl",
-                               "summary.json"}) {
-    EXPECT_EQ(read_file(dir_s / artifact), read_file(dir_b / artifact))
-        << artifact;
-  }
-  std::size_t files_compared = 0;
-  for (const auto& entry : fs::directory_iterator(dir_s / "cells")) {
-    const fs::path other = dir_b / "cells" / entry.path().filename();
-    ASSERT_TRUE(fs::exists(other)) << other;
-    EXPECT_EQ(read_file(entry.path()), read_file(other))
-        << entry.path().filename();
-    ++files_compared;
-  }
-  // json + series.csv + trace.jsonl per cell, in both trees.
-  EXPECT_EQ(files_compared, campaign.cells.size() * 3);
-}
-
 TEST(Runner, StreamedSeriesOfErroredCellIsRemoved) {
   // An errored cell must not leave a partial (header-only) series file
   // behind when the series stream was already open.

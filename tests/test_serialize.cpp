@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -259,6 +261,58 @@ TEST(Serialize, ConfigReaderDefaultsMissingAndRejectsUnknownKeys) {
   EXPECT_THROW(
       harness::config_from_json(json::parse(R"({"topologyy": "ring"})")),
       json::Error);
+
+  // A value of the wrong kind is refused naming its key and the value.
+  const std::pair<const char*, const char*> mistyped[] = {
+      {R"({"horizon": "2"})", "config key 'horizon' must be a number"},
+      {R"({"n": 2.5})", "config key 'n' must be a whole number >= 0, got '2.5'"},
+      {R"({"n": 1e30})", "config key 'n' must be a whole number >= 0"},
+      {R"({"seed": -1})", "config key 'seed' must be a whole number >= 0"},
+      {R"({"shards": 1.5})", "config key 'shards' must be a whole number"},
+      {R"({"drift": 3})", "config key 'drift' must be a string, got '3'"},
+  };
+  for (const auto& [text, message] : mistyped) {
+    try {
+      harness::config_from_json(json::parse(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const json::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
+}
+
+// Every key a reader requires is named when it is missing: drop each key
+// of a written result document (and of each subobject) in turn.
+TEST(Serialize, EveryDroppedKeyIsRefusedByName) {
+  const json::Value doc = harness::to_json(run_small());
+  const auto expect_named = [](const json::Value& broken,
+                               const std::string& key) {
+    try {
+      harness::result_from_json(broken);
+      ADD_FAILURE() << "accepted a result without '" << key << "'";
+    } catch (const json::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+          << e.what();
+    }
+  };
+  std::size_t dropped = 0;
+  for (const auto& [key, value] : doc.as_object()) {
+    json::Value broken = doc;
+    broken.as_object().erase(key);
+    expect_named(broken, key);
+    ++dropped;
+    if (!value.is_object()) continue;
+    for (const auto& entry : value.as_object()) {
+      json::Value nested = doc;
+      nested[key].as_object().erase(entry.first);
+      expect_named(nested, entry.first);
+      ++dropped;
+    }
+  }
+  // 11 result scalars + 3 subobjects, 22 run_stats, 6 engine_stats and 7
+  // series keys.
+  EXPECT_EQ(dropped, 14u + 22u + 6u + 7u);
 }
 
 TEST(Serialize, RunningAndReloadingAgree) {

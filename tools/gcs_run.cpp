@@ -10,10 +10,8 @@
 // or malformed campaign.
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string>
 
 #include "cli/campaign.hpp"
@@ -171,15 +169,7 @@ int main(int argc, char** argv) {
     gcs::util::json::Value doc;
     bool have_doc = false;
     if (!campaign_file.empty()) {
-      std::ifstream in(campaign_file, std::ios::binary);
-      if (!in) {
-        std::cerr << "gcs_run: cannot open campaign file '" << campaign_file
-                  << "'\n";
-        return 2;
-      }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      doc = gcs::util::json::parse(buf.str());
+      doc = gcs::util::json::parse_file(campaign_file);
       have_doc = true;
     } else if (overrides.empty()) {
       std::cerr << "gcs_run: nothing to run (no --campaign, no flags)\n\n"
