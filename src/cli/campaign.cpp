@@ -75,6 +75,16 @@ const Knob kKnobs[] = {
     {field<&Spec::connect_window>("connect_window", kFloat), kMobile | kTrace},
 };
 
+// True iff `key` names a knob that binds a string member (its row
+// writes a JSON string).
+bool binds_string(const std::string& key) {
+  return std::any_of(std::begin(kKnobs), std::end(kKnobs),
+                     [&](const Knob& k) {
+                       return key == k.field.key &&
+                              k.field.get(ScenarioSpec{}).is_string();
+                     });
+}
+
 // splitmix64: decorrelates the scenario generator's random stream from the
 // delay/drift streams that consume the raw cell seed.
 std::uint64_t mix_seed(std::uint64_t seed) {
@@ -157,9 +167,9 @@ ScenarioSpec ScenarioSpec::from_flag(const std::string& spec) {
     }
     if (value == "true" || value == "false") {
       doc[key] = (value == "true");
-    } else if (key == "path") {
-      // The one string knob; every other knob is numeric or boolean, so
-      // a non-numeric value there keeps the targeted error below.
+    } else if (binds_string(key)) {
+      // A string knob takes the text as is; a non-numeric value for any
+      // other knob keeps the targeted error below.
       doc[key] = value;
     } else {
       char* end = nullptr;
@@ -240,19 +250,22 @@ std::string sanitize_component(std::string text, const std::string& fallback) {
 // ---------------------------------------------------------------------------
 namespace {
 
-// Canonical axis order: workload-defining axes first (they dominate label
-// readability), then model constants, then the seed.  Labels and file
-// names follow this order, so reordering it is a (cosmetic) schema change.
-const char* const kAxisOrder[] = {"n",       "topology", "scenario", "drift",
-                                  "delay",   "traffic",  "variant",  "rho",
-                                  "T",       "D",        "delta_h",  "B0",
-                                  "horizon", "sample_dt", "shards",  "seed"};
+// Canonical axis order: the config echo's (harness::config_axis_keys),
+// with the scenario spec right after the topology it stands in for.
+// Labels and file names follow this order.
+const std::vector<std::string>& axis_order() {
+  static const std::vector<std::string> order = [] {
+    std::vector<std::string> keys = harness::config_axis_keys();
+    keys.insert(std::find(keys.begin(), keys.end(), "topology") + 1,
+                "scenario");
+    return keys;
+  }();
+  return order;
+}
 
 bool is_known_axis(const std::string& key) {
-  for (const char* axis : kAxisOrder) {
-    if (key == axis) return true;
-  }
-  return false;
+  const std::vector<std::string>& order = axis_order();
+  return std::find(order.begin(), order.end(), key) != order.end();
 }
 
 // One swept (or pinned) dimension of the cross-product.
@@ -434,7 +447,7 @@ Campaign build_campaign(const json::Value* doc,
   //    keep their ExperimentConfig defaults and contribute nothing.
   std::vector<Axis> axes;
   std::size_t total = 1;
-  for (const char* key : kAxisOrder) {
+  for (const std::string& key : axis_order()) {
     Axis axis;
     axis.key = key;
     if (auto it = sweep.find(key); it != sweep.end()) {

@@ -7,11 +7,11 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <ostream>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -26,15 +26,6 @@ namespace gcs::cli {
 
 namespace json = gcs::util::json;
 namespace fs = std::filesystem;
-
-const char kCsvHeader[] =
-    "campaign,cell,n,workload,drift,delay,traffic,seed,"
-    "horizon,sample_dt,samples,max_global_skew,global_skew_bound,"
-    "global_margin,max_local_skew,local_skew_floor,global_violations,"
-    "envelope_violations,monotonicity_failures,messages_sent,"
-    "messages_delivered,messages_dropped,delivery_events,traffic_packets,"
-    "traffic_dropped,ecn_marks,peak_queue_bytes,sync_delay_sum,"
-    "sync_delay_max,events_executed,clamped_events,wall_ms,events_per_sec";
 
 std::string csv_field(const std::string& field) {
   if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
@@ -65,33 +56,94 @@ std::uint64_t process_peak_rss_kb() {
   return usage.ru_maxrss > 0 ? static_cast<std::uint64_t>(usage.ru_maxrss) : 0;
 }
 
-std::string csv_row(const Campaign& campaign, const Cell& cell,
-                    const harness::ExperimentResult& result, double wall_ms,
-                    double events_per_sec) {
-  const core::RunStats& stats = result.run_stats;
-  const std::string workload =
-      cell.scenario.is_static() ? cell.config.topology : cell.scenario.kind;
-  std::ostringstream row;
-  auto num = [](double v) { return json::dump_number(v); };
-  row << csv_field(campaign.name) << ',' << csv_field(cell.label) << ','
-      << cell.config.params.n << ',' << csv_field(workload) << ','
-      << csv_field(cell.config.drift) << ',' << csv_field(cell.config.delay)
-      << ',' << csv_field(cell.config.traffic) << ',' << cell.config.seed
-      << ',' << num(cell.config.horizon) << ',' << num(cell.config.sample_dt)
-      << ',' << result.samples << ',' << num(result.max_global_skew) << ','
-      << num(result.global_skew_bound) << ','
-      << num(result.global_skew_bound - result.max_global_skew) << ','
-      << num(result.max_local_skew) << ',' << num(result.local_skew_floor)
-      << ',' << result.global_violations << ',' << result.envelope_violations
-      << ',' << stats.conformance_monotonicity_failures << ','
-      << stats.messages_sent << ',' << stats.messages_delivered << ','
-      << stats.messages_dropped << ',' << stats.delivery_events << ','
-      << stats.traffic_packets << ',' << stats.traffic_dropped << ','
-      << stats.ecn_marks << ',' << stats.peak_queue_bytes << ','
-      << num(stats.sync_delay_sum) << ',' << num(stats.sync_delay_max) << ','
-      << result.events_executed << ',' << result.clamped_events << ','
-      << num(wall_ms) << ',' << num(events_per_sec);
-  return row.str();
+// One campaign.csv row's inputs.
+struct CsvRow {
+  const std::string& campaign;
+  const Cell& cell;
+  const harness::ExperimentResult& result;
+  double wall_ms;
+  double events_per_sec;
+};
+
+// A cell's text: strings RFC-4180-quoted, counts in decimal, doubles in
+// shortest round-trip form.
+std::string text(const std::string& v) { return csv_field(v); }
+std::string text(std::uint64_t v) { return std::to_string(v); }
+std::string text(double v) { return json::dump_number(v); }
+template <auto M>
+std::string config_cell(const CsvRow& r) {
+  return text(r.cell.config.*M);
+}
+template <auto M>
+std::string result_cell(const CsvRow& r) {
+  return text(r.result.*M);
+}
+template <auto M>
+std::string stats_cell(const CsvRow& r) {
+  return text(r.result.run_stats.*M);
+}
+
+// campaign.csv's columns in order: the header is the names and a row the
+// values, so the two cannot drift apart.  The header formats no value.
+struct CsvColumn {
+  const char* name;
+  std::string (*value)(const CsvRow&);
+};
+using C = harness::ExperimentConfig;
+using R = harness::ExperimentResult;
+using S = core::RunStats;
+const CsvColumn kCsvColumns[] = {
+    {"campaign", [](const CsvRow& r) { return text(r.campaign); }},
+    {"cell", [](const CsvRow& r) { return text(r.cell.label); }},
+    {"n", [](const CsvRow& r) { return text(r.cell.config.params.n); }},
+    {"workload",
+     [](const CsvRow& r) {
+       return text(r.cell.scenario.is_static() ? r.cell.config.topology
+                                               : r.cell.scenario.kind);
+     }},
+    {"drift", config_cell<&C::drift>},
+    {"delay", config_cell<&C::delay>},
+    {"traffic", config_cell<&C::traffic>},
+    {"seed", config_cell<&C::seed>},
+    {"horizon", config_cell<&C::horizon>},
+    {"sample_dt", config_cell<&C::sample_dt>},
+    {"samples", result_cell<&R::samples>},
+    {"max_global_skew", result_cell<&R::max_global_skew>},
+    {"global_skew_bound", result_cell<&R::global_skew_bound>},
+    {"global_margin",
+     [](const CsvRow& r) {
+       return text(r.result.global_skew_bound - r.result.max_global_skew);
+     }},
+    {"max_local_skew", result_cell<&R::max_local_skew>},
+    {"local_skew_floor", result_cell<&R::local_skew_floor>},
+    {"global_violations", result_cell<&R::global_violations>},
+    {"envelope_violations", result_cell<&R::envelope_violations>},
+    {"monotonicity_failures", stats_cell<&S::conformance_monotonicity_failures>},
+    {"messages_sent", stats_cell<&S::messages_sent>},
+    {"messages_delivered", stats_cell<&S::messages_delivered>},
+    {"messages_dropped", stats_cell<&S::messages_dropped>},
+    {"delivery_events", stats_cell<&S::delivery_events>},
+    {"traffic_packets", stats_cell<&S::traffic_packets>},
+    {"traffic_dropped", stats_cell<&S::traffic_dropped>},
+    {"ecn_marks", stats_cell<&S::ecn_marks>},
+    {"peak_queue_bytes", stats_cell<&S::peak_queue_bytes>},
+    {"sync_delay_sum", stats_cell<&S::sync_delay_sum>},
+    {"sync_delay_max", stats_cell<&S::sync_delay_max>},
+    {"events_executed", result_cell<&R::events_executed>},
+    {"clamped_events", result_cell<&R::clamped_events>},
+    {"wall_ms", [](const CsvRow& r) { return text(r.wall_ms); }},
+    {"events_per_sec", [](const CsvRow& r) { return text(r.events_per_sec); }},
+};
+
+// One campaign.csv line (no newline): the column names, or `row`'s
+// values.
+std::string csv_join(const CsvRow* row) {
+  std::string line;
+  for (std::size_t i = 0; i < std::size(kCsvColumns); ++i) {
+    if (i > 0) line += ',';
+    line += row != nullptr ? kCsvColumns[i].value(*row) : kCsvColumns[i].name;
+  }
+  return line;
 }
 
 // The --check audit.  The schema round-trip reads the cell file back off
@@ -189,6 +241,8 @@ std::vector<std::string> cell_file_names(const Campaign& campaign) {
 }
 
 }  // namespace
+
+std::string csv_header() { return csv_join(nullptr); }
 
 int run_campaign(const Campaign& campaign, const RunnerOptions& options,
                  std::ostream& log, CampaignOutcome* outcome) {
@@ -316,8 +370,8 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
         write_file(out_dir / "cells" / (stem + ".trace.jsonl"),
                    recorder->trace_jsonl());
       }
-      ex.csv_line =
-          csv_row(campaign, cell, result, wall_ms, events_per_sec) + "\n";
+      const CsvRow row{campaign.name, cell, result, wall_ms, events_per_sec};
+      ex.csv_line = csv_join(&row) + "\n";
       ex.jsonl_line = json::dump(doc) + "\n";
       ex.outcome.failures = audit_cell(result, cell_path);
     } catch (...) {
@@ -375,7 +429,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
     throw std::runtime_error("cannot write campaign artifacts in " +
                              out_dir.string());
   }
-  csv_stream << kCsvHeader << "\n";
+  csv_stream << csv_header() << "\n";
   double max_global = 0.0;
   double max_local = 0.0;
   double total_wall_ms = 0.0;

@@ -10,7 +10,7 @@
 //                          observation time series (obs::TelemetryRecorder)
 //     cells/<file>.trace.jsonl   with `trace`: the bounded structured
 //                          event trace, meta line first
-//     campaign.csv         one row per cell (kCsvHeader; CI diffs this)
+//     campaign.csv         one row per cell (csv_header(); CI diffs this)
 //     campaign.jsonl       the per-cell documents again, one compact line
 //                          each, for jq-style slicing
 //     summary.json         campaign name, cell/failure counts, worst skews
@@ -75,10 +75,11 @@ struct RunnerOptions {
   std::uint64_t trace_limit = 4096;
 };
 
-// The exact campaign.csv header line (no trailing newline).  The e2e test
-// and any external consumer pin this string; adding a column is a schema
-// change (append, and bump harness::kResultSchemaVersion).
-extern const char kCsvHeader[];
+// The exact campaign.csv header line (no trailing newline), from the same
+// column list as every row.  The e2e test and any external consumer pin
+// this string; adding a column is a schema change (append, and bump
+// harness::kResultSchemaVersion).
+std::string csv_header();
 
 // RFC 4180 quoting: returns `field` unchanged unless it contains a comma,
 // quote, or newline, in which case it is wrapped in double quotes with

@@ -38,76 +38,48 @@ std::uint32_t next_incarnation(std::uint32_t current, std::uint32_t slot) {
   return current + 1;
 }
 
-// The DeliverySink pair: stats, traces, and conformance checks land
-// around each record the kernel applies.
-
-struct NetworkSimulation::ClassicSink : DeliverySink {
-  explicit ClassicSink(NetworkSimulation* s) : sim(s) {}
+// Stats, traces, and conformance checks around each record the kernel
+// applies, written to the receivers' context `c` and stream: a sharded
+// delivery is one record, and a classic batch is all one context and
+// one stream.
+struct NetworkSimulation::Sink : DeliverySink {
+  Sink(NetworkSimulation* s, std::size_t ctx, std::size_t stream)
+      : sim(s), c(ctx), counters(s->counters_[ctx]),
+        jump_sum(s->stream_jump_[stream]) {}
   NetworkSimulation* sim;
+  std::size_t c;
+  Counters& counters;
+  double& jump_sum;
 
   void before(const StoreDelivery& d) override {
-    ++sim->stats_.messages_delivered;
+    ++counters.messages_delivered;
     if (sim->trace_) {
-      sim->recorder_->on_trace({obs::TraceEvent::Kind::kDeliver, d.now, d.from,
-                                d.to, d.value, 0.0, false});
+      sim->emit(c, d.to, {obs::TraceEvent::Kind::kDeliver, d.now, d.from,
+                          d.to, d.value, 0.0, false});
     }
   }
 
   void after(const StoreDelivery& d, double jump) override {
     if (jump > 0.0) {
-      ++sim->stats_.jumps;
-      sim->stats_.total_jump += jump;
+      ++counters.jumps;
+      jump_sum += jump;
       if (sim->trace_) {
-        sim->recorder_->on_trace({obs::TraceEvent::Kind::kJump, d.now, d.to,
-                                  d.from, jump, 0.0, false});
+        sim->emit(c, d.to, {obs::TraceEvent::Kind::kJump, d.now, d.to, d.from,
+                            jump, 0.0, false});
       }
     }
-    if (sim->options_.check_conformance) {
-      const double logical = sim->store_.logical_clock(d.to, d.hw_now);
-      sim->check_edge_conformance(d, logical);
-      if (logical < sim->last_logical_[d.to] - kConformanceSlack) {
-        ++sim->stats_.conformance_monotonicity_failures;
-      }
-      sim->last_logical_[d.to] = logical;
+    if (!sim->options_.check_conformance) return;
+    const double logical = sim->store_.logical_clock(d.to, d.hw_now);
+    // Envelope conformance compares BOTH endpoints' clocks, which a shard
+    // may not read mid-window; sharded runs audit the envelope through
+    // the harness sampler at barriers instead, so the per-delivery check
+    // is skipped for EVERY shard count (keeping the counters
+    // K-invariant).  Monotonicity is target-local and runs in both.
+    if (!sim->sharded_) sim->check_edge_conformance(d, logical);
+    if (logical < sim->last_logical_[d.to] - kConformanceSlack) {
+      ++counters.conformance_monotonicity_failures;
     }
-  }
-};
-
-struct NetworkSimulation::ShardedSink : DeliverySink {
-  explicit ShardedSink(NetworkSimulation* s) : sim(s) {}
-  NetworkSimulation* sim;
-
-  void before(const StoreDelivery& d) override {
-    const std::size_t ctx = sim->shard_of_[d.to];
-    ++sim->shard_counters_[ctx].messages_delivered;
-    if (sim->trace_) {
-      sim->push_trace(ctx, d.to, {obs::TraceEvent::Kind::kDeliver, d.now,
-                                  d.from, d.to, d.value, 0.0, false});
-    }
-  }
-
-  void after(const StoreDelivery& d, double jump) override {
-    const std::size_t ctx = sim->shard_of_[d.to];
-    if (jump > 0.0) {
-      ++sim->shard_counters_[ctx].jumps;
-      sim->node_jump_[d.to] += jump;
-      if (sim->trace_) {
-        sim->push_trace(ctx, d.to, {obs::TraceEvent::Kind::kJump, d.now, d.to,
-                                    d.from, jump, 0.0, false});
-      }
-    }
-    if (sim->options_.check_conformance) {
-      // Envelope conformance compares BOTH endpoints' clocks, which a
-      // shard may not read mid-window; sharded runs audit the envelope
-      // through the harness sampler at barriers instead, so the per-
-      // delivery check is skipped for EVERY shard count (keeping the
-      // counters K-invariant).  Monotonicity is target-local and stays on.
-      const double logical = sim->store_.logical_clock(d.to, d.hw_now);
-      if (logical < sim->last_logical_[d.to] - kConformanceSlack) {
-        ++sim->shard_counters_[ctx].monotonicity_failures;
-      }
-      sim->last_logical_[d.to] = logical;
-    }
+    sim->last_logical_[d.to] = logical;
   }
 };
 
@@ -121,7 +93,6 @@ NetworkSimulation::NetworkSimulation(
       options_(options),
       recorder_(options.recorder),
       trace_(options.recorder != nullptr && options.recorder->wants_trace()),
-      rng_(options.seed),
       audit_sweep_(graph.initial_edges(), graph.events(),
                    params.T + params.D),
       clocks_(schedules),
@@ -170,19 +141,21 @@ NetworkSimulation::NetworkSimulation(
     sharded_ = std::make_unique<sim::ShardedEngine>(k, link_.prop.floor);
     shard_of_.resize(n);
     for (std::size_t u = 0; u < n; ++u) shard_of_[u] = shard_of(u, k, n);
-    node_rngs_.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) {
-      node_rngs_.emplace_back(mix_seed(options_.seed, u));
-    }
     node_msg_index_.assign(n, 0);
-    shard_counters_.assign(k + 1, ShardCounters{});
-    node_jump_.assign(n, 0.0);
-    node_sync_delay_.assign(n, 0.0);
     if (trace_) {
       trace_bufs_.resize(k + 1);
       node_trace_seq_.assign(n, 0);
     }
   }
+  counters_.assign(global_ctx() + 1, Counters{});
+  const std::size_t streams = sharded_ ? n : 1;
+  stream_rng_.reserve(streams);
+  for (std::size_t i = 0; i < streams; ++i) {
+    stream_rng_.emplace_back(sharded_ ? mix_seed(options_.seed, i)
+                                      : options_.seed);
+  }
+  stream_jump_.assign(streams, 0.0);
+  stream_sync_delay_.assign(streams, 0.0);
 
   store_.reserve_segments(graph.initial_edges());
   edge_slots_.reserve(graph.initial_edges().size() + 16);
@@ -191,11 +164,7 @@ NetworkSimulation::NetworkSimulation(
   }
   for (const net::Edge& e : graph.initial_edges()) add_edge(e, 0.0, true);
   for (const net::TopologyEvent& ev : graph.events()) {
-    if (sharded_) {
-      sharded_->at_global(ev.at, [this, ev] { apply_event(ev); });
-    } else {
-      engine_.at(ev.at, [this, ev] { apply_event(ev); });
-    }
+    at_global(ev.at, [this, ev] { apply_event(ev); });
   }
 
   // Broadcast phases are staggered across the first delta_h so that
@@ -211,17 +180,15 @@ NetworkSimulation::NetworkSimulation(
 void NetworkSimulation::run_until(sim::Time t) {
   if (sharded_) {
     sharded_->run_until(t);
-    flush_sharded_trace();
-    if (sharded_->clamped_count() > 0) {
-      stats_.first_clamped_time = sharded_->first_clamped_time();
-      stats_.first_clamped_seq = sharded_->first_clamped_seq();
-    }
   } else {
     engine_.run_until(t);
-    if (engine_.clamped_count() > 0) {
-      stats_.first_clamped_time = engine_.first_clamped_time();
-      stats_.first_clamped_seq = engine_.first_clamped_seq();
-    }
+  }
+  flush_trace();
+  if (engine_clamped_count() > 0) {
+    stats_.first_clamped_time = sharded_ ? sharded_->first_clamped_time()
+                                         : engine_.first_clamped_time();
+    stats_.first_clamped_seq = sharded_ ? sharded_->first_clamped_seq()
+                                        : engine_.first_clamped_seq();
   }
   // Audit the paper's standing assumption over the (T+D)-windows newly
   // completed by this call; the sweep's delta cursor makes repeated
@@ -282,17 +249,12 @@ double NetworkSimulation::max_queue_backlog() const {
 }
 
 void NetworkSimulation::apply_event(const net::TopologyEvent& ev) {
-  ++stats_.topology_events_applied;
   const sim::Time t = now();
+  ++counters_[global_ctx()].topology_events_applied;
   if (trace_) {
-    const obs::TraceEvent record{obs::TraceEvent::Kind::kTopology, t,
-                                 ev.edge.u, ev.edge.v, 0.0, 0.0, ev.add};
-    if (sharded_) {
-      trace_bufs_[sharded_->global_ctx()].push_back(
-          PendingTrace{record, 0, global_trace_seq_++, true});
-    } else {
-      recorder_->on_trace(record);
-    }
+    emit(global_ctx(), kGlobalRecord,
+         {obs::TraceEvent::Kind::kTopology, t, ev.edge.u, ev.edge.v, 0.0, 0.0,
+          ev.add});
   }
   if (ev.add) {
     add_edge(ev.edge, t, false);
@@ -325,17 +287,12 @@ void NetworkSimulation::add_edge(const net::Edge& e, sim::Time t,
   if (!initial) {
     // Discovery exchange: both endpoints immediately send their clocks on
     // the new edge, so it carries an estimate within one delay bound.
-    if (sharded_) {
-      // Topology deltas run in the global context (shards parked), so
-      // reading either endpoint's clock here is safe for any partition.
-      const std::size_t ctx = sharded_->global_ctx();
-      send_sharded(ctx, e.u, e.v, ref, store_.logical_clock(e.u, hw_u), t);
-      send_sharded(ctx, e.v, e.u, ref, store_.logical_clock(e.v, hw_v), t);
-    } else {
-      send(e.u, e.v, ref, store_.logical_clock(e.u, hw_u), t);
-      send(e.v, e.u, ref, store_.logical_clock(e.v, hw_v), t);
-      flush_outbox();
-    }
+    // Topology deltas run in the global context (shards parked), so
+    // reading either endpoint's clock here is safe for any partition.
+    const std::size_t c = global_ctx();
+    send(c, e.u, e.v, ref, store_.logical_clock(e.u, hw_u), t);
+    send(c, e.v, e.u, ref, store_.logical_clock(e.v, hw_v), t);
+    flush_outbox();
   }
   // Background flows ride every edge incarnation, initial ones included;
   // they stop by themselves when this incarnation dies.
@@ -353,64 +310,64 @@ void NetworkSimulation::remove_edge(const net::Edge& e, sim::Time t) {
 
 void NetworkSimulation::schedule_broadcast(NodeId u) {
   const sim::Time when = clocks_.time_when(u, next_broadcast_hw_[u]);
-  if (sharded_) {
-    sharded_->at(shard_of_[u], when, [this, u] { broadcast(u); });
-    return;
-  }
-  engine_.at(when, [this, u] { broadcast(u); });
+  at_node(u, when, [this, u] { broadcast(u); });
 }
 
 void NetworkSimulation::broadcast(NodeId u) {
-  if (sharded_) {
-    // Runs on u's shard: u's clock, node state, and RNG are owner-local;
-    // u's peer segment and edge_slots_ only ever change at barriers, so
-    // reading them mid-window is race-free.
-    const sim::Time t = sharded_->shard_now(shard_of_[u]);
-    const double value = store_.logical_clock(u, clocks_.value_at(u, t));
-    store_.for_each_peer(u, [&](NodeId peer, std::uint32_t slot) {
-      send_sharded(shard_of_[u], u, peer, live_ref(slot), value, t);
-    });
-    next_broadcast_hw_[u] += params_.delta_h;
-    schedule_broadcast(u);
-    return;
-  }
-  const sim::Time t = engine_.now();
+  // Runs in u's context: u's clock, node state, and RNG stream are
+  // owner-local; u's peer segment and edge_slots_ only ever change at
+  // barriers, so reading them mid-window is race-free.
+  const std::size_t c = ctx(u);
+  const sim::Time t = node_now(u);
   const double value = store_.logical_clock(u, clocks_.value_at(u, t));
   store_.for_each_peer(u, [&](NodeId peer, std::uint32_t slot) {
-    send(u, peer, live_ref(slot), value, t);
+    send(c, u, peer, live_ref(slot), value, t);
   });
   flush_outbox();
   next_broadcast_hw_[u] += params_.delta_h;
   schedule_broadcast(u);
 }
 
-void NetworkSimulation::send(NodeId from, NodeId to, EdgeRef edge,
-                             double value, sim::Time t) {
-  double d = link_.prop.sample(net::Edge(from, to), rng_);
-  d = std::clamp(d, 1e-12, link_.prop.bound);  // the model promises delay <= T
+void NetworkSimulation::send(std::size_t c, NodeId from, NodeId to,
+                             EdgeRef edge, double value, sim::Time t) {
+  const std::size_t st = stream(from);
+  double d = link_.prop.sample(net::Edge(from, to), stream_rng_[st]);
+  d = std::clamp(d, delay_lo(), link_.prop.bound);
+  Counters& counters = counters_[c];
   // Through the link pipeline: queue wait + transmission time on top of
   // the propagation draw (bit-exactly d when no finite bandwidth is
-  // configured).  Sync messages are never queue-dropped -- their
+  // configured -- the ideal-link degeneration the link-equivalence
+  // matrix holds shut).  Sync messages are never queue-dropped -- their
   // latency saturates at the bound instead, preserving the delay <= T
-  // assumption the proofs rest on.
-  d = sync_link_delay(edge.slot, from, to, t, d, stats_.ecn_marks,
-                      stats_.peak_queue_bytes);
-  stats_.sync_delay_sum += d;
-  stats_.sync_delay_max = std::max(stats_.sync_delay_max, d);
-  ++stats_.messages_sent;
-  if (trace_) {
-    recorder_->on_trace(
-        {obs::TraceEvent::Kind::kSend, t, from, to, value, t + d, false});
+  // assumption the proofs rest on.  The pipeline only ADDS delay, so the
+  // sharded lookahead contract survives any traffic model; a direction
+  // is written only from its sender's context, so no lock is needed.
+  const net::TrafficModel& m = link_.traffic;
+  if (m.pipeline_active() && m.bandwidth > 0.0) {
+    const net::LinkDecision dec = offer(counters, edge.slot, from, to, t,
+                                        m.sync_bytes, /*droppable=*/false);
+    d = std::min(dec.wait + dec.tx + d, link_.prop.bound);
   }
-  const Delivery m{from, to, value, edge};
-  if (!options_.batched_delivery) {
-    ++stats_.delivery_events;
-    engine_.at(t + d, [this, m] { deliver(m); });
+  stream_sync_delay_[st] += d;
+  counters.sync_delay_max = std::max(counters.sync_delay_max, d);
+  ++counters.messages_sent;
+  if (trace_) {
+    emit(c, from,
+         {obs::TraceEvent::Kind::kSend, t, from, to, value, t + d, false});
+  }
+  post_delivery(c, t + d, t, Delivery{from, to, value, edge});
+}
+
+inline void NetworkSimulation::post_delivery(std::size_t c, sim::Time at,
+                                      sim::Time send_t, const Delivery& m) {
+  if (!sharded_) {
+    outbox_.emplace_back(at, m);
     return;
   }
-  // Stage for the flush; delays are sampled per receiver in send order
-  // either way, so the two modes draw identical randomness.
-  outbox_.emplace_back(t + d, m);
+  ++counters_[c].delivery_events;
+  sharded_->post(c, shard_of_[m.to], at,
+                 sim::PostKey{send_t, m.from, node_msg_index_[m.from]++},
+                 [this, m] { deliver(m); });
 }
 
 void NetworkSimulation::sort_outbox() {
@@ -460,16 +417,20 @@ void NetworkSimulation::flush_outbox() {
   // Group by exact delivery instant.  The sort is stable so same-instant
   // messages keep their send order -- that, plus the fact that distinct
   // instants are ordered by time regardless of seq, is what makes
-  // batched delivery trajectory-identical to the per-message reference.
-  sort_outbox();
+  // batched delivery trajectory-identical to the per-message reference,
+  // which schedules every message on its own in send order.
+  const bool batched = options_.batched_delivery;
+  if (batched) sort_outbox();
   for (std::size_t i = 0; i < outbox_.size();) {
     std::size_t j = i + 1;
-    while (j < outbox_.size() && outbox_[j].first == outbox_[i].first) ++j;
-    ++stats_.delivery_events;
+    while (batched && j < outbox_.size() &&
+           outbox_[j].first == outbox_[i].first) {
+      ++j;
+    }
+    ++counters_[0].delivery_events;
     if (j == i + 1) {
       // Uncoalesced instant (the common case under continuous delay
-      // distributions): skip the batch, schedule the delivery directly
-      // -- same cost as per-message mode.
+      // distributions): skip the batch, schedule the delivery directly.
       engine_.at(outbox_[i].first,
                  [this, m = outbox_[i].second] { deliver(m); });
     } else {
@@ -491,18 +452,14 @@ void NetworkSimulation::flush_outbox() {
 }
 
 void NetworkSimulation::deliver(const Delivery& m) {
+  const sim::Time t = node_now(m.to);
   if (!is_live(m.edge)) {
-    ++stats_.messages_dropped;
-    if (trace_) {
-      recorder_->on_trace({obs::TraceEvent::Kind::kDrop, engine_.now(), m.from,
-                           m.to, m.value, 0.0, false});
-    }
+    drop(m, t);
     return;
   }
-  const sim::Time t = engine_.now();
   const StoreDelivery d{m.from, m.to, m.value, clocks_.value_at(m.to, t), t,
                         m.edge.slot};
-  ClassicSink sink(this);
+  Sink sink(this, ctx(m.to), stream(m.to));
   store_.on_deliveries(&d, 1, sink);
 }
 
@@ -510,7 +467,7 @@ void NetworkSimulation::deliver_batch(std::uint32_t id) {
   // Delivery never sends, so batches_ cannot grow under this reference.
   std::vector<Delivery>& batch = batches_[id];
   const sim::Time t = engine_.now();
-  ClassicSink sink(this);
+  Sink sink(this, 0, 0);  // classic: one context, one stream
   scratch_.clear();
   const auto flush = [&] {
     if (scratch_.empty()) return;
@@ -522,11 +479,7 @@ void NetworkSimulation::deliver_batch(std::uint32_t id) {
       // Emit the drop at its original position in the batch: flush the
       // accepted run so far, then count/trace the drop.
       flush();
-      ++stats_.messages_dropped;
-      if (trace_) {
-        recorder_->on_trace({obs::TraceEvent::Kind::kDrop, t, m.from, m.to,
-                             m.value, 0.0, false});
-      }
+      drop(m, t);
       continue;
     }
     scratch_.push_back(StoreDelivery{m.from, m.to, m.value,
@@ -538,71 +491,25 @@ void NetworkSimulation::deliver_batch(std::uint32_t id) {
   free_batches_.push_back(id);
 }
 
-void NetworkSimulation::send_sharded(std::size_t ctx, NodeId from, NodeId to,
-                                     EdgeRef edge, double value, sim::Time t) {
-  double d = link_.prop.sample(net::Edge(from, to), node_rngs_[from]);
-  // The clamp enforces BOTH halves of the delay contract: <= bound (the
-  // algorithm's assumption) and >= floor (the lookahead the barrier
-  // windows rest on), so a misbehaving sampler cannot smuggle an event
-  // into the current window.
-  d = std::clamp(d, link_.prop.floor, link_.prop.bound);
-  ShardCounters& counters = shard_counters_[ctx];
-  // The pipeline only ADDS delay above the propagation draw (and the
-  // result clamps to [d, bound]), so the lookahead contract above
-  // survives any traffic model.  Direction state is written from the
-  // sender's context only (this shard, or the coordinator at barriers),
-  // so no lock is needed.
-  d = sync_link_delay(edge.slot, from, to, t, d, counters.ecn_marks,
-                      counters.peak_queue_bytes);
-  node_sync_delay_[from] += d;
-  counters.sync_delay_max = std::max(counters.sync_delay_max, d);
-  ++counters.messages_sent;
-  ++counters.delivery_events;  // sharded mode: one event per message
+void NetworkSimulation::drop(const Delivery& m, sim::Time t) {
+  const std::size_t c = ctx(m.to);
+  ++counters_[c].messages_dropped;
   if (trace_) {
-    push_trace(ctx, from,
-               {obs::TraceEvent::Kind::kSend, t, from, to, value, t + d, false});
+    emit(c, m.to,
+         {obs::TraceEvent::Kind::kDrop, t, m.from, m.to, m.value, 0.0, false});
   }
-  sharded_->post(ctx, shard_of_[to], t + d,
-                 sim::PostKey{t, from, node_msg_index_[from]++},
-                 [this, m = Delivery{from, to, value, edge}] {
-                   deliver_sharded(m);
-                 });
 }
 
-void NetworkSimulation::deliver_sharded(const Delivery& m) {
-  const std::size_t ctx = shard_of_[m.to];
-  const sim::Time t = sharded_->shard_now(ctx);
-  if (!is_live(m.edge)) {
-    ++shard_counters_[ctx].messages_dropped;
-    if (trace_) {
-      push_trace(ctx, m.to, {obs::TraceEvent::Kind::kDrop, t, m.from, m.to,
-                             m.value, 0.0, false});
-    }
-    return;
-  }
-  const StoreDelivery d{m.from, m.to, m.value, clocks_.value_at(m.to, t), t,
-                        m.edge.slot};
-  ShardedSink sink(this);
-  store_.on_deliveries(&d, 1, sink);
-}
-
-double NetworkSimulation::sync_link_delay(std::uint32_t slot, NodeId from,
-                                          NodeId to, sim::Time t, double d_prop,
-                                          std::uint64_t& ecn_marks,
-                                          std::uint64_t& peak_queue_bytes) {
-  const net::TrafficModel& m = link_.traffic;
-  // The early return IS the ideal-link degeneration: with no finite
-  // bandwidth the propagation draw passes through untouched, so "off"
-  // and infinite-bandwidth "idle" produce identical bytes (the
-  // link-equivalence matrix holds this door shut).
-  if (!m.pipeline_active() || m.bandwidth <= 0.0) return d_prop;
-  net::LinkDecision dec =
-      net::link_offer(m, link_dirs_[slot].dir[dir_index(from, to)], t,
-                      m.sync_bytes, /*droppable=*/false);
-  if (dec.marked) ++ecn_marks;
-  peak_queue_bytes = std::max(
-      peak_queue_bytes, static_cast<std::uint64_t>(dec.backlog_bytes));
-  return std::min(dec.wait + dec.tx + d_prop, link_.prop.bound);
+net::LinkDecision NetworkSimulation::offer(Counters& c, std::uint32_t slot,
+                                           NodeId from, NodeId to, sim::Time t,
+                                           double bytes, bool droppable) {
+  const net::LinkDecision dec =
+      net::link_offer(link_.traffic, link_dirs_[slot].dir[dir_index(from, to)],
+                      t, bytes, droppable);
+  if (dec.marked) ++c.ecn_marks;
+  c.peak_queue_bytes = std::max(c.peak_queue_bytes,
+                                static_cast<std::uint64_t>(dec.backlog_bytes));
+  return dec;
 }
 
 void NetworkSimulation::start_flows(const net::Edge& e, EdgeRef edge,
@@ -615,59 +522,40 @@ void NetworkSimulation::start_flows(const net::Edge& e, EdgeRef edge,
     const NodeId from = ends[i][0];
     const NodeId to = ends[i][1];
     // Stable per-direction phase in (0, 1) periods: staggers flow starts
-    // across links without drawing randomness.
+    // across links without drawing randomness.  add_edge runs at barriers
+    // (or in the constructor) with every shard parked, so scheduling on
+    // the sender's shard is allowed.
     const sim::Time first =
         t + period * net::flow_phase(2 * key + static_cast<std::uint64_t>(i));
-    auto fn = [this, from, to, edge] { flow_emit(from, to, edge); };
-    if (sharded_) {
-      // add_edge runs at barriers (or in the constructor) with every
-      // shard parked, exactly the context ShardedEngine::at allows.
-      sharded_->at(shard_of_[from], first, std::move(fn));
-    } else {
-      engine_.at(first, std::move(fn));
-    }
+    at_node(from, first, [this, from, to, edge] { flow_emit(from, to, edge); });
   }
 }
 
 void NetworkSimulation::flow_emit(NodeId from, NodeId to, EdgeRef edge) {
   if (!is_live(edge)) return;  // the edge (incarnation) died; so does the flow
-  const sim::Time t =
-      sharded_ ? sharded_->shard_now(shard_of_[from]) : engine_.now();
+  const sim::Time t = node_now(from);
+  Counters& c = counters_[ctx(from)];
   const net::LinkDecision dec =
-      net::link_offer(link_.traffic,
-                      link_dirs_[edge.slot].dir[dir_index(from, to)], t,
-                      link_.traffic.flow_bytes(), link_.traffic.flow_droppable());
-  if (sharded_) {
-    ShardCounters& c = shard_counters_[shard_of_[from]];
-    ++c.traffic_packets;
-    if (dec.dropped) ++c.traffic_dropped;
-    if (dec.marked) ++c.ecn_marks;
-    c.peak_queue_bytes = std::max(
-        c.peak_queue_bytes, static_cast<std::uint64_t>(dec.backlog_bytes));
-  } else {
-    ++stats_.traffic_packets;
-    if (dec.dropped) ++stats_.traffic_dropped;
-    if (dec.marked) ++stats_.ecn_marks;
-    stats_.peak_queue_bytes = std::max(
-        stats_.peak_queue_bytes, static_cast<std::uint64_t>(dec.backlog_bytes));
-  }
-  const sim::Time next = t + link_.traffic.flow_period();
-  auto fn = [this, from, to, edge] { flow_emit(from, to, edge); };
-  if (sharded_) {
-    sharded_->at(shard_of_[from], next, std::move(fn));
-  } else {
-    engine_.at(next, std::move(fn));
-  }
+      offer(c, edge.slot, from, to, t, link_.traffic.flow_bytes(),
+            link_.traffic.flow_droppable());
+  ++c.traffic_packets;
+  if (dec.dropped) ++c.traffic_dropped;
+  at_node(from, t + link_.traffic.flow_period(),
+          [this, from, to, edge] { flow_emit(from, to, edge); });
 }
 
-void NetworkSimulation::push_trace(std::size_t ctx, NodeId node,
-                                   const obs::TraceEvent& ev) {
-  trace_bufs_[ctx].push_back(
-      PendingTrace{ev, node, node_trace_seq_[node]++, false});
+void NetworkSimulation::emit(std::size_t c, NodeId node,
+                             const obs::TraceEvent& ev) {
+  if (!sharded_) {
+    recorder_->on_trace(ev);
+    return;
+  }
+  const std::uint64_t seq = node == kGlobalRecord ? global_trace_seq_++
+                                                  : node_trace_seq_[node]++;
+  trace_bufs_[c].push_back(PendingTrace{ev, node, seq});
 }
 
-void NetworkSimulation::flush_sharded_trace() {
-  if (!trace_) return;
+void NetworkSimulation::flush_trace() {
   std::size_t total = 0;
   for (const std::vector<PendingTrace>& buf : trace_bufs_) total += buf.size();
   if (total == 0) return;
@@ -685,7 +573,9 @@ void NetworkSimulation::flush_sharded_trace() {
   std::sort(merged.begin(), merged.end(),
             [](const PendingTrace& a, const PendingTrace& b) {
               if (a.ev.t != b.ev.t) return a.ev.t < b.ev.t;
-              if (a.global != b.global) return a.global;
+              const bool ga = a.node == kGlobalRecord;
+              const bool gb = b.node == kGlobalRecord;
+              if (ga != gb) return ga;
               if (a.node != b.node) return a.node < b.node;
               return a.seq < b.seq;
             });
@@ -693,49 +583,41 @@ void NetworkSimulation::flush_sharded_trace() {
 }
 
 const RunStats& NetworkSimulation::stats() const {
-  if (sharded_) compose_run_stats();
+  compose_run_stats();
   stats_.arena_bytes = store_.arena_bytes();
   return stats_;
 }
 
 void NetworkSimulation::compose_run_stats() const {
-  stats_.messages_sent = 0;
-  stats_.messages_delivered = 0;
-  stats_.messages_dropped = 0;
-  stats_.delivery_events = 0;
-  stats_.jumps = 0;
-  stats_.conformance_monotonicity_failures = 0;
-  stats_.traffic_packets = 0;
-  stats_.traffic_dropped = 0;
-  stats_.ecn_marks = 0;
+  // Every counter folds over the context slots: sums commute, and so do
+  // the two maxima, so each fold is K-invariant.  With one slot (classic)
+  // each fold is that slot's value.
+  static constexpr std::uint64_t RunStats::*kSums[] = {
+      &RunStats::messages_sent,        &RunStats::messages_delivered,
+      &RunStats::messages_dropped,     &RunStats::delivery_events,
+      &RunStats::jumps,                &RunStats::topology_events_applied,
+      &RunStats::conformance_checks,   &RunStats::conformance_envelope_failures,
+      &RunStats::conformance_monotonicity_failures,
+      &RunStats::traffic_packets,      &RunStats::traffic_dropped,
+      &RunStats::ecn_marks};
+  for (const auto field : kSums) {
+    stats_.*field = 0;
+    for (const Counters& c : counters_) stats_.*field += c.*field;
+  }
   stats_.peak_queue_bytes = 0;
   stats_.sync_delay_max = 0.0;
-  for (const ShardCounters& c : shard_counters_) {
-    stats_.messages_sent += c.messages_sent;
-    stats_.messages_delivered += c.messages_delivered;
-    stats_.messages_dropped += c.messages_dropped;
-    stats_.delivery_events += c.delivery_events;
-    stats_.jumps += c.jumps;
-    stats_.conformance_monotonicity_failures += c.monotonicity_failures;
-    stats_.traffic_packets += c.traffic_packets;
-    stats_.traffic_dropped += c.traffic_dropped;
-    stats_.ecn_marks += c.ecn_marks;
-    // max folds commute, so these two stay K-invariant without any
-    // per-node bookkeeping.
+  for (const Counters& c : counters_) {
     stats_.peak_queue_bytes = std::max(stats_.peak_queue_bytes,
                                        c.peak_queue_bytes);
     stats_.sync_delay_max = std::max(stats_.sync_delay_max, c.sync_delay_max);
   }
+  // Per-stream float sums folded in stream order keep the addition order
+  // -- and the serialized double -- shard-count-invariant (and, with one
+  // stream, equal to the event-order sum: 0.0 + s == s).
   stats_.total_jump = 0.0;
-  for (const double jump : node_jump_) stats_.total_jump += jump;
-  // Like total_jump: per-sender sums folded in node order keep the float
-  // addition order -- and the serialized double -- shard-count-invariant.
+  for (const double jump : stream_jump_) stats_.total_jump += jump;
   stats_.sync_delay_sum = 0.0;
-  for (const double d : node_sync_delay_) stats_.sync_delay_sum += d;
-  // Per-delivery envelope checks are barrier-audited in sharded mode
-  // (see ShardedSink::after); these stay zero for every shard count.
-  stats_.conformance_checks = 0;
-  stats_.conformance_envelope_failures = 0;
+  for (const double d : stream_sync_delay_) stats_.sync_delay_sum += d;
 }
 
 void NetworkSimulation::check_edge_conformance(const StoreDelivery& d,
@@ -743,7 +625,8 @@ void NetworkSimulation::check_edge_conformance(const StoreDelivery& d,
   // The delivery was accepted and kernel callbacks never touch the edge
   // set, so the slot still holds the edge the message crossed.
   const EdgeSlot& s = edge_slots_[d.tag];
-  ++stats_.conformance_checks;
+  Counters& c = counters_[0];  // classic only: one context
+  ++c.conformance_checks;
   // The node-side B runs on hardware ages, which an outside observer
   // cannot see exactly; the slowest admissible clock gives the youngest
   // age and hence the loosest envelope any conforming node could be
@@ -762,12 +645,10 @@ void NetworkSimulation::check_edge_conformance(const StoreDelivery& d,
   const double observed =
       std::abs(store_.logical_clock(d.from, audit_hw_) - logical_to);
   const bool violated = observed > allowed;
-  if (violated) {
-    ++stats_.conformance_envelope_failures;
-  }
+  if (violated) ++c.conformance_envelope_failures;
   if (trace_) {
-    recorder_->on_trace({obs::TraceEvent::Kind::kConformance, d.now, s.u, s.v,
-                         observed, allowed, violated});
+    emit(0, d.to, {obs::TraceEvent::Kind::kConformance, d.now, s.u, s.v,
+                   observed, allowed, violated});
   }
 }
 

@@ -20,11 +20,35 @@
 // bound >= total >= floor; test_link.cpp pins both halves.)
 //
 // With SimOptions::check_conformance set, the simulator audits the run as
-// it goes: after every delivery it checks the delivered edge's skew
-// against the B envelope (evaluated at the most conservative hardware age
-// (1-rho) * real age) and checks that logical clocks never run backwards.
-// Violations are counted, never fatal -- bench_ablation deliberately runs
-// crippled tolerances to show the counters moving.
+// it goes: after every delivery it checks that logical clocks never run
+// backwards, and (classic mode) checks the delivered edge's skew against
+// the B envelope, evaluated at the most conservative hardware age
+// (1-rho) * real age.  Violations are counted, never fatal --
+// bench_ablation deliberately runs crippled tolerances to show the
+// counters moving.
+//
+// One message path, two execution layouts.  Sending, delivery, the
+// delivery sink, flows, tracing and every counter are one body of code
+// parameterised by an execution context (which counter slot and trace
+// buffer a step writes) and a stream (which RNG draws a node's delays
+// and which float bucket sums its jumps and sync delays).  Classic mode
+// (shards == 0) is one context and one stream: its RNG is seeded with
+// SimOptions::seed and its sums accumulate in event order.  Sharded
+// mode is K+1 contexts (the shards, then the barrier-side globals) and
+// n streams (one per node, folded in node order).  The two layouts
+// differ only at these points, each one helper below:
+//   * the scheduler: sim::Engine or sim::ShardedEngine (at_node,
+//     at_global, node_now);
+//   * delivery coalescing: classic stages a flush scope's messages in
+//     outbox_ and schedules one event per delivery instant, sharded
+//     posts one event per message (post_delivery);
+//   * the lower clamp on a propagation draw: 1e-12, or the delay floor
+//     the lookahead window rests on (delay_lo);
+//   * the per-delivery envelope audit, which only classic runs -- it
+//     reads both endpoints' clocks, which a shard may not do mid-window
+//     (Sink::after);
+//   * trace emission: straight to the recorder, or buffered per context
+//     and merged into a canonical order after each run_until (emit).
 //
 // Memory: a run holds live state only.  The DynamicGraph is consumed by
 // the constructor (its events become engine events; the audit sweep
@@ -79,13 +103,15 @@ struct SimOptions {
   // In-cell parallelism: partition the nodes into this many shards and
   // drive them with sim::ShardedEngine (conservative lookahead on the
   // delay floor).  0 (the default) keeps the classic single-queue
-  // engine.  Sharded runs are their own deterministic universe -- one
-  // RNG stream per node, one delivery event per message, envelope
-  // conformance audited at sample times instead of per delivery -- and
-  // within it every observable byte is invariant across shard counts
-  // (shards=1 runs inline and IS the single-threaded reference), but a
-  // sharded run is intentionally not byte-comparable to a shards == 0
-  // run.  Requires a delay model with floor > 0; batched_delivery is
+  // engine.  Both run the same message path (see NetworkSimulation),
+  // but sharded runs are their own deterministic universe -- their own
+  // scheduler, one RNG stream per node, one delivery event per message,
+  // delays clamped below to the floor, envelope conformance audited at
+  // sample times instead of per delivery, traces merged in a canonical
+  // order -- and within it every observable byte is invariant across
+  // shard counts (shards=1 runs inline and IS the single-threaded
+  // reference), but a sharded run is intentionally not byte-comparable
+  // to a shards == 0 run.  Requires a delay model with floor > 0; batched_delivery is
   // ignored (cross-shard staging already batches per barrier).
   std::size_t shards = 0;
 };
@@ -283,10 +309,13 @@ class NetworkSimulation {
     EdgeRef edge;
   };
   static_assert(sizeof(Delivery) == 24, "in-flight message record grew");
-  // Order-preserving DeliverySink impls (defined in the .cpp): they put
+  // The one order-preserving DeliverySink (defined in the .cpp): it puts
   // stats, traces, and conformance checks around each record.
-  struct ClassicSink;
-  struct ShardedSink;
+  struct Sink;
+  // One execution context's counters: the RunStats fields that
+  // compose_run_stats folds (sums, and the two maxima), each written
+  // only by its context.  Padded so shards never share a line.
+  struct alignas(64) Counters : RunStats {};
 
   // The edge a peer segment's tag names: segments hold live edges only.
   EdgeRef live_ref(std::uint32_t slot) const {
@@ -300,15 +329,66 @@ class NetworkSimulation {
   // Which EdgeSlot::dir entry carries from -> to traffic.
   static int dir_index(NodeId from, NodeId to) { return from < to ? 0 : 1; }
 
+  // Execution contexts and streams (see the file comment): node u runs
+  // in ctx(u), barrier-side work (topology deltas, discovery exchanges)
+  // in global_ctx(); u draws from and sums into stream(u).
+  std::size_t ctx(NodeId u) const { return sharded_ ? shard_of_[u] : 0; }
+  std::size_t global_ctx() const {
+    return sharded_ ? sharded_->global_ctx() : 0;
+  }
+  std::size_t stream(NodeId u) const { return sharded_ ? u : 0; }
+
+  // The universe boundary (see the file comment); everything else runs
+  // the same code in both modes.
+  template <class F>
+  void at_node(NodeId u, sim::Time t, F&& fn) {
+    if (sharded_) {
+      sharded_->at(shard_of_[u], t, std::forward<F>(fn));
+    } else {
+      engine_.at(t, std::forward<F>(fn));
+    }
+  }
+  template <class F>
+  void at_global(sim::Time t, F&& fn) {
+    if (sharded_) {
+      sharded_->at_global(t, std::forward<F>(fn));
+    } else {
+      engine_.at(t, std::forward<F>(fn));
+    }
+  }
+  // The current time in u's context.
+  sim::Time node_now(NodeId u) const {
+    return sharded_ ? sharded_->shard_now(shard_of_[u]) : engine_.now();
+  }
+  // Sharded mode clamps to BOTH halves of the delay contract: <= bound
+  // (the algorithm's assumption) and >= floor (the lookahead the barrier
+  // windows rest on), so a misbehaving sampler cannot smuggle an event
+  // into the current window.
+  double delay_lo() const { return sharded_ ? link_.prop.floor : 1e-12; }
+  // Classic: stages `m` in outbox_ for the caller's flush_outbox().
+  // Sharded: posts it as its own event under the canonical (t, send_t,
+  // origin, index) merge key.
+  void post_delivery(std::size_t c, sim::Time at, sim::Time send_t,
+                     const Delivery& m);
+  // Classic: hands `ev` to the recorder.  Sharded: buffers it in context
+  // c under its canonical key; flush_trace() merges after run_until.
+  // `node` is the emitting node, or kGlobalRecord for barrier-side
+  // records.
+  void emit(std::size_t c, NodeId node, const obs::TraceEvent& ev);
+  static constexpr NodeId kGlobalRecord = ~NodeId{0};
+
   void apply_event(const net::TopologyEvent& ev);
   void add_edge(const net::Edge& e, sim::Time t, bool initial);
   void remove_edge(const net::Edge& e, sim::Time t);
   void schedule_broadcast(NodeId u);
   void broadcast(NodeId u);
-  // Stages (batched) or schedules (per-message reference) one message
-  // on the live edge `edge`.  Batched callers must flush_outbox() before
-  // returning to the engine.
-  void send(NodeId from, NodeId to, EdgeRef edge, double value, sim::Time t);
+  // Sends one message on the live edge `edge` from context c.  Every
+  // caller must flush_outbox() before returning to the engine.
+  void send(std::size_t c, NodeId from, NodeId to, EdgeRef edge,
+            double value, sim::Time t);
+  // Schedules the staged outbox: one event per distinct delivery instant
+  // (batched) or per message (the reference).  A no-op when empty, which
+  // sharded mode always is.
   void flush_outbox();
   // Stable-sorts outbox_ by delivery time without allocating once the
   // scratch below has grown to the largest broadcast.
@@ -321,37 +401,26 @@ class NetworkSimulation {
   // their original positions -- byte-order-identical to per-record
   // delivery.  Returns the batch to the pool.
   void deliver_batch(std::uint32_t id);
+  void drop(const Delivery& m, sim::Time t);
   // Per-delivery envelope audit of the edge the message `d` (tagged with
   // its edge slot) just crossed; `logical_to` is the receiver's logical
   // clock after the delivery, from the hardware reading it already took.
   void check_edge_conformance(const StoreDelivery& d, double logical_to);
-  // Sharded-mode message path: `ctx` is the execution context doing the
-  // send (the node's shard, or global_ctx() for barrier-side discovery
-  // exchanges); delivery is staged through the sharded engine's outbox
-  // under the canonical (t, send_t, origin, index) key.
-  void send_sharded(std::size_t ctx, NodeId from, NodeId to, EdgeRef edge,
-                    double value, sim::Time t);
-  void deliver_sharded(const Delivery& m);
   // Background-flow machinery (TrafficModel::has_flows()): start_flows
   // schedules the first emission for both directions of a fresh edge
   // (constructor or barrier context); flow_emit offers one packet/burst
-  // to its direction's FIFO and reschedules itself on the sender's
-  // shard until the edge incarnation dies.  Flows draw no randomness --
+  // to its direction's FIFO and reschedules itself in the sender's
+  // context until the edge incarnation dies.  Flows draw no randomness --
   // the phase is a pure function of the edge key -- so they cannot
   // shift a single propagation draw.
   void start_flows(const net::Edge& e, EdgeRef edge, sim::Time t);
   void flow_emit(NodeId from, NodeId to, EdgeRef edge);
-  // Shared per-send pipeline step: offers sync_bytes to the from -> to
-  // FIFO, folds the traffic counters into `counters` (a shard slot or
-  // the classic stats), and returns the total delay (wait + tx + the
-  // already-clamped propagation draw `d_prop`), clamped above to the
-  // propagation bound.  With no finite-bandwidth pipeline the result
-  // is bit-exactly d_prop.
-  double sync_link_delay(std::uint32_t slot, NodeId from, NodeId to,
-                         sim::Time t, double d_prop, std::uint64_t& ecn_marks,
-                         std::uint64_t& peak_queue_bytes);
-  void push_trace(std::size_t ctx, NodeId node, const obs::TraceEvent& ev);
-  void flush_sharded_trace();
+  // Offers `bytes` to the from -> to FIFO of edge slot `slot` and counts
+  // the mark and backlog into `c`.
+  net::LinkDecision offer(Counters& c, std::uint32_t slot, NodeId from,
+                          NodeId to, sim::Time t, double bytes,
+                          bool droppable);
+  void flush_trace();
   void compose_run_stats() const;
 
   SyncParams params_;
@@ -363,7 +432,6 @@ class NetworkSimulation {
   // costs nothing on the message path).
   obs::Recorder* recorder_;
   bool trace_;
-  util::Rng rng_;
   // Incremental interval-connectivity cursor over the schedule's
   // (T+D)-windows (owns its own copy of the schedule): each run_until
   // sweeps only the windows newly completed since the previous call, so
@@ -372,58 +440,34 @@ class NetworkSimulation {
 
   sim::Engine engine_;
   // Sharded mode (options_.shards > 0): sharded_ replaces engine_
-  // (which then stays empty), nodes map onto shards in round-robin
-  // blocks (shard_of above, cached in shard_of_), and every node draws
-  // delays from its own seeded RNG stream so sends on different shards
-  // never contend for -- or K-variantly reorder draws from -- a shared
-  // generator.  A node's Rng creates its engine on the
-  // first draw, in whichever single context owns the node at that moment
-  // (its shard, or the coordinator at barriers), so a constant delay
-  // allocates no engines at all.
+  // (which then stays empty) and nodes map onto shards in round-robin
+  // blocks (shard_of above, cached in shard_of_).
   std::unique_ptr<sim::ShardedEngine> sharded_;
   std::vector<std::uint32_t> shard_of_;
-  std::vector<util::Rng> node_rngs_;
   // Per-node running index of posted messages: the K-invariant
   // tiebreaker in the barrier-merge key.
   std::vector<std::uint64_t> node_msg_index_;
-  // Message counters split by execution context (one slot per shard,
-  // last slot = globals): each is written only by its owner, folded
-  // into stats_ at read time.  Padded so shards never share a line.
-  struct ShardCounters {
-    alignas(64) std::uint64_t messages_sent = 0;
-    std::uint64_t messages_delivered = 0;
-    std::uint64_t messages_dropped = 0;
-    std::uint64_t delivery_events = 0;
-    std::uint64_t jumps = 0;
-    std::uint64_t monotonicity_failures = 0;
-    // Traffic pipeline counters.  Sums fold shard-order-independently;
-    // the two maxima fold with max, which commutes, so every fold below
-    // is K-invariant.
-    std::uint64_t traffic_packets = 0;
-    std::uint64_t traffic_dropped = 0;
-    std::uint64_t ecn_marks = 0;
-    std::uint64_t peak_queue_bytes = 0;
-    double sync_delay_max = 0.0;
-  };
-  std::vector<ShardCounters> shard_counters_;
-  // Jump magnitudes accumulate per node and fold in node order, so the
-  // float addition order -- and hence the serialized total -- is the
-  // same for every shard count.
-  std::vector<double> node_jump_;
-  // Sync-message total delays accumulate per SENDER and fold in node
-  // order, for the same K-invariance reason (a node's sends happen on
-  // its own shard or at barriers, never concurrently).
-  std::vector<double> node_sync_delay_;
-  // Recorder passthrough: on_trace calls must arrive in a K-invariant
+  // One slot per execution context, folded into stats_ at read time.
+  std::vector<Counters> counters_;
+  // Per stream: the delay RNG, and the jump and sync-delay sums.  Per-
+  // node streams (sharded) keep sends on different shards from
+  // contending for -- or K-variantly reordering draws from -- a shared
+  // generator, and fold in node order, so the float addition order is
+  // the same for every shard count.  A stream's Rng creates its engine
+  // on the first draw, in whichever single context owns the node at
+  // that moment, so a constant delay allocates no engines at all.
+  std::vector<util::Rng> stream_rng_;
+  std::vector<double> stream_jump_;
+  std::vector<double> stream_sync_delay_;
+  // Sharded trace buffers: on_trace calls must arrive in a K-invariant
   // order (TelemetryRecorder's decimation is order-sensitive), but
   // shards emit concurrently.  Each context buffers its records tagged
   // with a canonical sort key -- (t, globals-first, node, per-node
   // emission seq) -- and run_until merges and feeds them afterwards.
   struct PendingTrace {
     obs::TraceEvent ev;
-    std::uint32_t node = 0;
+    NodeId node = 0;
     std::uint64_t seq = 0;
-    bool global = false;
   };
   std::vector<std::vector<PendingTrace>> trace_bufs_;
   std::vector<std::uint64_t> node_trace_seq_;
@@ -454,8 +498,8 @@ class NetworkSimulation {
   NodeId audit_from_ = 0;
   sim::Time audit_t_ = -1.0;  // no reading yet: times are >= 0
   double audit_hw_ = 0.0;
-  // Batched mode: messages staged by the current flush scope in send
-  // order; flush_outbox sort-groups them by exact delivery instant.
+  // Classic mode: messages staged by the current flush scope in send
+  // order; flush_outbox groups them by exact delivery instant.
   std::vector<std::pair<sim::Time, Delivery>> outbox_;
   // sort_outbox's scratch for outboxes past the insertion-sort cutoff:
   // send positions in delivery order, and the outbox gathered in that
@@ -471,9 +515,8 @@ class NetworkSimulation {
   // Scratch for deliver_batch's accepted runs (classic mode is
   // single-threaded, so one buffer serves every batch).
   std::vector<StoreDelivery> scratch_;
-  // mutable because sharded mode composes the message counters from
-  // shard_counters_/node_jump_ inside the const stats() accessor; the
-  // plain path writes it directly, exactly as before.
+  // mutable because the const stats() accessor composes the counters
+  // from counters_ and the stream sums.
   mutable RunStats stats_;
 };
 

@@ -30,21 +30,25 @@ double basis_g(const std::string& basis, std::uint64_t n) {
   fail("unknown basis '" + basis + "'");
 }
 
-// The group key: every trajectory-shaping axis except n, in a fixed
-// order.  shards is execution layout (the determinism matrices prove
+// The group key: every trajectory-shaping config axis except n, in the
+// canonical axis order (config_axis_keys).  topology is in `workload`;
+// shards is execution layout (the determinism matrices prove
 // trajectories do not depend on it) and the seed folds into the per-n
 // max, so neither may split a group -- that is what makes the fit
 // byte-stable across {--jobs} x {shards} reruns of one campaign.
 std::string group_key(const std::string& workload,
                       const ExperimentConfig& config) {
-  const auto num = [](double v) { return json::dump_number(v); };
-  return "workload=" + workload + " drift=" + config.drift +
-         " delay=" + config.delay + " traffic=" + config.traffic +
-         " variant=" + config.variant + " rho=" + num(config.params.rho) +
-         " T=" + num(config.params.T) + " D=" + num(config.params.D) +
-         " delta_h=" + num(config.params.delta_h) +
-         " B0=" + num(config.params.B0) + " horizon=" + num(config.horizon) +
-         " sample_dt=" + num(config.sample_dt);
+  const json::Value echo = config_to_json(config);
+  std::string key = "workload=" + workload;
+  for (const std::string& axis : config_axis_keys()) {
+    if (axis == "n" || axis == "topology" || axis == "shards" ||
+        axis == "seed") {
+      continue;
+    }
+    const json::Value& v = echo.at(axis);
+    key += " " + axis + "=" + (v.is_string() ? v.as_string() : json::dump(v));
+  }
+  return key;
 }
 
 struct Candidate {

@@ -89,24 +89,29 @@ const util::Field<R> kResultFields[] = {
     field<&R::clamped_events>("clamped_events", kExact),
 };
 
+// In canonical axis order: workload-defining axes first (they dominate
+// label readability), then model constants, then execution layout and
+// the seed.  Campaign labels, file names and the envelope group key
+// follow it (config_axis_keys), so reordering it is a (cosmetic) schema
+// change; the echo itself is a sorted object and does not move.
 using C = ExperimentConfig;
 using P = core::SyncParams;
 const util::Field<C> kConfigFields[] = {
     field<&C::name>("name", kExact),
     field<&C::params, &P::n>("n", kExact),
+    field<&C::topology>("topology", kExact),
+    field<&C::drift>("drift", kExact),
+    field<&C::delay>("delay", kExact),
+    field<&C::traffic>("traffic", kExact),
+    field<&C::variant>("variant", kExact),
     field<&C::params, &P::rho>("rho", kFloat),
     field<&C::params, &P::T>("T", kFloat),
     field<&C::params, &P::D>("D", kFloat),
     field<&C::params, &P::delta_h>("delta_h", kFloat),
     field<&C::params, &P::B0>("B0", kFloat),
-    field<&C::topology>("topology", kExact),
-    field<&C::drift>("drift", kExact),
-    field<&C::delay>("delay", kExact),
-    field<&C::shards>("shards", kExact),
-    field<&C::traffic>("traffic", kExact),
-    field<&C::variant>("variant", kExact),
     field<&C::horizon>("horizon", kFloat),
     field<&C::sample_dt>("sample_dt", kFloat),
+    field<&C::shards>("shards", kExact),
     field<&C::seed>("seed", kExact),
 };
 
@@ -150,6 +155,14 @@ ExperimentResult result_from_json(const util::json::Value& doc) {
 
 util::json::Value config_to_json(const ExperimentConfig& config) {
   return util::write_record(kConfigFields, config);
+}
+
+std::vector<std::string> config_axis_keys() {
+  std::vector<std::string> keys;
+  for (const util::Field<C>& row : kConfigFields) {
+    if (std::string(row.key) != "name") keys.emplace_back(row.key);
+  }
+  return keys;
 }
 
 std::vector<util::FieldClass> document_field_classes() {

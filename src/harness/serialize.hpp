@@ -76,6 +76,10 @@ ExperimentResult result_from_json(const util::json::Value& doc);
 // files so a cell is re-runnable from its output alone.  The CLI layer
 // adds its own "scenario" key next to this when a generator spec is used.
 util::json::Value config_to_json(const ExperimentConfig& config);
+// The config echo's keys that a campaign may sweep (all but the cell
+// name), in canonical axis order: workload-defining axes first, then
+// model constants, then execution layout and the seed.
+std::vector<std::string> config_axis_keys();
 // Reads the same shape back; missing keys keep the ExperimentConfig
 // defaults, unknown keys throw (they are typos, not forward compat), and
 // a value of the wrong kind throws naming its key.

@@ -6,7 +6,7 @@
 #   -DGCS_RUN=<path to the built gcs_run>
 #   -DOUT_DIR=<scratch directory for the results tree>
 #
-# The header below intentionally duplicates kCsvHeader from
+# The header below intentionally duplicates csv_header() from
 # src/cli/runner.cpp: the CSV is a public schema that CI and external
 # consumers pin, so changing a column must fail this test until the test
 # (and harness::kResultSchemaVersion) are updated deliberately.

@@ -2,7 +2,8 @@
 // byte-identical across shard counts, with shards == 1 -- the inline,
 // threadless configuration -- as the reference), the globals-before-
 // shards ordering rule, the lookahead contract's loud failure, and
-// clamp/validation passthrough.
+// clamp/validation passthrough; and that NetworkSimulation's classic and
+// sharded layouts count one schedule alike.
 #include "sim/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +17,9 @@
 #include <utility>
 #include <vector>
 
+#include "cli/campaign.hpp"
 #include "core/network_sim.hpp"
+#include "harness/experiment.hpp"
 
 namespace {
 
@@ -282,6 +285,59 @@ TEST(ShardedEngine, StatsReportShardCountersAndZeroPolicyCounters) {
   EXPECT_EQ(stats.heap_ops, 0u);
   EXPECT_EQ(stats.calendar_bucket_scans, 0u);
   EXPECT_EQ(stats.calendar_resizes, 0u);
+}
+
+// Both layouts run one message path, so the schedule-shaped counters --
+// what was sent, delivered, dropped, which topology deltas applied, how
+// many background packets were offered -- must agree between classic
+// (shards = 0) and sharded runs, even though the trajectories differ.
+// The counters that differ by design pin each layout's boundary:
+// classic coalesces deliveries and audits every one, sharded posts one
+// event per message and audits at sample times.
+TEST(ShardedNetwork, ClassicAndShardedLayoutsCountTheSameSchedule) {
+  for (const char* traffic : {"off", "cbr:bw=1e6:rate=10"}) {
+    std::vector<gcs::core::RunStats> runs;
+    for (const std::uint64_t shards : {0u, 1u, 4u}) {
+      gcs::harness::ExperimentConfig cfg;
+      cfg.params.n = 200;
+      cfg.drift = "walk";
+      cfg.delay = "constant:0.3";
+      cfg.traffic = traffic;
+      cfg.horizon = 40.0;
+      cfg.shards = shards;
+      const auto spec = gcs::cli::ScenarioSpec::from_flag(
+          "churn:volatile_edges=40:lifetime=1.5");
+      cfg.scenario = spec.build(cfg.params.n, cfg.horizon, cfg.seed);
+      runs.push_back(gcs::harness::run_experiment(cfg).run_stats);
+      const gcs::core::RunStats& s = runs.back();
+      if (shards == 0) {
+        EXPECT_EQ(s.conformance_checks, s.messages_delivered) << traffic;
+        EXPECT_LT(s.delivery_events, s.messages_sent) << traffic;
+      } else {
+        EXPECT_EQ(s.delivery_events, s.messages_sent) << traffic << shards;
+        EXPECT_EQ(s.conformance_checks, 0u) << traffic << shards;
+      }
+    }
+    const gcs::core::RunStats& classic = runs[0];
+    // The counts this cell has always produced (gcs_run --n=200
+    // --scenario=churn:volatile_edges=40:lifetime=1.5 --delay=constant:0.3
+    // --drift=walk --horizon=40, any --shards).
+    EXPECT_EQ(classic.messages_sent, 40360u) << traffic;
+    EXPECT_EQ(classic.messages_delivered, 38801u) << traffic;
+    EXPECT_EQ(classic.messages_dropped, 1246u) << traffic;
+    EXPECT_EQ(classic.topology_events_applied, 2092u) << traffic;
+    EXPECT_EQ(classic.traffic_packets,
+              std::string(traffic) == "off" ? 0u : 191360u);
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      const gcs::core::RunStats& s = runs[i];
+      EXPECT_EQ(s.messages_sent, classic.messages_sent) << traffic << i;
+      EXPECT_EQ(s.messages_delivered, classic.messages_delivered) << traffic;
+      EXPECT_EQ(s.messages_dropped, classic.messages_dropped) << traffic;
+      EXPECT_EQ(s.topology_events_applied, classic.topology_events_applied)
+          << traffic;
+      EXPECT_EQ(s.traffic_packets, classic.traffic_packets) << traffic;
+    }
+  }
 }
 
 }  // namespace
