@@ -1,15 +1,13 @@
 #include "cli/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "harness/serialize.hpp"
 #include "net/trace.hpp"
 #include "util/rng.hpp"
+#include "util/spec.hpp"
 
 namespace gcs::cli {
 
@@ -45,16 +43,11 @@ unsigned kind_bit(const std::string& kind) {
 
 // Every knob and the kinds that accept it; strict, so a knob on the
 // wrong kind is a loud typo.
-struct Knob {
-  util::Field<ScenarioSpec> field;
-  unsigned kinds;
-};
-
 using util::field;
 using Spec = ScenarioSpec;
 constexpr util::DiffClass kExact = util::DiffClass::kExact;
 constexpr util::DiffClass kFloat = util::DiffClass::kFloat;
-const Knob kKnobs[] = {
+const util::Knob<Spec> kKnobs[] = {
     {field<&Spec::volatile_edges>("volatile_edges", kExact), kChurn},
     {field<&Spec::lifetime>("lifetime", kFloat), kChurn},
     {field<&Spec::period>("period", kFloat), kStar},
@@ -75,14 +68,17 @@ const Knob kKnobs[] = {
     {field<&Spec::connect_window>("connect_window", kFloat), kMobile | kTrace},
 };
 
-// True iff `key` names a knob that binds a string member (its row
-// writes a JSON string).
-bool binds_string(const std::string& key) {
-  return std::any_of(std::begin(kKnobs), std::end(kKnobs),
-                     [&](const Knob& k) {
-                       return key == k.field.key &&
-                              k.field.get(ScenarioSpec{}).is_string();
-                     });
+// Refuses what the generators cannot run, naming the knob.
+void check(const ScenarioSpec& spec) {
+  if (spec.kind == "trace" && spec.path.empty()) {
+    fail("trace scenario needs path=<file.csv|file.json>");
+  }
+  // The churn generator needs a positive lifetime; refusing it here
+  // names the knob before any cell runs.
+  if (spec.kind == "churn" && !(spec.lifetime > 0.0)) {
+    fail("scenario knob 'lifetime' must be > 0, got '" +
+         json::dump_number(spec.lifetime) + "'");
+  }
 }
 
 // splitmix64: decorrelates the scenario generator's random stream from the
@@ -100,7 +96,7 @@ json::Value ScenarioSpec::to_json() const {
   json::Value v;
   v["kind"] = kind;
   const unsigned bit = kind_bit(kind);
-  for (const Knob& knob : kKnobs) {
+  for (const util::Knob<Spec>& knob : kKnobs) {
     if ((knob.kinds & bit) != 0) v[knob.field.key] = knob.field.get(*this);
   }
   return v;
@@ -113,11 +109,8 @@ ScenarioSpec ScenarioSpec::from_json(const json::Value& doc) {
   if (bit == 0) fail("unknown scenario kind '" + spec.kind + "'");
   for (const auto& [key, value] : doc.as_object()) {
     if (key == "kind") continue;
-    const auto knob = std::find_if(
-        std::begin(kKnobs), std::end(kKnobs), [&](const Knob& k) {
-          return key == k.field.key && (k.kinds & bit) != 0;
-        });
-    if (knob == std::end(kKnobs)) {
+    const util::Knob<Spec>* knob = util::find_knob(kKnobs, key, bit);
+    if (knob == nullptr) {
       fail("scenario kind '" + spec.kind + "' has no knob '" + key + "'");
     }
     try {
@@ -126,68 +119,27 @@ ScenarioSpec ScenarioSpec::from_json(const json::Value& doc) {
       fail(e.what());
     }
   }
-  if (spec.kind == "trace" && spec.path.empty()) {
-    fail("trace scenario needs path=<file.csv|file.json>");
-  }
-  // The churn generator needs a positive lifetime; refusing it here
-  // names the knob before any cell runs.
-  if (spec.kind == "churn" && !(spec.lifetime > 0.0)) {
-    fail("scenario knob 'lifetime' must be > 0, got '" +
-         json::dump_number(spec.lifetime) + "'");
-  }
+  check(spec);
   return spec;
 }
 
 std::vector<util::FieldClass> ScenarioSpec::field_classes() {
   std::vector<util::FieldClass> out;
-  for (const Knob& knob : kKnobs) {
+  for (const util::Knob<Spec>& knob : kKnobs) {
     out.emplace_back(knob.field.key, knob.field.diff);
   }
   return out;
 }
 
-ScenarioSpec ScenarioSpec::from_flag(const std::string& spec) {
-  // "kind:knob=value:knob=value" -> the JSON form, then the strict reader.
-  json::Value doc;
-  std::size_t pos = spec.find(':');
-  doc["kind"] = spec.substr(0, pos);
-  while (pos != std::string::npos) {
-    const std::size_t start = pos + 1;
-    pos = spec.find(':', start);
-    const std::string part = spec.substr(
-        start, pos == std::string::npos ? std::string::npos : pos - start);
-    const std::size_t eq = part.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      fail("bad scenario flag segment '" + part + "' (want knob=value)");
-    }
-    const std::string key = part.substr(0, eq);
-    const std::string value = part.substr(eq + 1);
-    if (value.empty()) {
-      fail("bad scenario flag segment '" + part + "' (empty value)");
-    }
-    if (value == "true" || value == "false") {
-      doc[key] = (value == "true");
-    } else if (binds_string(key)) {
-      // A string knob takes the text as is; a non-numeric value for any
-      // other knob keeps the targeted error below.
-      doc[key] = value;
-    } else {
-      char* end = nullptr;
-      const double num = std::strtod(value.c_str(), &end);
-      if (end != value.c_str() + value.size()) {
-        fail("bad scenario knob value '" + value + "' for knob '" + key +
-             "'");
-      }
-      // strtod reads "nan", "inf" and overflows such as 1e400 whole; the
-      // JSON form cannot hold them, so refuse them here by name.
-      if (!std::isfinite(num)) {
-        fail("scenario knob '" + key + "' must be finite, got '" + value +
-             "'");
-      }
-      doc[key] = num;
-    }
-  }
-  return from_json(doc);
+ScenarioSpec ScenarioSpec::from_flag(const std::string& text) {
+  util::spec::Reader reader(text, "scenario");
+  ScenarioSpec spec;
+  spec.kind = reader.kind();
+  const unsigned bit = kind_bit(spec.kind);
+  if (bit == 0) reader.fail("unknown kind '" + spec.kind + "'");
+  reader.read_knobs(kKnobs, bit, spec);
+  check(spec);
+  return spec;
 }
 
 net::Scenario ScenarioSpec::build(std::size_t n, double horizon,
@@ -293,18 +245,6 @@ std::vector<json::Value> expand_seeds_object(const json::Value& v) {
   return seeds;
 }
 
-// Parses one override token: JSON-number syntax -> number, else string.
-json::Value parse_scalar(const std::string& token) {
-  if (token == "true") return json::Value(true);
-  if (token == "false") return json::Value(false);
-  char* end = nullptr;
-  const double num = std::strtod(token.c_str(), &end);
-  if (!token.empty() && end == token.c_str() + token.size()) {
-    return json::Value(num);
-  }
-  return json::Value(token);
-}
-
 // Override value grammar: comma-separated tokens, each a scalar or an
 // inclusive integer range "a..b".
 std::vector<json::Value> parse_override_values(const std::string& key,
@@ -316,39 +256,30 @@ std::vector<json::Value> parse_override_values(const std::string& key,
     const std::string token = raw.substr(
         start, comma == std::string::npos ? std::string::npos : comma - start);
     const std::size_t dots = token.find("..");
+    double num = 0.0;
     if (dots != std::string::npos) {
-      // A ".." makes the token a range, and ranges are strictly integer
+      // A ".." makes the token a range, and ranges are strictly whole
       // ("1..5"): anything else ("0.01..0.05") must fail loudly here, not
-      // truncate through strtoull into a silently different sweep.
-      const std::string lo_str = token.substr(0, dots);
-      const std::string hi_str = token.substr(dots + 2);
-      auto all_digits = [](const std::string& s) {
-        if (s.empty()) return false;
-        for (const char c : s) {
-          if (c < '0' || c > '9') return false;
-        }
-        return true;
-      };
-      if (!all_digits(lo_str) || !all_digits(hi_str)) {
+      // truncate into a silently different sweep.
+      const auto lo = util::spec::whole(token.substr(0, dots));
+      const auto hi = util::spec::whole(token.substr(dots + 2));
+      if (!lo || !hi || *hi < *lo || *hi - *lo >= 10000) {
         fail("bad range '" + token + "' for --" + key +
-             " (ranges are integer, like 1..5)");
+             " (ranges are whole numbers, like 1..5)");
       }
-      const std::uint64_t lo = std::strtoull(lo_str.c_str(), nullptr, 10);
-      const std::uint64_t hi = std::strtoull(hi_str.c_str(), nullptr, 10);
-      if (hi < lo || hi - lo >= 10000) {
-        fail("bad range '" + token + "' for --" + key);
-      }
-      for (std::uint64_t v = lo; v <= hi; ++v) values.emplace_back(v);
-    } else if (!token.empty()) {
-      json::Value value = parse_scalar(token);
-      // strtod reads "nan", "inf" and overflows such as 1e400 whole, and
-      // no config field can hold them.
-      if (value.is_number() && !std::isfinite(value.as_number())) {
-        fail("--" + key + " must be finite, got '" + token + "'");
-      }
-      values.push_back(std::move(value));
-    } else {
+      for (std::uint64_t v = *lo; v <= *hi; ++v) values.emplace_back(v);
+    } else if (token.empty()) {
       fail("empty value in --" + key + "=" + raw);
+    } else if (const json::NumberText read = json::read_number(token, &num);
+               read == json::NumberText::kFinite) {
+      values.emplace_back(num);
+    } else if (read == json::NumberText::kNonFinite) {
+      // No config field can hold NaN, an infinity or an overflow.
+      fail("--" + key + " must be finite, got '" + token + "'");
+    } else if (token == "true" || token == "false") {
+      values.emplace_back(token == "true");
+    } else {
+      values.emplace_back(token);
     }
     if (comma == std::string::npos) break;
     start = comma + 1;
@@ -485,6 +416,7 @@ Campaign build_campaign(const json::Value* doc,
       }
     }
     cell.config = harness::config_from_json(cfg_doc);
+    harness::read_axes(cell.config);  // refuse bad specs before any cell runs
     std::string number = std::to_string(cell_no);
     number.insert(0, width - std::min(width, number.size()), '0');
     cell.label = number + suffix;

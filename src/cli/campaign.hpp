@@ -88,7 +88,8 @@ struct ScenarioSpec {
   static ScenarioSpec from_json(const util::json::Value& doc);
   // The (key, diff class) of every knob, for gcs_diff.
   static std::vector<util::FieldClass> field_classes();
-  // Compact flag syntax: "churn:lifetime=5:volatile_edges=4".
+  // Compact flag syntax in the axis-spec grammar (util/spec.hpp):
+  // "churn:lifetime=5:volatile_edges=4".
   static ScenarioSpec from_flag(const std::string& spec);
 
   // Instantiates the generator.  The scenario's randomness is derived

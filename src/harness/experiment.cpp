@@ -1,16 +1,14 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "net/link.hpp"
 #include "net/topology.hpp"
+#include "util/spec.hpp"
 
 namespace gcs::harness {
 
@@ -68,117 +66,58 @@ std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
   return schedules;
 }
 
-// One whole token as a finite number.  std::stod would accept a numeric
-// prefix ("0.25junk") and fail with a bare "stod" on garbage, so parse
-// with strtod and demand it consume everything.
-double parse_number(const std::string& token, const std::string& what,
-                    const std::string& spec) {
-  const char* begin = token.c_str();
-  char* end = nullptr;
-  const double value = std::strtod(begin, &end);
-  if (token.empty() || std::isspace(static_cast<unsigned char>(token[0])) ||
-      end != begin + token.size() || !std::isfinite(value)) {
-    throw std::invalid_argument("run_experiment: " + what + " '" + spec +
-                                "' wants a finite number, got '" + token +
-                                "'");
-  }
-  return value;
-}
-
-// True iff `spec` is `name` alone or `name:...`; `args` gets the tail.
-bool match_spec(const std::string& spec, const std::string& name,
-                std::string* args) {
-  if (spec.rfind(name, 0) != 0) return false;
-  if (spec.size() == name.size()) {
-    args->clear();
-    return true;
-  }
-  if (spec[name.size()] != ':') return false;
-  *args = spec.substr(name.size() + 1);
-  return true;
-}
-
 net::DelayModel build_delay(const ExperimentConfig& cfg) {
   const double T = cfg.params.T;
+  util::spec::Reader spec(cfg.delay, "delay");
+  const bool uniform = spec.kind() == "uniform";
+  if (!uniform && spec.kind() != "constant") {
+    spec.fail("unknown kind (expected uniform | constant)");
+  }
+  // "uniform" = [0, T], "uniform:lo" = [lo, T], "uniform:lo:hi"; a
+  // positive lo gives the delay model the floor sharded runs need.
+  // "constant" = T, "constant:x" = x.
+  const double lo = spec.positional(uniform ? "lo" : "x", uniform ? 0.0 : T);
+  const double hi = uniform ? spec.positional("hi", T) : lo;
+  spec.finish();
   // The simulator clamps every draw into [0, T] (T is the model's delay
   // bound), so a spec reaching outside it would silently run a different
   // distribution.
-  const auto check_within_T = [&](double lo, double hi) {
-    if (!(0.0 <= lo && lo <= hi && hi <= T)) {
-      throw std::invalid_argument("run_experiment: delay '" + cfg.delay +
-                                  "' must lie within [0, T]");
-    }
-  };
-  std::string args;
-  if (match_spec(cfg.delay, "uniform", &args)) {
-    // "uniform" = [0, T]; "uniform:lo" = [lo, T]; "uniform:lo:hi".  A
-    // positive lo gives the delay model the floor sharded runs need.
-    double lo = 0.0;
-    double hi = T;
-    if (cfg.delay != "uniform") {
-      const std::size_t colon = args.find(':');
-      lo = parse_number(args.substr(0, colon), "delay", cfg.delay);
-      if (colon != std::string::npos) {
-        hi = parse_number(args.substr(colon + 1), "delay", cfg.delay);
-      }
-    }
-    check_within_T(lo, hi);
-    return net::make_uniform_delay(T, lo, hi);
-  }
-  if (match_spec(cfg.delay, "constant", &args)) {
-    double value = T;
-    if (cfg.delay != "constant") {
-      value = parse_number(args, "delay", cfg.delay);
-    }
-    check_within_T(value, value);
-    return net::make_constant_delay(T, value);
-  }
-  throw std::invalid_argument("run_experiment: unknown delay '" + cfg.delay +
-                              "'");
-}
-
-net::LinkModel build_link(const ExperimentConfig& cfg) {
-  net::DelayModel delay = build_delay(cfg);
-  try {
-    return net::LinkModel(std::move(delay), net::parse_traffic(cfg.traffic));
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(std::string("run_experiment: ") + e.what());
-  }
+  if (!(0.0 <= lo && lo <= hi && hi <= T)) spec.fail("must lie within [0, T]");
+  return uniform ? net::make_uniform_delay(T, lo, hi)
+                 : net::make_constant_delay(T, lo);
 }
 
 // The ablation axis: "dcsa" | "weighted[:w]" | "noblock" | "nojump".
-core::Variant parse_variant(const std::string& spec) {
+core::Variant parse_variant(const std::string& text) {
+  util::spec::Reader spec(text, "variant");
   core::Variant variant;
-  std::string args;
-  if (spec == "dcsa") return variant;
-  if (match_spec(spec, "weighted", &args)) {
+  if (spec.kind() == "weighted") {
     // "weighted" = uniform weight 0.5; "weighted:w" pins it.  The weight
     // must be a usable tolerance scale in (0, 1].
     variant.rule = core::Variant::Rule::kWeighted;
-    variant.weight = 0.5;
-    if (spec != "weighted") {
-      variant.weight = parse_number(args, "variant", spec);
-    }
+    variant.weight = spec.positional("w", 0.5);
     if (!(variant.weight > 0.0) || variant.weight > 1.0) {
-      throw std::invalid_argument(
-          "run_experiment: weighted variant wants a weight in (0, 1], got '" +
-          spec + "'");
+      spec.fail("'w' must be in (0, 1], got '" +
+                util::json::dump_number(variant.weight) + "'");
     }
-    return variant;
-  }
-  if (spec == "noblock") {
+  } else if (spec.kind() == "noblock") {
     variant.rule = core::Variant::Rule::kNoBlock;
-    return variant;
-  }
-  if (spec == "nojump") {
+  } else if (spec.kind() == "nojump") {
     variant.rule = core::Variant::Rule::kNoJump;
-    return variant;
+  } else if (spec.kind() != "dcsa") {
+    spec.fail("unknown kind (expected dcsa | weighted | noblock | nojump)");
   }
-  throw std::invalid_argument("run_experiment: unknown variant '" + spec +
-                              "'");
+  spec.finish();
+  return variant;
 }
 
 }  // namespace
+
+AxisModels read_axes(const ExperimentConfig& cfg) {
+  // Braced lists evaluate left to right: a bad delay is named first.
+  return {{build_delay(cfg), net::parse_traffic(cfg.traffic)},
+          parse_variant(cfg.variant)};
+}
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 obs::Recorder* recorder) {
@@ -230,9 +169,10 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   options.seed = cfg.seed;
   options.recorder = recorder;
   options.shards = static_cast<std::size_t>(cfg.shards);
+  AxisModels axes = read_axes(cfg);
   core::Protocol protocol;
-  protocol.variant = parse_variant(cfg.variant);
-  core::NetworkSimulation sim(p, std::move(graph), build_link(cfg),
+  protocol.variant = axes.variant;
+  core::NetworkSimulation sim(p, std::move(graph), std::move(axes.link),
                               build_schedules(cfg), options, protocol);
 
   ExperimentResult result;

@@ -20,6 +20,7 @@
 
 #include "core/network_sim.hpp"
 #include "core/params.hpp"
+#include "net/link.hpp"
 #include "net/scenario.hpp"
 #include "obs/recorder.hpp"
 
@@ -40,10 +41,9 @@ struct ExperimentConfig {
   std::string drift = "spread";
 
   // Delay model: "uniform[:lo[:hi]]" (uniform over [lo, hi], defaults
-  // [0, T]) or "constant[:x]" (exactly x, default T).  Every number must
-  // be one whole finite token; anything else throws naming the spec.
-  // Sharded runs need a positive delay floor, i.e. a constant delay or
-  // uniform with lo > 0.
+  // [0, T]) or "constant[:x]" (exactly x, default T), within [0, T], in
+  // the axis-spec grammar (util/spec.hpp).  Sharded runs need a positive
+  // delay floor, i.e. a constant delay or uniform with lo > 0.
   std::string delay = "uniform";
 
   // In-cell shard count for the conservative-parallel engine; 0 keeps
@@ -114,6 +114,20 @@ struct ExperimentResult {
   // bytes do not depend on whether --series was requested.
   obs::SeriesSummary series;
 };
+
+// What a config's delay, traffic and variant specs name.
+struct AxisModels {
+  net::LinkModel link;
+  core::Variant variant;
+};
+
+// Reads the config's delay (which must lie within [0, params.T]),
+// traffic and variant specs in the axis-spec grammar (util/spec.hpp).
+// Throws std::invalid_argument naming the axis, the knob and the
+// offending text.  run_experiment builds the run from it, and
+// cli::build_campaign calls it on every cell, so a bad spec fails before
+// any cell runs.
+AxisModels read_axes(const ExperimentConfig& config);
 
 // Runs the experiment.  `recorder`, when non-null, passively observes
 // the run: it receives one obs::SeriesSample per sample_dt tick and

@@ -1,143 +1,60 @@
 #include "net/link.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <vector>
+#include <tuple>
+
+#include "util/spec.hpp"
 
 namespace gcs::net {
 
 namespace {
 
-struct Knob {
-  std::string key;
-  double value;
+using Traffic = TrafficModel;
+using util::field;
+constexpr util::DiffClass kFloat = util::DiffClass::kFloat;
+
+// Traffic kinds: kKinds[i] is Kind(i) and bit 1 << i of each knob's kind
+// mask ("off" takes no knob).
+const char* const kKinds[] = {"off", "idle", "cbr", "bulk"};
+enum : unsigned { kIdle = 2, kCbr = 4, kBulk = 8, kAny = 14 };
+const util::Knob<Traffic> kKnobs[] = {
+    {field<&Traffic::bandwidth>("bw", kFloat), kAny},
+    {field<&Traffic::queue_bytes>("queue", kFloat), kAny},
+    {field<&Traffic::mark_bytes>("mark", kFloat), kAny},
+    {field<&Traffic::sync_bytes>("msg", kFloat), kAny},
+    {field<&Traffic::rate>("rate", kFloat), kCbr},
+    {field<&Traffic::packet_bytes>("pkt", kFloat), kCbr},
+    {field<&Traffic::transfer_bytes>("bytes", kFloat), kBulk},
+    {field<&Traffic::interval>("interval", kFloat), kBulk},
 };
-
-// Splits "kind:k=v:k=v" into the kind and its knobs; strict about shape
-// so a typo'd axis value fails at campaign-expansion time, not mid-run.
-std::vector<Knob> parse_knobs(const std::string& spec, std::size_t start,
-                              const std::string& kind) {
-  std::vector<Knob> knobs;
-  std::size_t pos = start;
-  while (pos < spec.size()) {
-    if (spec[pos] != ':') {
-      throw std::invalid_argument("traffic '" + spec + "': expected ':'");
-    }
-    ++pos;
-    const std::size_t next = spec.find(':', pos);
-    const std::string part =
-        spec.substr(pos, next == std::string::npos ? next : next - pos);
-    const std::size_t eq = part.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= part.size()) {
-      throw std::invalid_argument("traffic '" + spec + "': knob '" + part +
-                                  "' is not key=value");
-    }
-    double value = 0.0;
-    try {
-      std::size_t used = 0;
-      value = std::stod(part.substr(eq + 1), &used);
-      if (used != part.size() - eq - 1) throw std::invalid_argument("trail");
-    } catch (const std::exception&) {
-      throw std::invalid_argument("traffic '" + spec + "': knob '" + part +
-                                  "' has a non-numeric value");
-    }
-    knobs.push_back(Knob{part.substr(0, eq), value});
-    pos = next == std::string::npos ? spec.size() : next;
-  }
-  (void)kind;
-  return knobs;
-}
-
-double take(std::vector<Knob>& knobs, const std::string& key, double fallback,
-            bool* found = nullptr) {
-  for (std::size_t i = 0; i < knobs.size(); ++i) {
-    if (knobs[i].key == key) {
-      const double v = knobs[i].value;
-      knobs.erase(knobs.begin() + static_cast<std::ptrdiff_t>(i));
-      if (found != nullptr) *found = true;
-      return v;
-    }
-  }
-  if (found != nullptr) *found = false;
-  return fallback;
-}
-
-void reject_leftovers(const std::vector<Knob>& knobs, const std::string& spec) {
-  if (knobs.empty()) return;
-  throw std::invalid_argument("traffic '" + spec + "': unknown knob '" +
-                              knobs.front().key + "'");
-}
-
-void require_positive(double v, const char* what, const std::string& spec) {
-  if (!(v > 0.0)) {
-    throw std::invalid_argument("traffic '" + spec + "': " + what +
-                                " must be > 0");
-  }
-}
-
-void require_non_negative(double v, const char* what, const std::string& spec) {
-  if (v < 0.0) {
-    throw std::invalid_argument("traffic '" + spec + "': " + what +
-                                " must be >= 0");
-  }
-}
 
 }  // namespace
 
-TrafficModel parse_traffic(const std::string& spec) {
+TrafficModel parse_traffic(const std::string& text) {
   TrafficModel m;
-  if (spec == "off") return m;  // kIdeal defaults
-  const std::size_t colon = spec.find(':');
-  const std::string kind = spec.substr(0, colon);
-  std::vector<Knob> knobs =
-      parse_knobs(spec, colon == std::string::npos ? spec.size() : colon, kind);
-
-  const auto common = [&](TrafficModel& out) {
-    out.bandwidth = take(knobs, "bw", 0.0);
-    out.queue_bytes = take(knobs, "queue", 0.0);
-    out.mark_bytes = take(knobs, "mark", 0.0);
-    out.sync_bytes = take(knobs, "msg", 64.0);
-    require_non_negative(out.bandwidth, "bw", spec);
-    require_non_negative(out.queue_bytes, "queue", spec);
-    require_non_negative(out.mark_bytes, "mark", spec);
-    require_positive(out.sync_bytes, "msg", spec);
-  };
-
-  if (kind == "idle") {
-    m.kind = TrafficModel::Kind::kIdle;
-    common(m);
-  } else if (kind == "cbr") {
-    m.kind = TrafficModel::Kind::kCbr;
-    common(m);
-    bool has_rate = false;
-    m.rate = take(knobs, "rate", 0.0, &has_rate);
-    m.packet_bytes = take(knobs, "pkt", 1500.0);
-    if (!has_rate) {
-      throw std::invalid_argument("traffic '" + spec + "': cbr requires rate=");
+  util::spec::Reader spec(text, "traffic");
+  unsigned i = 0;
+  while (i < 4 && spec.kind() != kKinds[i]) ++i;
+  if (i == 4) spec.fail("unknown kind (expected off | idle | cbr | bulk)");
+  m.kind = static_cast<Traffic::Kind>(i);
+  spec.read_knobs(kKnobs, 1u << i, m);
+  // bw, queue and mark may be 0 (infinite, unbounded, off); every other
+  // knob must be > 0.  cbr and bulk load a finite link, so they need bw
+  // and their own knobs (which default to 0).
+  const bool cbr = m.kind == Traffic::Kind::kCbr;
+  const bool bulk = m.kind == Traffic::Kind::kBulk;
+  const std::tuple<const char*, double, bool> checks[] = {
+      {"bw", m.bandwidth, cbr || bulk}, {"queue", m.queue_bytes, false},
+      {"mark", m.mark_bytes, false},    {"msg", m.sync_bytes, true},
+      {"rate", m.rate, cbr},            {"pkt", m.packet_bytes, true},
+      {"bytes", m.transfer_bytes, bulk}, {"interval", m.interval, bulk}};
+  for (const auto& [key, value, positive] : checks) {
+    if (positive ? !(value > 0.0) : value < 0.0) {
+      spec.fail(std::string("'") + key + "' must be " +
+                (positive ? "> 0" : ">= 0") + ", got '" +
+                util::json::dump_number(value) + "'");
     }
-    require_positive(m.rate, "rate", spec);
-    require_positive(m.packet_bytes, "pkt", spec);
-    require_positive(m.bandwidth, "bw (cbr loads a finite link)", spec);
-  } else if (kind == "bulk") {
-    m.kind = TrafficModel::Kind::kBulk;
-    common(m);
-    bool has_bytes = false;
-    bool has_interval = false;
-    m.transfer_bytes = take(knobs, "bytes", 0.0, &has_bytes);
-    m.interval = take(knobs, "interval", 0.0, &has_interval);
-    if (!has_bytes || !has_interval) {
-      throw std::invalid_argument("traffic '" + spec +
-                                  "': bulk requires bytes= and interval=");
-    }
-    require_positive(m.transfer_bytes, "bytes", spec);
-    require_positive(m.interval, "interval", spec);
-    require_positive(m.bandwidth, "bw (bulk loads a finite link)", spec);
-  } else {
-    throw std::invalid_argument(
-        "traffic '" + spec +
-        "': unknown kind (expected off | idle | cbr | bulk)");
   }
-  reject_leftovers(knobs, spec);
   return m;
 }
 

@@ -74,8 +74,8 @@ struct TrafficModel {
   bool flow_droppable() const { return kind == Kind::kCbr; }
 };
 
-// Parses the --traffic axis value.  Grammar (same shape as the scenario
-// specs): "off" | "<kind>[:knob=value[:knob=value...]]" with
+// Parses the --traffic axis value: "off" | "<kind>[:knob=value...]" in
+// the axis-spec grammar (util/spec.hpp, docs/specs.md), with
 //
 //   idle   knobs: bw, queue, mark, msg            (all optional)
 //   cbr    knobs: bw, rate (required), pkt, queue, mark, msg
@@ -83,8 +83,8 @@ struct TrafficModel {
 //
 // bw/queue/mark/msg/pkt/bytes are in bytes (bw in bytes/sec), rate in
 // packets/sec, interval in seconds.  cbr and bulk require bw > 0 (a
-// background flow on an infinite-bandwidth link offers no load).
-// Unknown kinds or knobs throw std::invalid_argument.
+// background flow on an infinite-bandwidth link offers no load).  A bad
+// kind or knob throws std::invalid_argument naming the knob and value.
 TrafficModel parse_traffic(const std::string& spec);
 
 // Per-direction FIFO state: the instant the transmitter frees up.  One

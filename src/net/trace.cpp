@@ -1,12 +1,13 @@
 #include "net/trace.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/spec.hpp"
 
 namespace gcs::net {
 
@@ -45,28 +46,19 @@ std::vector<std::string> split_fields(const std::string& line) {
 }
 
 double parse_time(const std::string& token, std::size_t line_no) {
-  char* end = nullptr;
-  const double t = std::strtod(token.c_str(), &end);
-  if (token.empty() || end != token.c_str() + token.size()) {
-    fail_line(line_no, "bad time '" + token + "'");
-  }
-  if (!std::isfinite(t) || t < 0.0) {
-    fail_line(line_no, "time must be finite and >= 0, got '" + token + "'");
+  double t = 0.0;
+  if (util::json::read_number(token, &t) != util::json::NumberText::kFinite ||
+      t < 0.0) {
+    fail_line(line_no, "bad time '" + token + "' (must be finite and >= 0)");
   }
   return t;
 }
 
 std::size_t parse_count(const std::string& token, std::size_t line_no,
                         const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-  if (token.empty() || end != token.c_str() + token.size() ||
-      token.find_first_not_of("0123456789") != std::string::npos ||
-      errno == ERANGE) {  // strtoull saturates on overflow; stay loud
-    fail_line(line_no, std::string("bad ") + what + " '" + token + "'");
-  }
-  return static_cast<std::size_t>(v);
+  const std::optional<std::uint64_t> v = util::spec::whole(token);
+  if (!v) fail_line(line_no, std::string("bad ") + what + " '" + token + "'");
+  return static_cast<std::size_t>(*v);
 }
 
 ContactEvent make_event(double t, std::size_t u, std::size_t v, bool up,

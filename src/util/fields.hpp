@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -93,6 +94,25 @@ const Field<T>* find_field(const Field<T> (&table)[N],
                            const std::string& key) {
   for (const Field<T>& row : table) {
     if (key == row.key) return &row;
+  }
+  return nullptr;
+}
+
+// A row that only some kinds of a record accept (a scenario's or a
+// traffic model's knobs): `kinds` is a mask of kind bits.
+template <class T>
+struct Knob {
+  Field<T> field;
+  unsigned kinds;
+};
+
+// The row of `table` named `key` that the kind `kind_bit` accepts, or
+// nullptr.
+template <class T, std::size_t N>
+const Knob<T>* find_knob(const Knob<T> (&table)[N], std::string_view key,
+                         unsigned kind_bit) {
+  for (const Knob<T>& knob : table) {
+    if ((knob.kinds & kind_bit) != 0 && key == knob.field.key) return &knob;
   }
   return nullptr;
 }

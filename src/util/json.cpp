@@ -113,6 +113,30 @@ bool operator==(const Value& a, const Value& b) {
 // ---------------------------------------------------------------------------
 namespace {
 
+// The length of the number the grammar reads at the front of `text` (0
+// when none starts there): '-'? digit+ ('.' digit*)? ([eE] [+-]? digit*)?.
+// read_number's strtod then has the last word, so "1e" is malformed.
+std::size_t number_length(std::string_view text) {
+  std::size_t pos = 0;
+  const auto digits = [&] {
+    const std::size_t start = pos;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+    return pos > start;
+  };
+  if (pos < text.size() && text[pos] == '-') ++pos;
+  if (!digits()) return 0;
+  if (pos < text.size() && text[pos] == '.') {
+    ++pos;
+    digits();
+  }
+  if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+    ++pos;
+    if (pos < text.size() && (text[pos] == '+' || text[pos] == '-')) ++pos;
+    digits();
+  }
+  return pos;
+}
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -321,34 +345,14 @@ class Parser {
   }
 
   Value parse_number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
-      pos_ = start;
-      fail("invalid value");
-    }
-    auto digits = [&] {
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    };
-    digits();
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      digits();
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      digits();
-    }
-    const std::string slice = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double v = std::strtod(slice.c_str(), &end);
-    if (end != slice.c_str() + slice.size()) fail("malformed number");
-    if (!std::isfinite(v)) fail("number out of double range");
+    const std::size_t len = number_length(std::string_view(text_).substr(pos_));
+    if (len == 0) fail("invalid value");
+    double v = 0.0;
+    const NumberText read =
+        read_number(std::string_view(text_).substr(pos_, len), &v);
+    pos_ += len;
+    if (read == NumberText::kNotNumber) fail("malformed number");
+    if (read == NumberText::kNonFinite) fail("number out of double range");
     return Value(v);
   }
 
@@ -359,6 +363,19 @@ class Parser {
 }  // namespace
 
 Value parse(const std::string& text) { return Parser(text).run(); }
+
+NumberText read_number(std::string_view text, double* out) {
+  const std::string copy(text);  // strtod wants a terminated string
+  char* end = nullptr;
+  const double v = std::strtod(copy.c_str(), &end);
+  if (copy.empty() || end != copy.c_str() + copy.size()) {
+    return NumberText::kNotNumber;
+  }
+  if (!std::isfinite(v)) return NumberText::kNonFinite;
+  if (number_length(text) != text.size()) return NumberText::kNotNumber;
+  *out = v;
+  return NumberText::kFinite;
+}
 
 Value parse_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -8,7 +8,7 @@
 //
 //   * deterministic output: objects are std::map (sorted keys) and numbers
 //     are printed with the shortest representation that round-trips exactly
-//     through strtod, so dump(parse(dump(v))) == dump(v) byte-for-byte.
+//     through parse(), so dump(parse(dump(v))) == dump(v) byte-for-byte.
 //     CI diffs result files; byte-stability is load-bearing.
 //   * loud failure: parse errors throw with a byte offset, type-mismatched
 //     accessors throw, and non-finite numbers are rejected at dump time
@@ -20,6 +20,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gcs::util::json {
@@ -94,6 +95,19 @@ class Value {
 // Parses one JSON document (trailing whitespace allowed, trailing garbage is
 // an error).  Throws Error with a byte offset on malformed input.
 Value parse(const std::string& text);
+// How read_number() classifies a text.
+enum class NumberText { kFinite, kNonFinite, kNotNumber };
+
+// Reads `text`, whole, as one number in parse()'s grammar: finite
+// decimals only -- no hex, no leading '+', '.' or whitespace.  This is
+// the one number reader: axis specs (util/spec.hpp), --key=value
+// overrides, CLI options and the contact-trace CSV all go through it, so
+// a value means the same everywhere.  Text the C library reads whole as
+// NaN, an infinity or an overflow ("nan", "-inf", "1e400") is kNonFinite,
+// so callers can say "must be finite"; anything else is kNotNumber.  *out
+// is written only for kFinite.
+NumberText read_number(std::string_view text, double* out);
+
 // parse() of a whole file; throws Error naming the path when the file
 // cannot be read or does not parse.
 Value parse_file(const std::string& path);

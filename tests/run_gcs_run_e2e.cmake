@@ -125,6 +125,31 @@ expect_refused(--n=1e30 "config key 'n' must be a whole number >= 0")
 expect_refused(--seed=-1 "config key 'seed' must be a whole number >= 0, got '-1'")
 expect_refused(--shards=1.5 "config key 'shards' must be a whole number >= 0")
 expect_refused(--seed=1e400 "--seed must be finite, got '1e400'")
+# Numbers outside JSON's syntax: strtod read hex whole, so --n=0x10 ran
+# as n = 16, and NaN/Inf traffic knobs ran (or broke the writer).
+expect_refused(--n=0x10 "config key 'n' must be a whole number >= 0")
+expect_refused(--traffic=idle:mark=nan "'mark' must be finite, got 'nan'")
+expect_refused(--traffic=idle:msg=inf:bw=8000 "'msg' must be finite, got 'inf'")
+expect_refused(--traffic=cbr:bw=0x1F40:rate=2 "'bw' must be a number, got '0x1F40'")
+
+# Every axis spec is checked while the campaign expands, so even --list
+# exits 2 on a bad delay, traffic, variant or scenario before any cell
+# runs, naming the axis.
+foreach(bad "--delay=unifrom;delay 'unifrom'"
+            "--traffic=cbr:rate=nope;traffic 'cbr:rate=nope'"
+            "--variant=weigthed;variant 'weigthed'"
+            "--scenario=churn:lifetime=nope;scenario 'churn:lifetime=nope'")
+  list(GET bad 0 flag)
+  list(GET bad 1 pattern)
+  execute_process(
+    COMMAND "${GCS_RUN}" --n=8 ${flag} --list
+    RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
+    TIMEOUT 10)
+  if(NOT rc EQUAL 2 OR NOT stderr MATCHES "${pattern}" OR stdout MATCHES "cell")
+    message(FATAL_ERROR "gcs_run ${flag} --list: expected exit 2 naming "
+            "'${pattern}' before listing cells, got ${rc}\n${stdout}\n${stderr}")
+  endif()
+endforeach()
 
 # Bad scenario knobs are refused at campaign validation, naming the
 # knob: a non-positive churn lifetime used to error every cell at run
@@ -149,6 +174,7 @@ expect_scenario_refused(churn:volatile_edges=-3
                         "'volatile_edges' must be a whole number >= 0, got '-3'")
 expect_scenario_refused(churn:volatile_edges=1e30
                         "'volatile_edges' must be a whole number >= 0")
+expect_scenario_refused(churn:lifetime=0x10 "'lifetime' must be a number, got '0x10'")
 
 # The backbone-free example from gcs_run --help must pass --check under
 # the default T + D = 3 (its connect_window is that window).

@@ -92,4 +92,20 @@ if(NOT stdout MATCHES "events_executed")
   message(FATAL_ERROR "gcs_diff did not name the perturbed field:\n${stdout}")
 endif()
 
+# A tolerance that is not a finite number >= 0 is refused naming --tol
+# (--tol=nan used to reach the serializer and fail with its message).
+foreach(tol nan inf -1 0x1 +0.5)
+  execute_process(
+    COMMAND "${GCS_DIFF}" "${TREE_SERIAL}" "${TREE_PARALLEL}" --strict
+            --tol=${tol}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE stdout
+    ERROR_VARIABLE stderr)
+  string(FIND "${stderr}" "--tol wants a finite number >= 0, got '${tol}'" at)
+  if(NOT rc EQUAL 2 OR at EQUAL -1)
+    message(FATAL_ERROR "gcs_diff --tol=${tol}: expected exit 2 naming --tol, "
+            "got ${rc}\n${stdout}\n${stderr}")
+  endif()
+endforeach()
+
 message(STATUS "jobs determinism: --jobs 4 tree byte-identical to --jobs 1; gcs_diff gate works")

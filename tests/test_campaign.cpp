@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -242,6 +243,11 @@ TEST(Campaign, ScenarioFlagSyntax) {
       {"churn:volatile_edges=-3", "got '-3'"},
       {"churn:volatile_edges=1e30", "'volatile_edges' must be a whole number"},
       {"group:groups=1.5", "'groups' must be a whole number >= 0, got '1.5'"},
+      // strtod read hex whole, so this ran as lifetime 16.
+      {"churn:lifetime=0x10", "'lifetime' must be a number, got '0x10'"},
+      {"churn:lifetime=+5", "'lifetime' must be a number, got '+5'"},
+      {"churn:lifetime=5:lifetime=6", "knob 'lifetime' is given twice"},
+      {"mobility:backbone=yes", "'backbone' must be true or false, got '\"yes\"'"},
   };
   for (const auto& [flag, message] : refused) {
     try {
@@ -381,6 +387,10 @@ TEST(Campaign, MistypedValuesNameTheField) {
       {"seed=1e400", "--seed must be finite, got '1e400'"},
       {"horizon=nan", "--horizon must be finite, got 'nan'"},
       {"rho=-inf", "--rho must be finite, got '-inf'"},
+      // strtod read hex whole, so this ran as n = 16; JSON syntax has no
+      // hex, so the text stays a string and fails the field's kind.
+      {"n=0x10", "config key 'n' must be a whole number >= 0, got '\"0x10\"'"},
+      {"horizon=+5", "config key 'horizon' must be a number, got '\"+5\"'"},
   };
   for (const auto& [flag, message] : flags) {
     const std::string text = flag;
@@ -390,6 +400,51 @@ TEST(Campaign, MistypedValuesNameTheField) {
         [&] { cli::build_campaign(nullptr, {{key, value}}); },
         message);
   }
+}
+
+// Every cell's delay (against that cell's T), traffic and variant is
+// checked while the campaign expands, with the reader run_experiment
+// uses, so a bad spec fails before any cell runs, naming the axis, the
+// knob and the text.
+TEST(Campaign, BadAxisSpecsFailAtExpansion) {
+  const std::pair<std::map<std::string, std::string>, const char*> refused[] = {
+      {{{"delay", "unifrom"}}, "delay 'unifrom': unknown kind"},
+      {{{"delay", "constant:0x1p-1"}}, "'x' must be a number, got '0x1p-1'"},
+      {{{"delay", "uniform:0.25:nan"}}, "'hi' must be finite, got 'nan'"},
+      {{{"traffic", "cbr:rate=nope"}}, "'rate' must be a number, got 'nope'"},
+      {{{"traffic", "idle:mark=nan"}}, "'mark' must be finite, got 'nan'"},
+      {{{"traffic", "idle:queue=nan:bw=8000"}}, "'queue' must be finite"},
+      {{{"traffic", "cbr:bw=inf:rate=2"}}, "'bw' must be finite, got 'inf'"},
+      {{{"traffic", "idle:msg=inf:bw=8000"}}, "'msg' must be finite"},
+      {{{"traffic", "cbr:bw=0x1F40:rate=2"}}, "'bw' must be a number"},
+      {{{"variant", "weigthed"}}, "variant 'weigthed': unknown kind"},
+      {{{"variant", "weighted:inf"}}, "'w' must be finite, got 'inf'"},
+      // One bad value in a sweep fails the whole expansion.
+      {{{"traffic", "off,idle:bw=fast"}}, "'bw' must be a number, got 'fast'"},
+      // The delay bound is the cell's own T.
+      {{{"T", "0.5,1"}, {"delay", "constant:0.75"}},
+       "delay 'constant:0.75': must lie within [0, T]"},
+  };
+  for (const auto& [flags, message] : refused) {
+    std::map<std::string, std::string> overrides = flags;
+    overrides.emplace("n", "8");
+    try {
+      cli::build_campaign(nullptr, overrides);
+      ADD_FAILURE() << "accepted; wanted '" << message << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // A campaign file's sweep is checked the same way.
+  const json::Value doc = json::parse(
+      R"({"defaults": {"n": 8}, "sweep": {"variant": ["dcsa", "nojump:1"]}})");
+  EXPECT_THROW(cli::build_campaign(&doc, {}), std::invalid_argument);
+  EXPECT_EQ(cli::build_campaign(nullptr, {{"n", "8"},
+                                          {"T", "1"},
+                                          {"delay", "constant:0.75"}})
+                .cells.size(),
+            1u);
 }
 
 TEST(Campaign, NameIsSanitizedForPathsAndCsv) {

@@ -235,16 +235,34 @@ TEST(RunExperiment, NumberGrammarsRejectPartialTokens) {
   for (const char* delay :
        {"constant:0.25junk", "uniform:0.25:1junk", "constant:x", "constant:",
         "uniform:", "uniform:0.25:", "uniform:0.25:1:2", "constant:inf",
-        "constant:nan", "constant: 0.25", "constantx"}) {
+        "constant:nan", "constant: 0.25", "constantx",
+        // JSON number syntax only: hex, a leading '+' or '.' and overflow
+        // are refused, and the delay takes bare numbers, not key=value.
+        "constant:0x1p-1", "constant:+0.5", "constant:.5", "uniform:1e400",
+        "uniform::1", "uniform:lo=0.25"}) {
     auto cfg = small_config();
     cfg.delay = delay;
     expect_rejected(cfg, delay);
   }
   for (const char* variant :
-       {"weighted:0.5junk", "weighted:", "weighted:x", "weighted:nan"}) {
+       {"weighted:0.5junk", "weighted:", "weighted:x", "weighted:nan",
+        "weighted:inf", "weighted:+0.5", "weighted:.5", "weighted:0x1p-1",
+        "weighted:w=0.5", "dcsa:1"}) {
     auto cfg = small_config();
     cfg.variant = variant;
     expect_rejected(cfg, variant);
+  }
+  // The traffic holes of the old std::stod reader: NaN knobs ran and
+  // passed --check, an infinite bw or msg broke the artifact writer, and
+  // hex ran as its value.
+  for (const char* traffic :
+       {"idle:mark=nan", "idle:queue=nan:bw=8000", "cbr:bw=inf:rate=2",
+        "idle:msg=inf:bw=8000", "cbr:bw=0x1F40:rate=2"}) {
+    auto cfg = small_config();
+    cfg.traffic = traffic;
+    expect_rejected(cfg, traffic);
+    EXPECT_THROW(gcs::harness::read_axes(cfg), std::invalid_argument)
+        << traffic;
   }
   // The workload specs keep their exact values: other spellings of the
   // same doubles produce the same run.

@@ -75,6 +75,33 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(parse("1e999"), Error);              // overflows double
 }
 
+// read_number is the number reader of every spec, override and option:
+// it accepts exactly the numbers parse() accepts, with the same value.
+TEST(Json, ReadNumberIsTheParserGrammar) {
+  using gcs::util::json::NumberText;
+  using gcs::util::json::read_number;
+  for (const char* text : {"0", "-0", "8000", "0.25", "2.5e-1", "1E5", "1.",
+                           "-3.75e+2", "1e-400", "007"}) {
+    double v = -1.0;
+    ASSERT_EQ(read_number(text, &v), NumberText::kFinite) << text;
+    const double parsed = parse(text).as_number();
+    EXPECT_EQ(std::memcmp(&v, &parsed, sizeof v), 0) << text;
+  }
+  for (const char* text : {"nan", "-nan", "inf", "-inf", "Infinity", "1e400",
+                           "-1e999"}) {
+    double v = -1.0;
+    EXPECT_EQ(read_number(text, &v), NumberText::kNonFinite) << text;
+    EXPECT_EQ(v, -1.0) << text;  // untouched
+  }
+  for (const char* text : {"", " 1", "1 ", "+1", ".5", "-.5", "0x10",
+                           "0x1p-1", "1e", "1e+", "8000x", "abc", "--1", "1,2",
+                           "0.25junk"}) {
+    double v = -1.0;
+    EXPECT_EQ(read_number(text, &v), NumberText::kNotNumber) << text;
+    EXPECT_EQ(v, -1.0) << text;
+  }
+}
+
 TEST(Json, AccessorsThrowOnKindMismatch) {
   const Value v = parse("[1]");
   EXPECT_THROW(v.as_object(), Error);

@@ -107,6 +107,35 @@ TEST(ParseTraffic, StrictErrors) {
   EXPECT_THROW(parse_traffic("cbr:rate=10"), std::invalid_argument);  // no bw
   EXPECT_THROW(parse_traffic("bulk:bw=4000:bytes=100"), std::invalid_argument);
   EXPECT_THROW(parse_traffic("bulk:bw=4000:interval=2"), std::invalid_argument);
+  // Numbers the old std::stod reader took whole: NaN ran and passed
+  // --check, an infinite bw or msg broke the artifact writer, and hex ran
+  // as its value.  Each is refused naming the knob and the text, as is a
+  // repeated knob.
+  const std::pair<const char*, const char*> refused[] = {
+      {"idle:mark=nan", "'mark' must be finite, got 'nan'"},
+      {"idle:queue=nan:bw=8000", "'queue' must be finite, got 'nan'"},
+      {"cbr:bw=inf:rate=2", "'bw' must be finite, got 'inf'"},
+      {"idle:msg=inf:bw=8000", "'msg' must be finite, got 'inf'"},
+      {"idle:bw=1e400", "'bw' must be finite, got '1e400'"},
+      {"cbr:bw=0x1F40:rate=2", "'bw' must be a number, got '0x1F40'"},
+      {"cbr:bw=8000:rate=+2", "'rate' must be a number, got '+2'"},
+      {"cbr:bw=8000:rate=.5", "'rate' must be a number, got '.5'"},
+      {"idle:bw=8000:bw=4000", "knob 'bw' is given twice"},
+      {"idle:rate=2", "kind 'idle' has no knob 'rate'"},
+      {"off:bw=8000", "kind 'off' has no knob 'bw'"},
+  };
+  for (const auto& [spec, message] : refused) {
+    try {
+      parse_traffic(spec);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(message), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("traffic '") + spec + "'"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@
 // naming the axis.  Exit codes:
 // 0 trees match (or differences found without --strict), 1 differences
 // under --strict, 2 bad usage or unreadable tree.
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "cli/diff.hpp"
+#include "util/spec.hpp"
 
 namespace {
 
@@ -49,12 +49,6 @@ options:
 exit codes: 0 match (or non-strict), 1 differences under --strict,
 2 bad usage or unreadable tree
 )";
-
-bool parse_number(const std::string& value, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(value.c_str(), &end);
-  return !value.empty() && end == value.c_str() + value.size();
-}
 
 }  // namespace
 
@@ -97,19 +91,22 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (key == "tol") {
-      if (!parse_number(value, &options.tolerance) || options.tolerance < 0) {
-        std::cerr << "gcs_diff: --tol wants a number >= 0, got '" << value
-                  << "'\n";
+      namespace json = gcs::util::json;
+      if (json::read_number(value, &options.tolerance) !=
+              json::NumberText::kFinite ||
+          options.tolerance < 0) {
+        std::cerr << "gcs_diff: --tol wants a finite number >= 0, got '"
+                  << value << "'\n";
         return 2;
       }
     } else if (key == "max-diffs") {
-      double parsed = 0.0;
-      if (!parse_number(value, &parsed) || parsed < 0) {
+      const auto cap = gcs::util::spec::whole(value);
+      if (!cap) {
         std::cerr << "gcs_diff: --max-diffs wants an integer >= 0, got '"
                   << value << "'\n";
         return 2;
       }
-      options.max_report = static_cast<std::size_t>(parsed);
+      options.max_report = static_cast<std::size_t>(*cap);
     } else {
       std::cerr << "gcs_diff: unknown option --" << key << "\n" << kUsage;
       return 2;

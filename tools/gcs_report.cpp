@@ -15,7 +15,6 @@
 // produces the same bytes, so CI can self-check the report by running it
 // twice.  Exit codes: 0 success, 1 cells skipped for schema drift, 2 bad
 // usage or unusable tree.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -23,6 +22,7 @@
 #include "cli/report.hpp"
 #include "harness/envelope.hpp"
 #include "util/json.hpp"
+#include "util/spec.hpp"
 
 namespace {
 
@@ -96,14 +96,13 @@ int main(int argc, char** argv) {
       } else if (i + 1 < argc) {
         value = argv[++i];
       }
-      char* end = nullptr;
-      const long k = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end != value.c_str() + value.size() || k < 1) {
+      const auto k = gcs::util::spec::whole(value);
+      if (!k || *k < 1) {
         std::cerr << "gcs_report: --top wants a positive integer, got '"
                   << value << "'\n";
         return 2;
       }
-      options.top_k = static_cast<std::size_t>(k);
+      options.top_k = static_cast<std::size_t>(*k);
       continue;
     }
     if (arg == "-o" || arg == "--out") {

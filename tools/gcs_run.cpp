@@ -8,8 +8,6 @@
 // src/cli/campaign.hpp); flags overlay the file.  Exit codes: 0 success,
 // 1 check failures (bound violations, clamps, schema drift), 2 bad usage
 // or malformed campaign.
-#include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -17,6 +15,7 @@
 #include "cli/campaign.hpp"
 #include "cli/runner.hpp"
 #include "util/json.hpp"
+#include "util/spec.hpp"
 
 namespace {
 
@@ -45,28 +44,20 @@ options:
   --quiet           suppress per-cell progress lines
   --help            this text
 
-sweepable keys (comma lists and integer ranges a..b become axes):
-  n, topology (path|ring|star|complete), drift (spread|walk|two-camp),
-  delay (uniform[:lo[:hi]]|constant[:x], within [0, T]), shards (0 = classic
-  single-queue engine; >= 1 runs the sharded conservative-parallel
-  engine, which needs a delay with a positive floor, e.g. constant:0.5
-  or uniform:0.25), rho, T, D, delta_h (> 0), B0, horizon, sample_dt (all
-  finite numbers), seed (alias: seeds)
-  variant: dcsa (default) | weighted[:w] (uniform tolerance weight w,
-  default 0.5) | noblock (no blocking cap) | nojump (free-running
-  clocks); every variant runs at any n and shard count
-  (docs/envelope.md documents the ablation axis)
-  traffic: off (default; stochastic delays only), or a link-pipeline
-  spec idle|cbr|bulk with :knob=value knobs -- idle[:bw=B:queue=Q:
-  mark=M:msg=S] models bandwidth/queueing for sync messages only,
-  cbr:bw=B:rate=R[:pkt=P:...] adds constant-rate background packets
-  per link direction, bulk:bw=B:bytes=N:interval=I[:...] adds periodic
-  greedy transfers (docs/traffic.md documents every knob; traffic-off
-  trajectories are byte-identical to the seed's)
-  scenario: kind[:knob=value...] with kind churn|switching-star|mobility|
-  gauss-markov|group|trace (docs/scenarios.md documents every knob;
-  trace wants path=<contacts.csv|.json>, mobility-style kinds accept
-  connect_window=W to enforce W-interval connectivity without a backbone)
+sweepable keys (comma lists and whole-number ranges a..b become axes;
+every number is a finite JSON decimal, as in a campaign file):
+  n, seed (alias: seeds), rho, T, D, delta_h (> 0), B0, horizon, sample_dt
+  topology: path|ring|star|complete      drift: spread|walk|two-camp
+  shards: 0 = classic single-queue engine; >= 1 = the sharded engine,
+    which needs a delay with a positive floor (e.g. constant:0.5)
+  delay, traffic, variant and scenario are kind[:arg]... axis specs:
+    delay     uniform[:lo[:hi]] | constant[:x], within [0, T]
+    variant   dcsa | weighted[:w] | noblock | nojump
+    traffic   off | idle|cbr|bulk[:knob=value...]
+    scenario  churn|switching-star|mobility|gauss-markov|group|trace
+              [:knob=value...]
+  docs/specs.md states the grammar once; docs/traffic.md, docs/scenarios.md
+  and docs/envelope.md document each kind and knob
 
 examples:
   gcs_run --campaign campaigns/smoke.json --check
@@ -117,15 +108,13 @@ int main(int argc, char** argv) {
       options.trace = true;
       if (const std::size_t eq = arg.find('='); eq != std::string::npos) {
         const std::string value = arg.substr(eq + 1);
-        char* end = nullptr;
-        const long long limit = std::strtoll(value.c_str(), &end, 10);
-        if (value.empty() || end != value.c_str() + value.size() ||
-            limit < 1) {
+        const auto limit = gcs::util::spec::whole(value);
+        if (!limit || *limit < 1) {
           std::cerr << "gcs_run: --trace wants a positive integer, got '"
                     << value << "'\n";
           return 2;
         }
-        options.trace_limit = static_cast<std::uint64_t>(limit);
+        options.trace_limit = *limit;
       }
       continue;
     }
@@ -151,15 +140,13 @@ int main(int argc, char** argv) {
     } else if (key == "out") {
       options.out_dir = value;
     } else if (key == "jobs") {
-      char* end = nullptr;
-      const long jobs = std::strtol(value.c_str(), &end, 10);
-      if (value.empty() || end != value.c_str() + value.size() || jobs < 1 ||
-          jobs > 1024) {
+      const auto jobs = gcs::util::spec::whole(value);
+      if (!jobs || *jobs < 1 || *jobs > 1024) {
         std::cerr << "gcs_run: --jobs wants an integer in [1, 1024], got '"
                   << value << "'\n";
         return 2;
       }
-      options.jobs = static_cast<int>(jobs);
+      options.jobs = static_cast<int>(*jobs);
     } else {
       overrides[key] = value;
     }
