@@ -14,20 +14,37 @@ namespace gcs::harness {
 
 namespace {
 
+// The static topologies and drift models, one name list each:
+// read_axes checks a cell's names against them before any cell runs, and
+// build_graph / build_schedules dispatch on the index.
+const char* const kTopologies[] = {"path", "ring", "star", "complete"};
+enum TopologyKind : std::size_t { kPath, kRing, kStar, kComplete };
+const char* const kDrifts[] = {"spread", "walk", "two-camp"};
+enum DriftKind : std::size_t { kSpread, kWalk, kTwoCamp };
+
+template <std::size_t N>
+std::size_t name_index(const char* const (&names)[N], const std::string& text,
+                       const char* axis) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (text == names[i]) return i;
+  }
+  std::string expected = names[0];
+  for (std::size_t i = 1; i < N; ++i) expected += std::string(" | ") + names[i];
+  throw std::invalid_argument(std::string(axis) + " '" + text +
+                              "': unknown kind (expected " + expected + ")");
+}
+
 // The run's schedule, built straight from the config's scenario (no
 // copy of it outlives this call) or from a static topology.
 net::DynamicGraph build_graph(const ExperimentConfig& cfg) {
   if (cfg.scenario) return cfg.scenario->to_dynamic_graph();
   const std::size_t n = cfg.params.n;
-  const auto graph = [n](const net::Topology& topology) {
-    return net::DynamicGraph(n, topology.edges(), {});
-  };
-  if (cfg.topology == "path") return graph(net::make_path(n));
-  if (cfg.topology == "ring") return graph(net::make_ring(n));
-  if (cfg.topology == "star") return graph(net::make_star(n));
-  if (cfg.topology == "complete") return graph(net::make_complete(n));
-  throw std::invalid_argument("run_experiment: unknown topology '" +
-                              cfg.topology + "'");
+  const std::size_t kind = name_index(kTopologies, cfg.topology, "topology");
+  const net::Topology topology = kind == kPath   ? net::make_path(n)
+                                 : kind == kRing ? net::make_ring(n)
+                                 : kind == kStar ? net::make_star(n)
+                                                 : net::make_complete(n);
+  return net::DynamicGraph(n, topology.edges(), {});
 }
 
 std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
@@ -35,12 +52,13 @@ std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
   const double rho = cfg.params.rho;
   std::vector<clk::RateSchedule> schedules;
   schedules.reserve(n);
-  if (cfg.drift == "spread") {
+  const std::size_t drift = name_index(kDrifts, cfg.drift, "drift");
+  if (drift == kSpread) {
     for (std::size_t i = 0; i < n; ++i) {
       const double f = n > 1 ? static_cast<double>(i) / (n - 1) : 0.5;
       schedules.emplace_back(1.0 - rho + 2.0 * rho * f);
     }
-  } else if (cfg.drift == "walk") {
+  } else if (drift == kWalk) {
     // The last real time the run reads a clock: a node's final broadcast
     // (at or before the horizon) schedules the next one delta_h of
     // hardware time later, at most delta_h / (1 - rho) of real time.
@@ -55,13 +73,10 @@ std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
           rho, /*step_dt=*/1.0, /*sigma=*/rho / 4.0,
           /*seed=*/cfg.seed * 7919 + i, /*start_rate=*/1.0, last_query));
     }
-  } else if (cfg.drift == "two-camp") {
+  } else {
     for (std::size_t i = 0; i < n; ++i) {
       schedules.emplace_back(i < n / 2 ? 1.0 + rho : 1.0 - rho);
     }
-  } else {
-    throw std::invalid_argument("run_experiment: unknown drift '" + cfg.drift +
-                                "'");
   }
   return schedules;
 }
@@ -114,9 +129,31 @@ core::Variant parse_variant(const std::string& text) {
 }  // namespace
 
 AxisModels read_axes(const ExperimentConfig& cfg) {
+  name_index(kTopologies, cfg.topology, "topology");
+  name_index(kDrifts, cfg.drift, "drift");
   // Braced lists evaluate left to right: a bad delay is named first.
-  return {{build_delay(cfg), net::parse_traffic(cfg.traffic)},
-          parse_variant(cfg.variant)};
+  AxisModels axes{{build_delay(cfg), net::parse_traffic(cfg.traffic)},
+                  parse_variant(cfg.variant)};
+  // A background flow re-arms every period until the horizon: a period
+  // the horizon absorbs (t + period == t) would spin forever, and more
+  // than 2^32 emissions per link direction would not end in practice.
+  const net::TrafficModel& traffic = axes.link.traffic;
+  const double h = cfg.horizon;
+  const double period = traffic.flow_period();
+  const bool stuck = h + period == h;
+  if (traffic.has_flows() && std::isfinite(h) &&
+      (stuck || h / period > 0x1p32)) {
+    using util::json::dump_number;
+    const bool cbr = traffic.kind == net::TrafficModel::Kind::kCbr;
+    throw std::invalid_argument(
+        "traffic '" + cfg.traffic + "': '" + (cbr ? "rate" : "interval") +
+        "' = " + dump_number(cbr ? traffic.rate : traffic.interval) +
+        " gives a flow period of " + dump_number(period) + " s, which " +
+        (stuck ? "cannot advance time at"
+               : "implies more than 2^32 emissions per link direction over") +
+        " the horizon " + dump_number(h));
+  }
+  return axes;
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg,

@@ -122,9 +122,10 @@ struct AxisModels {
 };
 
 // Reads the config's delay (which must lie within [0, params.T]),
-// traffic and variant specs in the axis-spec grammar (util/spec.hpp).
-// Throws std::invalid_argument naming the axis, the knob and the
-// offending text.  run_experiment builds the run from it, and
+// traffic (whose flow period must fit the horizon) and variant specs in
+// the axis-spec grammar (util/spec.hpp), and checks its topology and
+// drift names.  Throws std::invalid_argument naming the axis, the knob
+// and the offending text.  run_experiment builds the run from it, and
 // cli::build_campaign calls it on every cell, so a bad spec fails before
 // any cell runs.
 AxisModels read_axes(const ExperimentConfig& config);

@@ -1,7 +1,9 @@
 #include "net/link.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
+#include <utility>
 
 #include "util/spec.hpp"
 
@@ -53,6 +55,18 @@ TrafficModel parse_traffic(const std::string& text) {
       spec.fail(std::string("'") + key + "' must be " +
                 (positive ? "> 0" : ">= 0") + ", got '" +
                 util::json::dump_number(value) + "'");
+    }
+  }
+  // Every size the link serializes must take a finite time over bw: an
+  // infinite one would overflow the FIFO state and the backlog counters.
+  const std::pair<const char*, double> sizes[] = {
+      {"msg", m.sync_bytes}, {cbr ? "pkt" : "bytes", m.flow_bytes()}};
+  for (const auto& [key, bytes] : sizes) {
+    if (m.bandwidth > 0.0 && !std::isfinite(bytes / m.bandwidth)) {
+      spec.fail(std::string("'") + key + "' = " +
+                util::json::dump_number(bytes) + " over 'bw' = " +
+                util::json::dump_number(m.bandwidth) +
+                " takes a non-finite transmission time");
     }
   }
   return m;

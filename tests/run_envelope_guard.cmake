@@ -7,7 +7,8 @@
 #     cell named on stderr, while the same tree WITHOUT --envelope keeps
 #     the report's skip-and-continue discipline (exit 1);
 #   * a negative observed skew is rejected the same way;
-#   * an unusable (cell-less) tree exits 2 under --envelope-json.
+#   * an unusable (cell-less) tree exits 2 under --envelope-json;
+#   * --out=FILE writes the bytes -o FILE writes.
 #
 # Invoked in script mode by CTest with:
 #   -DGCS_RUN=<gcs_run> -DGCS_REPORT=<gcs_report>
@@ -41,6 +42,15 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
           "gcs_report --envelope on a healthy tree exited ${rc}\n${stderr}")
+endif()
+
+# Valued options also read as NAME=VALUE: --out=FILE writes what -o does.
+execute_process(COMMAND "${GCS_REPORT}" "${OUT_DIR}/tree" --envelope --top=5
+                --out=${OUT_DIR}/eq.txt RESULT_VARIABLE rc)
+file(READ "${OUT_DIR}/report.txt" want)
+file(READ "${OUT_DIR}/eq.txt" got)
+if(NOT rc EQUAL 0 OR NOT want STREQUAL got)
+  message(FATAL_ERROR "gcs_report --out=FILE exited ${rc} or wrote other bytes")
 endif()
 
 # Runs gcs_report on a doctored copy of the tree and asserts the exit

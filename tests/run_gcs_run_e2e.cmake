@@ -131,14 +131,22 @@ expect_refused(--n=0x10 "config key 'n' must be a whole number >= 0")
 expect_refused(--traffic=idle:mark=nan "'mark' must be finite, got 'nan'")
 expect_refused(--traffic=idle:msg=inf:bw=8000 "'msg' must be finite, got 'inf'")
 expect_refused(--traffic=cbr:bw=0x1F40:rate=2 "'bw' must be a number, got '0x1F40'")
+# A flow period the horizon cannot hold spun forever; a transmission time
+# that overflows ended in the artifact writer with a partial tree.
+expect_refused(--traffic=cbr:bw=1e-300:rate=1e300 "which cannot advance time")
+expect_refused(--traffic=idle:msg=1e300:bw=1e-300 "non-finite transmission time")
 
 # Every axis spec is checked while the campaign expands, so even --list
-# exits 2 on a bad delay, traffic, variant or scenario before any cell
-# runs, naming the axis.
+# exits 2 on a bad delay, traffic, variant, scenario, drift or topology
+# before any cell runs, naming the axis.
 foreach(bad "--delay=unifrom;delay 'unifrom'"
             "--traffic=cbr:rate=nope;traffic 'cbr:rate=nope'"
             "--variant=weigthed;variant 'weigthed'"
-            "--scenario=churn:lifetime=nope;scenario 'churn:lifetime=nope'")
+            "--scenario=churn:lifetime=nope;scenario 'churn:lifetime=nope'"
+            "--drift=foo;drift 'foo': unknown kind .expected spread . walk . two-camp."
+            "--topology=foo;topology 'foo': unknown kind .expected path . ring . star . complete."
+            "--traffic=cbr:bw=1e-300:rate=1e300;'rate' = 1e.300 gives a flow period"
+            "--traffic=idle:msg=1e300:bw=1e-300;'msg' = 1e.300 over 'bw' = 1e-300")
   list(GET bad 0 flag)
   list(GET bad 1 pattern)
   execute_process(
@@ -191,5 +199,6 @@ endif()
 message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, retired "
         "axes rejected, --horizon=nan, --delta_h=0, delays outside "
         "[0, T], --rho=1, --D=-1, --B0=-5, mistyped and non-finite "
-        "values and bad churn knobs refused, "
+        "values, bad churn knobs, hanging or overflowing traffic and bad "
+        "drift or topology names refused, "
         "--help's gauss-markov example passes --check")

@@ -419,6 +419,12 @@ TEST(Campaign, BadAxisSpecsFailAtExpansion) {
       {{{"traffic", "cbr:bw=0x1F40:rate=2"}}, "'bw' must be a number"},
       {{{"variant", "weigthed"}}, "variant 'weigthed': unknown kind"},
       {{{"variant", "weighted:inf"}}, "'w' must be finite, got 'inf'"},
+      // Drift and topology names: a bad drift used to expand as valid and
+      // a bad topology to error every cell at run time.
+      {{{"drift", "foo"}}, "drift 'foo': unknown kind (expected spread | "
+                           "walk | two-camp)"},
+      {{{"topology", "ring,cube"}}, "topology 'cube': unknown kind (expected "
+                                    "path | ring | star | complete)"},
       // One bad value in a sweep fails the whole expansion.
       {{{"traffic", "off,idle:bw=fast"}}, "'bw' must be a number, got 'fast'"},
       // The delay bound is the cell's own T.

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/network_sim.hpp"
+#include "harness/experiment.hpp"
 #include "net/delay.hpp"
 #include "net/link.hpp"
 #include "net/scenario.hpp"
@@ -123,6 +124,12 @@ TEST(ParseTraffic, StrictErrors) {
       {"idle:bw=8000:bw=4000", "knob 'bw' is given twice"},
       {"idle:rate=2", "kind 'idle' has no knob 'rate'"},
       {"off:bw=8000", "kind 'off' has no knob 'bw'"},
+      // A size with a non-finite transmission time over bw overflowed the
+      // FIFO state and ended the run in the artifact writer.
+      {"idle:msg=1e300:bw=1e-300", "'msg' = 1e+300 over 'bw' = 1e-300 takes "
+                                   "a non-finite transmission time"},
+      {"cbr:bw=1e-306:rate=2", "'pkt' = 1500 over 'bw' = 1e-306"},
+      {"bulk:bw=1e-300:bytes=1e10:interval=1", "'bytes' = 10000000000 over"},
   };
   for (const auto& [spec, message] : refused) {
     try {
@@ -136,6 +143,31 @@ TEST(ParseTraffic, StrictErrors) {
           << what;
     }
   }
+}
+
+// A flow period the horizon cannot hold (t + 1/rate == t, or over 2^32
+// emissions per direction) hung the run; read_axes refuses it.
+TEST(ParseTraffic, RefusesFlowPeriodsTheHorizonCannotHold) {
+  gcs::harness::ExperimentConfig cfg;
+  cfg.horizon = 5.0;
+  for (const auto& [spec, message] : {
+           std::pair{"cbr:bw=1e-300:rate=1e300",
+                     "'rate' = 1e+300 gives a flow period of 1e-300 s, which "
+                     "cannot advance time at the horizon 5"},
+           std::pair{"cbr:bw=8000:rate=1e9", "1e-09 s, which implies more "
+                                             "than 2^32 emissions"},
+           std::pair{"bulk:bw=8000:bytes=1:interval=1e-12", "'interval'"}}) {
+    cfg.traffic = spec;
+    try {
+      gcs::harness::read_axes(cfg);
+      ADD_FAILURE() << "accepted " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  cfg.traffic = "cbr:bw=8000:rate=858993459.2";  // exactly 2^32 in 5 s
+  EXPECT_NO_THROW(gcs::harness::read_axes(cfg));
 }
 
 // ---------------------------------------------------------------------------

@@ -43,13 +43,28 @@ options:
                write the envelope-fit document (schema-v7 groups + per-cell
                envelope_ratio / bound_gap) to FILE -- the artifact gcs_diff
                gates against ENVELOPE_baseline.json
-  -o FILE      write the report to FILE instead of stdout
+  -o, --out FILE  write the report to FILE instead of stdout
   --help       this text
+
+A valued option is also read as --option=VALUE.
 
 exit codes: 0 success, 1 cells skipped (schema drift; the skips are
 listed in the report), 2 bad usage, unusable tree, or a cell the
 envelope fitter rejects (named on stderr).
 )";
+
+// Reads a valued option given as `NAME VALUE` or `NAME=VALUE`: true when
+// `arg` is NAME, with the value (empty when none is given) in *value.
+bool valued(const std::string& arg, const std::string& name, int argc,
+            char** argv, int& i, std::string* value) {
+  if (arg == name) {
+    *value = i + 1 < argc ? argv[++i] : "";
+    return true;
+  }
+  if (arg.compare(0, name.size() + 1, name + "=") != 0) return false;
+  *value = arg.substr(name.size() + 1);
+  return true;
+}
 
 }  // namespace
 
@@ -77,25 +92,16 @@ int main(int argc, char** argv) {
       options.envelope = true;
       continue;
     }
-    if (arg == "--envelope-json" || arg.rfind("--envelope-json=", 0) == 0) {
-      if (const std::size_t eq = arg.find('='); eq != std::string::npos) {
-        envelope_json = arg.substr(eq + 1);
-      } else if (i + 1 < argc) {
-        envelope_json = argv[++i];
-      }
-      if (envelope_json.empty()) {
+    std::string value;
+    if (valued(arg, "--envelope-json", argc, argv, i, &value)) {
+      if (value.empty()) {
         std::cerr << "gcs_report: --envelope-json needs a file name\n";
         return 2;
       }
+      envelope_json = value;
       continue;
     }
-    if (arg == "--top" || arg.rfind("--top=", 0) == 0) {
-      std::string value;
-      if (const std::size_t eq = arg.find('='); eq != std::string::npos) {
-        value = arg.substr(eq + 1);
-      } else if (i + 1 < argc) {
-        value = argv[++i];
-      }
+    if (valued(arg, "--top", argc, argv, i, &value)) {
       const auto k = gcs::util::spec::whole(value);
       if (!k || *k < 1) {
         std::cerr << "gcs_report: --top wants a positive integer, got '"
@@ -105,12 +111,13 @@ int main(int argc, char** argv) {
       options.top_k = static_cast<std::size_t>(*k);
       continue;
     }
-    if (arg == "-o" || arg == "--out") {
-      if (i + 1 >= argc) {
+    if (valued(arg, "-o", argc, argv, i, &value) ||
+        valued(arg, "--out", argc, argv, i, &value)) {
+      if (value.empty()) {
         std::cerr << "gcs_report: " << arg << " needs a file name\n";
         return 2;
       }
-      out_file = argv[++i];
+      out_file = value;
       continue;
     }
     if (arg.rfind("-", 0) == 0) {
