@@ -93,8 +93,10 @@ void hold(gcs::sim::EnginePolicy policy, std::size_t pending) {
   engine.run_until(8.0);
 }
 
-// A 10^4-node ring, checks off, to t = 4 on `shards` shards; returns the
-// events executed.
+// A 10^4-node ring, checks off, to t = 64 (128 barrier windows) on
+// `shards` shards; returns the events executed.  Long enough that the
+// steady-state window rounds, not construction and thread start-up,
+// decide the speed-up.
 std::uint64_t sharded_ring(std::size_t shards) {
   const std::size_t n = 10000;
   gcs::core::SyncParams params;
@@ -115,7 +117,7 @@ std::uint64_t sharded_ring(std::size_t shards) {
       params, gcs::net::DynamicGraph(n, gcs::net::make_ring(n).edges(), {}),
       gcs::net::make_constant_delay(params.T, params.T / 2.0),
       std::move(schedules), options);
-  sim.run_until(4.0);
+  sim.run_until(64.0);
   return sim.events_executed();
 }
 

@@ -288,26 +288,27 @@ double ClockTable::time_when(std::size_t u, double value) const {
   if (!s.walk) return time_on(0.0, 0.0, constant_rate(u), value);
   if (value < s.end_v0) return time_on(0.0, 0.0, s.rate0, value);
   if (width_ > 0) {
-    const Cell& last = cell(u, s, width_);
-    if (value < last.hw0 + last.rate * s.step_dt) {
-      // The row's cells sit n apart.  Segment 1 starts at end_v0 <=
-      // value, so a binary search for the last segment k in [1, width_]
-      // starting at or below value (hw0s increase with k) finds the one
-      // value lies on.
-      const std::size_t n = keys_.size();
-      const Cell* row = rows_.get() + u;  // segment k at row[(k - 1) * n]
-      std::size_t lo = 1;       // hw0 of segment lo <= value
-      std::size_t hi = width_;  // the answer is in [lo, hi]
-      while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo + 1) / 2;
-        if (row[(mid - 1) * n].hw0 <= value) {
-          lo = mid;
-        } else {
-          hi = mid - 1;
-        }
-      }
-      const Cell& c = row[(lo - 1) * n];
-      return time_on(s.t0[lo], c.hw0, c.rate, value);
+    // Segment k starts near clock value k * step_dt (rates stay within
+    // 1 +- rho), so guess k from the value and step to the last segment
+    // k in [1, width_] whose hw0 <= value: segment 1 starts at end_v0 <=
+    // value, and hw0s increase with k.  The row's cells sit n apart; the
+    // read of the guessed cell fills the row if needed, so the search
+    // usually touches that one cell and its successor.
+    const std::size_t n = keys_.size();
+    const double guess = value * s.inv_step;
+    std::size_t k = guess < 1.0 ? 1
+                    : guess < static_cast<double>(width_)
+                        ? static_cast<std::size_t>(guess)
+                        : width_;
+    // Segment k's cell is row[(k - 1) * n].
+    const Cell* row = &cell(u, s, k) - (k - 1) * n;
+    while (k > 1 && row[(k - 1) * n].hw0 > value) --k;
+    while (k < width_ && row[k * n].hw0 <= value) ++k;
+    const Cell& c = row[(k - 1) * n];
+    // Below a later segment's start, or on the last segment before its
+    // end: inside the row.
+    if (k < width_ || value < c.hw0 + c.rate * s.step_dt) {
+      return time_on(s.t0[k], c.hw0, c.rate, value);
     }
   }
   const Segment g = spill_at_value(u, s, value);

@@ -147,6 +147,10 @@ NetworkSimulation::NetworkSimulation(
       node_trace_seq_.assign(n, 0);
     }
   }
+  if (!sharded_ && link_.prop.constant) delivery_lane_ = engine_.add_lane();
+  if (link_.traffic.has_flows()) {
+    flow_lane_ = sharded_ ? sharded_->add_lane() : engine_.add_lane();
+  }
   counters_.assign(global_ctx() + 1, Counters{});
   const std::size_t streams = sharded_ ? n : 1;
   stream_rng_.reserve(streams);
@@ -432,7 +436,8 @@ void NetworkSimulation::flush_outbox() {
       // Uncoalesced instant (the common case under continuous delay
       // distributions): skip the batch, schedule the delivery directly.
       engine_.at(outbox_[i].first,
-                 [this, m = outbox_[i].second] { deliver(m); });
+                 [this, m = outbox_[i].second] { deliver(m); },
+                 delivery_lane_);
     } else {
       std::uint32_t id;
       if (free_batches_.empty()) {
@@ -444,7 +449,8 @@ void NetworkSimulation::flush_outbox() {
       }
       std::vector<Delivery>& batch = batches_[id];
       for (std::size_t k = i; k < j; ++k) batch.push_back(outbox_[k].second);
-      engine_.at(outbox_[i].first, [this, id] { deliver_batch(id); });
+      engine_.at(outbox_[i].first, [this, id] { deliver_batch(id); },
+                 delivery_lane_);
     }
     i = j;
   }
@@ -507,6 +513,14 @@ net::LinkDecision NetworkSimulation::offer(Counters& c, std::uint32_t slot,
       net::link_offer(link_.traffic, link_dirs_[slot].dir[dir_index(from, to)],
                       t, bytes, droppable);
   if (dec.marked) ++c.ecn_marks;
+  // Checked: past 2^53 the byte count is no longer a whole number a
+  // double holds exactly (and past 2^64 the cast is undefined).
+  if (!(dec.backlog_bytes <= net::kMaxBacklogBytes)) {
+    throw std::overflow_error(
+        "NetworkSimulation: link backlog of " +
+        std::to_string(dec.backlog_bytes) +
+        " bytes exceeds 2^53 bytes; lower the traffic sizes or raise 'bw'");
+  }
   c.peak_queue_bytes = std::max(c.peak_queue_bytes,
                                 static_cast<std::uint64_t>(dec.backlog_bytes));
   return dec;
@@ -541,15 +555,11 @@ void NetworkSimulation::flow_emit(NodeId from, NodeId to, EdgeRef edge) {
   ++c.traffic_packets;
   if (dec.dropped) ++c.traffic_dropped;
   at_node(from, t + link_.traffic.flow_period(),
-          [this, from, to, edge] { flow_emit(from, to, edge); });
+          [this, from, to, edge] { flow_emit(from, to, edge); }, flow_lane_);
 }
 
-void NetworkSimulation::emit(std::size_t c, NodeId node,
-                             const obs::TraceEvent& ev) {
-  if (!sharded_) {
-    recorder_->on_trace(ev);
-    return;
-  }
+void NetworkSimulation::buffer_trace(std::size_t c, NodeId node,
+                                     const obs::TraceEvent& ev) {
   const std::uint64_t seq = node == kGlobalRecord ? global_trace_seq_++
                                                   : node_trace_seq_[node]++;
   trace_bufs_[c].push_back(PendingTrace{ev, node, seq});

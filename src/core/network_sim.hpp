@@ -341,11 +341,12 @@ class NetworkSimulation {
   // The universe boundary (see the file comment); everything else runs
   // the same code in both modes.
   template <class F>
-  void at_node(NodeId u, sim::Time t, F&& fn) {
+  void at_node(NodeId u, sim::Time t, F&& fn,
+               sim::Engine::Lane lane = sim::Engine::kNoLane) {
     if (sharded_) {
-      sharded_->at(shard_of_[u], t, std::forward<F>(fn));
+      sharded_->at(shard_of_[u], t, std::forward<F>(fn), lane);
     } else {
-      engine_.at(t, std::forward<F>(fn));
+      engine_.at(t, std::forward<F>(fn), lane);
     }
   }
   template <class F>
@@ -374,7 +375,14 @@ class NetworkSimulation {
   // c under its canonical key; flush_trace() merges after run_until.
   // `node` is the emitting node, or kGlobalRecord for barrier-side
   // records.
-  void emit(std::size_t c, NodeId node, const obs::TraceEvent& ev);
+  void emit(std::size_t c, NodeId node, const obs::TraceEvent& ev) {
+    if (!sharded_) {
+      recorder_->on_trace(ev);
+    } else {
+      buffer_trace(c, node, ev);
+    }
+  }
+  void buffer_trace(std::size_t c, NodeId node, const obs::TraceEvent& ev);
   static constexpr NodeId kGlobalRecord = ~NodeId{0};
 
   void apply_event(const net::TopologyEvent& ev);
@@ -444,6 +452,12 @@ class NetworkSimulation {
   // blocks (shard_of above, cached in shard_of_).
   std::unique_ptr<sim::ShardedEngine> sharded_;
   std::vector<std::uint32_t> shard_of_;
+  // FIFO lanes (sim::Engine::add_lane) for the streams scheduled in time
+  // order: classic deliveries under a constant delay (sharded ones ride
+  // the merge lane), and flow re-arms one period ahead, on every shard.
+  // kNoLane where the stream does not exist or is not in order.
+  sim::Engine::Lane delivery_lane_ = sim::Engine::kNoLane;
+  sim::Engine::Lane flow_lane_ = sim::Engine::kNoLane;
   // Per-node running index of posted messages: the K-invariant
   // tiebreaker in the barrier-merge key.
   std::vector<std::uint64_t> node_msg_index_;

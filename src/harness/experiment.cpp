@@ -153,6 +153,36 @@ AxisModels read_axes(const ExperimentConfig& cfg) {
                : "implies more than 2^32 emissions per link direction over") +
         " the horizon " + dump_number(h));
   }
+  // A direction's backlog is at most the bytes offered to it, and
+  // peak_queue_bytes reports it as a whole number, exact only below
+  // 2^53.  By the horizon a direction carries at most one sync message
+  // per broadcast (a hardware clock reads at most (1 + rho) h) and one
+  // flow emission per period, so a spec whose offered total can pass
+  // 2^53 bytes is refused here, naming the knob that carries the most.
+  if (traffic.pipeline_active() && traffic.bandwidth > 0.0 &&
+      std::isfinite(h)) {
+    const double sends =
+        std::floor((1.0 + cfg.params.rho) * h / cfg.params.delta_h) + 1.0;
+    const double emissions =
+        traffic.has_flows() ? std::floor(h / period) + 1.0 : 0.0;
+    const double sync = traffic.sync_bytes * sends;
+    const double flow = traffic.flow_bytes() * emissions;
+    if (!(sync + flow <= net::kMaxBacklogBytes)) {
+      using util::json::dump_number;
+      const bool by_sync = !(flow > sync);
+      const char* knob = by_sync ? "msg"
+                         : traffic.kind == net::TrafficModel::Kind::kCbr
+                             ? "pkt"
+                             : "bytes";
+      throw std::invalid_argument(
+          "traffic '" + cfg.traffic + "': '" + knob + "' = " +
+          dump_number(by_sync ? traffic.sync_bytes : traffic.flow_bytes()) +
+          " over " + dump_number(by_sync ? sends : emissions) +
+          " offers lets one link direction queue more than 2^53 bytes by "
+          "the horizon " +
+          dump_number(h));
+    }
+  }
   return axes;
 }
 

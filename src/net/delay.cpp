@@ -12,6 +12,7 @@ DelayModel make_constant_delay(sim::Duration bound, sim::Duration value) {
   DelayModel m;
   m.bound = bound;
   m.floor = std::clamp(value, 0.0, bound);
+  m.constant = true;
   m.sample = [value](const Edge&, util::Rng&) { return value; };
   return m;
 }

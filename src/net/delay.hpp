@@ -29,6 +29,9 @@ struct DelayModel {
   // Guaranteed minimum of every sample (see header comment); the
   // factories derive it from their parameters.
   sim::Duration floor = 0.0;
+  // Every sample is the same value (make_constant_delay): messages sent
+  // in time order arrive in time order.
+  bool constant = false;
   std::function<sim::Duration(const Edge&, util::Rng&)> sample;
 };
 

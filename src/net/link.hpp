@@ -96,6 +96,12 @@ struct LinkDir {
 };
 
 // Outcome of offering one packet to a link direction.
+// The largest backlog (bytes) a link direction may reach: byte counts
+// are reported as whole numbers, exact in a double only up to 2^53.
+// harness::read_axes refuses a traffic spec that can offer more by the
+// horizon, and NetworkSimulation fails a run that queues more anyway.
+inline constexpr double kMaxBacklogBytes = 0x1p53;
+
 struct LinkDecision {
   double wait = 0.0;          // queueing delay before transmission starts
   double tx = 0.0;            // serialization time (bytes / bandwidth)

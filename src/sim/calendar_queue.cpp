@@ -111,18 +111,19 @@ CalendarQueue::Bucket* CalendarQueue::locate_min() {
   return &buckets_[best_idx];
 }
 
-bool CalendarQueue::min_time(double* out) {
+bool CalendarQueue::peek(double* t, std::uint64_t* seq) {
   if (size_ == 0) return false;
-  *out = keys_[locate_min()->head].t;
+  const Key& front = keys_[locate_min()->head];
+  *t = front.t;
+  *seq = front.seq;
   return true;
 }
 
-bool CalendarQueue::pop_if_leq(double horizon, ScheduledEvent* out) {
-  if (size_ == 0) return false;
-  Bucket& b = *locate_min();
+void CalendarQueue::pop_min(ScheduledEvent* out) {
+  // locate_min left the scan cursor on the minimum's bucket.
+  Bucket& b = buckets_[current_bucket_];
   const std::uint32_t i = b.head;
   Key& node = keys_[i];
-  if (node.t > horizon) return false;
   *out = ScheduledEvent{node.t, node.seq, tasks_[i]};
   b.head = node.next;
   if (b.head == kNil) {
@@ -139,6 +140,13 @@ bool CalendarQueue::pop_if_leq(double horizon, ScheduledEvent* out) {
   if (size_ < buckets_.size() / 2 && buckets_.size() > kMinBuckets) {
     resize(buckets_.size() / 2);
   }
+}
+
+bool CalendarQueue::pop_if_leq(double horizon, ScheduledEvent* out) {
+  double t;
+  std::uint64_t seq;
+  if (!peek(&t, &seq) || t > horizon) return false;
+  pop_min(out);
   return true;
 }
 

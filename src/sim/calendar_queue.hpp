@@ -59,15 +59,20 @@ class CalendarQueue {
 
   void push(const ScheduledEvent& ev);
 
-  // If the minimum pending event (by (t, seq)) has t <= horizon, copies
-  // it into *out and returns true; otherwise leaves the queue unchanged
-  // and returns false.
-  bool pop_if_leq(double horizon, ScheduledEvent* out);
+  // Key of the minimum pending event (by (t, seq)) without removing it;
+  // false when empty.  Advances the scan cursor to that event's bucket,
+  // so pop_min() right after takes it without walking again.
+  bool peek(double* t, std::uint64_t* seq);
 
-  // Time of the minimum pending event without removing it; false when
-  // empty.  Advances the scan cursor exactly as a pop would, so a peek
-  // followed by the pop pays for the bucket walk once.
-  bool min_time(double* out);
+  // Removes the event the last peek() located and copies it into *out.
+  // Precondition: that peek returned true and nothing was pushed or
+  // popped since.
+  void pop_min(ScheduledEvent* out);
+
+  // If the minimum pending event has t <= horizon, copies it into *out
+  // and returns true; otherwise leaves the queue unchanged and returns
+  // false.  One peek() and, if it qualifies, one pop_min().
+  bool pop_if_leq(double horizon, ScheduledEvent* out);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

@@ -23,13 +23,29 @@
 // holds small trivially copyable callables inline (task.hpp).  at()
 // accepts only such callables (a static_assert); periodic chains fit
 // because their queued firings carry only the chain id.
+//
+// FIFO lanes.  Many event streams are scheduled in time order by
+// construction: deliveries under a constant delay, a flow re-arming one
+// fixed period ahead, a shard's merged cross-shard posts.  Re-sorting
+// those through the calendar is wasted work, so the calendar engine
+// keeps FIFO lanes beside it (add_lane; at() with a lane id).  A lane
+// holds only events at or after its tail, so its front is its minimum;
+// a push earlier than the tail goes to the calendar instead, and each
+// pop takes the (t, seq) minimum over the calendar's front and the lane
+// fronts.  seq is still assigned at schedule time, so the pop order --
+// and with it every trajectory -- is the one a single queue would
+// produce; only the calendar_* counters change, since they count the
+// calendar's own work.  The heap oracle keeps no lanes: at() with a
+// lane pushes onto the heap.
 #ifndef GCS_SIM_ENGINE_HPP
 #define GCS_SIM_ENGINE_HPP
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -67,8 +83,58 @@ struct EngineStats {
   std::uint64_t shard_staged_events = 0;
 };
 
-class Engine {
+// A FIFO of events whose (t, seq) keys arrive in increasing order, so
+// its front is its minimum.  Storage is a chain of fixed-size blocks:
+// growth adds a block and never copies an event, and a drained block is
+// kept as a spare, so a lane holds its high-water event count rounded
+// up to a block.  Spares are reused last-drained first: that block's
+// lines were just read, so refilling it writes to cache-resident memory.
+class EventLane {
  public:
+  static constexpr std::size_t kBlockEvents = 512;
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  // Events the allocated blocks hold, live or spare.
+  std::size_t capacity() const { return owned_.size() * kBlockEvents; }
+  // Time of the last event pushed; meaningful only when !empty().
+  Time back_t() const { return back_t_; }
+  const ScheduledEvent& front() const { return active_[first_][head_]; }
+  void push_back(const ScheduledEvent& ev) {
+    if (tail_ == kBlockEvents) add_block();
+    active_.back()[tail_++] = ev;
+    back_t_ = ev.t;
+    ++size_;
+  }
+  void pop_front();
+
+ private:
+  // Appends a spare (or new) block to the chain and points the tail at
+  // its start.
+  void add_block();
+
+  // The events live in active_[first_][head_] up to (excluding)
+  // active_.back()[tail_]; tail_ == kBlockEvents also when no block is
+  // active, so the first push adds one.  active_[0, first_) are blocks
+  // already moved to spare_, dropped from active_ in bulk.
+  std::vector<ScheduledEvent*> active_;
+  std::size_t first_ = 0;
+  std::vector<ScheduledEvent*> spare_;  // LIFO
+  std::vector<std::unique_ptr<ScheduledEvent[]>> owned_;
+  std::size_t head_ = 0;
+  std::size_t tail_ = kBlockEvents;
+  std::size_t size_ = 0;
+  Time back_t_ = 0.0;
+};
+
+// Cache-line aligned: a sharded run keeps one engine per shard thread,
+// and each writes its counters on every event.
+class alignas(64) Engine {
+ public:
+  // A FIFO lane's id (add_lane), or kNoLane for the calendar.
+  using Lane = std::uint32_t;
+  static constexpr Lane kNoLane = ~Lane{0};
+
   explicit Engine(EnginePolicy policy = EnginePolicy::kCalendar);
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -84,20 +150,26 @@ class Engine {
   // scan) and an Inf breaks width estimation, so neither may enter any
   // queue.
   // `fn` must be trivially copyable and fit a Task's inline buffer
-  // (Task::fits_inline); a Task passes through unchanged.
+  // (Task::fits_inline); a Task passes through unchanged.  `lane` names
+  // the FIFO lane the event rides when it is not earlier than that
+  // lane's tail (see the file comment); it changes where the event
+  // waits, never when it runs.
   template <class F>
-  void at(Time t, F&& fn) {
+  void at(Time t, F&& fn, Lane lane = kNoLane) {
     using D = std::decay_t<F>;
     static_assert(std::is_same_v<D, Task> || Task::fits_inline<D>,
                   "Engine::at schedules only trivially copyable callables "
                   "of at most Task::kInlineBytes bytes");
     require_finite(t);
     if constexpr (std::is_same_v<D, Task>) {
-      schedule(t, fn);
+      schedule(t, fn, lane);
     } else {
-      schedule(t, Task(std::forward<F>(fn)));
+      schedule(t, Task(std::forward<F>(fn)), lane);
     }
   }
+
+  // Adds a FIFO lane and returns its id (0, 1, ... in call order).
+  Lane add_lane();
 
   // Self-rescheduling periodic callback: fires at `first`, `first +
   // period`, ... for the engine's lifetime; it simply stops being
@@ -121,7 +193,8 @@ class Engine {
   Time now() const { return now_; }
   std::uint64_t events_executed() const { return executed_; }
   std::size_t pending() const {
-    return policy_ == EnginePolicy::kHeap ? heap_.size() : calendar_.size();
+    return policy_ == EnginePolicy::kHeap ? heap_.size()
+                                          : calendar_.size() + lane_events_;
   }
   // Number of at() calls that asked for a time strictly before now().
   std::uint64_t clamped_count() const { return clamped_; }
@@ -152,8 +225,13 @@ class Engine {
     std::function<void(Time)> fn;
   };
 
-  static void require_finite(Time t);
-  void schedule(Time t, const Task& task);
+  // Rejects a non-finite t before any queue or clamp math runs, so a bad
+  // timestamp has the same (absence of) effect under both policies.
+  static void require_finite(Time t) {
+    if (!std::isfinite(t)) reject_non_finite(t);
+  }
+  [[noreturn]] static void reject_non_finite(Time t);
+  void schedule(Time t, const Task& task, Lane lane);
   // One firing of chain `id` at `t`: runs its callback and queues the
   // next firing.
   void fire(std::size_t id, Time t);
@@ -161,6 +239,8 @@ class Engine {
   EnginePolicy policy_;
   std::vector<ScheduledEvent> heap_;  // kHeap: min-heap via std::push_heap
   CalendarQueue calendar_;            // kCalendar
+  std::vector<EventLane> lanes_;      // kCalendar; kHeap ignores lanes
+  std::size_t lane_events_ = 0;       // events held by lanes_
   // The self-rescheduling chains created by every(), indexed by id;
   // queued firings carry only the id.  A deque, so a callback that adds
   // a chain cannot move the one running.

@@ -23,7 +23,8 @@ ShardedEngine::ShardedEngine(std::size_t shards, Duration window)
   for (std::size_t s = 0; s < shards; ++s) {
     engines_.push_back(std::make_unique<Engine>());
   }
-  outboxes_.assign(shards + 1, std::vector<std::vector<Post>>(shards));
+  merge_lane_ = add_lane();
+  outboxes_.assign(shards + 1, std::vector<Outbox>(shards));
   inboxes_.resize(shards);
   errors_.assign(shards, nullptr);
   for (std::size_t s = 1; s < shards; ++s) {
@@ -40,13 +41,17 @@ ShardedEngine::~ShardedEngine() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ShardedEngine::require_finite_post(Time t) {
-  // A NaN or infinite post would throw from Engine::at midway through a
-  // merge; rejecting it here names the producer instead.
-  if (!std::isfinite(t)) {
-    throw std::invalid_argument("ShardedEngine::post: non-finite time " +
-                                std::to_string(t));
+void ShardedEngine::reject_non_finite_post(Time t) {
+  throw std::invalid_argument("ShardedEngine::post: non-finite time " +
+                              std::to_string(t));
+}
+
+Engine::Lane ShardedEngine::add_lane() {
+  Engine::Lane lane = Engine::kNoLane;
+  for (const std::unique_ptr<Engine>& engine : engines_) {
+    lane = engine->add_lane();
   }
+  return lane;
 }
 
 void ShardedEngine::every_global(Time first, Duration period,
@@ -125,58 +130,69 @@ void ShardedEngine::run_phase(Phase phase, Time t) {
 void ShardedEngine::merge_into(std::size_t dst, Time barrier) {
   Inbox& inbox = inboxes_[dst];
   // Every exit -- normal or by exception -- leaves this destination's
-  // outbox column and merge records empty.
+  // outbox column empty and in order.
   struct Discard {
     ShardedEngine* self;
     std::size_t dst;
     ~Discard() {
-      for (std::vector<std::vector<Post>>& row : self->outboxes_) {
-        row[dst].clear();
+      for (std::vector<Outbox>& row : self->outboxes_) {
+        row[dst].posts.clear();
+        row[dst].sorted = true;
       }
-      self->inboxes_[dst].records.clear();
     }
   } discard{this, dst};
-  inbox.records.clear();
-  inbox.starts.clear();
-  std::size_t slot = 0;
-  for (const std::vector<std::vector<Post>>& row : outboxes_) {
-    inbox.starts.push_back(static_cast<std::uint32_t>(slot));
-    for (const Post& post : row[dst]) {
-      inbox.records.push_back(MergeRecord{post.t, post.key.send_t,
-                                          post.key.index, post.key.origin,
-                                          static_cast<std::uint32_t>(slot)});
-      ++slot;
-    }
+  // Each source's run in canonical order (sorting only a run staged out
+  // of order), and the earliest post over all of them.
+  std::vector<Cursor>& heads = inbox.heads;
+  heads.clear();
+  std::size_t total = 0;
+  for (std::vector<Outbox>& row : outboxes_) {
+    Outbox& box = row[dst];
+    if (box.posts.empty()) continue;
+    if (!box.sorted) std::sort(box.posts.begin(), box.posts.end(), earlier);
+    heads.push_back(Cursor{box.posts.data(), box.posts.data() + box.posts.size()});
+    total += box.posts.size();
   }
-  if (slot == 0) return;
-  // The canonical order: gather order (which varies with K) must not
-  // matter, and the key is globally unique, so this sort has no ties.
-  std::sort(inbox.records.begin(), inbox.records.end(),
-            [](const MergeRecord& a, const MergeRecord& b) {
-              if (a.t != b.t) return a.t < b.t;
-              if (a.send_t != b.send_t) return a.send_t < b.send_t;
-              if (a.origin != b.origin) return a.origin < b.origin;
-              return a.index < b.index;
-            });
-  // Sorted by t, so the front is the earliest post: checking it alone
-  // enforces the contract for the whole destination before any insert.
-  if (inbox.records.front().t < barrier) {
+  if (heads.empty()) return;
+  const auto later_head = [](const Cursor& a, const Cursor& b) {
+    return earlier(*b.next, *a.next);
+  };
+  std::make_heap(heads.begin(), heads.end(), later_head);
+  // The heap's top is the earliest post: checking it alone enforces the
+  // contract for the whole destination before any insert.
+  if (heads.front().next->t < barrier) {
     throw std::logic_error(
         "ShardedEngine: lookahead contract violated -- event staged for "
         "t=" +
-        std::to_string(inbox.records.front().t) + " merged at barrier " +
+        std::to_string(heads.front().next->t) + " merged at barrier " +
         std::to_string(barrier) +
         " (delay model delivered faster than its declared floor)");
   }
+  // Take the earliest run's posts up to the next run's head in one go:
+  // with one source (or runs that barely interleave) this is a copy.
   Engine& engine = *engines_[dst];
-  for (const MergeRecord& r : inbox.records) {
-    const std::size_t src = static_cast<std::size_t>(
-        std::upper_bound(inbox.starts.begin(), inbox.starts.end(), r.slot) -
-        inbox.starts.begin() - 1);
-    const Post& post = outboxes_[src][dst][r.slot - inbox.starts[src]];
-    engine.at(post.t, post.task);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later_head);
+    Cursor& run = heads.back();
+    if (heads.size() == 1) {
+      for (; run.next != run.end; ++run.next) {
+        engine.at(run.next->t, run.next->task, merge_lane_);
+      }
+      heads.pop_back();
+      break;
+    }
+    const Post& bound = *heads.front().next;
+    do {
+      engine.at(run.next->t, run.next->task, merge_lane_);
+      ++run.next;
+    } while (run.next != run.end && earlier(*run.next, bound));
+    if (run.next == run.end) {
+      heads.pop_back();
+    } else {
+      std::push_heap(heads.begin(), heads.end(), later_head);
+    }
   }
-  inbox.staged += inbox.records.size();
+  inbox.staged += total;
 }
 
 void ShardedEngine::sample_pending() {
@@ -227,8 +243,8 @@ std::size_t ShardedEngine::pending() const {
   for (const std::unique_ptr<Engine>& engine : engines_) {
     total += engine->pending();
   }
-  for (const std::vector<std::vector<Post>>& row : outboxes_) {
-    for (const std::vector<Post>& box : row) total += box.size();
+  for (const std::vector<Outbox>& row : outboxes_) {
+    for (const Outbox& box : row) total += box.posts.size();
   }
   return total;
 }

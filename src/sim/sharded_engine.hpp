@@ -20,7 +20,10 @@
 //      events staged for it during the window (by every context) into
 //      its own queue, in a canonical order (below).  The merge starts
 //      only after every shard has drained -- a source's outbox is
-//      complete only then -- and ends before the globals run;
+//      complete only then -- and ends before the globals run.  The
+//      merged stream is appended to a FIFO lane of the shard's engine
+//      (Engine::add_lane): under a constant delay every barrier's posts
+//      follow the previous barrier's, so they never touch the calendar;
 //   4. the globals engine runs inclusive to b on the coordinator --
 //      at equal times, globals run BEFORE shard events;
 //   5. repeat until b == horizon, then drain shard events at exactly
@@ -33,9 +36,15 @@
 //   * every cross-entity event -- even one whose destination happens to
 //     live on the producing shard -- goes through post(), which stages
 //     it in a per-context outbox.  At the barrier, each destination's
-//     staged events are sorted by (t, key.send_t, key.origin,
-//     key.index); the key is globally unique (origin x running index),
-//     so the sort is a total order with no tie left to arrival order.
+//     staged events are merged in (t, key.send_t, key.origin,
+//     key.index) order; the key is globally unique (origin x running
+//     index), so that is a total order with no tie left to arrival
+//     order.  A context stages its posts in execution order, which under
+//     a constant delay is already this order, so the merge is a
+//     (K+1)-way merge of sorted runs: post() notes whether each run is
+//     still in order, and only a run that is not (a random delay, two
+//     origins sending at one instant in reverse id order) is sorted, on
+//     its own, before the merge.
 //   * shard-local follow-ups (an entity rescheduling itself) use at(),
 //     which only ever interleaves same-time events of DIFFERENT
 //     entities; those touch disjoint state and stage their sends
@@ -68,6 +77,7 @@
 #ifndef GCS_SIM_SHARDED_ENGINE_HPP
 #define GCS_SIM_SHARDED_ENGINE_HPP
 
+#include <cmath>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -112,12 +122,19 @@ class ShardedEngine {
   // coordinator running globals.
   std::size_t global_ctx() const { return engines_.size(); }
 
-  // Schedules a shard-local event.  Callable from the owning shard's
-  // execution context during a window, or from the coordinator while
-  // every shard is parked (construction, barriers, between runs).
+  // Adds a FIFO lane to every shard's engine and returns its id, the
+  // same on every shard (see Engine::add_lane).  Coordinator-only,
+  // before the first run_until.
+  Engine::Lane add_lane();
+
+  // Schedules a shard-local event, on FIFO lane `lane` of the shard's
+  // engine if given.  Callable from the owning shard's execution
+  // context during a window, or from the coordinator while every shard
+  // is parked (construction, barriers, between runs).
   template <class F>
-  void at(std::size_t shard, Time t, F&& fn) {
-    engines_[shard]->at(t, std::forward<F>(fn));
+  void at(std::size_t shard, Time t, F&& fn,
+          Engine::Lane lane = Engine::kNoLane) {
+    engines_[shard]->at(t, std::forward<F>(fn), lane);
   }
 
   // Stages an event for `dst_shard`, to be merged at the next barrier
@@ -135,8 +152,12 @@ class ShardedEngine {
                   "ShardedEngine::post takes only callables a Task stores "
                   "inline (trivially copyable, at most 32 bytes)");
     require_finite_post(t);
-    outboxes_[src_ctx][dst_shard].push_back(
-        Post{t, key, Task(std::forward<F>(fn))});
+    Outbox& box = outboxes_[src_ctx][dst_shard];
+    const Post post{t, key, Task(std::forward<F>(fn))};
+    if (!box.posts.empty() && earlier(post, box.posts.back())) {
+      box.sorted = false;
+    }
+    box.posts.push_back(post);
   }
 
   // Globals: events that may touch any shard's entities.  They execute
@@ -185,24 +206,29 @@ class ShardedEngine {
   static_assert(std::is_trivially_copyable_v<Post>);
   static_assert(sizeof(Post) == 72, "(t, PostKey, Task)");
 
-  // The merge sorts these 32-byte (t, key, slot) records instead of the
-  // 72-byte Posts, then copies each Task once, straight from its outbox
-  // into the queue.  `slot` indexes the destination's outbox column
-  // read as one concatenated sequence (see Inbox::starts); 2^32 posts
-  // for one shard in one window would be 288 GiB of Posts.
-  struct MergeRecord {
-    Time t;
-    Time send_t;
-    std::uint64_t index;
-    std::uint32_t origin;
-    std::uint32_t slot;
+  // One context's posts for one destination, in staging order, and
+  // whether that order is still the canonical one.  Padded: a row's
+  // outboxes are written on every post by their context alone.
+  struct alignas(64) Outbox {
+    std::vector<Post> posts;
+    bool sorted = true;
+  };
+  // The canonical merge order; keys are unique, so it is total.
+  static bool earlier(const Post& a, const Post& b) {
+    if (a.t != b.t) return a.t < b.t;
+    if (a.key.send_t != b.key.send_t) return a.key.send_t < b.key.send_t;
+    if (a.key.origin != b.key.origin) return a.key.origin < b.key.origin;
+    return a.key.index < b.key.index;
+  }
+  // The unmerged rest of one source's run.
+  struct Cursor {
+    const Post* next;
+    const Post* end;
   };
   // One destination's merge state, touched only by that shard's thread;
   // padded so two destinations never share a cache line.
   struct alignas(64) Inbox {
-    std::vector<MergeRecord> records;
-    // starts[src] = slot of outboxes_[src][dst]'s first post.
-    std::vector<std::uint32_t> starts;
+    std::vector<Cursor> heads;  // merge scratch: a heap of source runs
     std::uint64_t staged = 0;
   };
   enum class Phase { kDrain, kMerge };
@@ -213,7 +239,12 @@ class ShardedEngine {
   // stale one.
   void run_phase(Phase phase, Time t);
   void run_shard_phase(std::size_t shard, Phase phase, Time t);
-  static void require_finite_post(Time t);
+  // A NaN or infinite post would throw from Engine::at midway through a
+  // merge; rejecting it at post() names the producer instead.
+  static void require_finite_post(Time t) {
+    if (!std::isfinite(t)) reject_non_finite_post(t);
+  }
+  [[noreturn]] static void reject_non_finite_post(Time t);
   // Merges destination `dst`'s staged posts into its queue.  On any
   // exception the destination's staged posts are discarded whole, so a
   // failed merge leaves no residue for pending() or a later barrier.
@@ -227,7 +258,9 @@ class ShardedEngine {
   // outboxes_[src_ctx][dst_shard]; row global_ctx() belongs to the
   // coordinator.  Written by rows during a drain, read and cleared by
   // columns during the merge.
-  std::vector<std::vector<std::vector<Post>>> outboxes_;
+  std::vector<std::vector<Outbox>> outboxes_;
+  // The lane of every shard's engine that merged posts ride.
+  Engine::Lane merge_lane_ = Engine::kNoLane;
   std::vector<Inbox> inboxes_;  // one per destination shard
   std::uint64_t windows_ = 0;
   std::uint64_t max_pending_ = 0;

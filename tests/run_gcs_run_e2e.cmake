@@ -117,6 +117,12 @@ expect_refused(--delay=uniform:0:5 "delay 'uniform:0:5'")
 expect_refused(--rho=1 "rho must be in")
 expect_refused(--D=-1 "D must be >= 0")
 expect_refused(--B0=-5 "B0 must be >= 0")
+# A traffic spec whose backlog can pass 2^53 bytes (where peak_queue_bytes
+# stops being an exact whole number) is refused up front, naming the knob.
+expect_refused(--traffic=idle:msg=1e300:bw=1
+               "traffic 'idle:msg=1e300:bw=1': 'msg' = 1e.300")
+expect_refused(--traffic=idle:msg=1e18:bw=1
+               "traffic 'idle:msg=1e18:bw=1': 'msg' = 1e.18")
 # A value of the wrong kind names its field, and a token strtod reads as
 # non-finite names its flag.
 expect_refused(--horizon=abc "config key 'horizon' must be a number")

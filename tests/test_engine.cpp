@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <stdexcept>
@@ -237,6 +239,235 @@ TEST_P(EngineTest, EveryRejectsNonPositiveOrNonFinitePeriods) {
   engine.run_until(5.0);  // returns: nothing was queued
   EXPECT_EQ(engine.events_executed(), 0u);
   EXPECT_EQ(engine.pending(), 0u);
+}
+
+}  // namespace
+
+namespace {
+
+using gcs::sim::EventLane;
+using gcs::sim::ScheduledEvent;
+
+// A calendar engine with FIFO lanes against the heap oracle, which keeps
+// none: the same schedule must run in the same order with the same
+// counters, whichever lane (or the calendar) each event waited in.
+struct LaneDriver {
+  explicit LaneDriver(EnginePolicy policy) : engine(policy) {
+    lanes[0] = engine.add_lane();
+    lanes[1] = engine.add_lane();
+  }
+  Engine engine;
+  Engine::Lane lanes[2];
+  std::vector<std::pair<double, int>> log;  // (now, event id)
+  std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
+  int next_id = 0;
+  int budget = 20000;
+
+  std::uint64_t draw(std::uint64_t mod) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (lcg >> 33) % mod;
+  }
+  Engine::Lane pick_lane() {
+    const std::uint64_t r = draw(3);
+    return r == 2 ? Engine::kNoLane : lanes[r];
+  }
+  // Schedules one event at t on `lane`; when it runs it logs itself and
+  // schedules up to two follow-ups: in order (now plus a slotted gap, so
+  // equal times recur), out of order (earlier than a lane's tail), at
+  // exactly now, or in the past (clamped).
+  void schedule(double t, Engine::Lane lane) {
+    const int id = next_id++;
+    engine.at(t, [this, id] { fire(id); }, lane);
+  }
+  void fire(int id) {
+    const double now = engine.now();
+    log.emplace_back(now, id);
+    for (int k = 0; k < 2 && budget > 0; ++k, --budget) {
+      switch (draw(6)) {
+        case 0:
+        case 1:
+          schedule(now + 0.125 * static_cast<double>(1 + draw(8)),
+                   pick_lane());
+          break;
+        case 2:
+          schedule(now + 0.001 * static_cast<double>(draw(1000)),
+                   pick_lane());
+          break;
+        case 3:
+          schedule(now, pick_lane());
+          break;
+        case 4:
+          schedule(now - 0.5, pick_lane());  // clamped to now
+          break;
+        default:
+          break;
+      }
+    }
+  }
+};
+
+TEST(EngineLanes, DifferentialAgainstTheHeapOracle) {
+  LaneDriver lanes(EnginePolicy::kCalendar);
+  LaneDriver oracle(EnginePolicy::kHeap);
+  for (LaneDriver* d : {&lanes, &oracle}) {
+    // Seeds: a lane fed in order, a lane fed out of order, calendar
+    // events tying with both.
+    for (int i = 0; i < 50; ++i) d->schedule(0.25 * i, d->lanes[0]);
+    for (int i = 50; i > 0; --i) d->schedule(0.25 * i, d->lanes[1]);
+    for (int i = 0; i < 50; ++i) d->schedule(0.5 * i, Engine::kNoLane);
+  }
+  EXPECT_EQ(lanes.engine.pending(), oracle.engine.pending());
+  for (const double horizon : {0.0, 1.0, 2.5, 7.25, 1e9}) {
+    double lane_next = -1.0;
+    double oracle_next = -1.0;
+    ASSERT_EQ(lanes.engine.next_time(&lane_next),
+              oracle.engine.next_time(&oracle_next));
+    EXPECT_EQ(lane_next, oracle_next);
+    lanes.engine.run_until(horizon);
+    oracle.engine.run_until(horizon);
+    ASSERT_EQ(lanes.log, oracle.log) << "diverged by horizon " << horizon;
+    EXPECT_EQ(lanes.engine.pending(), oracle.engine.pending());
+  }
+  EXPECT_GT(lanes.log.size(), 10000u);
+  EXPECT_EQ(lanes.engine.events_executed(), oracle.engine.events_executed());
+  EXPECT_EQ(lanes.engine.stats().max_pending,
+            oracle.engine.stats().max_pending);
+  EXPECT_GT(lanes.engine.clamped_count(), 0u);
+  EXPECT_EQ(lanes.engine.clamped_count(), oracle.engine.clamped_count());
+  EXPECT_EQ(lanes.engine.first_clamped_seq(),
+            oracle.engine.first_clamped_seq());
+}
+
+TEST(EngineLanes, InOrderLanePushesNeverTouchTheCalendar) {
+  Engine engine;
+  const Engine::Lane lane = engine.add_lane();
+  std::vector<double> fired;
+  for (int i = 0; i < 3000; ++i) {
+    engine.at(0.001 * (i / 3), [&] { fired.push_back(engine.now()); }, lane);
+  }
+  EXPECT_EQ(engine.pending(), 3000u);
+  engine.run_until(10.0);
+  EXPECT_EQ(fired.size(), 3000u);
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  EXPECT_EQ(engine.stats().max_pending, 3000u);
+  // The calendar stayed empty, so it never probed a bucket.
+  EXPECT_EQ(engine.stats().calendar_bucket_scans, 0u);
+}
+
+TEST(EngineLanes, OutOfOrderPushFallsBackToTheCalendar) {
+  Engine engine;
+  const Engine::Lane lane = engine.add_lane();
+  std::string order;
+  engine.at(5.0, [&] { order += 'c'; }, lane);
+  engine.at(3.0, [&] { order += 'a'; }, lane);  // earlier than the tail
+  engine.at(4.0, [&] { order += 'b'; }, lane);  // still earlier
+  engine.at(5.0, [&] { order += 'd'; }, lane);  // ties the tail: rides
+  double next = 0.0;
+  ASSERT_TRUE(engine.next_time(&next));
+  EXPECT_EQ(next, 3.0);
+  EXPECT_EQ(engine.pending(), 4u);
+  engine.run_until(10.0);
+  EXPECT_EQ(order, "abcd");
+  EXPECT_GT(engine.stats().calendar_bucket_scans, 0u);
+}
+
+TEST(EngineLanes, EqualTimeTiesAcrossLanesAndCalendarAreFifo) {
+  Engine engine;
+  const Engine::Lane first = engine.add_lane();
+  const Engine::Lane second = engine.add_lane();
+  std::string order;
+  engine.at(1.0, [&] { order += 'a'; });
+  engine.at(1.0, [&] { order += 'b'; }, second);
+  engine.at(1.0, [&] { order += 'c'; }, first);
+  engine.at(1.0, [&] { order += 'd'; });
+  engine.at(1.0, [&] {
+    order += 'e';
+    // Same-time re-entry from a running event, into every source.
+    engine.at(1.0, [&] { order += 'f'; }, first);
+    engine.at(1.0, [&] { order += 'g'; });
+    engine.at(1.0, [&] { order += 'h'; }, second);
+  }, second);
+  engine.run_until(1.0);
+  EXPECT_EQ(order, "abcdefgh");
+}
+
+TEST(EngineLanes, PastLanePushClampsAndCounts) {
+  Engine engine;
+  const Engine::Lane lane = engine.add_lane();
+  double fired_at = -1.0;
+  engine.at(5.0, [&] {
+    engine.at(1.0, [&] { fired_at = engine.now(); }, lane);
+  }, lane);
+  engine.run_until(10.0);
+  EXPECT_EQ(fired_at, 5.0);
+  EXPECT_EQ(engine.clamped_count(), 1u);
+  EXPECT_EQ(engine.first_clamped_time(), 1.0);
+  EXPECT_EQ(engine.first_clamped_seq(), 1u);
+}
+
+TEST(EngineLanes, HorizonBoundedRunsLeaveLaneEventsPending) {
+  Engine engine;
+  const Engine::Lane lane = engine.add_lane();
+  int fired = 0;
+  for (int i = 1; i <= 4; ++i) engine.at(i, [&] { ++fired; }, lane);
+  engine.run_until(2.0);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(engine.pending(), 2u);
+  double next = 0.0;
+  ASSERT_TRUE(engine.next_time(&next));
+  EXPECT_EQ(next, 3.0);
+  engine.run_until(4.0);
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(engine.pending(), 0u);
+  EXPECT_FALSE(engine.next_time(&next));
+}
+
+TEST(EngineLanes, LaneStorageStaysAtItsHighWaterMark) {
+  EventLane lane;
+  const std::size_t block = EventLane::kBlockEvents;
+  std::uint64_t pushed = 0;
+  std::uint64_t popped = 0;
+  const auto push = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i, ++pushed) {
+      lane.push_back(ScheduledEvent{static_cast<double>(pushed), pushed, {}});
+    }
+  };
+  const auto pop = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i, ++popped) {
+      ASSERT_EQ(lane.front().seq, popped);
+      lane.pop_front();
+    }
+  };
+  push(3 * block + 7);
+  EXPECT_EQ(lane.capacity(), 4 * block);
+  // A sliding window of 3 blocks + 7 live events spans at most 5 blocks;
+  // drained blocks are reused at the tail, so once the window has
+  // straddled that many, the storage never grows again.
+  const auto slide = [&] {
+    pop(block + 100);
+    push(block + 100);
+    EXPECT_LE(lane.capacity(), 5 * block);
+  };
+  for (int round = 0; round < 8; ++round) slide();
+  const std::size_t high_water = lane.capacity();
+  for (int round = 0; round < 20; ++round) slide();
+  EXPECT_EQ(lane.capacity(), high_water);
+  pop(lane.size());
+  EXPECT_TRUE(lane.empty());
+  push(5);
+  pop(5);
+  EXPECT_EQ(lane.capacity(), high_water);
+}
+
+TEST(EngineLanes, HeapOracleIgnoresLanes) {
+  Engine engine(EnginePolicy::kHeap);
+  const Engine::Lane lane = engine.add_lane();
+  std::string order;
+  engine.at(2.0, [&] { order += 'b'; }, lane);
+  engine.at(1.0, [&] { order += 'a'; }, lane);
+  engine.run_until(3.0);
+  EXPECT_EQ(order, "ab");
+  EXPECT_GT(engine.stats().heap_ops, 0u);
 }
 
 }  // namespace

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -285,6 +287,156 @@ TEST(ShardedEngine, StatsReportShardCountersAndZeroPolicyCounters) {
   EXPECT_EQ(stats.heap_ops, 0u);
   EXPECT_EQ(stats.calendar_bucket_scans, 0u);
   EXPECT_EQ(stats.calendar_resizes, 0u);
+}
+
+// The barrier merge: a (K+1)-way merge of the contexts' staged runs,
+// each sorted on its own only when it was staged out of order.  Every
+// shard must execute the posts it received in exactly the order one
+// sort of all of them by (t, send_t, origin, index) gives -- the order
+// the merge is defined by -- whether the runs arrive sorted (constant
+// delay), out of order (random delays, same-instant senders scheduled in
+// reverse id order) or from the barrier-side global context.
+enum class MergeDelay { kConstant, kUniform };
+using MergeKey = std::tuple<double, double, std::uint32_t, std::uint64_t>;
+
+struct MergeProbe {
+  MergeProbe(std::size_t n, std::size_t k, MergeDelay delay)
+      : eng(k, kWindow), delay(delay), shard_of(n), index(n, 0), posted(n),
+        executed(k), per_entity(n) {
+    for (std::size_t u = 0; u < n; ++u) {
+      shard_of[u] = gcs::core::shard_of(u, k, n);
+    }
+  }
+  static constexpr double kWindow = 0.5;
+
+  // Entity `u` (or the global context, origin `u` with ctx global_ctx())
+  // sends to two entities at `t`; runs in the sender's context.
+  void broadcast(std::size_t ctx, std::uint32_t u, double t) {
+    const std::size_t n = shard_of.size();
+    for (const std::size_t v : {(u + 1) % n, (u + 5) % n}) {
+      const std::uint64_t i = index[u]++;
+      double d = kWindow;
+      if (delay == MergeDelay::kUniform) {
+        d += kWindow * static_cast<double>((u * 7919 + i * 104729) % 1000) /
+             1000.0;
+      }
+      const std::uint32_t dst = shard_of[v];
+      posted[u].push_back({dst, MergeKey{t + d, t, u, i}});
+      eng.post(ctx, dst, t + d, PostKey{t, u, i},
+               [this, v, t, u, idx = static_cast<std::uint32_t>(i)] {
+                 const std::uint32_t s = shard_of[v];
+                 const MergeKey key{eng.shard_now(s), t, u, idx};
+                 executed[s].push_back(key);
+                 per_entity[v].push_back(key);
+               });
+    }
+  }
+  // Each shard's executed posts against one sort of everything posted
+  // to it.
+  void expect_sort_order() const {
+    std::vector<std::vector<MergeKey>> want(executed.size());
+    for (const auto& list : posted) {
+      for (const auto& [dst, key] : list) want[dst].push_back(key);
+    }
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < want.size(); ++s) {
+      std::sort(want[s].begin(), want[s].end());
+      EXPECT_EQ(executed[s], want[s]) << "shard " << s;
+      total += want[s].size();
+    }
+    EXPECT_GT(total, 0u);
+  }
+
+  ShardedEngine eng;
+  MergeDelay delay;
+  std::vector<std::uint32_t> shard_of;
+  std::vector<std::uint64_t> index;  // per origin
+  // Per origin (written by its context), per destination shard and per
+  // receiving entity (written by the receiver's shard).
+  std::vector<std::vector<std::pair<std::uint32_t, MergeKey>>> posted;
+  std::vector<std::vector<MergeKey>> executed;
+  std::vector<std::vector<MergeKey>> per_entity;
+};
+
+// Entities send at staggered times, so a context's run is in order
+// under a constant delay and out of order under a random one.
+std::vector<std::vector<MergeKey>> run_staggered(std::size_t k,
+                                                 MergeDelay delay) {
+  const std::size_t n = 12;
+  MergeProbe probe(n, k, delay);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (int j = 0; j < 20; ++j) {
+      const double t = 0.05 * u + 0.37 * j;
+      probe.eng.at(probe.shard_of[u], t,
+                   [&probe, u, t] { probe.broadcast(probe.shard_of[u], u, t); });
+    }
+  }
+  probe.eng.run_until(12.0);
+  probe.expect_sort_order();
+  return probe.per_entity;
+}
+
+TEST(ShardedMerge, EqualsTheSortOrderUnderAConstantDelay) {
+  const auto base = run_staggered(1, MergeDelay::kConstant);
+  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
+    EXPECT_EQ(run_staggered(k, MergeDelay::kConstant), base) << "k=" << k;
+  }
+}
+
+TEST(ShardedMerge, EqualsTheSortOrderUnderAUniformDelay) {
+  const auto base = run_staggered(1, MergeDelay::kUniform);
+  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
+    EXPECT_EQ(run_staggered(k, MergeDelay::kUniform), base) << "k=" << k;
+  }
+}
+
+TEST(ShardedMerge, SameInstantSendersInReverseIdOrderAreSorted) {
+  // Every entity sends at the same instants, its event scheduled in
+  // reverse id order: each context stages origin 11 before origin 0 at
+  // one (t, send_t), so only the run's own sort restores the order.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+    const std::size_t n = 12;
+    MergeProbe probe(n, k, MergeDelay::kConstant);
+    for (int j = 0; j < 6; ++j) {
+      for (auto u = static_cast<std::uint32_t>(n); u-- > 0;) {
+        const double t = 0.25 + 1.0 * j;
+        probe.eng.at(probe.shard_of[u], t, [&probe, u, t] {
+          probe.broadcast(probe.shard_of[u], u, t);
+        });
+      }
+    }
+    probe.eng.run_until(8.0);
+    probe.expect_sort_order();
+    for (const auto& log : probe.per_entity) {
+      ASSERT_FALSE(log.empty());
+      EXPECT_TRUE(std::is_sorted(log.begin(), log.end()));
+    }
+  }
+}
+
+TEST(ShardedMerge, GlobalContextRunsMergeWithShardRuns) {
+  // Barrier-side sends (like an edge-up discovery exchange) stage in the
+  // global context's row, at the same instants as shard-side sends.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    const std::size_t n = 12;
+    MergeProbe probe(n, k, MergeDelay::kConstant);
+    for (std::uint32_t u = 0; u < n; ++u) {
+      for (int j = 0; j < 6; ++j) {
+        const double t = 0.5 * j + (u % 2 == 0 ? 0.0 : 0.25);
+        if (u % 3 == 0) {
+          probe.eng.at_global(t, [&probe, u, t] {
+            probe.broadcast(probe.eng.global_ctx(), u, t);
+          });
+        } else {
+          probe.eng.at(probe.shard_of[u], t, [&probe, u, t] {
+            probe.broadcast(probe.shard_of[u], u, t);
+          });
+        }
+      }
+    }
+    probe.eng.run_until(6.0);
+    probe.expect_sort_order();
+  }
 }
 
 // Both layouts run one message path, so the schedule-shaped counters --
