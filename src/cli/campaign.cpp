@@ -81,15 +81,6 @@ void check(const ScenarioSpec& spec) {
   }
 }
 
-// splitmix64: decorrelates the scenario generator's random stream from the
-// delay/drift streams that consume the raw cell seed.
-std::uint64_t mix_seed(std::uint64_t seed) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 json::Value ScenarioSpec::to_json() const {
@@ -144,7 +135,9 @@ ScenarioSpec ScenarioSpec::from_flag(const std::string& text) {
 
 net::Scenario ScenarioSpec::build(std::size_t n, double horizon,
                                   std::uint64_t seed) const {
-  util::Rng rng(mix_seed(seed));
+  // Stream 0 decorrelates the scenario generator's random stream from the
+  // delay/drift streams that consume the raw cell seed.
+  util::Rng rng(util::mix_seed(seed, 0));
   net::Scenario scenario;
   if (kind == "churn") {
     scenario = net::make_churn_scenario(n, volatile_edges, lifetime, horizon,
@@ -403,7 +396,6 @@ Campaign build_campaign(const json::Value* doc,
     json::Value cfg_doc;
     cfg_doc = json::Object{};
     Cell cell;
-    std::string suffix;
     for (std::size_t a = 0; a < axes.size(); ++a) {
       const json::Value& v = axes[a].values[idx[a]];
       if (axes[a].key == "scenario") {
@@ -411,12 +403,17 @@ Campaign build_campaign(const json::Value* doc,
       } else {
         cfg_doc[axes[a].key] = v;
       }
-      if (axes[a].values.size() > 1) {
-        suffix += "-" + label_part(axes[a].key, v);
-      }
     }
     cell.config = harness::config_from_json(cfg_doc);
     harness::read_axes(cell.config);  // refuse bad specs before any cell runs
+    // Labels read the values as the config did, so they come after it: a
+    // value of the wrong kind is refused naming its key first.
+    std::string suffix;
+    for (std::size_t a = 0; a < axes.size(); ++a) {
+      if (axes[a].values.size() > 1) {
+        suffix += "-" + label_part(axes[a].key, axes[a].values[idx[a]]);
+      }
+    }
     std::string number = std::to_string(cell_no);
     number.insert(0, width - std::min(width, number.size()), '0');
     cell.label = number + suffix;

@@ -23,7 +23,7 @@
 //
 // Series and trace bytes are trajectory-derived only (no timing, no
 // scheduler counters), so they are byte-identical across --jobs values;
-// tests/run_telemetry_determinism.cmake enforces it.
+// tests/run_jobs_shards_determinism.cmake enforces it.
 //
 // Cells are independent (each gets its own engine, clocks, and RNG
 // streams inside run_experiment), so with `jobs > 1` they execute on a
@@ -32,8 +32,9 @@
 // thread, so every output file is byte-identical to a jobs=1 run of the
 // same campaign.  Timing fields (wall_ms / events_per_sec, the only
 // nondeterministic outputs) can be pinned to zero with `fixed_timing`
-// when byte-comparable trees are wanted; tests/run_jobs_determinism.cmake
-// enforces the guarantee end to end.
+// when byte-comparable trees are wanted;
+// tests/run_jobs_shards_determinism.cmake enforces the guarantee end to
+// end.
 //
 // In check mode every cell is audited after it runs: bound violations,
 // monotonicity failures, engine clamps (reported with the first offending

@@ -10,20 +10,6 @@
 
 namespace gcs::core {
 
-namespace {
-
-// splitmix64-style mix for the per-node delay RNG streams (sharded
-// mode): same recipe the campaign layer uses for per-cell seeds, so
-// stream quality matches what the repo already relies on.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t node) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (node + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 std::uint32_t shard_of(std::size_t u, std::size_t k, std::size_t n) {
   const std::size_t block = std::clamp<std::size_t>(n / k, 1, kShardBlock);
   return static_cast<std::uint32_t>((u / block) % k);
@@ -155,7 +141,7 @@ NetworkSimulation::NetworkSimulation(
   const std::size_t streams = sharded_ ? n : 1;
   stream_rng_.reserve(streams);
   for (std::size_t i = 0; i < streams; ++i) {
-    stream_rng_.emplace_back(sharded_ ? mix_seed(options_.seed, i)
+    stream_rng_.emplace_back(sharded_ ? util::mix_seed(options_.seed, i)
                                       : options_.seed);
   }
   stream_jump_.assign(streams, 0.0);

@@ -83,6 +83,13 @@ std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
 
 net::DelayModel build_delay(const ExperimentConfig& cfg) {
   const double T = cfg.params.T;
+  // T bounds every delay, and the delay models refuse a bound <= 0; name
+  // T, not the delay spec it defaults.  (run_experiment refuses a
+  // non-finite T before it gets here.)
+  if (T <= 0.0) {
+    throw std::invalid_argument("config key 'T' must be > 0, got '" +
+                                util::json::dump_number(T) + "'");
+  }
   util::spec::Reader spec(cfg.delay, "delay");
   const bool uniform = spec.kind() == "uniform";
   if (!uniform && spec.kind() != "constant") {

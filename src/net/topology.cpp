@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/rng.hpp"
-
 namespace gcs::net {
 
 Components::Components(std::size_t n) : parent_(n), count_(n) {
@@ -84,16 +82,6 @@ Topology make_complete(std::size_t n) {
     for (std::size_t j = i + 1; j < n; ++j) {
       edges.emplace_back(static_cast<NodeId>(i), static_cast<NodeId>(j));
     }
-  }
-  return Topology(n, std::move(edges));
-}
-
-Topology make_random_tree(std::size_t n, util::Rng& rng) {
-  std::vector<Edge> edges;
-  edges.reserve(n > 0 ? n - 1 : 0);
-  for (std::size_t i = 1; i < n; ++i) {
-    const auto parent = static_cast<NodeId>(rng.uniform_int(0, i - 1));
-    edges.emplace_back(parent, static_cast<NodeId>(i));
   }
   return Topology(n, std::move(edges));
 }

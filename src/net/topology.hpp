@@ -11,10 +11,6 @@
 #include <tuple>
 #include <vector>
 
-namespace gcs::util {
-class Rng;
-}
-
 namespace gcs::net {
 
 using NodeId = std::uint32_t;
@@ -53,7 +49,6 @@ Topology make_path(std::size_t n);
 Topology make_ring(std::size_t n);
 Topology make_star(std::size_t n, NodeId hub = 0);
 Topology make_complete(std::size_t n);
-Topology make_random_tree(std::size_t n, util::Rng& rng);
 
 // Union-find over nodes 0..n-1 that roots every component at its
 // smallest node id, so label() is the same whatever order the edges

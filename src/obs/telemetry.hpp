@@ -7,7 +7,8 @@
 // kept/seen/stride accounting).
 // Numbers go through util::json's shortest-round-trip formatter, so two
 // trajectories that are bit-identical produce byte-identical files --
-// the property tests/run_telemetry_determinism.cmake gates across --jobs.
+// the property tests/run_jobs_shards_determinism.cmake gates across --jobs
+// and --shards.
 //
 // The trace is bounded by geometric decimation, not reservoir sampling:
 // when the buffer would exceed its capacity the keep-stride doubles and

@@ -15,6 +15,18 @@
 
 namespace gcs::util {
 
+// splitmix64 finalizer over seed + golden-ratio * (stream + 1): one
+// well-mixed 64-bit seed per (seed, stream), so streams drawn from one
+// seed are decorrelated from each other and from the raw seed.  The
+// simulator keys each node's delay stream on it in sharded mode; the
+// campaign seeds each cell's scenario generator with stream 0.
+constexpr std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
+  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (stream + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 1) : seed_(seed) {}

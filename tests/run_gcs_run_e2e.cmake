@@ -1,47 +1,28 @@
 # End-to-end CTest for gcs_run: drive the real binary through a 2-cell
-# sweep in --check mode and validate the CSV artifact's shape.
-#
-# Invoked in script mode by CTest (see add_test in the top-level
-# CMakeLists) with:
-#   -DGCS_RUN=<path to the built gcs_run>
-#   -DOUT_DIR=<scratch directory for the results tree>
+# sweep in --check mode and validate the CSV artifact's shape, then hold
+# every refusal of a retired axis or a value the engine cannot run.
 #
 # The header below intentionally duplicates csv_header() from
 # src/cli/runner.cpp: the CSV is a public schema that CI and external
 # consumers pin, so changing a column must fail this test until the test
 # (and harness::kResultSchemaVersion) are updated deliberately.
+include(${CMAKE_CURRENT_LIST_DIR}/e2e.cmake)
+
 set(EXPECTED_HEADER
   "campaign,cell,n,workload,drift,delay,traffic,seed,horizon,sample_dt,samples,max_global_skew,global_skew_bound,global_margin,max_local_skew,local_skew_floor,global_violations,envelope_violations,monotonicity_failures,messages_sent,messages_delivered,messages_dropped,delivery_events,traffic_packets,traffic_dropped,ecn_marks,peak_queue_bytes,sync_delay_sum,sync_delay_max,events_executed,clamped_events,wall_ms,events_per_sec")
 
-if(NOT GCS_RUN OR NOT EXISTS "${GCS_RUN}")
-  message(FATAL_ERROR "gcs_run binary not found: '${GCS_RUN}'")
-endif()
-if(NOT OUT_DIR)
-  message(FATAL_ERROR "OUT_DIR not set")
-endif()
-
-file(REMOVE_RECURSE "${OUT_DIR}" "${OUT_DIR}-refused"
-     "${OUT_DIR}-help-example")
-
-execute_process(
-  COMMAND "${GCS_RUN}"
-          --name=e2e --n=6 --topology=ring --seeds=1,2
-          --horizon=20 --sample_dt=0.5 --check --out "${OUT_DIR}"
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE stdout
-  ERROR_VARIABLE stderr)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gcs_run exited ${rc}\nstdout:\n${stdout}\nstderr:\n${stderr}")
-endif()
+set(TREE "${OUT_DIR}/sweep")
+e2e_run(gcs_run --name=e2e --n=6 --topology=ring --seeds=1,2 --horizon=20
+        --sample_dt=0.5 --check --out "${TREE}")
 
 foreach(artifact campaign.csv campaign.jsonl summary.json
         cells/000-s1.json cells/001-s2.json)
-  if(NOT EXISTS "${OUT_DIR}/${artifact}")
-    message(FATAL_ERROR "missing artifact ${OUT_DIR}/${artifact}")
+  if(NOT EXISTS "${TREE}/${artifact}")
+    message(FATAL_ERROR "missing artifact ${TREE}/${artifact}")
   endif()
 endforeach()
 
-file(READ "${OUT_DIR}/campaign.csv" csv)
+file(READ "${TREE}/campaign.csv" csv)
 string(REGEX REPLACE "\n+$" "" csv "${csv}")
 string(REPLACE "\n" ";" lines "${csv}")
 list(LENGTH lines line_count)
@@ -69,7 +50,7 @@ foreach(row_index 1 2)
 endforeach()
 
 # The JSONL must carry one line per cell as well.
-file(READ "${OUT_DIR}/campaign.jsonl" jsonl)
+file(READ "${TREE}/campaign.jsonl" jsonl)
 string(REGEX REPLACE "\n+$" "" jsonl "${jsonl}")
 string(REPLACE "\n" ";" jsonl_lines "${jsonl}")
 list(LENGTH jsonl_lines jsonl_count)
@@ -81,15 +62,8 @@ endif()
 # unknown key (exit 2, named), not a silently ignored one.
 foreach(flag --store=columns --engine=heap --delivery=batched)
   string(REGEX REPLACE "=.*" "" option "${flag}")
-  execute_process(
-    COMMAND "${GCS_RUN}" --n=6 --topology=ring ${flag} --list
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE stdout
-    ERROR_VARIABLE stderr)
-  if(NOT rc EQUAL 2 OR NOT stderr MATCHES "unknown option ${option}")
-    message(FATAL_ERROR "gcs_run ${flag}: expected exit 2 naming the "
-            "unknown option, got ${rc}\nstdout:\n${stdout}\nstderr:\n${stderr}")
-  endif()
+  e2e_run(gcs_run --n=6 --topology=ring ${flag} --list
+          EXIT 2 STDERR "unknown option ${option}")
 endforeach()
 
 # Values the engine cannot run are refused up front, naming the field or
@@ -98,16 +72,9 @@ endforeach()
 # into a different distribution, rho = 1 and D = -1 failed without
 # naming the field, and B0 = -5 ran as B0 = 0.
 function(expect_refused flag pattern)
-  execute_process(
-    COMMAND "${GCS_RUN}" --n=8 --topology=ring --horizon=4 --T=1 ${flag}
-            --quiet --out "${OUT_DIR}-refused"
-    RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
-    TIMEOUT 10)
-  if(NOT rc MATCHES "^[1-9][0-9]*$" OR NOT "${stdout}${stderr}" MATCHES
-     "${pattern}")
-    message(FATAL_ERROR "gcs_run ${flag}: expected a prompt non-zero exit "
-            "naming '${pattern}', got ${rc}\n${stdout}\n${stderr}")
-  endif()
+  e2e_run(gcs_run --n=8 --topology=ring --horizon=4 --T=1 ${flag} --quiet
+          --out "${OUT_DIR}/refused" EXIT nonzero OUTPUT "${pattern}"
+          TIMEOUT 10)
 endfunction()
 expect_refused(--horizon=nan "horizon must be finite")
 expect_refused(--delta_h=0 "delta_h must be")
@@ -155,13 +122,9 @@ foreach(bad "--delay=unifrom;delay 'unifrom'"
             "--traffic=idle:msg=1e300:bw=1e-300;'msg' = 1e.300 over 'bw' = 1e-300")
   list(GET bad 0 flag)
   list(GET bad 1 pattern)
-  execute_process(
-    COMMAND "${GCS_RUN}" --n=8 ${flag} --list
-    RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
-    TIMEOUT 10)
-  if(NOT rc EQUAL 2 OR NOT stderr MATCHES "${pattern}" OR stdout MATCHES "cell")
-    message(FATAL_ERROR "gcs_run ${flag} --list: expected exit 2 naming "
-            "'${pattern}' before listing cells, got ${rc}\n${stdout}\n${stderr}")
+  e2e_run(gcs_run --n=8 ${flag} --list EXIT 2 STDERR "${pattern}" TIMEOUT 10)
+  if(e2e_stdout MATCHES "cell")
+    message(FATAL_ERROR "gcs_run ${flag} --list listed cells:\n${e2e_stdout}")
   endif()
 endforeach()
 
@@ -170,15 +133,8 @@ endforeach()
 # time, and a fractional, negative or huge volatile_edges exited naming
 # neither the knob nor the flag.
 function(expect_scenario_refused spec pattern)
-  execute_process(
-    COMMAND "${GCS_RUN}" --n=6 --scenario=${spec} --quiet
-            --out "${OUT_DIR}-refused"
-    RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr
-    TIMEOUT 10)
-  if(NOT rc EQUAL 2 OR NOT "${stdout}${stderr}" MATCHES "${pattern}")
-    message(FATAL_ERROR "gcs_run --scenario=${spec}: expected exit 2 "
-            "naming '${pattern}', got ${rc}\n${stdout}\n${stderr}")
-  endif()
+  e2e_run(gcs_run --n=6 --scenario=${spec} --quiet --out "${OUT_DIR}/refused"
+          EXIT 2 OUTPUT "${pattern}" TIMEOUT 10)
 endfunction()
 expect_scenario_refused(churn:lifetime=-1 "'lifetime' must be > 0, got '-1'")
 expect_scenario_refused(churn:lifetime=0 "'lifetime' must be > 0, got '0'")
@@ -192,15 +148,9 @@ expect_scenario_refused(churn:lifetime=0x10 "'lifetime' must be a number, got '0
 
 # The backbone-free example from gcs_run --help must pass --check under
 # the default T + D = 3 (its connect_window is that window).
-execute_process(
-  COMMAND "${GCS_RUN}" --n=10
-          --scenario=gauss-markov:alpha=0.85:backbone=false:connect_window=3
-          --check --quiet --out "${OUT_DIR}-help-example"
-  RESULT_VARIABLE rc OUTPUT_VARIABLE stdout ERROR_VARIABLE stderr)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "gcs_run --help's gauss-markov example exited ${rc}\n"
-          "${stdout}\n${stderr}")
-endif()
+e2e_run(gcs_run --n=10
+        --scenario=gauss-markov:alpha=0.85:backbone=false:connect_window=3
+        --check --quiet --out "${OUT_DIR}/help-example")
 
 message(STATUS "gcs_run e2e: 2-cell sweep ok, CSV schema intact, retired "
         "axes rejected, --horizon=nan, --delta_h=0, delays outside "

@@ -4,48 +4,22 @@
 # contact trace.  The C/C++ conversion functions each accept their own
 # dialect (hex, "nan", "inf", a leading '+' or whitespace, numeric
 # prefixes), and every hand-rolled reader built on them has been a hole;
-# this script fails the moment one of them is named anywhere in src/ or
+# this gate fails the moment one of them is named anywhere in src/ or
 # tools/ outside src/util/json.cpp.
-#
-# Invoked in script mode by CTest with:
-#   -DSRC_DIR=<repo root>
-
-if(NOT DEFINED SRC_DIR)
-  message(FATAL_ERROR "run_number_reader_gate.cmake: -DSRC_DIR=... is required")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/e2e.cmake)
 
 set(conversions
     "strtod|strtof|strtold|stod|stof|stold|strtol|strtoll|strtoul|strtoull|stoi|stol|stoul|stoull|atof|atoi|atol")
-# A whole identifier: not part of a longer name such as "strtods".
-set(pattern "(^|[^A-Za-z0-9_])(${conversions})([^A-Za-z0-9_]|$)")
-
 file(GLOB_RECURSE sources
      "${SRC_DIR}/src/*.cpp" "${SRC_DIR}/src/*.hpp"
      "${SRC_DIR}/tools/*.cpp" "${SRC_DIR}/tools/*.hpp")
-list(LENGTH sources count)
-if(count LESS 10)
-  message(FATAL_ERROR "number-reader gate: found only ${count} sources "
-          "under ${SRC_DIR}/src and ${SRC_DIR}/tools")
-endif()
+list(REMOVE_ITEM sources "${SRC_DIR}/src/util/json.cpp")
+list(SORT sources)
 
-set(violations "")
-foreach(path ${sources})
-  if(path STREQUAL "${SRC_DIR}/src/util/json.cpp")
-    continue()
-  endif()
-  file(STRINGS "${path}" matches REGEX "${pattern}")
-  foreach(line ${matches})
-    list(APPEND violations "${path}: ${line}")
-  endforeach()
-endforeach()
-
-if(NOT violations STREQUAL "")
-  string(REPLACE ";" "\n" violations "${violations}")
-  message(FATAL_ERROR
-          "raw number conversion outside src/util/json.cpp; read numbers "
-          "with util::json::read_number or util::spec (see docs/specs.md).  "
-          "Found:\n${violations}")
-endif()
-
-message(STATUS "number-reader gate: ${count} sources, raw number conversion "
-        "only in src/util/json.cpp")
+# A whole identifier: not part of a longer name such as "strtods".
+e2e_grep_gate("number-reader gate"
+              PATTERN "(^|[^A-Za-z0-9_])(${conversions})([^A-Za-z0-9_]|$)"
+              PROBE "  const double value = std::strtod(text.c_str(), nullptr)"
+              FILES ${sources} MIN_FILES 10
+              HINT "raw number conversion outside src/util/json.cpp; read \
+numbers with util::json::read_number or util::spec (see docs/specs.md).")

@@ -1,65 +1,23 @@
 # Trace-driven scenarios through the real gcs_run binary: a malformed
-# trace must fail the run loudly (nonzero exit, offending input named),
-# and the shipped example trace must run clean under --check.
-#
-# Usage:
-#   cmake -DGCS_RUN=<path> -DSRC_DIR=<repo root> -DOUT_DIR=<scratch>
-#         -P run_trace_errors.cmake
+# trace fails the run loudly (nonzero exit, offending input named), and
+# the shipped example trace runs clean under --check.
+include(${CMAKE_CURRENT_LIST_DIR}/e2e.cmake)
 
-foreach(var GCS_RUN SRC_DIR OUT_DIR)
-  if(NOT DEFINED ${var})
-    message(FATAL_ERROR "run_trace_errors.cmake: -D${var}=... is required")
-  endif()
-endforeach()
+# An out-of-range node id.
+file(WRITE "${OUT_DIR}/bad.csv" "n,4\n0,0,1,up\n1,0,9,up\n")
+e2e_run(gcs_run --n=4 --scenario=trace:path=${OUT_DIR}/bad.csv --horizon=10
+        --out "${OUT_DIR}/bad-results" EXIT nonzero OUTPUT "out of range")
 
-file(REMOVE_RECURSE ${OUT_DIR})
-file(MAKE_DIRECTORY ${OUT_DIR})
+# A well-formed trace whose n disagrees with the cell's n
+# (run_experiment's scenario-size check).
+file(WRITE "${OUT_DIR}/small.csv" "n,4\n0,0,1,up\n0,1,2,up\n0,2,3,up\n")
+e2e_run(gcs_run --n=6 --scenario=trace:path=${OUT_DIR}/small.csv --horizon=10
+        --out "${OUT_DIR}/mismatch-results" EXIT nonzero OUTPUT "disagrees")
 
-# --- 1. A malformed trace (out-of-range node id) fails the campaign. ----
-file(WRITE ${OUT_DIR}/bad.csv "n,4\n0,0,1,up\n1,0,9,up\n")
-execute_process(
-  COMMAND ${GCS_RUN} --n=4 --scenario=trace:path=${OUT_DIR}/bad.csv
-          --horizon=10 --out ${OUT_DIR}/bad-results
-  RESULT_VARIABLE bad_rc
-  OUTPUT_VARIABLE bad_out
-  ERROR_VARIABLE bad_err)
-if(bad_rc EQUAL 0)
-  message(FATAL_ERROR "gcs_run accepted a malformed trace (exit 0)")
-endif()
-if(NOT "${bad_out}${bad_err}" MATCHES "out of range")
-  message(FATAL_ERROR
-          "malformed-trace failure did not name the offence:\n${bad_out}${bad_err}")
-endif()
-
-# --- 2. A well-formed trace whose n disagrees with the cell's n fails
-#        loudly (run_experiment's scenario-size check). ------------------
-file(WRITE ${OUT_DIR}/small.csv "n,4\n0,0,1,up\n0,1,2,up\n0,2,3,up\n")
-execute_process(
-  COMMAND ${GCS_RUN} --n=6 --scenario=trace:path=${OUT_DIR}/small.csv
-          --horizon=10 --out ${OUT_DIR}/mismatch-results
-  RESULT_VARIABLE mis_rc
-  OUTPUT_VARIABLE mis_out
-  ERROR_VARIABLE mis_err)
-if(mis_rc EQUAL 0)
-  message(FATAL_ERROR "gcs_run accepted a trace with mismatched n")
-endif()
-if(NOT "${mis_out}${mis_err}" MATCHES "disagrees")
-  message(FATAL_ERROR
-          "n-mismatch failure did not name the disagreement:\n${mis_out}${mis_err}")
-endif()
-
-# --- 3. The shipped example trace runs clean under --check. -------------
-execute_process(
-  COMMAND ${GCS_RUN} --n=10 --T=1 --D=2.5
-          --scenario=trace:path=campaigns/traces/example_contacts.csv
-          --horizon=40 --check --quiet --out ${OUT_DIR}/good-results
-  WORKING_DIRECTORY ${SRC_DIR}
-  RESULT_VARIABLE good_rc
-  OUTPUT_VARIABLE good_out
-  ERROR_VARIABLE good_err)
-if(NOT good_rc EQUAL 0)
-  message(FATAL_ERROR
-          "example trace failed --check (exit ${good_rc}):\n${good_out}${good_err}")
-endif()
+# The shipped example trace, by its repo-relative path.
+e2e_run(gcs_run --n=10 --T=1 --D=2.5
+        --scenario=trace:path=campaigns/traces/example_contacts.csv
+        --horizon=40 --check --quiet --out "${OUT_DIR}/good-results"
+        WORKING_DIRECTORY "${SRC_DIR}")
 
 message(STATUS "trace error handling OK")

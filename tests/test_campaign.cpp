@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
+#include <iterator>
 #include <map>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <utility>
 
 #include "harness/experiment.hpp"
+#include "harness/serialize.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -391,6 +396,13 @@ TEST(Campaign, MistypedValuesNameTheField) {
       // hex, so the text stays a string and fails the field's kind.
       {"n=0x10", "config key 'n' must be a whole number >= 0, got '\"0x10\"'"},
       {"horizon=+5", "config key 'horizon' must be a number, got '\"+5\"'"},
+      // A boolean in a swept numeric list reached the cell label first,
+      // which failed as "json: expected number, got bool".
+      {"n=8,true", "config key 'n' must be a whole number >= 0, got 'true'"},
+      // T <= 0 failed as the default delay spec or a delay model's
+      // "bad bounds", naming neither T nor its value.
+      {"T=-1", "config key 'T' must be > 0, got '-1'"},
+      {"T=0", "config key 'T' must be > 0, got '0'"},
   };
   for (const auto& [flag, message] : flags) {
     const std::string text = flag;
@@ -451,6 +463,100 @@ TEST(Campaign, BadAxisSpecsFailAtExpansion) {
                                           {"delay", "constant:0.75"}})
                 .cells.size(),
             1u);
+}
+
+// The --key=value override grammar (comma lists, whole-number ranges
+// a..b, numbers, booleans, axis specs), seeded the way test_spec.cpp seeds
+// its spec mutants: drop, duplicate or swap a byte, insert a hostile
+// token, or repeat a ','-separated list element.  Each mutant must either
+// expand to cells whose config numbers are all finite, under the
+// 10000-cell cap, or throw std::invalid_argument naming the flag -- never
+// run as NaN/Inf, never fail with another exception type.  A value of
+// the wrong kind is refused by the config reader as util::json::Error,
+// the other refusal build_campaign documents, and must name the flag too.
+TEST(Campaign, SeededOverrideMutantsExpandOrNameTheirFlag) {
+  const std::pair<const char*, const char*> kCorpus[] = {
+      {"n", "8,16"},         {"seeds", "1..3"},
+      {"seed", "7"},         {"rho", "0.01,0.05"},
+      {"T", "1"},            {"D", "2.5"},
+      {"delta_h", "0.5"},    {"B0", "0,20"},
+      {"horizon", "30"},     {"sample_dt", "0.5,1"},
+      {"shards", "0,1,4"},   {"topology", "ring,complete"},
+      {"drift", "walk,spread,two-camp"},
+      {"delay", "constant:0.5,uniform:0.25:1"},
+      {"variant", "dcsa,weighted:0.25"},
+      {"traffic", "off,idle"},
+  };
+  const char* const kTokens[] = {",", "..", "true", "false", "nan", "inf",
+                                 "1e400", "-", "0x10", "99", "1e3", " "};
+  std::mt19937_64 rng(20261020);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const auto& [key, seed_text] = kCorpus[pick(std::size(kCorpus))];
+    std::string text = seed_text;
+    for (std::size_t m = 1 + pick(3); m > 0; --m) {
+      const std::size_t at = pick(text.size() + 1);
+      switch (pick(5)) {
+        case 0:  // drop a byte
+          if (at < text.size()) text.erase(at, 1);
+          break;
+        case 1:  // duplicate a byte
+          if (at < text.size()) text.insert(at, 1, text[at]);
+          break;
+        case 2:  // swap two neighbouring bytes
+          if (at + 1 < text.size()) std::swap(text[at], text[at + 1]);
+          break;
+        case 3:  // insert a hostile token
+          text.insert(at, kTokens[pick(std::size(kTokens))]);
+          break;
+        default: {  // repeat a list element
+          const std::size_t start = text.rfind(',', at);
+          const std::size_t from = start == std::string::npos ? 0 : start + 1;
+          const std::size_t end = text.find(',', from);
+          text += "," + text.substr(from, end == std::string::npos
+                                              ? std::string::npos
+                                              : end - from);
+        }
+      }
+    }
+    const std::string flag = std::string("--") + key + "=" + text;
+    try {
+      const cli::Campaign campaign = cli::build_campaign(nullptr, {{key, text}});
+      ASSERT_GE(campaign.cells.size(), 1u) << flag;
+      ASSERT_LE(campaign.cells.size(), 10000u) << flag;
+      for (const cli::Cell& cell : campaign.cells) {
+        const json::Value doc = gcs::harness::config_to_json(cell.config);
+        for (const auto& [field, value] : doc.as_object()) {
+          if (value.is_number()) {
+            ASSERT_TRUE(std::isfinite(value.as_number())) << field << " in " << flag;
+          }
+        }
+      }
+      ++accepted;
+    } catch (const std::exception& e) {
+      if (!dynamic_cast<const std::invalid_argument*>(&e) &&
+          !dynamic_cast<const json::Error*>(&e)) {
+        ADD_FAILURE() << flag << " threw " << typeid(e).name() << ": "
+                      << e.what();
+        continue;
+      }
+      // "--seed", "config key 'seed'" or "delay '...'"; seeds is seed.
+      const std::string what = e.what();
+      const std::string name = std::string(key) == "seeds" ? "seed" : key;
+      EXPECT_TRUE(what.find("--" + name) != std::string::npos ||
+                  what.find("'" + name + "'") != std::string::npos ||
+                  what.find(name + " '") != std::string::npos)
+          << flag << " -> " << what;
+      ++refused;
+    }
+  }
+  // Both outcomes must be common, or the stream tests nothing.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(refused, 1000u);
 }
 
 TEST(Campaign, NameIsSanitizedForPathsAndCsv) {

@@ -1,6 +1,6 @@
 // Unit tests for the campaign runner: the --jobs determinism guarantee
-// (in-process, on a small sweep; tests/run_jobs_determinism.cmake drives
-// the real binary on campaigns/churn.json), CSV quoting, filename
+// (in-process, on a small sweep; tests/run_jobs_shards_determinism.cmake
+// drives the real binary on campaigns/churn.json), CSV quoting, filename
 // sanitization of hand-built labels, and the disjoint errored/failed
 // accounting.
 #include "cli/runner.hpp"
