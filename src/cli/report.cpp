@@ -69,12 +69,7 @@ int write_report(const std::string& tree_dir, const ReportOptions& options,
       row.label = label;
       row.config = harness::config_from_json(doc.at("config"));
       row.result = harness::result_from_json(doc.at("result"));
-      if (const json::Value* spec = doc.find("scenario");
-          spec != nullptr && spec->is_object()) {
-        row.workload = spec->at("kind").as_string();
-      } else {
-        row.workload = "static:" + row.config.topology;
-      }
+      row.workload = harness::workload_label(doc, row.config);
       const double bound = row.result.global_skew_bound;
       row.ratio = bound > 0.0 ? row.result.max_global_skew / bound : 0.0;
       rows.push_back(std::move(row));

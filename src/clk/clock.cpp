@@ -29,27 +29,19 @@ bool finite_at_least(double x, double lo) {
 }
 
 // Rejects what would otherwise walk off the front of a row (negative,
-// NaN) or grow a spill list forever (+inf).
+// NaN), and names +inf as out of the domain, not as a read past the rows.
 void check_domain(const char* fn, const char* arg, double x) {
   if (!finite_at_least(x, 0.0)) throw_domain(fn, arg, x);
 }
 
-// One walk step.  A fresh distribution per draw, so the number of engine
-// outputs a draw consumes depends only on the engine's state: replaying k
-// draws from the seed puts the engine exactly where draw k+1 expects it.
+// One walk step.  A fresh distribution per draw (one that lived across
+// draws would cache the second value of each generated pair), so every
+// step is the first value of a fresh std::normal_distribution on the
+// walk's stream: the draws that decide the row's bytes, and that
+// tests/eager_walk.hpp reproduces.
 double draw_step(util::LazyMt19937_64& gen, double sigma) {
   std::normal_distribution<double> step(0.0, sigma);
   return step(gen);
-}
-
-// The walk's recurrence: the segment after `last`, whose rate took one
-// step.  Row fills and spill lists both generate segments through it, so
-// they agree bit for bit.
-Segment next_segment(const Segment& last, util::LazyMt19937_64& gen,
-                     double rho, double step_dt, double sigma) {
-  const double next_rate =
-      std::clamp(last.rate + draw_step(gen, sigma), 1.0 - rho, 1.0 + rho);
-  return Segment{last.t0 + step_dt, last.hw0 + last.rate * step_dt, next_rate};
 }
 
 // Names the first bad random_walk argument.  Every comparison is written
@@ -69,7 +61,7 @@ Segment next_segment(const Segment& last, util::LazyMt19937_64& gen,
   } else if (!std::isfinite(start_rate)) {
     msg << "start_rate must be finite, got " << start_rate;
   } else {
-    msg << "sized_until must be finite and >= 0, got " << sized_until;
+    msg << "sized_until must be finite and > 0, got " << sized_until;
   }
   throw std::invalid_argument(msg.str());
 }
@@ -89,7 +81,8 @@ RateSchedule RateSchedule::random_walk(double rho, double step_dt, double sigma,
                                        double sized_until) {
   if (!(rho >= 0.0 && rho < 1.0 && step_dt > 0.0 &&
         finite_at_least(step_dt, 0.0) && finite_at_least(sigma, 0.0) &&
-        std::isfinite(start_rate) && finite_at_least(sized_until, 0.0))) {
+        std::isfinite(start_rate) && sized_until > 0.0 &&
+        std::isfinite(sized_until))) {
     throw_bad_walk(rho, step_dt, sigma, start_rate, sized_until);
   }
   RateSchedule s(std::clamp(start_rate, 1.0 - rho, 1.0 + rho));
@@ -110,8 +103,6 @@ ClockTable::ClockTable(const std::vector<RateSchedule>& schedules) {
   const std::size_t n = schedules.size();
   keys_.resize(n);
   std::vector<std::uint32_t> shape_of(n);
-  // Per shape, the largest sized_until among its walks (0 = none sized).
-  std::vector<double> sized;
   for (std::size_t u = 0; u < n; ++u) {
     const RateSchedule& r = schedules[u];
     Shape want;
@@ -140,32 +131,26 @@ ClockTable::ClockTable(const std::vector<RateSchedule>& schedules) {
       k = static_cast<std::size_t>(
           std::find_if(shapes_.begin(), shapes_.end(), same) - shapes_.begin());
     }
-    if (k == shapes_.size()) {
-      shapes_.push_back(want);
-      sized.push_back(0.0);
-    }
+    if (k == shapes_.size()) shapes_.push_back(want);
     shape_of[u] = static_cast<std::uint32_t>(k);
-    if (r.walk()) sized[k] = std::max(sized[k], r.sized_until());
+    if (r.walk()) {
+      shapes_[k].sized = std::max(shapes_[k].sized, r.sized_until());
+    }
   }
   if (shapes_.size() > 1) shape_of_ = std::move(shape_of);
-  // The row width: the segments past the first that a sized walk reaches
-  // (every segment with t0 <= sized_until), at the widest shape;
-  // kMinChunk when no walk was sized.
-  for (std::size_t k = 0; k < shapes_.size(); ++k) {
-    const Shape& s = shapes_[k];
+  // The row width: the segments past the first that a walk reaches
+  // (every segment with t0 <= sized_until), at the widest shape.
+  for (const Shape& s : shapes_) {
     if (!s.walk) continue;
-    std::size_t w = kMinChunk;
-    if (sized[k] > 0.0) {
-      if (!(sized[k] / s.step_dt < 1e9)) {
-        throw std::length_error(
-            "ClockTable: sized_until / step_dt must be < 1e9 segments");
-      }
-      double t0 = 0.0;
-      w = 0;
-      while (!(sized[k] < t0 + s.step_dt)) {
-        t0 += s.step_dt;
-        ++w;
-      }
+    if (!(s.sized / s.step_dt < 1e9)) {
+      throw std::length_error(
+          "ClockTable: sized_until / step_dt must be < 1e9 segments");
+    }
+    double t0 = 0.0;
+    std::size_t w = 0;
+    while (!(s.sized < t0 + s.step_dt)) {
+      t0 += s.step_dt;
+      ++w;
     }
     width_ = std::max(width_, w);
   }
@@ -199,87 +184,41 @@ void ClockTable::fill(std::size_t u, const Shape& s) const {
   util::LazyMt19937_64 gen(keys_[u]);
   const std::size_t n = keys_.size();
   Cell* row = rows_.get() + u;  // segment k + 1 at row[k * n]
-  Segment seg{0.0, 0.0, s.rate0};
+  // The walk's recurrence: each segment's start reading extends the
+  // previous one's, and its rate takes one clamped step.
+  Cell seg{0.0, s.rate0};
   for (std::size_t k = 0; k < width_; ++k) {
-    seg = next_segment(seg, gen, s.rho, s.step_dt, s.sigma);
-    row[k * n] = Cell{seg.hw0, seg.rate};
+    const double hw0 = seg.hw0 + seg.rate * s.step_dt;
+    seg = Cell{hw0, std::clamp(seg.rate + draw_step(gen, s.sigma),
+                               1.0 - s.rho, 1.0 + s.rho)};
+    row[k * n] = seg;
   }
   filled_.fetch_add(1, std::memory_order_relaxed);
 }
 
-template <class Covered>
-std::vector<Segment>& ClockTable::spill(std::size_t u, const Shape& s,
-                                        Covered covered) const {
-  std::vector<Segment>* list;
-  {
-    // Only the map's structure is shared; u's list is its reader's.
-    const std::lock_guard<std::mutex> lock(spill_mu_);
-    list = &spills_[u];
-  }
-  if (!list->empty() && covered(list->back())) return *list;
-  // Continue the walk from its last segment, the list's or the row's:
-  // replay the draws used so far on a fresh engine, then append at least
-  // as many segments as the walk has.
-  Segment last{0.0, 0.0, s.rate0};
-  if (!list->empty()) {
-    last = list->back();
-  } else if (width_ > 0) {
-    const Cell& c = cell(u, s, width_);
-    last = Segment{s.t0[width_], c.hw0, c.rate};
-  }
-  util::LazyMt19937_64 gen(keys_[u]);
-  const std::size_t have = 1 + width_ + list->size();
-  for (std::size_t i = 1; i < have; ++i) draw_step(gen, s.sigma);
-  const std::size_t want = list->size() + std::max(kMinChunk, have);
-  list->reserve(want);
-  do {
-    last = next_segment(last, gen, s.rho, s.step_dt, s.sigma);
-    list->push_back(last);
-  } while (list->size() < want || !covered(last));
-  return *list;
-}
-
-Segment ClockTable::spill_at_time(std::size_t u, const Shape& s,
-                                  double t) const {
-  const std::vector<Segment>& list = spill(
-      u, s, [&s, t](const Segment& g) { return t < g.t0 + s.step_dt; });
-  // list[0].t0 == s.end_t <= t, so the segment before the first later
-  // start exists.
-  const auto it = std::upper_bound(
-      list.begin(), list.end(), t,
-      [](double x, const Segment& g) { return x < g.t0; });
-  return *std::prev(it);
-}
-
-Segment ClockTable::spill_at_value(std::size_t u, const Shape& s,
-                                   double v) const {
-  const std::vector<Segment>& list =
-      spill(u, s, [&s, v](const Segment& g) {
-        return v < g.hw0 + g.rate * s.step_dt;
-      });
-  const auto it = std::upper_bound(
-      list.begin(), list.end(), v,
-      [](double x, const Segment& g) { return x < g.hw0; });
-  return *std::prev(it);
+void ClockTable::throw_past_rows(const char* fn, std::size_t u,
+                                 const char* arg, double x) const {
+  std::ostringstream msg;
+  msg << "ClockTable::" << fn << ": node " << u << " read at " << arg << " = "
+      << x << ", past its walk's sized horizon " << shape(u).sized
+      << " (size the walk to the last time the run reads)";
+  throw std::out_of_range(msg.str());
 }
 
 double ClockTable::value_at_slow(std::size_t u, double t) const {
   check_domain("value_at", "t", t);
   const Shape& s = shape(u);
   if (!s.walk) return value_on(0.0, 0.0, constant_rate(u), t);
-  const Segment g = spill_at_time(u, s, t);
-  return value_on(g.t0, g.hw0, g.rate, t);
+  throw_past_rows("value_at", u, "t", t);
 }
 
 double ClockTable::rate_at(std::size_t u, double t) const {
   check_domain("rate_at", "t", t);
   const Shape& s = shape(u);
   if (!s.walk) return constant_rate(u);
-  if (t < s.end_t) {
-    const std::size_t k = segment_at(s, t);
-    return k == 0 ? s.rate0 : cell(u, s, k).rate;
-  }
-  return spill_at_time(u, s, t).rate;
+  if (!(t < s.end_t)) throw_past_rows("rate_at", u, "t", t);
+  const std::size_t k = segment_at(s, t);
+  return k == 0 ? s.rate0 : cell(u, s, k).rate;
 }
 
 double ClockTable::time_when(std::size_t u, double value) const {
@@ -311,8 +250,7 @@ double ClockTable::time_when(std::size_t u, double value) const {
       return time_on(s.t0[k], c.hw0, c.rate, value);
     }
   }
-  const Segment g = spill_at_value(u, s, value);
-  return time_on(g.t0, g.hw0, g.rate, value);
+  throw_past_rows("time_when", u, "value", value);
 }
 
 }  // namespace gcs::clk

@@ -22,23 +22,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace gcs::clk {
 
-// One piece of a piecewise-constant rate trajectory.
-struct Segment {
-  double t0;    // real-time start of the segment
-  double hw0;   // accumulated clock value at t0
-  double rate;  // clock rate during [t0, next.t0)
-};
-
-// A segment's clock reading at real time t, and the real time at which
-// it reads v.  ClockTable evaluates segments only through these, so
-// reads from its rows and from its spill lists agree bit for bit
-// (signed zeros included).
+// The clock reading at real time t, and the real time at which it reads
+// v, of the segment that starts at (t0, hw0) and runs at `rate`.
+// ClockTable evaluates every segment through these.
 inline double value_on(double t0, double hw0, double rate, double t) {
   return hw0 + rate * (t - t0);
 }
@@ -58,15 +48,15 @@ class RateSchedule {
   // Random-walk drift: the rate starts at `start_rate` clamped to
   // [1 - rho, 1 + rho], and every `step_dt` seconds of real time takes a
   // Gaussian step with deviation `sigma`, clamped to the same bounds.
-  // Deterministic per seed.  `sized_until` (0 = unknown) is the last
-  // real time the caller will query; ClockTable sizes its rows to it.
-  // It changes only how much work a read does, never an answer.  Throws
-  // std::invalid_argument, naming the field, unless rho is in [0, 1),
-  // step_dt is finite and > 0, sigma is finite and >= 0, start_rate is
-  // finite and sized_until is finite and >= 0.
+  // Deterministic per seed.  The walk describes its clock up to real
+  // time `sized_until`, the last time the caller will read it:
+  // ClockTable sizes its rows to it and refuses reads past them.
+  // Throws std::invalid_argument, naming the field, unless rho is in
+  // [0, 1), step_dt is finite and > 0, sigma is finite and >= 0,
+  // start_rate is finite and sized_until is finite and > 0.
   static RateSchedule random_walk(double rho, double step_dt, double sigma,
-                                  std::uint64_t seed, double start_rate = 1.0,
-                                  double sized_until = 0.0);
+                                  std::uint64_t seed, double start_rate,
+                                  double sized_until);
 
   bool walk() const { return walk_; }
   // The constant rate, or a walk's rate during its first step.
@@ -88,7 +78,7 @@ class RateSchedule {
 };
 
 // Every node's hardware clock in one table: node u reads the clock that
-// schedules[u] describes, at any real time or clock value.  The table
+// schedules[u] describes (a walk up to its sized horizon).  The table
 // keeps no reference to the schedules.
 //
 // Layout.  Nodes whose walks share (rho, step_dt, sigma, start rate)
@@ -101,28 +91,25 @@ class RateSchedule {
 // so a sweep reading consecutive nodes at one instant (a broadcast
 // round, a sample) walks consecutive 16-byte cells instead of touching
 // one row per node.  W is the number of segments past the first that
-// the largest sized_until among the schedules needs (kMinChunk when
-// none was sized), so a read up to the run's last readable time costs
-// the grid lookup plus one cell.  A constant clock keeps only its rate.
+// the largest sized_until among the schedules needs, so a read up to
+// the run's last readable time costs the grid lookup plus one cell.  A
+// constant clock keeps only its rate.
 //
 // Rows fill lazily: a row stays zero (never written, so a table nobody
 // reads past segment 0 faults in no pages) until its node's first read
-// past segment 0, which generates the whole row from the node's seed.
-// A zero rate marks an unfilled cell; every generated rate is positive.  A read past a row's
-// end (past the sized horizon) continues that node's walk in a spill
-// list, a chunk at a time: a stack-local engine is re-seeded, replays the
-// draws the row and the list already used, and appends at least as many
-// segments as the walk already has (kMinChunk or more), so the replay
-// cost stays amortized O(1) per segment.  The engine is
-// util::LazyMt19937_64, whose output is std::mt19937_64's but whose first
-// few draws cost a fraction of a full seed-and-twist.  The table thus
-// keeps a seed per node, not a 2.5 KB engine.
+// past segment 0, which generates the whole row from the node's seed on
+// a stack-local util::LazyMt19937_64 (std::mt19937_64's output, whose
+// first few draws cost a fraction of a full seed-and-twist).  A zero
+// rate marks an unfilled cell; every generated rate is positive.  The
+// table thus keeps a seed per node, not a 2.5 KB engine.  The rows are
+// the whole clock: a read past a row's end (past the sized horizon)
+// throws std::out_of_range naming the node, the argument and the
+// horizon.
 //
 // Concurrency.  Reads of different nodes may run on different threads
 // as long as each node is read by one thread at a time (the sharded
-// engine's ownership rule): a fill writes only its own row, the fill
-// counter is atomic, and the spill map's structure sits behind a mutex
-// while each node's spill list is touched by its reader alone.
+// engine's ownership rule): a fill writes only its own row, and the
+// fill counter is atomic.
 class ClockTable {
  public:
   explicit ClockTable(const std::vector<RateSchedule>& schedules);
@@ -132,8 +119,9 @@ class ClockTable {
   // Node u's clock reading at real time t, the real time at which it
   // reads `value`, and its rate at real time t.  Each throws
   // std::invalid_argument, naming the function and the value, unless its
-  // argument is finite and >= 0.  A walk read inside the rows is inline:
-  // the grid lookup and one cell.
+  // argument is finite and >= 0, and std::out_of_range for a walk read
+  // past the rows.  A walk read inside the rows is inline: the grid
+  // lookup and one cell.
   double value_at(std::size_t u, double t) const {
     const Shape& s = shape(u);
     if (s.walk && t >= 0.0 && t < s.end_t) {
@@ -156,9 +144,6 @@ class ClockTable {
   }
 
  private:
-  // Fewest segments one spill chunk appends.
-  static constexpr std::size_t kMinChunk = 16;
-
   struct Cell {
     double hw0;
     double rate;
@@ -173,6 +158,7 @@ class ClockTable {
     double rate0 = 1.0;  // segment 0's rate (walks)
     double end_v0 = 0.0;  // segment 0 holds clock values below this
     double end_t = 0.0;   // rows cover real times below this
+    double sized = 0.0;   // the largest sized_until among the shape's walks
     std::vector<double> t0;  // segment start times 0 .. width_
   };
   struct FreeDeleter {
@@ -206,13 +192,8 @@ class ClockTable {
   // Constant clocks, domain errors and reads past the rows.
   double value_at_slow(std::size_t u, double t) const;
   void fill(std::size_t u, const Shape& s) const;
-  // The segment holding real time t / clock value v past the row's end,
-  // growing u's spill list as needed.
-  Segment spill_at_time(std::size_t u, const Shape& s, double t) const;
-  Segment spill_at_value(std::size_t u, const Shape& s, double v) const;
-  template <class Covered>
-  std::vector<Segment>& spill(std::size_t u, const Shape& s,
-                              Covered covered) const;
+  [[noreturn]] void throw_past_rows(const char* fn, std::size_t u,
+                                    const char* arg, double x) const;
 
   std::vector<Shape> shapes_;
   // Node -> index into shapes_; empty when every node has shapes_[0].
@@ -223,8 +204,6 @@ class ClockTable {
   // The zeroed, time-major cell block (null when width_ or n is 0).
   std::unique_ptr<Cell, FreeDeleter> rows_;
   mutable std::atomic<std::size_t> filled_{0};
-  mutable std::mutex spill_mu_;
-  mutable std::unordered_map<std::size_t, std::vector<Segment>> spills_;
 };
 
 }  // namespace gcs::clk

@@ -131,6 +131,7 @@ NetworkSimulation::NetworkSimulation(
     if (trace_) {
       trace_bufs_.resize(k + 1);
       node_trace_seq_.assign(n, 0);
+      sharded_->on_barrier([this] { flush_trace(); });
     }
   }
   if (!sharded_ && link_.prop.constant) delivery_lane_ = engine_.add_lane();
@@ -173,7 +174,6 @@ void NetworkSimulation::run_until(sim::Time t) {
   } else {
     engine_.run_until(t);
   }
-  flush_trace();
   if (engine_clamped_count() > 0) {
     stats_.first_clamped_time = sharded_ ? sharded_->first_clamped_time()
                                          : engine_.first_clamped_time();
@@ -552,30 +552,44 @@ void NetworkSimulation::buffer_trace(std::size_t c, NodeId node,
 }
 
 void NetworkSimulation::flush_trace() {
-  std::size_t total = 0;
-  for (const std::vector<PendingTrace>& buf : trace_bufs_) total += buf.size();
-  if (total == 0) return;
-  std::vector<PendingTrace> merged;
-  merged.reserve(total);
-  for (std::vector<PendingTrace>& buf : trace_bufs_) {
-    merged.insert(merged.end(), buf.begin(), buf.end());
-    buf.clear();
-  }
   // The canonical emission order (see PendingTrace): this reproduces the
   // sequence a single-threaded sharded run interleaves naturally --
   // same-time records order globals first, then by node, then by that
   // node's own emission order -- so the recorder sees identical streams
-  // for every shard count.
-  std::sort(merged.begin(), merged.end(),
-            [](const PendingTrace& a, const PendingTrace& b) {
-              if (a.ev.t != b.ev.t) return a.ev.t < b.ev.t;
-              const bool ga = a.node == kGlobalRecord;
-              const bool gb = b.node == kGlobalRecord;
-              if (ga != gb) return ga;
-              if (a.node != b.node) return a.node < b.node;
-              return a.seq < b.seq;
-            });
-  for (const PendingTrace& p : merged) recorder_->on_trace(p.ev);
+  // for every shard count.  Keys are unique, so the order is total.
+  // Each flush orders one barrier round's records, and the rounds
+  // concatenate in that order: the shards have emitted every record
+  // before the barrier b, and the globals at b run after the flush,
+  // ahead of the shard records at b.
+  const auto earlier = [](const PendingTrace& a, const PendingTrace& b) {
+    if (a.ev.t != b.ev.t) return a.ev.t < b.ev.t;
+    const bool ga = a.node == kGlobalRecord;
+    const bool gb = b.node == kGlobalRecord;
+    if (ga != gb) return ga;
+    if (a.node != b.node) return a.node < b.node;
+    return a.seq < b.seq;
+  };
+  const auto later_head = [&earlier](const auto& x, const auto& y) {
+    return earlier(*y.first, *x.first);
+  };
+  auto& heads = trace_heads_;
+  heads.clear();
+  for (std::deque<PendingTrace>& buf : trace_bufs_) {
+    std::sort(buf.begin(), buf.end(), earlier);
+    if (!buf.empty()) heads.emplace_back(buf.cbegin(), buf.cend());
+  }
+  std::make_heap(heads.begin(), heads.end(), later_head);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later_head);
+    auto& [next, end] = heads.back();
+    recorder_->on_trace((next++)->ev);
+    if (next == end) {
+      heads.pop_back();
+    } else {
+      std::push_heap(heads.begin(), heads.end(), later_head);
+    }
+  }
+  for (std::deque<PendingTrace>& buf : trace_bufs_) buf.clear();
 }
 
 const RunStats& NetworkSimulation::stats() const {
@@ -623,12 +637,8 @@ void NetworkSimulation::check_edge_conformance(const StoreDelivery& d,
   const EdgeSlot& s = edge_slots_[d.tag];
   Counters& c = counters_[0];  // classic only: one context
   ++c.conformance_checks;
-  // The node-side B runs on hardware ages, which an outside observer
-  // cannot see exactly; the slowest admissible clock gives the youngest
-  // age and hence the loosest envelope any conforming node could be
-  // holding, so checking against it never reports a false violation.
-  const double age_hw = (1.0 - params_.rho) * (d.now - s.up_time);
-  const double allowed = bfunc_(age_hw) + kConformanceSlack;
+  const double allowed =
+      audit_envelope(bfunc_, params_.rho, d.now - s.up_time).allowed;
   // |L_u - L_v| in either order is the same double.  The sender's
   // offset is read per record: a sender that jumped earlier in this
   // batch (an edge-up exchange delivers both ways at once) must read

@@ -48,7 +48,7 @@
 //     reads both endpoints' clocks, which a shard may not do mid-window
 //     (Sink::after);
 //   * trace emission: straight to the recorder, or buffered per context
-//     and merged into a canonical order after each run_until (emit).
+//     and merged into a canonical order at every barrier (emit).
 //
 // Memory: a run holds live state only.  The DynamicGraph is consumed by
 // the constructor (its events become engine events; the audit sweep
@@ -60,6 +60,7 @@
 #define GCS_CORE_NETWORK_SIM_HPP
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -82,6 +83,22 @@ namespace gcs::core {
 // simulator's per-delivery audit, the harness's sample-time audit and
 // the property tests all compare against bound + kConformanceSlack.
 inline constexpr double kConformanceSlack = 1e-6;
+
+// The envelope an outside observer audits an edge of real-time age `age`
+// against.  The node-side B runs on hardware ages, which the observer
+// cannot see exactly; the slowest admissible clock gives the youngest
+// age and hence the loosest envelope any conforming node could be
+// holding, so checking against it never reports a false violation.
+// `b` is that B; the edge's skew violates it when above `allowed`.
+struct AuditEnvelope {
+  double b;
+  double allowed;  // b + kConformanceSlack
+};
+inline AuditEnvelope audit_envelope(const BFunction& bfunc, double rho,
+                                    double age) {
+  const double b = bfunc((1.0 - rho) * age);
+  return {b, b + kConformanceSlack};
+}
 
 struct SimOptions {
   bool check_conformance = true;
@@ -372,7 +389,7 @@ class NetworkSimulation {
   void post_delivery(std::size_t c, sim::Time at, sim::Time send_t,
                      const Delivery& m);
   // Classic: hands `ev` to the recorder.  Sharded: buffers it in context
-  // c under its canonical key; flush_trace() merges after run_until.
+  // c under its canonical key; flush_trace() merges at every barrier.
   // `node` is the emitting node, or kGlobalRecord for barrier-side
   // records.
   void emit(std::size_t c, NodeId node, const obs::TraceEvent& ev) {
@@ -477,13 +494,20 @@ class NetworkSimulation {
   // order (TelemetryRecorder's decimation is order-sensitive), but
   // shards emit concurrently.  Each context buffers its records tagged
   // with a canonical sort key -- (t, globals-first, node, per-node
-  // emission seq) -- and run_until merges and feeds them afterwards.
+  // emission seq) -- and the engine's barrier hook sorts and merges them
+  // into the recorder once per round, so the buffers hold one round's
+  // records.  A buffer is a deque: it grows in small blocks, so it never
+  // copies itself nor frees a chunk large enough to raise glibc's mmap
+  // threshold (past which the heap keeps medium allocations resident).
   struct PendingTrace {
     obs::TraceEvent ev;
     NodeId node = 0;
     std::uint64_t seq = 0;
   };
-  std::vector<std::vector<PendingTrace>> trace_bufs_;
+  using TraceRun = std::deque<PendingTrace>::const_iterator;
+  std::vector<std::deque<PendingTrace>> trace_bufs_;
+  // flush_trace's merge heap: the unmerged rest of each sorted buffer.
+  std::vector<std::pair<TraceRun, TraceRun>> trace_heads_;
   std::vector<std::uint64_t> node_trace_seq_;
   std::uint64_t global_trace_seq_ = 0;
   // Every node's hardware clock (rows fill on first read, each by the

@@ -152,12 +152,7 @@ EnvelopeFit fit_envelope(const std::map<std::string, json::Value>& docs) {
       }
       const ExperimentConfig config = config_from_json(doc.at("config"));
       const ExperimentResult result = result_from_json(doc.at("result"));
-      std::string workload = "static:" + config.topology;
-      if (const json::Value* spec = doc.find("scenario");
-          spec != nullptr && spec->is_object()) {
-        workload = spec->at("kind").as_string();
-      }
-      point.group = group_key(workload, config);
+      point.group = group_key(workload_label(doc, config), config);
       point.n = static_cast<std::uint64_t>(config.params.n);
       point.observed = result.max_global_skew;
       point.analytic = result.global_skew_bound;

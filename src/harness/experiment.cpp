@@ -63,8 +63,7 @@ std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
     // (at or before the horizon) schedules the next one delta_h of
     // hardware time later, at most delta_h / (1 - rho) of real time.
     // Each walk generates its segments up to there in one pass.
-    const double last_query =
-        std::max(0.0, cfg.horizon + cfg.params.delta_h / (1.0 - rho));
+    const double last_query = cfg.horizon + cfg.params.delta_h / (1.0 - rho);
     // Known limitation (DESIGN.md "Determinism"): for n > 7919 these
     // seeds overlap across cfg.seed values; fixing it re-baselines every
     // walk trajectory.
@@ -229,6 +228,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   if (!(cfg.horizon > 0.0)) {
     throw std::invalid_argument("run_experiment: horizon must be > 0");
   }
+  // The walks are sized to horizon + delta_h / (1 - rho), which must be
+  // a time after 0.
+  if (!(p.delta_h > 0.0)) {
+    throw std::invalid_argument("run_experiment: delta_h must be > 0, got " +
+                                std::to_string(p.delta_h));
+  }
   if (!(cfg.sample_dt > 0.0)) {
     throw std::invalid_argument("run_experiment: sample_dt must be > 0");
   }
@@ -288,15 +293,13 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
       const double local = std::abs(logical_sample[u] - logical_sample[v]);
       result.max_local_skew = std::max(result.max_local_skew, local);
       sample.max_local_skew = std::max(sample.max_local_skew, local);
-      // Loosest envelope any conforming node could hold: hardware age of
-      // the slowest admissible clock (see NetworkSimulation's checker).
-      const double age_hw = (1.0 - p.rho) * (now - up_time);
-      const double envelope = bfunc(age_hw);
-      if (local > envelope + slack) ++result.envelope_violations;
+      const core::AuditEnvelope envelope =
+          core::audit_envelope(bfunc, p.rho, now - up_time);
+      if (local > envelope.allowed) ++result.envelope_violations;
       // B is bounded below by b0 > 0, so the ratio is always finite;
       // it is the fraction of the allowed envelope this edge is using.
       sample.max_envelope_ratio =
-          std::max(sample.max_envelope_ratio, local / envelope);
+          std::max(sample.max_envelope_ratio, local / envelope.b);
       ++sample.live_edges;
     });
     const core::RunStats& s = sim.stats();

@@ -252,6 +252,15 @@ util::json::Value cell_document(const std::string& campaign,
                             std::move(doc));
 }
 
+std::string workload_label(const util::json::Value& doc,
+                           const ExperimentConfig& config) {
+  if (const util::json::Value* spec = doc.find("scenario");
+      spec != nullptr && spec->is_object()) {
+    return spec->at("kind").as_string();
+  }
+  return "static:" + config.topology;
+}
+
 std::map<std::string, util::json::Value> load_cell_documents(
     const std::string& tree_dir) {
   namespace fs = std::filesystem;

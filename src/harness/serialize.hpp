@@ -105,6 +105,13 @@ util::json::Value cell_document(const std::string& campaign,
                                 const ExperimentResult& result, double wall_ms,
                                 double events_per_sec);
 
+// A cell document's workload: its scenario generator's kind, or
+// "static:<topology>" for a cell on a static topology.  `config` is the
+// document's decoded config echo.  Throws util::json::Error when the
+// scenario spec has no string "kind".
+std::string workload_label(const util::json::Value& doc,
+                           const ExperimentConfig& config);
+
 // The (key, diff class) of every row of the result, config echo and
 // cell-document tables, for gcs_diff's classification.
 std::vector<util::FieldClass> document_field_classes();

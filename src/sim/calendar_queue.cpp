@@ -142,14 +142,6 @@ void CalendarQueue::pop_min(ScheduledEvent* out) {
   }
 }
 
-bool CalendarQueue::pop_if_leq(double horizon, ScheduledEvent* out) {
-  double t;
-  std::uint64_t seq;
-  if (!peek(&t, &seq) || t > horizon) return false;
-  pop_min(out);
-  return true;
-}
-
 void CalendarQueue::resize(std::size_t new_bucket_count) {
   std::vector<double> times;
   times.reserve(size_);

@@ -29,9 +29,9 @@
 //
 // The queue does NOT require monotone insertion: pushing an event
 // earlier than the current scan window resets the scan to that event's
-// bucket and year, so pop order stays correct even after a failed
-// bounded pop (pop_if_leq with a horizon before the minimum) followed by
-// earlier insertions.
+// bucket and year, so pop order stays correct even after a peek() that
+// found the minimum past the caller's horizon (the engine then leaves it
+// queued) followed by earlier insertions.
 #ifndef GCS_SIM_CALENDAR_QUEUE_HPP
 #define GCS_SIM_CALENDAR_QUEUE_HPP
 
@@ -68,11 +68,6 @@ class CalendarQueue {
   // Precondition: that peek returned true and nothing was pushed or
   // popped since.
   void pop_min(ScheduledEvent* out);
-
-  // If the minimum pending event has t <= horizon, copies it into *out
-  // and returns true; otherwise leaves the queue unchanged and returns
-  // false.  One peek() and, if it qualifies, one pop_min().
-  bool pop_if_leq(double horizon, ScheduledEvent* out);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }

@@ -216,6 +216,7 @@ void ShardedEngine::run_until(Time horizon) {
     run_phase(Phase::kDrain,
               std::nextafter(b, -std::numeric_limits<Time>::infinity()));
     run_phase(Phase::kMerge, b);
+    if (barrier_hook_) barrier_hook_();
     globals_.run_until(b);
     ++windows_;
     sample_pending();
@@ -227,6 +228,7 @@ void ShardedEngine::run_until(Time horizon) {
   // call) before control returns.
   run_phase(Phase::kDrain, horizon);
   run_phase(Phase::kMerge, horizon);
+  if (barrier_hook_) barrier_hook_();
   sample_pending();
 }
 

@@ -169,6 +169,12 @@ class ShardedEngine {
   void every_global(Time first, Duration period,
                     std::function<void(Time)> fn);
 
+  // Calls `fn` on the coordinator once per barrier round, after the
+  // merge phase and before the globals run, with every shard parked:
+  // every shard event before the barrier has run by then.  Replaces any
+  // earlier hook.  Coordinator-only.
+  void on_barrier(std::function<void()> fn) { barrier_hook_ = std::move(fn); }
+
   // Runs every event with t <= horizon in barrier-window rounds.
   // Rethrows (on the calling thread) anything a shard callback threw.
   void run_until(Time horizon);
@@ -264,6 +270,7 @@ class ShardedEngine {
   std::vector<Inbox> inboxes_;  // one per destination shard
   std::uint64_t windows_ = 0;
   std::uint64_t max_pending_ = 0;
+  std::function<void()> barrier_hook_;
 
   // Worker pool (shards 1..K-1; empty when K == 1).  Workers park on
   // cv_work_ between phases; a bumped generation_ releases them into

@@ -2,12 +2,13 @@
 //
 // std::mt19937_64 seeds all 312 state words up front and twists all 312
 // on the first draw, ~624 word updates before it returns anything.  A
-// random-walk clock replays a handful of draws from its seed every time
-// it extends, so that fixed cost dominated its extension.  LazyMt19937_64
-// produces exactly std::mt19937_64's output sequence, bit for bit, but
-// computes the first generation word by word: output k needs twisted
-// word k, which needs seeded words k, k+1 and k+156 (and, from word 156
-// on, twisted words already produced).  The first k outputs therefore
+// random-walk clock row sized to a typical run needs only a dozen or so
+// draws from its node's seed, so that fixed cost would dominate the
+// row's fill (once per node, up to 10^6 nodes).  LazyMt19937_64 produces
+// exactly std::mt19937_64's output sequence, bit for bit, but computes
+// the first generation word by word: output k needs twisted word k,
+// which needs seeded words k, k+1 and k+156 (and, from word 156 on,
+// twisted words already produced).  The first k outputs therefore
 // cost about 156 + 2k word updates.  From the 313th output on it twists
 // whole generations, as the standard engine does.
 //

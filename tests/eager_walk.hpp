@@ -1,6 +1,6 @@
 // The reference walk the clock tests check clk::ClockTable against: one
 // resident std::mt19937_64 per walk, extended one segment per draw, with
-// none of the table's rows, spill lists, replays or lazy engine.  The
+// none of the table's shared grid, time-major rows or lazy engine.  The
 // table must reproduce its segments, and hence every answer, bit for bit.
 #ifndef GCS_TESTS_EAGER_WALK_HPP
 #define GCS_TESTS_EAGER_WALK_HPP

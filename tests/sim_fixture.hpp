@@ -28,12 +28,18 @@ inline core::SyncParams test_params(std::size_t n) {
   return p;
 }
 
+// Seeded drift walks sized, as the harness sizes them, to the last time
+// a run to `horizon` reads a clock: the broadcast after the last one at
+// or before the horizon, delta_h of hardware time later.
 inline std::vector<clk::RateSchedule> walk_schedules(const core::SyncParams& p,
-                                                     std::uint64_t seed) {
+                                                     std::uint64_t seed,
+                                                     double horizon) {
+  const double last_read = horizon + p.delta_h / (1.0 - p.rho);
   std::vector<clk::RateSchedule> schedules;
   for (std::size_t i = 0; i < p.n; ++i) {
     schedules.push_back(clk::RateSchedule::random_walk(
-        p.rho, /*step_dt=*/1.0, /*sigma=*/p.rho / 4.0, seed * 7919 + i));
+        p.rho, /*step_dt=*/1.0, /*sigma=*/p.rho / 4.0, seed * 7919 + i,
+        /*start_rate=*/1.0, last_read));
   }
   return schedules;
 }
@@ -51,7 +57,7 @@ inline Trace run_scenario(const net::Scenario& scenario, net::LinkModel link,
   const core::SyncParams p = test_params(scenario.n);
   options.seed = 1234;
   core::NetworkSimulation net(p, scenario.to_dynamic_graph(), std::move(link),
-                              walk_schedules(p, 99), options);
+                              walk_schedules(p, 99, horizon), options);
   Trace trace;
   net.schedule_periodic(0.25, 0.25, [&](double) {
     for (std::size_t i = 0; i < net.size(); ++i) {

@@ -33,11 +33,21 @@ ScheduledEvent make_event(double t, std::uint64_t seq) {
   return ScheduledEvent{t, seq, Task([] {})};
 }
 
+// The engine's bounded pop: peek() at the minimum and pop_min() it if
+// its t <= horizon; otherwise leave the queue as it is.
+bool pop_leq(CalendarQueue& q, double horizon, ScheduledEvent* out) {
+  double t;
+  std::uint64_t seq;
+  if (!q.peek(&t, &seq) || t > horizon) return false;
+  q.pop_min(out);
+  return true;
+}
+
 // Drains the queue and returns the (t, seq) pop order.
 std::vector<std::pair<double, std::uint64_t>> drain(CalendarQueue& q) {
   std::vector<std::pair<double, std::uint64_t>> out;
   ScheduledEvent ev;
-  while (q.pop_if_leq(1e300, &ev)) out.emplace_back(ev.t, ev.seq);
+  while (pop_leq(q, 1e300, &ev)) out.emplace_back(ev.t, ev.seq);
   return out;
 }
 
@@ -110,7 +120,7 @@ TEST(CalendarQueue, SizeAccountingThroughGrowAndShrink) {
   EXPECT_GT(grows, 0u);
   // ...then drain to force shrinks; size must stay exact throughout.
   std::size_t remaining = 10000;
-  while (q.pop_if_leq(1e300, &ev)) {
+  while (pop_leq(q, 1e300, &ev)) {
     --remaining;
     ASSERT_EQ(q.size(), remaining);
   }
@@ -123,9 +133,9 @@ TEST(CalendarQueue, HorizonBoundedPopLeavesQueueIntact) {
   CalendarQueue q;
   q.push(make_event(100.0, 0));
   ScheduledEvent ev;
-  EXPECT_FALSE(q.pop_if_leq(50.0, &ev));
+  EXPECT_FALSE(pop_leq(q, 50.0, &ev));
   EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.pop_if_leq(100.0, &ev));
+  EXPECT_TRUE(pop_leq(q, 100.0, &ev));
   EXPECT_EQ(ev.t, 100.0);
 }
 
@@ -136,7 +146,7 @@ TEST(CalendarQueue, EarlierPushAfterFailedPopIsServedFirst) {
   CalendarQueue q;
   q.push(make_event(1000.0, 0));
   ScheduledEvent ev;
-  EXPECT_FALSE(q.pop_if_leq(1.0, &ev));
+  EXPECT_FALSE(pop_leq(q, 1.0, &ev));
   q.push(make_event(10.0, 1));
   q.push(make_event(12.0, 2));
   const auto order = drain(q);
@@ -162,7 +172,7 @@ TEST(CalendarQueue, InterleavedPushPopMatchesOracle) {
   };
   for (int i = 0; i < 500; ++i) feed();
   ScheduledEvent ev;
-  while (q.pop_if_leq(1e300, &ev)) {
+  while (pop_leq(q, 1e300, &ev)) {
     ASSERT_GE(ev.t, now);  // never travels back in time
     now = ev.t;
     popped.emplace_back(ev.t, ev.seq);
@@ -188,7 +198,7 @@ TEST(CalendarQueue, DifferentialAgainstHeapOracle) {
   };
   const auto pop_and_check = [&] {
     ScheduledEvent ev;
-    ASSERT_TRUE(q.pop_if_leq(1e300, &ev));
+    ASSERT_TRUE(pop_leq(q, 1e300, &ev));
     ASSERT_FALSE(oracle.empty());
     EXPECT_EQ(Key(ev.t, ev.seq), oracle.top());
     oracle.pop();
@@ -224,7 +234,7 @@ TEST(CalendarQueue, DifferentialAgainstHeapOracle) {
       push(now + rng.uniform(0.0, i % 5 == 0 ? 200.0 : 3.0));
       if (i % 3 == 0) {
         ScheduledEvent ev;
-        EXPECT_FALSE(q.pop_if_leq(oracle.top().first - 1.0, &ev));
+        EXPECT_FALSE(pop_leq(q, oracle.top().first - 1.0, &ev));
         pop_and_check();
       }
     }
@@ -256,7 +266,7 @@ TEST(CalendarQueue, StorageStaysAtHighWaterUnderAliasedHoldStream) {
   std::size_t high_water = q.size();
   ScheduledEvent ev;
   for (int i = 0; i < 1000000; ++i) {
-    ASSERT_TRUE(q.pop_if_leq(1e300, &ev));
+    ASSERT_TRUE(pop_leq(q, 1e300, &ev));
     ASSERT_GE(ev.t, now);
     now = ev.t;
     feed();

@@ -79,15 +79,19 @@ std::vector<double> query_points() {
   return q;
 }
 
+// A sizing that covers every query point: clock value 1000 falls by real
+// time 1000 / (1 - rho) <= 1429 on every shape.
+constexpr double kQueryReach = 1500.0;
+
 enum class Query { kValue, kTime, kRate };
 
-// Runs the same (kind, x) queries against an unsized walk (whose reads
-// past its 16-segment row go to the table's chunked spill) and an eager
-// reference, in the given order, and demands bit-identical answers.
+// Runs the same (kind, x) queries against a walk sized to kQueryReach
+// and an eager reference, in the given order, and demands bit-identical
+// answers.
 void expect_same_answers(const WalkShape& w,
                          const std::vector<std::pair<Query, double>>& qs) {
   const OneClock s(RateSchedule::random_walk(w.rho, w.step_dt, w.sigma, w.seed,
-                                             w.start_rate));
+                                             w.start_rate, kQueryReach));
   EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed, w.start_rate);
   for (const auto& [kind, x] : qs) {
     switch (kind) {
@@ -117,13 +121,13 @@ std::vector<std::pair<Query, double>> all_kinds(const std::vector<double>& xs) {
   return qs;
 }
 
-TEST(RateSchedule, ChunkedWalkMatchesEagerReferenceInOrder) {
+TEST(RateSchedule, WalkMatchesEagerReferenceInOrder) {
   std::vector<double> xs = query_points();
   std::sort(xs.begin(), xs.end());
   for (const WalkShape& w : kShapes) expect_same_answers(w, all_kinds(xs));
 }
 
-TEST(RateSchedule, ChunkedWalkMatchesEagerReferenceShuffled) {
+TEST(RateSchedule, WalkMatchesEagerReferenceShuffled) {
   const auto base = all_kinds(query_points());
   for (std::uint64_t order = 0; order < 8; ++order) {
     auto qs = base;
@@ -148,27 +152,9 @@ TEST(RateSchedule, FirstQueryFarInFutureThenPast) {
   }
 }
 
-TEST(RateSchedule, PastQueriesAfterEachExtension) {
-  // Walk forward in growing strides (each crossing a chunk boundary at a
-  // different fill level) and, after every extension, look back at t = 0
-  // and at the previous stride.
-  for (const WalkShape& w : kShapes) {
-    std::vector<std::pair<Query, double>> qs;
-    double prev = 0.0;
-    for (double t = 0.5; t < 900.0; t = t * 1.7 + 0.3) {
-      qs.emplace_back(Query::kValue, t);
-      qs.emplace_back(Query::kValue, 0.0);
-      qs.emplace_back(Query::kRate, prev);
-      qs.emplace_back(Query::kTime, prev);
-      qs.emplace_back(Query::kValue, prev * 0.5);
-      prev = t;
-    }
-    expect_same_answers(w, qs);
-  }
-}
-
 TEST(RateSchedule, WalkRespectsDriftBoundsAndIsInvertible) {
-  const RateSchedule walk = RateSchedule::random_walk(0.1, 1.0, 0.2, 9);
+  const RateSchedule walk =
+      RateSchedule::random_walk(0.1, 1.0, 0.2, 9, 1.0, 200.0);
   EXPECT_TRUE(walk.walk());
   const OneClock s(walk);
   for (double t = 0.0; t < 200.0; t += 0.9) {
@@ -214,7 +200,8 @@ TEST(RateSchedule, ConstantSchedules) {
 // table (std::prev(begin())) for a negative or NaN argument in Release
 // builds; they now refuse it and name the value.
 TEST(RateSchedule, RejectsNegativeNanAndInfiniteArguments) {
-  const OneClock walk(RateSchedule::random_walk(0.02, 1.0, 0.005, 3));
+  const OneClock walk(
+      RateSchedule::random_walk(0.02, 1.0, 0.005, 3, 1.0, 10.0));
   const OneClock fixed(RateSchedule(1.0));
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -296,32 +283,41 @@ TEST(LazyMt19937_64, NormalDrawsMatchStdEngine) {
 // Walks sized to a horizon
 // ---------------------------------------------------------------------------
 
+// Where the rows of a walk sized to `horizon` end: at the end of the
+// segment holding the horizon, its start accumulated as the table and
+// the reference accumulate it.
+double rows_end(double step_dt, double horizon) {
+  double t0 = 0.0;
+  while (!(horizon < t0 + step_dt)) t0 += step_dt;
+  return t0 + step_dt;
+}
+
 // Every answer of a walk sized to `horizon` against the eager reference:
-// queries before, at and past the horizon (past it the table spills),
-// the exact segment boundaries, and time_when at every segment's
-// starting clock value.
-void expect_sized_walk_matches(const WalkShape& w, double horizon,
-                               double past) {
+// queries before, at and past the horizon up to the rows' end, the exact
+// segment boundaries, and time_when at every segment's starting clock
+// value.
+void expect_sized_walk_matches(const WalkShape& w, double horizon) {
   const OneClock s(RateSchedule::random_walk(w.rho, w.step_dt, w.sigma, w.seed,
                                              w.start_rate, horizon));
   EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed, w.start_rate);
   const std::string what = "seed " + std::to_string(w.seed) + " horizon " +
                            std::to_string(horizon);
+  const double last = std::nextafter(rows_end(w.step_dt, horizon), 0.0);
   std::vector<double> ts;
-  for (double t = 0.0; t <= past; t += w.step_dt * 0.37) ts.push_back(t);
+  for (double t = 0.0; t <= last; t += w.step_dt * 0.37) ts.push_back(t);
   ts.push_back(horizon);
   ts.push_back(std::nextafter(horizon, 0.0));
-  ts.push_back(std::nextafter(horizon, past));
-  ts.push_back(past);
+  ts.push_back(std::nextafter(horizon, last));
+  ts.push_back(last);
   for (double t : ts) {
     ASSERT_EQ(bits(s.value_at(t)), bits(ref.value_at(t))) << what << " t " << t;
     ASSERT_EQ(bits(s.rate_at(t)), bits(ref.rate_at(t))) << what << " t " << t;
   }
   // The accumulated t0s are not multiples of step_dt (0.1 * k != the sum
   // of k 0.1s), so t / step_dt lands one segment off near a boundary.
-  for (const auto& seg : ref.segments_through(past)) {
+  for (const auto& seg : ref.segments_through(last)) {
     for (double t : {seg.t0, std::nextafter(seg.t0, 0.0),
-                     std::nextafter(seg.t0, past + 1.0)}) {
+                     std::nextafter(seg.t0, last)}) {
       ASSERT_EQ(bits(s.value_at(t)), bits(ref.value_at(t))) << what << " t " << t;
       ASSERT_EQ(bits(s.rate_at(t)), bits(ref.rate_at(t))) << what << " t " << t;
     }
@@ -336,7 +332,7 @@ void expect_sized_walk_matches(const WalkShape& w, double horizon,
 TEST(SizedWalk, MatchesEagerReferenceBeforeAtAndPastTheHorizon) {
   for (const WalkShape& w : kShapes) {
     for (double horizon : {0.5, 4.0 + 0.5 / 0.98, 60.0, 250.0}) {
-      expect_sized_walk_matches(w, horizon, horizon * 2.0 + 40.0);
+      expect_sized_walk_matches(w, horizon);
     }
   }
 }
@@ -346,20 +342,26 @@ TEST(SizedWalk, FractionalStepBoundaries) {
     WalkShape w = base;
     w.step_dt = 0.1;
     for (double horizon : {0.1, 3.3, 12.0}) {
-      expect_sized_walk_matches(w, horizon, horizon + 5.0);
+      expect_sized_walk_matches(w, horizon);
     }
   }
 }
 
 TEST(SizedWalk, FirstQueryPastTheHorizon) {
-  // The first spill must continue from the row's end to the query.
+  // A first read past the rows is refused, and every read inside them
+  // still answers what the reference does.
   for (const WalkShape& w : kShapes) {
     const OneClock s(RateSchedule::random_walk(w.rho, w.step_dt, w.sigma,
                                                w.seed, w.start_rate, 10.0));
     EagerWalk ref(w.rho, w.step_dt, w.sigma, w.seed, w.start_rate);
-    EXPECT_EQ(bits(s.time_when(500.0)), bits(ref.time_when(500.0)));
-    for (double t = 0.0; t < 600.0; t += 3.7) {
+    EXPECT_THROW(s.time_when(500.0), std::out_of_range);
+    EXPECT_THROW(s.value_at(500.0), std::out_of_range);
+    const double end = rows_end(w.step_dt, 10.0);
+    for (double t = 0.0; t < end; t += 0.37) {
       ASSERT_EQ(bits(s.value_at(t)), bits(ref.value_at(t))) << "t " << t;
+      ASSERT_EQ(bits(s.time_when(ref.value_at(t))),
+                bits(ref.time_when(ref.value_at(t))))
+          << "t " << t;
     }
   }
 }
@@ -374,19 +376,20 @@ TEST(RateSchedule, RandomWalkRejectsBadArguments) {
     double rho, step_dt, sigma, start_rate, sized_until;
   };
   const Bad cases[] = {
-      {"rho", nan, 1.0, 0.01, 1.0, 0.0},
-      {"rho", -0.1, 1.0, 0.01, 1.0, 0.0},
-      {"rho", 1.0, 1.0, 0.01, 1.0, 0.0},
-      {"step_dt", 0.05, nan, 0.01, 1.0, 0.0},
-      {"step_dt", 0.05, inf, 0.01, 1.0, 0.0},
-      {"step_dt", 0.05, 0.0, 0.01, 1.0, 0.0},
-      {"sigma", 0.05, 1.0, -0.01, 1.0, 0.0},
-      {"sigma", 0.05, 1.0, nan, 1.0, 0.0},
-      {"sigma", 0.05, 1.0, inf, 1.0, 0.0},
-      {"start_rate", 0.05, 1.0, 0.01, nan, 0.0},
-      {"start_rate", 0.05, 1.0, 0.01, inf, 0.0},
+      {"rho", nan, 1.0, 0.01, 1.0, 1.0},
+      {"rho", -0.1, 1.0, 0.01, 1.0, 1.0},
+      {"rho", 1.0, 1.0, 0.01, 1.0, 1.0},
+      {"step_dt", 0.05, nan, 0.01, 1.0, 1.0},
+      {"step_dt", 0.05, inf, 0.01, 1.0, 1.0},
+      {"step_dt", 0.05, 0.0, 0.01, 1.0, 1.0},
+      {"sigma", 0.05, 1.0, -0.01, 1.0, 1.0},
+      {"sigma", 0.05, 1.0, nan, 1.0, 1.0},
+      {"sigma", 0.05, 1.0, inf, 1.0, 1.0},
+      {"start_rate", 0.05, 1.0, 0.01, nan, 1.0},
+      {"start_rate", 0.05, 1.0, 0.01, inf, 1.0},
       {"sized_until", 0.05, 1.0, 0.01, 1.0, nan},
       {"sized_until", 0.05, 1.0, 0.01, 1.0, -1.0},
+      {"sized_until", 0.05, 1.0, 0.01, 1.0, 0.0},
       {"sized_until", 0.05, 1.0, 0.01, 1.0, inf},
   };
   for (const Bad& c : cases) {
@@ -401,7 +404,8 @@ TEST(RateSchedule, RandomWalkRejectsBadArguments) {
     }
   }
   // The edges of the domain are accepted.
-  EXPECT_NO_THROW(RateSchedule::random_walk(0.0, 1e-3, 0.0, 1, 0.0, 0.0));
+  EXPECT_NO_THROW(RateSchedule::random_walk(
+      0.0, 1e-3, 0.0, 1, 0.0, std::numeric_limits<double>::denorm_min()));
   EXPECT_NO_THROW(RateSchedule::random_walk(0.5, 1e3, 1.0, 1, -5.0, 1e9));
 }
 

@@ -10,6 +10,7 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,7 +35,7 @@ std::uint64_t bits(double x) {
 }
 
 // One node's clock as the test builds it: a constant rate, or a walk
-// sized to `sized_until` (0 = unsized).
+// sized to `sized_until`.
 struct NodeClock {
   bool walk;
   double rate;  // constant clocks
@@ -96,30 +97,45 @@ struct Query {
   double x;
 };
 
+// The last real time node `c`'s rows hold: one ulp below the end of the
+// segment holding its sized horizon.  A constant clock has no horizon;
+// its reads run well past `horizon`.
+double last_readable(const NodeClock& c, double horizon) {
+  if (!c.walk) return 2.0 * horizon + 40.0;
+  double t0 = 0.0;
+  while (!(c.sized_until < t0 + c.step_dt)) t0 += c.step_dt;
+  return std::nextafter(t0 + c.step_dt, 0.0);
+}
+
 // The reads to compare for node `u`: value_at and rate_at at every
-// segment boundary (and one ulp either side), at and past the horizon;
-// time_when at every segment's starting clock value (and one ulp
-// below), read off a fresh reference.
+// segment boundary (and one ulp either side), at and past the horizon up
+// to the last time the node's rows hold; time_when at every segment's
+// starting clock value (and one ulp below), read off a fresh reference.
 void add_queries(std::size_t u, const NodeClock& c, double horizon,
                  std::vector<Query>* qs) {
-  const double past = 2.0 * horizon + 40.0;
-  std::vector<double> ts = {0.0, horizon, std::nextafter(horizon, 0.0),
-                            std::nextafter(horizon, past), past};
+  const double last = last_readable(c, horizon);
+  std::vector<double> ts = {0.0, last};
+  for (const double t : {horizon, std::nextafter(horizon, 0.0),
+                         std::nextafter(horizon, last)}) {
+    if (t <= last) ts.push_back(t);
+  }
   if (c.walk) {
-    double t0 = 0.0;
-    for (; t0 <= past; t0 += c.step_dt) {
+    for (double t0 = 0.0; t0 <= last; t0 += c.step_dt) {
       ts.push_back(t0);
       ts.push_back(std::nextafter(t0, 0.0));
-      ts.push_back(std::nextafter(t0, past + 1.0));
-      ts.push_back(t0 + 0.37 * c.step_dt);
+      ts.push_back(std::nextafter(t0, last));
+      if (t0 + 0.37 * c.step_dt <= last) ts.push_back(t0 + 0.37 * c.step_dt);
     }
   } else {
-    for (double t = 0.0; t <= past; t += 0.73) ts.push_back(t);
+    for (double t = 0.0; t <= last; t += 0.73) ts.push_back(t);
   }
   Reference ref(c);
   for (const double t : ts) {
     qs->push_back({u, Kind::kValue, t});
     qs->push_back({u, Kind::kRate, t});
+    // The reading one ulp before a walk's rows end may round to the
+    // value where they end, which the rows do not hold.
+    if (c.walk && t == last) continue;
     // value_at at a segment's start is exactly its hw0.
     const double hw = ref.value_at(t);
     qs->push_back({u, Kind::kTime, hw});
@@ -161,8 +177,8 @@ void expect_table_matches(const std::vector<NodeClock>& clocks,
 }
 
 // In node order, ascending per node; then all nodes interleaved in a
-// shuffled order, so spill extensions and row fills happen in between
-// other nodes' reads and in any order relative to each other.
+// shuffled order, so row fills happen in between other nodes' reads and
+// in any order relative to each other.
 void expect_table_matches_in_any_order(const std::vector<NodeClock>& clocks,
                                        double horizon,
                                        const std::string& what) {
@@ -177,9 +193,8 @@ void expect_table_matches_in_any_order(const std::vector<NodeClock>& clocks,
 }
 
 // Horizons giving rows of 1 segment (no cells), 2 segments, the
-// harness's walk cell (4 + delta_h / (1 - rho)), many segments, and an
-// unsized walk.
-const double kHorizons[] = {0.5, 1.5, 4.0 + 0.5 / 0.98, 60.0, 0.0};
+// harness's walk cell (4 + delta_h / (1 - rho)), and many segments.
+const double kHorizons[] = {0.5, 1.5, 4.0 + 0.5 / 0.98, 60.0};
 
 // "Matches RateSchedule": node u reads, bit for bit, the clock that its
 // RateSchedule describes, as a Reference evaluates it.
@@ -188,8 +203,7 @@ TEST(ClockTable, MatchesRateScheduleForEveryWalkSeedAndHorizon) {
     std::vector<NodeClock> clocks;
     for (const std::uint64_t seed : seeds()) clocks.push_back(walk(seed, horizon));
     expect_table_matches_in_any_order(
-        clocks, horizon == 0.0 ? 30.0 : horizon,
-        "walks sized to " + std::to_string(horizon));
+        clocks, horizon, "walks sized to " + std::to_string(horizon));
   }
 }
 
@@ -232,8 +246,7 @@ TEST(ClockTable, MatchesRateScheduleForMixedVectors) {
       }
     }
     expect_table_matches_in_any_order(
-        clocks, horizon == 0.0 ? 30.0 : horizon,
-        "mixed, sized to " + std::to_string(horizon));
+        clocks, horizon, "mixed, sized to " + std::to_string(horizon));
   }
 }
 
@@ -253,7 +266,7 @@ TEST(ClockTable, RowsAreSizedToTheLastReadableTimeAndFillLazily) {
   table.value_at(3, 1.0);
   EXPECT_EQ(table.rows_filled(), 1u);
   table.value_at(3, 4.9);
-  table.value_at(5, 100.0);  // past the row: fills it, then spills
+  table.time_when(5, 4.5);
   EXPECT_EQ(table.rows_filled(), 2u);
   // Constant clocks keep no rows at all.
   const ClockTable fixed(std::vector<RateSchedule>(8, RateSchedule(1.01)));
@@ -262,8 +275,9 @@ TEST(ClockTable, RowsAreSizedToTheLastReadableTimeAndFillLazily) {
 }
 
 TEST(ClockTable, RejectsWhatRateScheduleRejects) {
-  const ClockTable table({RateSchedule::random_walk(0.02, 1.0, 0.005, 3),
-                          RateSchedule(1.0)});
+  const ClockTable table(
+      {RateSchedule::random_walk(0.02, 1.0, 0.005, 3, 1.0, 10.0),
+       RateSchedule(1.0)});
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (std::size_t u = 0; u < 2; ++u) {
@@ -273,6 +287,49 @@ TEST(ClockTable, RejectsWhatRateScheduleRejects) {
     EXPECT_THROW(table.time_when(u, -0.5), std::invalid_argument);
     EXPECT_THROW(table.time_when(u, nan), std::invalid_argument);
   }
+}
+
+// The message of a read past the rows, or "" if `read` did not throw
+// std::out_of_range.
+template <class Read>
+std::string refusal(Read read) {
+  try {
+    read();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ClockTable, RefusesReadsPastTheSizedHorizonByName) {
+  // Node 1's segments start at 0, 1, ..., 4: its rows end at t = 5.
+  const ClockTable table(
+      {RateSchedule(1.0),
+       RateSchedule::random_walk(0.02, 1.0, 0.005, 3, 1.0, 4.5)});
+  const double last = std::nextafter(5.0, 0.0);
+  EXPECT_NO_THROW(table.value_at(1, last));
+  EXPECT_NO_THROW(table.rate_at(1, last));
+  EXPECT_NO_THROW(table.time_when(1, table.value_at(1, last)));
+  const double past_value = table.value_at(1, last) + 0.5;
+  const struct {
+    std::string what;
+    std::string fn;
+    std::string arg;
+  } cases[] = {
+      {refusal([&] { table.value_at(1, 5.0); }), "value_at", "t = 5,"},
+      {refusal([&] { table.rate_at(1, 1e6); }), "rate_at", "t = 1e+06,"},
+      {refusal([&] { table.time_when(1, past_value); }), "time_when",
+       "value = "},
+  };
+  for (const auto& c : cases) {
+    EXPECT_NE(c.what.find("ClockTable::" + c.fn), std::string::npos) << c.what;
+    EXPECT_NE(c.what.find("node 1 "), std::string::npos) << c.what;
+    EXPECT_NE(c.what.find(c.arg), std::string::npos) << c.what;
+    EXPECT_NE(c.what.find("sized horizon 4.5"), std::string::npos) << c.what;
+  }
+  // A constant clock has no horizon.
+  EXPECT_EQ(table.value_at(0, 1e9), 1e9);
+  EXPECT_EQ(table.time_when(0, 1e9), 1e9);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,6 +398,25 @@ TEST(ClockTable, ShardedRunFillsRowsOnOwnerShards) {
   ASSERT_EQ(logical[0].size(), logical[1].size());
   for (std::size_t i = 0; i < logical[0].size(); ++i) {
     ASSERT_EQ(bits(logical[0][i]), bits(logical[1][i])) << "node " << i;
+  }
+}
+
+TEST(ClockTable, SimulationRunPastItsWalksFailsByName) {
+  // Walks sized for a run to t = 2, run to t = 10: the first clock read
+  // past the rows stops the run, on the classic engine and on a shard.
+  const gcs::core::SyncParams p = ring_params(16);
+  for (const std::size_t shards : {0u, 2u}) {
+    gcs::core::SimOptions options;
+    options.shards = shards;
+    gcs::core::NetworkSimulation sim(
+        p, gcs::net::DynamicGraph(p.n, gcs::net::make_ring(p.n).edges(), {}),
+        gcs::net::make_constant_delay(p.T, 0.25), harness_walks(p, 2.0),
+        options);
+    const std::string what = refusal([&] { sim.run_until(10.0); });
+    EXPECT_NE(what.find("ClockTable::"), std::string::npos)
+        << "shards=" << shards << ": " << what;
+    EXPECT_NE(what.find("node "), std::string::npos) << what;
+    EXPECT_NE(what.find("sized horizon 2.51"), std::string::npos) << what;
   }
 }
 

@@ -267,8 +267,8 @@ TEST(DeterminismMatrixSharded, RefusesZeroFloorDelay) {
   EXPECT_THROW(
       NetworkSimulation(
           p, gcs::net::DynamicGraph(8, gcs::net::make_ring(8).edges(), {}),
-          gcs::net::make_uniform_delay(p.T, 0.0, p.T), walk_schedules(p, 99),
-          options),
+          gcs::net::make_uniform_delay(p.T, 0.0, p.T),
+          walk_schedules(p, 99, 1.0), options),
       std::invalid_argument);
 }
 

@@ -242,6 +242,42 @@ TEST(TelemetryRecorder, SeriesSamplesMatchResultSummary) {
   EXPECT_EQ(folded.peak_queue_bytes, result.series.peak_queue_bytes);
 }
 
+// A sharded run hands its trace records to the recorder at every
+// barrier, not all at the end of the run: by each sample (a barrier-side
+// global) the recorder has seen records, all of them no later than the
+// sample, in nondecreasing time.
+TEST(TelemetryRecorder, ShardedRunStreamsTraceRecordsAtEveryBarrier) {
+  struct Probe : obs::Recorder {
+    std::uint64_t traces = 0;
+    double last_t = 0.0;
+    bool in_order = true;
+    std::vector<std::uint64_t> traces_at_sample;
+    double latest_at_sample = 0.0;
+    bool wants_trace() const override { return true; }
+    void on_trace(const obs::TraceEvent& ev) override {
+      in_order = in_order && ev.t >= last_t;
+      last_t = ev.t;
+      ++traces;
+    }
+    void on_sample(const obs::SeriesSample& sample) override {
+      traces_at_sample.push_back(traces);
+      if (last_t > sample.t) latest_at_sample = last_t;
+    }
+  };
+  for (const std::uint64_t shards : {1u, 2u}) {
+    harness::ExperimentConfig cfg = small_config();
+    cfg.shards = shards;
+    cfg.delay = "constant:0.5";
+    Probe probe;
+    const harness::ExperimentResult result =
+        harness::run_experiment(cfg, &probe);
+    ASSERT_EQ(probe.traces_at_sample.size(), result.samples);
+    EXPECT_GT(probe.traces_at_sample.front(), 0u) << "shards=" << shards;
+    EXPECT_EQ(probe.latest_at_sample, 0.0) << "shards=" << shards;
+    EXPECT_TRUE(probe.in_order) << "shards=" << shards;
+  }
+}
+
 TEST(TraceEvents, KindNamesAreStableStrings) {
   using Kind = obs::TraceEvent::Kind;
   EXPECT_STREQ(obs::kind_name(Kind::kSend), "send");

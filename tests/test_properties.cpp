@@ -107,7 +107,8 @@ void check_invariants(const std::string& kind, std::uint64_t seed) {
   std::vector<gcs::clk::RateSchedule> schedules;
   for (std::size_t i = 0; i < p.n; ++i) {
     schedules.push_back(gcs::clk::RateSchedule::random_walk(
-        p.rho, /*step_dt=*/1.0, /*sigma=*/p.rho / 4.0, seed * 6151 + i));
+        p.rho, /*step_dt=*/1.0, /*sigma=*/p.rho / 4.0, seed * 6151 + i,
+        /*start_rate=*/1.0, horizon + p.delta_h / (1.0 - p.rho)));
   }
 
   SimOptions options;
