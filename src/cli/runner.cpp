@@ -1,7 +1,6 @@
 #include "cli/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -40,9 +39,12 @@ std::string csv_field(const std::string& field) {
 
 namespace {
 
+// Closes before checking: a short write sits in the stream buffer until
+// close, so only the close can report that it never reached the file.
 void write_file(const fs::path& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
+  out.close();
   if (!out) throw std::runtime_error("cannot write " + path.string());
 }
 
@@ -202,11 +204,14 @@ std::vector<std::string> audit_cell(const harness::ExperimentResult& result,
   return failures;
 }
 
-// Everything one worker produces for one cell.  Workers fill slots; the
-// calling thread commits them strictly in cell order, so campaign.csv,
-// campaign.jsonl, and the log are byte-identical whatever `jobs` is.
+// Everything one worker produces for one cell, held in a ring slot until
+// the calling thread commits it.  The committer writes the cell file from
+// `document`, audits it, and appends the lines, strictly in cell order,
+// so campaign.csv, campaign.jsonl, the cell files and the log are
+// byte-identical whatever `jobs` is.
 struct CellExecution {
   CellOutcome outcome;
+  std::string document;    // cells/<file>.json bytes; empty if errored
   std::string csv_line;    // empty if the cell errored
   std::string jsonl_line;  // empty if the cell errored
   std::exception_ptr fatal;  // artifact I/O failure; rethrown by the committer
@@ -278,14 +283,17 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   out.out_dir = out_dir.string();
 
   const std::size_t cell_count = campaign.cells.size();
-  std::vector<CellExecution> slots(cell_count);
+  const std::size_t ring_size = std::min(kRunAheadWindow, cell_count);
+  // Cell i lives in ring[i % ring_size] from the moment a worker claims
+  // it until the committer has committed it.
+  std::vector<CellExecution> ring(ring_size);
 
-  // A worker runs one cell end to end: experiment, cell file, audit.  All
-  // state it touches is its own slot plus its own cells/<file>.json, so
-  // workers never contend; only the done flag needs the lock.
-  auto execute_cell = [&](std::size_t i) {
+  // A worker runs one cell and renders everything the committer will
+  // write: the cell document, its CSV row and its JSONL line.  The series
+  // file streams from the recorder and the trace file is written here
+  // too, so neither is ever held for the committer.
+  auto execute_cell = [&](std::size_t i, CellExecution& ex) {
     const Cell& cell = campaign.cells[i];
-    CellExecution& ex = slots[i];
     ex.outcome.label = cell.label;
 
     // file_names[i] always ends in ".json"; the telemetry artifacts
@@ -338,7 +346,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
       return;
     }
     // Runner-filled memory counter, set before the cell document is
-    // written so the --check round-trip sees the final bytes.  Pinned to
+    // rendered so the --check round-trip sees the final bytes.  Pinned to
     // 0 under --fixed-timing: RSS describes the machine and the cell
     // schedule, not the trajectory.
     ex.outcome.result.run_stats.peak_rss_kb =
@@ -358,8 +366,6 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
           campaign.name, cell.label, harness::config_to_json(cell.config),
           cell.scenario.is_static() ? nullptr : &spec_json, result, wall_ms,
           events_per_sec);
-      const fs::path cell_path = out_dir / "cells" / file_names[i];
-      write_file(cell_path, json::dump(doc, 2) + "\n");
       if (options.series) {
         series_out.close();
         if (!series_out) {
@@ -371,21 +377,27 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
                    recorder->trace_jsonl());
       }
       const CsvRow row{campaign.name, cell, result, wall_ms, events_per_sec};
+      ex.document = json::dump(doc, 2) + "\n";
       ex.csv_line = csv_join(&row) + "\n";
       ex.jsonl_line = json::dump(doc) + "\n";
-      ex.outcome.failures = audit_cell(result, cell_path);
     } catch (...) {
       ex.fatal = std::current_exception();
     }
   };
 
+  // The pool state, all guarded by `mu`.  A worker may claim cell i only
+  // while i < committed + kRunAheadWindow; `ready` wakes the committer
+  // when a slot is done, `space` wakes workers when a cell commits (or
+  // the run is cancelled).
   std::mutex mu;
-  std::condition_variable cv;
-  std::atomic<std::size_t> next_cell{0};
-  // Set by the committer before it rethrows a fatal artifact error, so
-  // workers stop claiming new cells instead of computing (and failing to
-  // write) the rest of a possibly huge campaign.
-  std::atomic<bool> cancelled{false};
+  std::condition_variable ready;
+  std::condition_variable space;
+  std::size_t next_cell = 0;
+  std::size_t committed = 0;
+  // Set when the commit loop leaves early (an artifact write failed), so
+  // workers stop claiming cells instead of computing the rest of a
+  // possibly huge campaign, and workers parked at the window wake up.
+  bool cancelled = false;
   const std::size_t jobs = std::min<std::size_t>(
       std::max(options.jobs, 1), std::max<std::size_t>(cell_count, 1));
 
@@ -394,31 +406,47 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   for (std::size_t w = 0; w < jobs; ++w) {
     pool.emplace_back([&] {
       for (;;) {
-        if (cancelled.load(std::memory_order_relaxed)) return;
-        const std::size_t i = next_cell.fetch_add(1);
-        if (i >= cell_count) return;
-        execute_cell(i);
+        std::size_t i = 0;
+        {
+          std::unique_lock<std::mutex> lock(mu);
+          space.wait(lock, [&] {
+            return cancelled || next_cell >= cell_count ||
+                   next_cell < committed + kRunAheadWindow;
+          });
+          if (cancelled || next_cell >= cell_count) return;
+          i = next_cell++;
+          out.max_uncommitted_cells =
+              std::max(out.max_uncommitted_cells, next_cell - committed);
+        }
+        CellExecution& ex = ring[i % ring_size];
+        execute_cell(i, ex);
         {
           const std::lock_guard<std::mutex> lock(mu);
-          slots[i].done = true;
+          ex.done = true;
         }
-        cv.notify_all();
+        ready.notify_one();
       }
     });
   }
-  // Join even when the commit loop throws (a worker's fatal I/O error):
-  // workers only touch their own slots and stop at the next dispatch, so
-  // letting the in-flight cells finish is safe.
+  // Join even when the commit loop throws: cancelling under the lock
+  // releases workers parked at the window, and workers mid-cell only
+  // touch their own slots, so letting them finish is safe.
   struct Joiner {
     std::vector<std::thread>& pool;
-    std::atomic<bool>& cancelled;
+    std::mutex& mu;
+    std::condition_variable& space;
+    bool& cancelled;
     ~Joiner() {
-      cancelled.store(true, std::memory_order_relaxed);
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        cancelled = true;
+      }
+      space.notify_all();
       for (std::thread& t : pool) {
         if (t.joinable()) t.join();
       }
     }
-  } joiner{pool, cancelled};
+  } joiner{pool, mu, space, cancelled};
 
   // Campaign artifacts, appended per committed cell.
   std::ofstream csv_stream(out_dir / "campaign.csv",
@@ -435,27 +463,27 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   double total_wall_ms = 0.0;
   std::uint64_t total_events = 0;
 
-  // Commit strictly in cell order: wait for cell i, fold it into the
-  // artifacts, log it.  Workers may be many cells ahead; output order
+  // Commit strictly in cell order: wait for cell i, write and audit its
+  // cell file, fold it into the campaign artifacts, log it, and free its
+  // slot.  Workers may be up to kRunAheadWindow cells ahead; output order
   // never shows that.
   for (std::size_t i = 0; i < cell_count; ++i) {
+    CellExecution& ex = ring[i % ring_size];
     {
       std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return slots[i].done; });
+      ready.wait(lock, [&] { return ex.done; });
     }
-    CellExecution& ex = slots[i];
     if (ex.fatal) std::rethrow_exception(ex.fatal);
 
-    const CellOutcome& cell_out = ex.outcome;
+    CellOutcome& cell_out = ex.outcome;
     if (cell_out.errored) {
       ++out.errored_cells;
     } else {
+      const fs::path cell_path = out_dir / "cells" / file_names[i];
+      write_file(cell_path, ex.document);
+      cell_out.failures = audit_cell(cell_out.result, cell_path);
       csv_stream << ex.csv_line;
       jsonl_stream << ex.jsonl_line;
-      // Free the committed lines eagerly; with many cells in flight the
-      // slots themselves are the next-largest resident state.
-      std::string().swap(ex.csv_line);
-      std::string().swap(ex.jsonl_line);
       max_global = std::max(max_global, cell_out.result.max_global_skew);
       max_local = std::max(max_local, cell_out.result.max_local_skew);
       total_events += cell_out.result.events_executed;
@@ -479,7 +507,15 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
     for (const std::string& failure : cell_out.failures) {
       log << "  check: " << cell_out.label << ": " << failure << "\n";
     }
-    out.cells.push_back(std::move(ex.outcome));
+    if (outcome != nullptr) out.cells.push_back(std::move(cell_out));
+    // Free the slot before publishing it: the worker that claims cell
+    // i + kRunAheadWindow starts from an empty execution.
+    ex = CellExecution{};
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      committed = i + 1;
+    }
+    space.notify_one();
   }
 
   csv_stream.close();
@@ -492,7 +528,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   json::Value summary;
   summary["schema_version"] = harness::kResultSchemaVersion;
   summary["campaign"] = campaign.name;
-  summary["cells"] = out.cells.size();
+  summary["cells"] = cell_count;
   summary["failed_cells"] = out.failed_cells;
   summary["errored_cells"] = out.errored_cells;
   summary["max_global_skew"] = max_global;
@@ -501,7 +537,7 @@ int run_campaign(const Campaign& campaign, const RunnerOptions& options,
   summary["total_wall_ms"] = options.fixed_timing ? 0.0 : total_wall_ms;
   write_file(out_dir / "summary.json", json::dump(summary, 2) + "\n");
 
-  log << campaign.name << ": " << out.cells.size() << " cell(s), "
+  log << campaign.name << ": " << cell_count << " cell(s), "
       << out.failed_cells << " failed, " << out.errored_cells << " errored, "
       << total_events << " events in " << json::dump_number(total_wall_ms)
       << " ms -> " << out.out_dir << "\n";

@@ -15,37 +15,55 @@
 //                          each, for jq-style slicing
 //     summary.json         campaign name, cell/failure counts, worst skews
 //
-// Every artifact has one writer.  campaign.csv and campaign.jsonl are
-// appended as each cell commits, and series rows go straight from the
-// recorder to cells/<file>.series.csv, so runner memory stays flat in
-// cell count and horizon (the trace is bounded by trace_limit, and cell
-// JSON is per-cell).
-//
-// Series and trace bytes are trajectory-derived only (no timing, no
-// scheduler counters), so they are byte-identical across --jobs values;
-// tests/run_jobs_shards_determinism.cmake enforces it.
-//
 // Cells are independent (each gets its own engine, clocks, and RNG
 // streams inside run_experiment), so with `jobs > 1` they execute on a
-// worker pool.  Determinism is preserved by construction: workers only
-// compute; all artifact bytes are committed in cell order by the calling
-// thread, so every output file is byte-identical to a jobs=1 run of the
-// same campaign.  Timing fields (wall_ms / events_per_sec, the only
-// nondeterministic outputs) can be pinned to zero with `fixed_timing`
-// when byte-comparable trees are wanted;
-// tests/run_jobs_shards_determinism.cmake enforces the guarantee end to
-// end.
+// pool of worker threads next to the calling thread.  Every artifact has
+// one writer:
 //
-// In check mode every cell is audited after it runs: bound violations,
-// monotonicity failures, engine clamps (reported with the first offending
-// (time, seq) pair from RunStats), and schema drift -- each written cell
-// file is re-parsed through result_from_json and must reproduce the same
-// bytes.  Any failure makes run_campaign return exit code 1; the process
-// never aborts mid-campaign, so one bad cell still leaves a complete
-// results tree to inspect.
+//   worker             simulates the cell; streams cells/<file>.series.csv
+//                      from the recorder as samples are taken; writes
+//                      cells/<file>.trace.jsonl (up to trace_limit
+//                      records, too large to hand over); renders the
+//                      cell document, its campaign.csv row and its
+//                      campaign.jsonl line into the cell's ring slot.
+//   calling thread     commits cells strictly in cell order: creates
+//                      cells/<file>.json from the rendered document,
+//                      audits it, appends the row and the line, logs the
+//                      cell, and at the end writes summary.json.
+//
+// File creation, which costs a disk round trip on a freshly emptied
+// directory, thus runs alongside the simulation instead of between two
+// cells of one worker.  Workers may run at most kRunAheadWindow cells
+// ahead of the last committed cell; the slots form a ring of that size,
+// so the rendered-but-uncommitted documents the runner holds are bounded
+// by the window, not the campaign.  With no CampaignOutcome the runner
+// keeps nothing per committed cell.  What still grows with the cell
+// count is the expanded Campaign itself (~1.1 KB per cell) and the
+// cell-file name table.
+//
+// Series and trace bytes are trajectory-derived only (no timing, no
+// scheduler counters), and every committed file is written in cell order
+// from bytes that depend only on the cell, so each output file is
+// byte-identical to a jobs=1 run of the same campaign.  Timing fields
+// (wall_ms / events_per_sec, the only nondeterministic outputs) can be
+// pinned to zero with `fixed_timing` when byte-comparable trees are
+// wanted; tests/run_jobs_shards_determinism.cmake enforces the guarantee
+// end to end.
+//
+// Every cell that ran is audited as it commits: bound violations,
+// monotonicity failures, engine clamps (reported with the first
+// offending (time, seq) pair from RunStats), and schema drift -- the
+// calling thread re-reads the cell file it just wrote from disk through
+// result_from_json, and it must reproduce the same bytes.  In check mode
+// any finding makes run_campaign return exit code 1; the process never
+// aborts mid-campaign for a finding, so one bad cell still leaves a
+// complete results tree to inspect.  An artifact that cannot be written
+// throws std::runtime_error naming the file, after the workers have been
+// released and joined.
 #ifndef GCS_CLI_RUNNER_HPP
 #define GCS_CLI_RUNNER_HPP
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -55,6 +73,13 @@
 
 namespace gcs::cli {
 
+// How many cells workers may have claimed but the calling thread not yet
+// committed.  Large enough that a slow file creation on the committing
+// thread does not stall the workers of a sweep of small cells; small
+// enough that the rendered documents waiting in the ring stay a few
+// hundred KB.
+inline constexpr std::size_t kRunAheadWindow = 64;
+
 struct RunnerOptions {
   std::string out_dir;  // empty -> "results/<campaign-name>"
   bool check = false;   // audit cells; exit 1 on any failure
@@ -62,6 +87,7 @@ struct RunnerOptions {
   bool list_only = false;  // print expanded cells, run nothing
   // Worker threads executing cells.  Values are clamped to
   // [1, cells.size()]; every output byte is independent of this knob.
+  // The calling thread commits cells next to them.
   int jobs = 1;
   // Write wall_ms / events_per_sec as 0 in every artifact (cell files,
   // CSV, JSONL, summary) so two runs of the same campaign are
@@ -105,10 +131,14 @@ struct CampaignOutcome {
   std::size_t failed_cells = 0;
   std::size_t errored_cells = 0;
   std::string out_dir;  // resolved output directory
+  // The most cells claimed by workers and not yet committed at any one
+  // moment; never above kRunAheadWindow.
+  std::size_t max_uncommitted_cells = 0;
 };
 
 // Runs (or lists) the campaign.  `log` receives progress and audit
-// findings.  Returns 0 on success, 1 when check mode found failures or
+// findings on the calling thread.  `outcome`, when given, receives one
+// CellOutcome per cell in cell order.  Returns 0 on success, 1 when check mode found failures or
 // when any cell errored (errors fail the run even without --check).
 int run_campaign(const Campaign& campaign, const RunnerOptions& options,
                  std::ostream& log, CampaignOutcome* outcome = nullptr);

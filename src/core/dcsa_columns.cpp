@@ -1,5 +1,6 @@
 #include "core/dcsa_columns.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gcs::core {
@@ -16,7 +17,9 @@ DcsaColumns::DcsaColumns(const SyncParams& params, std::size_t n,
   cap_.assign(n, 0);
 }
 
-void DcsaColumns::reserve_segments(const std::vector<net::Edge>& edges) {
+void DcsaColumns::reserve_segments(
+    const std::vector<net::Edge>& edges,
+    const std::vector<std::uint32_t>& degree_rise) {
   if (!slots_.peer.empty()) {
     throw std::logic_error(
         "DcsaColumns::reserve_segments: call before the first edge_up");
@@ -33,6 +36,17 @@ void DcsaColumns::reserve_segments(const std::vector<net::Edge>& edges) {
   if (next > kNpos) {
     throw std::length_error("DcsaColumns: more than 2^32 - 1 peer slots");
   }
+  std::uint64_t capacity = next;
+  for (std::size_t u = 0; u < degree_rise.size(); ++u) {
+    // reserve_slot's doubling, replayed up to the node's peak degree.
+    const std::uint64_t peak = std::uint64_t{cap_[u]} + degree_rise[u];
+    for (std::uint64_t cap = cap_[u]; cap < peak;) {
+      cap = cap ? cap * 2 : kInitialCap;
+      capacity += cap;
+    }
+  }
+  slots_.reserve(
+      static_cast<std::size_t>(std::min<std::uint64_t>(capacity, kNpos)));
   slots_.resize(static_cast<std::size_t>(next));
 }
 
@@ -64,6 +78,15 @@ void DcsaColumns::Slots::resize(std::size_t n) {
   value.resize(n);
   hw_recv.resize(n);
   tag.resize(n);
+}
+
+void DcsaColumns::Slots::reserve(std::size_t n) {
+  peer.reserve(n);
+  hw_up.reserve(n);
+  has_est.reserve(n);
+  value.reserve(n);
+  hw_recv.reserve(n);
+  tag.reserve(n);
 }
 
 void DcsaColumns::Slots::copy(std::uint32_t dst, const Slots& from,

@@ -140,7 +140,13 @@ class DcsaColumns {
   // calls that bring those edges up relocate nothing.  Call once,
   // before the first edge_up; a node left at degree 0 gets kInitialCap
   // slots at the arena tail on its first edge_up, as without this call.
-  void reserve_segments(const std::vector<net::Edge>& edges);
+  // `degree_rise`, when not empty, bounds by node how far each degree
+  // will later rise above it (net::schedule_high_water); the arena's
+  // capacity then covers every relocation up to those degrees as if none
+  // were compacted away (a compaction only shrinks the arena), so its
+  // columns never reallocate mid-run.
+  void reserve_segments(const std::vector<net::Edge>& edges,
+                        const std::vector<std::uint32_t>& degree_rise = {});
 
   // Lifecycle + topology inputs (always delivered through the
   // simulator's barrier/global context, never concurrently).
@@ -234,6 +240,7 @@ class DcsaColumns {
     std::vector<double> hw_recv;
     std::vector<std::uint32_t> tag;
     void resize(std::size_t n);
+    void reserve(std::size_t n);
     void copy(std::uint32_t dst, const Slots& from, std::uint32_t src);
   };
   Slots slots_;

@@ -148,11 +148,15 @@ NetworkSimulation::NetworkSimulation(
   stream_jump_.assign(streams, 0.0);
   stream_sync_delay_.assign(streams, 0.0);
 
-  store_.reserve_segments(graph.initial_edges());
-  edge_slots_.reserve(graph.initial_edges().size() + 16);
+  // Every buffer the run grows is sized here, from the schedule, so none
+  // reallocates mid-run (see sim::Engine::reserve for why that matters).
+  const net::ScheduleHighWater high = net::schedule_high_water(graph);
+  store_.reserve_segments(graph.initial_edges(), high.degree_rise);
+  edge_slots_.reserve(high.live_edges);
   if (link_.traffic.pipeline_active()) {
     link_dirs_.reserve(edge_slots_.capacity());
   }
+  reserve_queues(graph);
   for (const net::Edge& e : graph.initial_edges()) add_edge(e, 0.0, true);
   for (const net::TopologyEvent& ev : graph.events()) {
     at_global(ev.at, [this, ev] { apply_event(ev); });
@@ -165,6 +169,41 @@ NetworkSimulation::NetworkSimulation(
     next_broadcast_hw_[i] =
         params_.delta_h * (static_cast<double>(i + 1) / static_cast<double>(n));
     schedule_broadcast(static_cast<NodeId>(i));
+  }
+}
+
+void NetworkSimulation::reserve_queues(const net::DynamicGraph& graph) {
+  const std::size_t n = graph.n();
+  if (!sharded_) {
+    // One pending broadcast per node plus every topology event.
+    engine_.reserve(n + graph.events().size());
+    return;
+  }
+  // A shard's queue holds one pending broadcast per node it owns;
+  // deliveries ride the merge lane and topology events the globals.
+  const std::size_t k = sharded_->shards();
+  std::vector<std::size_t> owned(k, 0);
+  for (std::size_t u = 0; u < n; ++u) ++owned[shard_of_[u]];
+  for (std::size_t s = 0; s < k; ++s) sharded_->reserve(s, owned[s]);
+  // A node broadcasts every delta_h of hardware time, so at least
+  // delta_h / (1 + rho) of real time apart, and a window is at most the
+  // delay floor long: one window stages at most per_window posts on each
+  // direction of an edge.  Capped, as a hint may over-reserve but never
+  // fail: an outbox past it grows as it would without one.
+  constexpr double kMaxPerWindow = 64.0;
+  const auto per_window = static_cast<std::size_t>(std::min(
+      std::floor(link_.prop.floor * (1.0 + params_.rho) / params_.delta_h) +
+          1.0,
+      kMaxPerWindow));
+  std::vector<std::size_t> directed(k * k, 0);
+  for (const net::Edge& e : graph.initial_edges()) {
+    ++directed[shard_of_[e.u] * k + shard_of_[e.v]];
+    ++directed[shard_of_[e.v] * k + shard_of_[e.u]];
+  }
+  for (std::size_t src = 0; src < k; ++src) {
+    for (std::size_t dst = 0; dst < k; ++dst) {
+      sharded_->reserve_posts(src, dst, directed[src * k + dst] * per_window);
+    }
   }
 }
 
@@ -186,7 +225,8 @@ void NetworkSimulation::run_until(sim::Time t) {
   // each union is visited in place, never copied.
   while (audit_sweep_.next(now())) {
     ++stats_.connectivity_windows_checked;
-    if (!net::is_connected(store_.size(), [this](const auto& fn) {
+    if (!net::is_connected(audit_components_, store_.size(),
+                           [this](const auto& fn) {
           audit_sweep_.for_each_union_edge(fn);
         })) {
       ++stats_.connectivity_windows_disconnected;

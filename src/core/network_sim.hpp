@@ -405,6 +405,9 @@ class NetworkSimulation {
   void apply_event(const net::TopologyEvent& ev);
   void add_edge(const net::Edge& e, sim::Time t, bool initial);
   void remove_edge(const net::Edge& e, sim::Time t);
+  // Capacity hints for the engine queues and the sharded outboxes,
+  // from the node partition and the initial edges.
+  void reserve_queues(const net::DynamicGraph& graph);
   void schedule_broadcast(NodeId u);
   void broadcast(NodeId u);
   // Sends one message on the live edge `edge` from context c.  Every
@@ -462,6 +465,8 @@ class NetworkSimulation {
   // sweeps only the windows newly completed since the previous call, so
   // repeated incremental runs cost one pass total, not one per call.
   net::SnapshotUnionSweep audit_sweep_;
+  // The audit's union-find, reset per window rather than reallocated.
+  net::Components audit_components_;
 
   sim::Engine engine_;
   // Sharded mode (options_.shards > 0): sharded_ replaces engine_

@@ -173,6 +173,28 @@ std::set<Edge> SnapshotUnionSweep::adds_at(double t) const {
   return adds;
 }
 
+ScheduleHighWater schedule_high_water(const DynamicGraph& graph) {
+  ScheduleHighWater high;
+  high.live_edges = graph.initial_edges().size();
+  if (graph.events().empty()) return high;
+  high.degree_rise.assign(graph.n(), 0);
+  std::vector<std::uint32_t> rise(graph.n(), 0);
+  std::size_t live_edges = high.live_edges;
+  EdgeSet named_live;
+  for (const TopologyEvent& ev : graph.events()) {
+    if (ev.add ? !named_live.insert(ev.edge) : !named_live.erase(ev.edge)) {
+      continue;
+    }
+    for (const NodeId u : {ev.edge.u, ev.edge.v}) {
+      rise[u] = ev.add ? rise[u] + 1 : rise[u] - 1;
+      high.degree_rise[u] = std::max(high.degree_rise[u], rise[u]);
+    }
+    live_edges = ev.add ? live_edges + 1 : live_edges - 1;
+    high.live_edges = std::max(high.live_edges, live_edges);
+  }
+  return high;
+}
+
 ConnectivityAudit audit_interval_connectivity(const DynamicGraph& graph,
                                               double window, double horizon) {
   if (window <= 0.0) {
@@ -180,9 +202,10 @@ ConnectivityAudit audit_interval_connectivity(const DynamicGraph& graph,
   }
   ConnectivityAudit audit;
   SnapshotUnionSweep sweep(graph.initial_edges(), graph.events(), window);
+  Components components;
   while (sweep.next(horizon)) {
     ++audit.windows_checked;
-    if (!is_connected(graph.n(), [&sweep](const auto& fn) {
+    if (!is_connected(components, graph.n(), [&sweep](const auto& fn) {
           sweep.for_each_union_edge(fn);
         })) {
       ++audit.windows_disconnected;

@@ -136,6 +136,21 @@ class DynamicGraph {
   std::vector<TopologyEvent> events_;
 };
 
+// Upper bounds on how far a schedule ever takes a run's per-edge state
+// past its initial edges: the most live edges at once, and per node the
+// largest rise of its degree above the initial one.  NetworkSimulation
+// sizes its buffers to these before the run.  The events are replayed
+// with the simulator's set semantics over only the edges they name,
+// starting from none live; an edge that is in fact live from the start
+// then counts once more than it should after its first event, so the
+// bounds can only over-reserve, and no initial edge is looked at.
+struct ScheduleHighWater {
+  std::size_t live_edges = 0;
+  // Indexed by node; empty for a schedule without events.
+  std::vector<std::uint32_t> degree_rise;
+};
+ScheduleHighWater schedule_high_water(const DynamicGraph& graph);
+
 struct ConnectivityAudit {
   std::uint64_t windows_checked = 0;
   std::uint64_t windows_disconnected = 0;

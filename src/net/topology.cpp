@@ -7,8 +7,10 @@
 
 namespace gcs::net {
 
-Components::Components(std::size_t n) : parent_(n), count_(n) {
+void Components::reset(std::size_t n) {
+  parent_.resize(n);
   std::iota(parent_.begin(), parent_.end(), NodeId{0});
+  count_ = n;
 }
 
 NodeId Components::label(NodeId u) {

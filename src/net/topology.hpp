@@ -56,7 +56,11 @@ Topology make_complete(std::size_t n);
 // union in hash order.
 class Components {
  public:
-  explicit Components(std::size_t n);
+  explicit Components(std::size_t n = 0) { reset(n); }
+
+  // Back to n singleton components, reusing the parent array: a loop of
+  // audits over one graph allocates it once.
+  void reset(std::size_t n);
 
   // Joins e's endpoints; an edge seen twice changes nothing.
   void add(const Edge& e);
@@ -66,7 +70,7 @@ class Components {
 
  private:
   std::vector<NodeId> parent_;
-  std::size_t count_;
+  std::size_t count_ = 0;
 };
 
 // Connectivity over an arbitrary edge list (shared by Topology and the
@@ -75,12 +79,19 @@ bool is_connected(std::size_t n, const std::vector<Edge>& edges);
 // Connectivity over the edges `for_each_edge(fn)` feeds to fn, in any
 // order and with repeats allowed: the window audits visit a union in
 // place (SnapshotUnionSweep::for_each_union_edge) instead of copying it.
+// `scratch` is the union-find to use; whatever it held is discarded.
+template <class ForEachEdge>
+bool is_connected(Components& scratch, std::size_t n,
+                  const ForEachEdge& for_each_edge) {
+  if (n <= 1) return true;
+  scratch.reset(n);
+  for_each_edge([&scratch](const Edge& e) { scratch.add(e); });
+  return scratch.count() == 1;
+}
 template <class ForEachEdge>
 bool is_connected(std::size_t n, const ForEachEdge& for_each_edge) {
-  if (n <= 1) return true;
-  Components c(n);
-  for_each_edge([&c](const Edge& e) { c.add(e); });
-  return c.count() == 1;
+  Components c;
+  return is_connected(c, n, for_each_edge);
 }
 
 }  // namespace gcs::net

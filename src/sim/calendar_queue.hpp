@@ -59,6 +59,13 @@ class CalendarQueue {
 
   void push(const ScheduledEvent& ev);
 
+  // Sizes the slab for `events` pending at once, so pushes up to that
+  // many never move it (see Engine::reserve).
+  void reserve(std::size_t events) {
+    keys_.reserve(events);
+    tasks_.reserve(events);
+  }
+
   // Key of the minimum pending event (by (t, seq)) without removing it;
   // false when empty.  Advances the scan cursor to that event's bucket,
   // so pop_min() right after takes it without walking again.

@@ -46,6 +46,14 @@ void EventLane::pop_front() {
   }
 }
 
+void Engine::reserve(std::size_t events) {
+  if (policy_ == EnginePolicy::kHeap) {
+    heap_.reserve(events);
+  } else {
+    calendar_.reserve(events);
+  }
+}
+
 Engine::Lane Engine::add_lane() {
   lanes_.emplace_back();
   return static_cast<Lane>(lanes_.size() - 1);

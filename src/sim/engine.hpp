@@ -171,6 +171,13 @@ class alignas(64) Engine {
   // Adds a FIFO lane and returns its id (0, 1, ... in call order).
   Lane add_lane();
 
+  // Capacity hint: the queue will hold `events` pending at once.  A
+  // queue grown by doubling frees each outgrown buffer, and once one of
+  // those is above glibc's mmap threshold the threshold rises and later
+  // medium-sized frees stay resident on the heap.  Changes no event
+  // order; a run past the hint grows as before.
+  void reserve(std::size_t events);
+
   // Self-rescheduling periodic callback: fires at `first`, `first +
   // period`, ... for the engine's lifetime; it simply stops being
   // serviced once run_until() is never called past its next firing.

@@ -127,6 +127,19 @@ class ShardedEngine {
   // before the first run_until.
   Engine::Lane add_lane();
 
+  // Capacity hints (see Engine::reserve), coordinator-only before the
+  // first run_until: shard `shard`'s queue holds `events` at once, and
+  // context `src_ctx` stages up to `posts` events for `dst_shard` in one
+  // window.  Outboxes keep their capacity across windows, so a hint
+  // that covers the busiest window means no outbox reallocates mid-run.
+  void reserve(std::size_t shard, std::size_t events) {
+    engines_[shard]->reserve(events);
+  }
+  void reserve_posts(std::size_t src_ctx, std::size_t dst_shard,
+                     std::size_t posts) {
+    outboxes_[src_ctx][dst_shard].posts.reserve(posts);
+  }
+
   // Schedules a shard-local event, on FIFO lane `lane` of the shard's
   // engine if given.  Callable from the owning shard's execution
   // context during a window, or from the coordinator while every shard

@@ -6,7 +6,13 @@
 // over the second half.  Set-up, warm-up growth (the calendar slab, the
 // batch pool, the outbox) and topology changes may allocate; what is left
 // must stay under 1 % of the events executed.
+//
+// A sharded churn cell is also run whole, counting frees of blocks of
+// at least glibc's default mmap threshold: NetworkSimulation sizes its
+// queues, outboxes, peer arena and audit scratch before the run, so
+// none of them may reallocate (and free a large block) mid-run.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstddef>
@@ -26,6 +32,18 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_large_frees{0};
+
+// glibc's default M_MMAP_THRESHOLD.  Freeing a block this large raises
+// the dynamic threshold, after which freed medium blocks stay resident.
+constexpr std::size_t kMmapThreshold = 128 * 1024;
+
+void counted_free(void* p) {
+  if (p != nullptr && malloc_usable_size(p) >= kMmapThreshold) {
+    g_large_frees.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(p);
+}
 
 void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
@@ -68,21 +86,23 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace {
@@ -149,6 +169,37 @@ TEST(HotPathAllocations, CbrTrafficCell) {
       gcs::net::make_uniform_delay(1.0, 0.25, 1.0),
       gcs::net::parse_traffic("cbr:bw=8000:rate=5:pkt=1000:queue=4000")));
   expect_allocation_free(half);
+}
+
+TEST(HotPathAllocations, FourShardChurnRunFreesNoLargeBlock) {
+  // Big enough that every per-shard buffer (queue slab, outboxes, peer
+  // arena columns) and the audit's union-find pass the threshold.
+  constexpr double kHorizon = 6.0;
+  gcs::core::SyncParams p;
+  p.n = 40000;
+  p.rho = 0.02;
+  p.T = 0.5;
+  p.D = 1.0;
+  p.delta_h = 0.5;
+  gcs::util::Rng scenario_rng(5);
+  const gcs::net::Scenario scenario =
+      gcs::net::make_churn_scenario(p.n, 64, 2.0, kHorizon, scenario_rng);
+  std::vector<gcs::clk::RateSchedule> clocks;
+  for (std::size_t i = 0; i < p.n; ++i) {
+    clocks.push_back(gcs::clk::RateSchedule::random_walk(
+        p.rho, 1.0, p.rho / 4.0, 900 + i, 1.0, kHorizon + 2.0 * p.delta_h));
+  }
+  gcs::core::SimOptions options;
+  options.shards = 4;
+  gcs::core::NetworkSimulation sim(p, scenario.to_dynamic_graph(),
+                                   gcs::net::make_constant_delay(1.0, 0.25),
+                                   clocks, options);
+  const std::uint64_t before = g_large_frees.load();
+  sim.run_until(kHorizon);
+  EXPECT_EQ(g_large_frees.load() - before, 0u);
+  EXPECT_GT(sim.stats().connectivity_windows_checked, 0u);
+  EXPECT_GT(sim.stats().messages_delivered, 100000u);
+  EXPECT_EQ(sim.engine_clamped_count(), 0u);
 }
 
 }  // namespace

@@ -1,21 +1,27 @@
 // Unit tests for the campaign runner: the --jobs determinism guarantee
 // (in-process, on a small sweep; tests/run_jobs_shards_determinism.cmake
 // drives the real binary on campaigns/churn.json), CSV quoting, filename
-// sanitization of hand-built labels, and the disjoint errored/failed
-// accounting.
+// sanitization of hand-built labels, the disjoint errored/failed
+// accounting, the run-ahead window between workers and the committing
+// thread, and write failures on the committing thread.
 #include "cli/runner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
 #include <string>
+#include <thread>
 
 #include "cli/campaign.hpp"
+#include "harness/serialize.hpp"
 #include "util/json.hpp"
 
 namespace {
@@ -47,6 +53,35 @@ cli::Campaign small_campaign() {
                 {"seeds", "1..4"},
                 {"horizon", "10"},
                 {"sample_dt", "0.5"}});
+}
+
+// A sweep of at least four windows of tiny cells.
+cli::Campaign window_campaign() {
+  return cli::build_campaign(
+      nullptr, {{"name", "window"},
+                {"n", "4"},
+                {"topology", "ring"},
+                {"seeds", "1.." + std::to_string(4 * cli::kRunAheadWindow + 8)},
+                {"horizon", "2"},
+                {"sample_dt", "1"}});
+}
+
+// A log sink that sleeps on every line, so the committing thread (which
+// logs each cell) falls behind the workers.
+class SlowLineSink : public std::streambuf {
+ protected:
+  int_type overflow(int_type c) override {
+    if (c == '\n') std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    return traits_type::not_eof(c);
+  }
+};
+
+// Points `path` at /dev/full, where every write fails with ENOSPC.
+bool link_to_dev_full(const fs::path& path) {
+  if (!fs::exists("/dev/full")) return false;
+  fs::create_directories(path.parent_path());
+  fs::create_symlink("/dev/full", path);
+  return true;
 }
 
 TEST(CsvField, QuotesOnlyWhenNeeded) {
@@ -307,6 +342,106 @@ TEST(Runner, JobsAboveCellCountIsSafe) {
   std::ostringstream log;
   EXPECT_EQ(cli::run_campaign(campaign, options, log), 0);
   EXPECT_TRUE(fs::exists(dir / "campaign.csv"));
+}
+
+TEST(Runner, RunAheadWindowBoundsUncommittedCells) {
+  const cli::Campaign campaign = window_campaign();
+  ASSERT_GE(campaign.cells.size(), 4 * cli::kRunAheadWindow);
+
+  cli::RunnerOptions options;
+  options.fixed_timing = true;
+  SlowLineSink sink;
+  std::ostream slow_log(&sink);
+  const fs::path dir_j4 = fresh_dir("window-j4");
+  const fs::path dir_j1 = fresh_dir("window-j1");
+  cli::CampaignOutcome parallel;
+  options.jobs = 4;
+  options.out_dir = dir_j4.string();
+  ASSERT_EQ(cli::run_campaign(campaign, options, slow_log, &parallel), 0);
+  // The committer sleeps on every line, so the workers run ahead until
+  // the window stops them, and never further.
+  EXPECT_EQ(parallel.max_uncommitted_cells, cli::kRunAheadWindow);
+
+  cli::CampaignOutcome serial;
+  std::ostringstream log;
+  options.jobs = 1;
+  options.quiet = true;
+  options.out_dir = dir_j1.string();
+  ASSERT_EQ(cli::run_campaign(campaign, options, log, &serial), 0);
+  EXPECT_GE(serial.max_uncommitted_cells, 1u);
+  EXPECT_LE(serial.max_uncommitted_cells, cli::kRunAheadWindow);
+
+  // Holding cells back changes nothing a cell produces.
+  EXPECT_EQ(serial.failed_cells, parallel.failed_cells);
+  EXPECT_EQ(serial.errored_cells, parallel.errored_cells);
+  ASSERT_EQ(serial.cells.size(), campaign.cells.size());
+  ASSERT_EQ(parallel.cells.size(), campaign.cells.size());
+  for (std::size_t i = 0; i < campaign.cells.size(); ++i) {
+    EXPECT_EQ(serial.cells[i].label, campaign.cells[i].label);
+    EXPECT_EQ(parallel.cells[i].label, campaign.cells[i].label);
+    EXPECT_EQ(json::dump(gcs::harness::to_json(serial.cells[i].result)),
+              json::dump(gcs::harness::to_json(parallel.cells[i].result)))
+        << campaign.cells[i].label;
+    EXPECT_EQ(serial.cells[i].failures, parallel.cells[i].failures);
+  }
+  for (const char* artifact : {"campaign.csv", "campaign.jsonl",
+                               "summary.json"}) {
+    EXPECT_EQ(read_file(dir_j1 / artifact), read_file(dir_j4 / artifact))
+        << artifact;
+  }
+}
+
+TEST(Runner, FailedCellWriteNamesTheFileAndReleasesParkedWorkers) {
+  const cli::Campaign campaign = window_campaign();
+  const fs::path dir = fresh_dir("cell-dev-full");
+  // A cell two windows in: by the time the slow committer reaches it the
+  // workers have filled the window and are parked behind it.
+  const std::size_t bad = 2 * cli::kRunAheadWindow;
+  const fs::path bad_file =
+      dir / "cells" / (campaign.cells[bad].label + ".json");
+  if (!link_to_dev_full(bad_file)) GTEST_SKIP() << "no /dev/full";
+
+  cli::RunnerOptions options;
+  options.check = true;
+  options.jobs = 4;
+  options.out_dir = dir.string();
+  SlowLineSink sink;
+  std::ostream slow_log(&sink);
+  cli::CampaignOutcome outcome;
+  try {
+    cli::run_campaign(campaign, options, slow_log, &outcome);
+    FAIL() << "a cell file on /dev/full must fail the run";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(bad_file.string()),
+              std::string::npos)
+        << e.what();
+  }
+  // It got here, so every worker was released and joined.  The cells
+  // before the bad one committed; none after it did.
+  EXPECT_EQ(outcome.cells.size(), bad);
+  EXPECT_EQ(outcome.max_uncommitted_cells, cli::kRunAheadWindow);
+  EXPECT_FALSE(fs::exists(dir / "summary.json"));
+}
+
+TEST(Runner, FailedSummaryWriteFailsTheRun) {
+  // summary.json is a few hundred bytes, which the stream buffers until
+  // it closes; the failure must still be seen.
+  const fs::path dir = fresh_dir("summary-dev-full");
+  if (!link_to_dev_full(dir / "summary.json")) GTEST_SKIP() << "no /dev/full";
+  cli::Campaign campaign = small_campaign();
+  campaign.cells.resize(1);
+  cli::RunnerOptions options;
+  options.quiet = true;
+  options.check = true;
+  options.out_dir = dir.string();
+  std::ostringstream log;
+  try {
+    cli::run_campaign(campaign, options, log);
+    FAIL() << "summary.json on /dev/full must fail the run";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("summary.json"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

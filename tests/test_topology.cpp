@@ -49,6 +49,89 @@ TEST(DynamicGraph, ReplayAppliesEventsInOrder) {
   EXPECT_FALSE(g.connected_at(10.0));
 }
 
+TEST(Components, ResetStartsOverOnTheSameArray) {
+  gcs::net::Components c(4);
+  c.add(Edge(0, 1));
+  c.add(Edge(2, 3));
+  EXPECT_EQ(c.count(), 2u);
+  EXPECT_EQ(c.label(3), 2u);
+  c.reset(6);
+  EXPECT_EQ(c.count(), 6u);
+  for (gcs::net::NodeId u = 0; u < 6; ++u) EXPECT_EQ(c.label(u), u);
+  // The scratch overload answers like the fresh one, call after call.
+  const std::vector<Edge> ring = gcs::net::make_ring(6).edges();
+  const std::vector<Edge> split = {Edge(0, 1), Edge(2, 3), Edge(4, 5)};
+  for (const auto* edges : {&ring, &split, &ring}) {
+    const auto visit = [edges](const auto& fn) {
+      for (const Edge& e : *edges) fn(e);
+    };
+    EXPECT_EQ(gcs::net::is_connected(c, 6, visit),
+              gcs::net::is_connected(6, *edges));
+  }
+}
+
+// schedule_high_water must bound what the simulator's set-semantics
+// replay (EdgeDeltaCursor) reaches, and equal it when no edge the
+// events name starts live.
+TEST(ScheduleHighWater, BoundsTheReplayedDegreesAndLiveEdges) {
+  using gcs::net::NodeId;
+  constexpr std::size_t n = 12;
+  const std::vector<Edge> backbone = gcs::net::make_path(n).edges();
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    // Even seeds name only chords, so no named edge starts live and the
+    // bounds are exact; odd seeds also name backbone edges.
+    const bool exact = seed % 2 == 0;
+    gcs::util::Rng rng(seed);
+    std::vector<gcs::net::TopologyEvent> events;
+    for (int i = 0; i < 60; ++i) {
+      const auto a = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      auto b = static_cast<NodeId>(rng.uniform_int(0, n - 2));
+      if (b >= a) ++b;
+      Edge e(a, b);
+      if (!exact && i % 5 == 0) e = backbone[static_cast<std::size_t>(i) % 11];
+      if (exact && e.v == e.u + 1) continue;
+      const bool add = rng.uniform(0.0, 1.0) < 0.6;
+      events.push_back({static_cast<double>(i / 3), e, add});
+    }
+    const gcs::net::DynamicGraph graph(n, backbone, events);
+    const gcs::net::ScheduleHighWater high =
+        gcs::net::schedule_high_water(graph);
+    ASSERT_EQ(high.degree_rise.size(), n);
+
+    gcs::net::EdgeDeltaCursor cursor(graph.initial_edges(), &graph.events());
+    std::vector<std::int64_t> degree(n, 0);
+    cursor.live().for_each([&](const Edge& e) {
+      ++degree[e.u];
+      ++degree[e.v];
+    });
+    const std::vector<std::int64_t> initial = degree;
+    std::vector<std::int64_t> rise(n, 0);
+    std::size_t live = cursor.live().size();
+    cursor.advance_through(
+        1e9, [&](const gcs::net::TopologyEvent& ev, bool effective) {
+          if (!effective) return;
+          for (const NodeId u : {ev.edge.u, ev.edge.v}) {
+            degree[u] += ev.add ? 1 : -1;
+            rise[u] = std::max(rise[u], degree[u] - initial[u]);
+          }
+          live = std::max(live, cursor.live().size());
+        });
+    for (std::size_t u = 0; u < n; ++u) {
+      const auto bound = static_cast<std::int64_t>(high.degree_rise[u]);
+      EXPECT_TRUE(exact ? bound == rise[u] : bound >= rise[u])
+          << "seed " << seed << " node " << u << ": " << bound << " vs "
+          << rise[u];
+    }
+    EXPECT_TRUE(exact ? high.live_edges == live : high.live_edges >= live)
+        << "seed " << seed << ": " << high.live_edges << " vs " << live;
+  }
+  // A static graph never outgrows its initial edges.
+  const gcs::net::ScheduleHighWater still = gcs::net::schedule_high_water(
+      gcs::net::DynamicGraph(n, backbone, {}));
+  EXPECT_EQ(still.live_edges, backbone.size());
+  EXPECT_TRUE(still.degree_rise.empty());
+}
+
 TEST(Scenario, StaticScenarioRoundTrips) {
   const auto s = gcs::net::make_static_scenario(gcs::net::make_ring(6));
   EXPECT_EQ(s.n, 6u);
