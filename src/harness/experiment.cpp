@@ -81,14 +81,7 @@ std::vector<clk::RateSchedule> build_schedules(const ExperimentConfig& cfg) {
 }
 
 net::DelayModel build_delay(const ExperimentConfig& cfg) {
-  const double T = cfg.params.T;
-  // T bounds every delay, and the delay models refuse a bound <= 0; name
-  // T, not the delay spec it defaults.  (run_experiment refuses a
-  // non-finite T before it gets here.)
-  if (T <= 0.0) {
-    throw std::invalid_argument("config key 'T' must be > 0, got '" +
-                                util::json::dump_number(T) + "'");
-  }
+  const double T = cfg.params.T;  // read_axes refuses T <= 0 first
   util::spec::Reader spec(cfg.delay, "delay");
   const bool uniform = spec.kind() == "uniform";
   if (!uniform && spec.kind() != "constant") {
@@ -135,6 +128,42 @@ core::Variant parse_variant(const std::string& text) {
 }  // namespace
 
 AxisModels read_axes(const ExperimentConfig& cfg) {
+  // Each model constant is refused naming its config key, in the words
+  // config_from_json uses for a value of the wrong kind.
+  const core::SyncParams& p = cfg.params;
+  const auto refuse = [](const char* key, const std::string& rule,
+                         const std::string& got) {
+    throw std::invalid_argument(std::string("config key '") + key +
+                                "' must be " + rule + ", got '" + got + "'");
+  };
+  if (p.n < 2) refuse("n", ">= 2", std::to_string(p.n));
+  // A NaN slips through every ordered comparison below and then hangs
+  // the engine or the serializer, so finiteness comes first.
+  const std::pair<const char*, double> numbers[] = {
+      {"rho", p.rho},         {"T", p.T},         {"D", p.D},
+      {"delta_h", p.delta_h}, {"B0", p.B0},       {"horizon", cfg.horizon},
+      {"sample_dt", cfg.sample_dt}};
+  for (const auto& [key, value] : numbers) {
+    if (!std::isfinite(value)) refuse(key, "finite", std::to_string(value));
+  }
+  // Out-of-range model constants used to fail deep inside the clock or
+  // the B function without naming the field (rho, D) or run silently as
+  // another value (a negative B0 ran as min_b0).  The walks are sized to
+  // horizon + delta_h / (1 - rho), which must be a time after 0.
+  using util::json::dump_number;
+  if (!(p.rho > 0.0 && p.rho < 1.0)) {
+    refuse("rho", "in (0, 1)", dump_number(p.rho));
+  }
+  // T bounds every delay, and the delay models refuse a bound <= 0: name
+  // T, not the delay spec it defaults.
+  if (!(p.T > 0.0)) refuse("T", "> 0", dump_number(p.T));
+  if (p.D < 0.0) refuse("D", ">= 0", dump_number(p.D));
+  if (p.B0 < 0.0) refuse("B0", ">= 0 (0 selects min_b0)", dump_number(p.B0));
+  if (!(cfg.horizon > 0.0)) refuse("horizon", "> 0", dump_number(cfg.horizon));
+  if (!(p.delta_h > 0.0)) refuse("delta_h", "> 0", dump_number(p.delta_h));
+  if (!(cfg.sample_dt > 0.0)) {
+    refuse("sample_dt", "> 0", dump_number(cfg.sample_dt));
+  }
   name_index(kTopologies, cfg.topology, "topology");
   name_index(kDrifts, cfg.drift, "drift");
   // Braced lists evaluate left to right: a bad delay is named first.
@@ -195,49 +224,7 @@ AxisModels read_axes(const ExperimentConfig& cfg) {
 ExperimentResult run_experiment(const ExperimentConfig& cfg,
                                 obs::Recorder* recorder) {
   const core::SyncParams& p = cfg.params;
-  if (p.n < 2) throw std::invalid_argument("run_experiment: need n >= 2");
-  // A NaN slips through every ordered comparison below and then hangs
-  // the engine or the serializer, so finiteness comes first.
-  const std::pair<const char*, double> numbers[] = {
-      {"rho", p.rho},         {"T", p.T},         {"D", p.D},
-      {"delta_h", p.delta_h}, {"B0", p.B0},       {"horizon", cfg.horizon},
-      {"sample_dt", cfg.sample_dt}};
-  for (const auto& [field, value] : numbers) {
-    if (!std::isfinite(value)) {
-      throw std::invalid_argument(std::string("run_experiment: ") + field +
-                                  " must be finite, got " +
-                                  std::to_string(value));
-    }
-  }
-  // Out-of-range model constants used to fail deep inside the clock or
-  // the B function without naming the field (rho, D) or run silently as
-  // another value (a negative B0 ran as min_b0).
-  if (!(p.rho > 0.0 && p.rho < 1.0)) {
-    throw std::invalid_argument("run_experiment: rho must be in (0, 1), got " +
-                                std::to_string(p.rho));
-  }
-  if (p.D < 0.0) {
-    throw std::invalid_argument("run_experiment: D must be >= 0, got " +
-                                std::to_string(p.D));
-  }
-  if (p.B0 < 0.0) {
-    throw std::invalid_argument(
-        "run_experiment: B0 must be >= 0 (0 selects min_b0), got " +
-        std::to_string(p.B0));
-  }
-  if (!(cfg.horizon > 0.0)) {
-    throw std::invalid_argument("run_experiment: horizon must be > 0");
-  }
-  // The walks are sized to horizon + delta_h / (1 - rho), which must be
-  // a time after 0.
-  if (!(p.delta_h > 0.0)) {
-    throw std::invalid_argument("run_experiment: delta_h must be > 0, got " +
-                                std::to_string(p.delta_h));
-  }
-  if (!(cfg.sample_dt > 0.0)) {
-    throw std::invalid_argument("run_experiment: sample_dt must be > 0");
-  }
-
+  AxisModels axes = read_axes(cfg);
   net::DynamicGraph graph = build_graph(cfg);
   if (graph.n() != p.n) {
     throw std::invalid_argument(
@@ -248,7 +235,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg,
   options.seed = cfg.seed;
   options.recorder = recorder;
   options.shards = static_cast<std::size_t>(cfg.shards);
-  AxisModels axes = read_axes(cfg);
   core::Protocol protocol;
   protocol.variant = axes.variant;
   core::NetworkSimulation sim(p, std::move(graph), std::move(axes.link),

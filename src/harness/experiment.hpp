@@ -121,13 +121,15 @@ struct AxisModels {
   core::Variant variant;
 };
 
-// Reads the config's delay (which must lie within [0, params.T]),
-// traffic (whose flow period must fit the horizon) and variant specs in
-// the axis-spec grammar (util/spec.hpp), and checks its topology and
-// drift names.  Throws std::invalid_argument naming the axis, the knob
-// and the offending text.  run_experiment builds the run from it, and
-// cli::build_campaign calls it on every cell, so a bad spec fails before
-// any cell runs.
+// Checks the config's model constants (n >= 2; rho in (0, 1); T, D,
+// delta_h, B0, horizon and sample_dt finite, with T, delta_h, horizon and
+// sample_dt > 0 and D, B0 >= 0), reads its delay (which must lie within
+// [0, params.T]), traffic (whose flow period must fit the horizon) and
+// variant specs in the axis-spec grammar (util/spec.hpp), and checks its
+// topology and drift names.  Throws std::invalid_argument naming the
+// field, or the axis, the knob and the offending text.  run_experiment
+// builds the run from it, and cli::build_campaign calls it on every
+// cell, so a bad value fails before any cell runs.
 AxisModels read_axes(const ExperimentConfig& config);
 
 // Runs the experiment.  `recorder`, when non-null, passively observes

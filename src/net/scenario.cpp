@@ -4,6 +4,8 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 namespace gcs::net {
 
@@ -35,53 +37,105 @@ Edge draw_fresh_edge(std::size_t n, const std::vector<Edge>& backbone,
   throw std::runtime_error("draw_fresh_edge: graph too dense to churn");
 }
 
-// Shared machinery of the mobility-style generators (random-waypoint,
-// Gauss-Markov, group): a radius graph over planar positions, diffed into
-// topology events every update, optionally unioned with a ring backbone.
+constexpr double kTau = 6.283185307179586476925286766559;
 
-std::set<Edge> ring_backbone(std::size_t n, bool enabled) {
-  std::set<Edge> edges;
-  if (enabled) {
-    const Topology ring = make_ring(n);
-    edges.insert(ring.edges().begin(), ring.edges().end());
+// The shared code of the radius-graph generators (random-waypoint,
+// Gauss-Markov, group).  Each keeps only its validation, its initial
+// draws and its motion step; radio_scenario owns the rest.
+
+// A point doing random waypoint in the unit square: it moves toward a
+// uniform waypoint at a speed in [speed_min, speed_max] and, on
+// arrival, draws the next waypoint and speed.  The mobility motes and the
+// group reference points are these.
+struct Waypoint {
+  double x = 0.0, y = 0.0;    // position
+  double wx = 0.0, wy = 0.0;  // waypoint
+  double speed = 0.0;
+
+  // Draws x, y, wx, wy and the speed, in that order.
+  void draw(double speed_min, double speed_max, util::Rng& rng) {
+    x = rng.uniform(0.0, 1.0);
+    y = rng.uniform(0.0, 1.0);
+    retarget(speed_min, speed_max, rng);
   }
-  return edges;
-}
 
-std::set<Edge> radius_edges(const std::vector<double>& x,
-                            const std::vector<double>& y, double radius) {
-  std::set<Edge> edges;
-  const std::size_t n = x.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (std::hypot(x[i] - x[j], y[i] - y[j]) <= radius) {
-        edges.insert(Edge(static_cast<NodeId>(i), static_cast<NodeId>(j)));
+  // Moves `dt` seconds toward the waypoint, stopping on it and drawing
+  // the next when it is that close.
+  void step(double dt, double speed_min, double speed_max, util::Rng& rng) {
+    const double dx = wx - x;
+    const double dy = wy - y;
+    const double dist = std::hypot(dx, dy);
+    const double stride = speed * dt;
+    if (dist <= stride) {
+      x = wx;
+      y = wy;
+      retarget(speed_min, speed_max, rng);
+    } else {
+      x += dx / dist * stride;
+      y += dy / dist * stride;
+    }
+  }
+
+ private:
+  void retarget(double speed_min, double speed_max, util::Rng& rng) {
+    wx = rng.uniform(0.0, 1.0);
+    wy = rng.uniform(0.0, 1.0);
+    speed = rng.uniform(speed_min, speed_max);
+  }
+};
+
+// The radius graph over the positions `place(i)` returns as (x, y): first at
+// t = 0, which with the ring backbone (when `backbone` is set) forms the
+// initial edges, then after each `step()` at t = k * update_dt < horizon,
+// diffed against the previous graph into topology events (ups, then
+// downs, each in edge order).  Backbone edges never appear in an event.
+template <class Place, class Step>
+Scenario radio_scenario(const char* name, std::size_t n, double radius,
+                        double update_dt, double horizon, bool backbone,
+                        Place place, Step step) {
+  Scenario s;
+  s.name = name;
+  s.n = n;
+  std::set<Edge> ring;
+  if (backbone) {
+    const Topology topology = make_ring(n);
+    ring.insert(topology.edges().begin(), topology.edges().end());
+  }
+  std::vector<double> xs(n), ys(n);
+  const auto radio_edges = [&] {
+    for (std::size_t i = 0; i < n; ++i) std::tie(xs[i], ys[i]) = place(i);
+    std::set<Edge> edges;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        if (std::hypot(xs[i] - xs[j], ys[i] - ys[j]) <= radius) {
+          edges.insert(Edge(static_cast<NodeId>(i), static_cast<NodeId>(j)));
+        }
       }
     }
-  }
-  return edges;
-}
+    return edges;
+  };
 
-void diff_radio_edges(const std::set<Edge>& prev, const std::set<Edge>& cur,
-                      const std::set<Edge>& backbone, double t,
-                      std::vector<TopologyEvent>& events) {
-  for (const Edge& e : cur) {
-    if (!prev.count(e) && !backbone.count(e)) {
-      events.push_back(TopologyEvent{t, e, true});
-    }
-  }
-  for (const Edge& e : prev) {
-    if (!cur.count(e) && !backbone.count(e)) {
-      events.push_back(TopologyEvent{t, e, false});
-    }
-  }
-}
+  std::set<Edge> prev = radio_edges();
+  std::set<Edge> initial = prev;
+  initial.insert(ring.begin(), ring.end());
+  s.initial_edges.assign(initial.begin(), initial.end());
 
-std::vector<Edge> union_with_backbone(const std::set<Edge>& radio,
-                                      const std::set<Edge>& backbone) {
-  std::set<Edge> initial = radio;
-  initial.insert(backbone.begin(), backbone.end());
-  return std::vector<Edge>(initial.begin(), initial.end());
+  for (double t = update_dt; t < horizon; t += update_dt) {
+    step();
+    std::set<Edge> cur = radio_edges();
+    for (const Edge& e : cur) {
+      if (!prev.count(e) && !ring.count(e)) {
+        s.events.push_back(TopologyEvent{t, e, true});
+      }
+    }
+    for (const Edge& e : prev) {
+      if (!cur.count(e) && !ring.count(e)) {
+        s.events.push_back(TopologyEvent{t, e, false});
+      }
+    }
+    prev = std::move(cur);
+  }
+  return s;
 }
 
 }  // namespace
@@ -200,60 +254,14 @@ Scenario make_mobility_scenario(std::size_t n, double radius, double speed_min,
       speed_max < speed_min) {
     throw std::invalid_argument("make_mobility_scenario: bad parameters");
   }
-  Scenario s;
-  s.name = "mobility";
-  s.n = n;
-  const std::set<Edge> backbone_edges = ring_backbone(n, backbone);
-
-  struct Mote {
-    double x, y;        // position
-    double wx, wy;      // waypoint
-    double speed;
-  };
-  std::vector<Mote> motes(n);
-  for (Mote& m : motes) {
-    m.x = rng.uniform(0.0, 1.0);
-    m.y = rng.uniform(0.0, 1.0);
-    m.wx = rng.uniform(0.0, 1.0);
-    m.wy = rng.uniform(0.0, 1.0);
-    m.speed = rng.uniform(speed_min, speed_max);
-  }
-
-  std::vector<double> xs(n), ys(n);
-  const auto positions = [&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      xs[i] = motes[i].x;
-      ys[i] = motes[i].y;
-    }
-  };
-
-  positions();
-  std::set<Edge> prev = radius_edges(xs, ys, radius);
-  s.initial_edges = union_with_backbone(prev, backbone_edges);
-
-  for (double t = update_dt; t < horizon; t += update_dt) {
-    for (Mote& m : motes) {
-      double dx = m.wx - m.x;
-      double dy = m.wy - m.y;
-      const double dist = std::hypot(dx, dy);
-      const double step = m.speed * update_dt;
-      if (dist <= step) {
-        m.x = m.wx;
-        m.y = m.wy;
-        m.wx = rng.uniform(0.0, 1.0);
-        m.wy = rng.uniform(0.0, 1.0);
-        m.speed = rng.uniform(speed_min, speed_max);
-      } else {
-        m.x += dx / dist * step;
-        m.y += dy / dist * step;
-      }
-    }
-    positions();
-    const std::set<Edge> cur = radius_edges(xs, ys, radius);
-    diff_radio_edges(prev, cur, backbone_edges, t, s.events);
-    prev = cur;
-  }
-  return s;
+  std::vector<Waypoint> motes(n);
+  for (Waypoint& m : motes) m.draw(speed_min, speed_max, rng);
+  return radio_scenario(
+      "mobility", n, radius, update_dt, horizon, backbone,
+      [&](std::size_t i) { return std::pair(motes[i].x, motes[i].y); },
+      [&] {
+        for (Waypoint& m : motes) m.step(update_dt, speed_min, speed_max, rng);
+      });
 }
 
 Scenario make_gauss_markov_scenario(std::size_t n, double radius,
@@ -272,12 +280,6 @@ Scenario make_gauss_markov_scenario(std::size_t n, double radius,
     throw std::invalid_argument(
         "make_gauss_markov_scenario: need alpha in [0, 1)");
   }
-  Scenario s;
-  s.name = "gauss-markov";
-  s.n = n;
-  const std::set<Edge> backbone_edges = ring_backbone(n, backbone);
-
-  constexpr double kTau = 6.283185307179586476925286766559;
   struct Mote {
     double x, y;
     double speed;
@@ -293,51 +295,38 @@ Scenario make_gauss_markov_scenario(std::size_t n, double radius,
     m.dir = m.mean_dir;
   }
 
-  std::vector<double> xs(n), ys(n);
-  const auto positions = [&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      xs[i] = motes[i].x;
-      ys[i] = motes[i].y;
-    }
-  };
-
-  positions();
-  std::set<Edge> prev = radius_edges(xs, ys, radius);
-  s.initial_edges = union_with_backbone(prev, backbone_edges);
-
   const double noise = std::sqrt(1.0 - alpha * alpha);
-  for (double t = update_dt; t < horizon; t += update_dt) {
-    for (Mote& m : motes) {
-      // AR(1) speed and heading; the noise gain keeps the stationary
-      // variance at sigma^2 for every alpha.
-      m.speed = alpha * m.speed + (1.0 - alpha) * mean_speed +
-                noise * rng.normal(0.0, speed_sigma);
-      // Velocity clamping: one large Gaussian draw must not teleport (or
-      // reverse) a node.
-      m.speed = std::min(std::max(m.speed, 0.0), 2.0 * mean_speed);
-      m.dir = alpha * m.dir + (1.0 - alpha) * m.mean_dir +
-              noise * rng.normal(0.0, dir_sigma);
-      m.x += m.speed * std::cos(m.dir) * update_dt;
-      m.y += m.speed * std::sin(m.dir) * update_dt;
-      // Reflect off the unit square's walls, mirroring both the current
-      // and the preferred heading so the process does not fight the wall.
-      while (m.x < 0.0 || m.x > 1.0) {
-        m.x = m.x < 0.0 ? -m.x : 2.0 - m.x;
-        m.dir = kTau / 2.0 - m.dir;
-        m.mean_dir = kTau / 2.0 - m.mean_dir;
-      }
-      while (m.y < 0.0 || m.y > 1.0) {
-        m.y = m.y < 0.0 ? -m.y : 2.0 - m.y;
-        m.dir = -m.dir;
-        m.mean_dir = -m.mean_dir;
-      }
-    }
-    positions();
-    const std::set<Edge> cur = radius_edges(xs, ys, radius);
-    diff_radio_edges(prev, cur, backbone_edges, t, s.events);
-    prev = cur;
-  }
-  return s;
+  return radio_scenario(
+      "gauss-markov", n, radius, update_dt, horizon, backbone,
+      [&](std::size_t i) { return std::pair(motes[i].x, motes[i].y); },
+      [&] {
+        for (Mote& m : motes) {
+          // AR(1) speed and heading; the noise gain keeps the stationary
+          // variance at sigma^2 for every alpha.
+          m.speed = alpha * m.speed + (1.0 - alpha) * mean_speed +
+                    noise * rng.normal(0.0, speed_sigma);
+          // Velocity clamping: one large Gaussian draw must not teleport
+          // (or reverse) a node.
+          m.speed = std::min(std::max(m.speed, 0.0), 2.0 * mean_speed);
+          m.dir = alpha * m.dir + (1.0 - alpha) * m.mean_dir +
+                  noise * rng.normal(0.0, dir_sigma);
+          m.x += m.speed * std::cos(m.dir) * update_dt;
+          m.y += m.speed * std::sin(m.dir) * update_dt;
+          // Reflect off the unit square's walls, mirroring both the
+          // current and the preferred heading so the process does not
+          // fight the wall.
+          while (m.x < 0.0 || m.x > 1.0) {
+            m.x = m.x < 0.0 ? -m.x : 2.0 - m.x;
+            m.dir = kTau / 2.0 - m.dir;
+            m.mean_dir = kTau / 2.0 - m.mean_dir;
+          }
+          while (m.y < 0.0 || m.y > 1.0) {
+            m.y = m.y < 0.0 ? -m.y : 2.0 - m.y;
+            m.dir = -m.dir;
+            m.mean_dir = -m.mean_dir;
+          }
+        }
+      });
 }
 
 Scenario make_group_scenario(std::size_t n, std::size_t groups, double radius,
@@ -358,26 +347,9 @@ Scenario make_group_scenario(std::size_t n, std::size_t groups, double radius,
     throw std::invalid_argument(
         "make_group_scenario: need switch_prob in [0, 1]");
   }
-  Scenario s;
-  s.name = "group";
-  s.n = n;
-  const std::set<Edge> backbone_edges = ring_backbone(n, backbone);
-
-  constexpr double kTau = 6.283185307179586476925286766559;
   // Virtual reference points do plain random-waypoint.
-  struct Ref {
-    double x, y;
-    double wx, wy;
-    double speed;
-  };
-  std::vector<Ref> refs(groups);
-  for (Ref& r : refs) {
-    r.x = rng.uniform(0.0, 1.0);
-    r.y = rng.uniform(0.0, 1.0);
-    r.wx = rng.uniform(0.0, 1.0);
-    r.wy = rng.uniform(0.0, 1.0);
-    r.speed = rng.uniform(speed_min, speed_max);
-  }
+  std::vector<Waypoint> refs(groups);
+  for (Waypoint& r : refs) r.draw(speed_min, speed_max, rng);
   // Members carry a jitter offset random-walking inside the group disc.
   struct Member {
     std::size_t group;
@@ -393,61 +365,35 @@ Scenario make_group_scenario(std::size_t n, std::size_t groups, double radius,
     members[i].oy = r * std::sin(theta);
   }
 
-  std::vector<double> xs(n), ys(n);
-  const auto positions = [&] {
-    for (std::size_t i = 0; i < n; ++i) {
-      xs[i] = refs[members[i].group].x + members[i].ox;
-      ys[i] = refs[members[i].group].y + members[i].oy;
-    }
-  };
-
-  positions();
-  std::set<Edge> prev = radius_edges(xs, ys, radius);
-  s.initial_edges = union_with_backbone(prev, backbone_edges);
-
   const double jitter_sigma = group_radius / 4.0;
-  for (double t = update_dt; t < horizon; t += update_dt) {
-    for (Ref& r : refs) {
-      double dx = r.wx - r.x;
-      double dy = r.wy - r.y;
-      const double dist = std::hypot(dx, dy);
-      const double step = r.speed * update_dt;
-      if (dist <= step) {
-        r.x = r.wx;
-        r.y = r.wy;
-        r.wx = rng.uniform(0.0, 1.0);
-        r.wy = rng.uniform(0.0, 1.0);
-        r.speed = rng.uniform(speed_min, speed_max);
-      } else {
-        r.x += dx / dist * step;
-        r.y += dy / dist * step;
-      }
-    }
-    for (Member& m : members) {
-      // Migration makes groups merge and split over time instead of being
-      // a fixed partition.  Both the decision and the target draw happen
-      // unconditionally, so sweeping switch_prob never shifts the RNG
-      // stream the jitter and waypoint draws see.
-      const bool migrate = rng.uniform(0.0, 1.0) < switch_prob;
-      const std::size_t target =
-          static_cast<std::size_t>(rng.uniform_int(0, groups - 1));
-      if (migrate) m.group = target;
-      if (group_radius > 0.0) {
-        m.ox += rng.normal(0.0, jitter_sigma);
-        m.oy += rng.normal(0.0, jitter_sigma);
-        const double d = std::hypot(m.ox, m.oy);
-        if (d > group_radius) {
-          m.ox *= group_radius / d;
-          m.oy *= group_radius / d;
+  return radio_scenario(
+      "group", n, radius, update_dt, horizon, backbone,
+      [&](std::size_t i) {
+        const Member& m = members[i];
+        return std::pair(refs[m.group].x + m.ox, refs[m.group].y + m.oy);
+      },
+      [&] {
+        for (Waypoint& r : refs) r.step(update_dt, speed_min, speed_max, rng);
+        for (Member& m : members) {
+          // Migration makes groups merge and split over time instead of
+          // being a fixed partition.  Both the decision and the target
+          // draw happen unconditionally, so sweeping switch_prob never
+          // shifts the RNG stream the jitter and waypoint draws see.
+          const bool migrate = rng.uniform(0.0, 1.0) < switch_prob;
+          const std::size_t target =
+              static_cast<std::size_t>(rng.uniform_int(0, groups - 1));
+          if (migrate) m.group = target;
+          if (group_radius > 0.0) {
+            m.ox += rng.normal(0.0, jitter_sigma);
+            m.oy += rng.normal(0.0, jitter_sigma);
+            const double d = std::hypot(m.ox, m.oy);
+            if (d > group_radius) {
+              m.ox *= group_radius / d;
+              m.oy *= group_radius / d;
+            }
+          }
         }
-      }
-    }
-    positions();
-    const std::set<Edge> cur = radius_edges(xs, ys, radius);
-    diff_radio_edges(prev, cur, backbone_edges, t, s.events);
-    prev = cur;
-  }
-  return s;
+      });
 }
 
 std::size_t enforce_interval_connectivity(Scenario& scenario, double window,

@@ -1,7 +1,6 @@
 #include "net/trace.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -154,11 +153,7 @@ ContactTrace parse_contact_trace_json(const util::json::Value& doc) {
 
 ContactTrace load_contact_trace(const std::string& path) {
   try {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("cannot open file");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
+    const std::string text = util::json::read_file(path);
 
     const std::size_t dot = path.rfind('.');
     const std::string ext =

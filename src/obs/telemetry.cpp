@@ -1,7 +1,9 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <ostream>
+#include <string>
 
 #include "util/json.hpp"
 
@@ -44,37 +46,52 @@ void TelemetryRecorder::on_trace(const TraceEvent& event) {
 
 namespace {
 
-std::string series_row(const SeriesSample& s) {
-  std::string out;
-  out += json::dump_number(s.t);
-  out += ',';
-  out += json::dump_number(s.global_skew);
-  out += ',';
-  out += json::dump_number(s.max_local_skew);
-  out += ',';
-  out += json::dump_number(s.max_envelope_ratio);
-  out += ',';
-  out += std::to_string(s.live_edges);
-  out += ',';
-  out += std::to_string(s.in_flight);
-  out += ',';
-  out += std::to_string(s.engine_pending);
-  out += ',';
-  out += json::dump_number(s.queue_bytes);
-  out += '\n';
-  return out;
+std::string text(double v) { return json::dump_number(v); }
+std::string text(std::uint64_t v) { return std::to_string(v); }
+template <auto M>
+std::string sample_cell(const SeriesSample& s) {
+  return text(s.*M);
+}
+
+// The series CSV's columns in order: the header is the names and a row
+// the values, so the two cannot drift apart.
+struct SeriesColumn {
+  const char* name;
+  std::string (*value)(const SeriesSample&);
+};
+using S = SeriesSample;
+const SeriesColumn kSeriesColumns[] = {
+    {"t", sample_cell<&S::t>},
+    {"global_skew", sample_cell<&S::global_skew>},
+    {"max_local_skew", sample_cell<&S::max_local_skew>},
+    {"max_envelope_ratio", sample_cell<&S::max_envelope_ratio>},
+    {"live_edges", sample_cell<&S::live_edges>},
+    {"in_flight", sample_cell<&S::in_flight>},
+    {"engine_pending", sample_cell<&S::engine_pending>},
+    {"queue_bytes", sample_cell<&S::queue_bytes>},
+};
+
+// One series line with its newline: the column names, or `sample`'s
+// values.
+std::string series_line(const SeriesSample* sample) {
+  std::string line;
+  for (const SeriesColumn& column : kSeriesColumns) {
+    if (!line.empty()) line += ',';
+    line += sample != nullptr ? column.value(*sample) : column.name;
+  }
+  line += '\n';
+  return line;
 }
 
 }  // namespace
 
 void TelemetryRecorder::on_sample(const SeriesSample& sample) {
-  if (series_sink_ != nullptr) *series_sink_ << series_row(sample);
+  if (series_sink_ != nullptr) *series_sink_ << series_line(&sample);
 }
 
 void TelemetryRecorder::stream_series_to(std::ostream& sink) {
   series_sink_ = &sink;
-  sink << "t,global_skew,max_local_skew,max_envelope_ratio,live_edges,"
-          "in_flight,engine_pending,queue_bytes\n";
+  sink << series_line(nullptr);
 }
 
 std::string TelemetryRecorder::trace_jsonl() const {

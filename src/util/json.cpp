@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 namespace gcs::util::json {
 
@@ -377,13 +376,27 @@ NumberText read_number(std::string_view text, double* out) {
   return NumberText::kFinite;
 }
 
-Value parse_file(const std::string& path) {
+std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw Error("cannot read " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  std::string text;
+  char chunk[1 << 14];
+  while (in) {
+    in.read(chunk, sizeof chunk);
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+    if (text.size() > kMaxFileBytes) {
+      throw Error(path + " is larger than the read cap of " +
+                  std::to_string(kMaxFileBytes) + " bytes");
+    }
+  }
+  if (in.bad()) throw Error("cannot read " + path);
+  return text;
+}
+
+Value parse_file(const std::string& path) {
+  const std::string text = read_file(path);
   try {
-    return parse(buf.str());
+    return parse(text);
   } catch (const Error& e) {
     throw Error(path + ": " + e.what());
   }

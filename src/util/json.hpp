@@ -16,6 +16,7 @@
 #ifndef GCS_UTIL_JSON_HPP
 #define GCS_UTIL_JSON_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -108,7 +109,17 @@ enum class NumberText { kFinite, kNonFinite, kNotNumber };
 // is written only for kFinite.
 NumberText read_number(std::string_view text, double* out);
 
-// parse() of a whole file; throws Error naming the path when the file
+// The most bytes read_file() takes from one path: the committed inputs
+// are tens of kilobytes, so a path naming /dev/zero or a runaway file
+// fails naming this cap instead of exhausting memory.
+constexpr std::size_t kMaxFileBytes = std::size_t{64} << 20;
+
+// The whole file at `path`.  Throws Error naming the path when it cannot
+// be read, and naming the path and kMaxFileBytes as soon as it holds more
+// than that; it stops within one 16 KiB read past the cap.
+std::string read_file(const std::string& path);
+
+// parse() of read_file(path); throws Error naming the path when the file
 // cannot be read or does not parse.
 Value parse_file(const std::string& path);
 

@@ -77,13 +77,27 @@ function(expect_refused flag pattern)
           TIMEOUT 10)
 endfunction()
 expect_refused(--horizon=nan "horizon must be finite")
-expect_refused(--delta_h=0 "delta_h must be")
+expect_refused(--delta_h=0 "config key 'delta_h' must be > 0, got '0'")
 expect_refused(--delay=constant:-1 "delay 'constant:-1'")
 expect_refused(--delay=constant:5 "delay 'constant:5'")
 expect_refused(--delay=uniform:0:5 "delay 'uniform:0:5'")
-expect_refused(--rho=1 "rho must be in")
-expect_refused(--D=-1 "D must be >= 0")
-expect_refused(--B0=-5 "B0 must be >= 0")
+expect_refused(--rho=1 "config key 'rho' must be in \\(0, 1\\), got '1'")
+expect_refused(--D=-1 "config key 'D' must be >= 0, got '-1'")
+expect_refused(--B0=-5 "config key 'B0' must be >= 0")
+# Model constants out of range are refused while the campaign expands,
+# so --list exits 2 on them as on a bad spec; they used to list and then
+# error every cell at run time.
+function(expect_list_refused flag pattern)
+  e2e_run(gcs_run --topology=ring ${flag} --list
+          EXIT 2 STDERR "config key '${pattern}" TIMEOUT 10)
+endfunction()
+expect_list_refused(--rho=2 "rho' must be in \\(0, 1\\), got '2'")
+expect_list_refused(--n=1 "n' must be >= 2, got '1'")
+expect_list_refused(--delta_h=0 "delta_h' must be > 0, got '0'")
+expect_list_refused(--horizon=0 "horizon' must be > 0, got '0'")
+expect_list_refused(--B0=-1 "B0' must be >= 0 \\(0 selects min_b0\\), got '-1'")
+expect_list_refused(--D=-1 "D' must be >= 0, got '-1'")
+expect_list_refused(--sample_dt=0 "sample_dt' must be > 0, got '0'")
 # A traffic spec whose backlog can pass 2^53 bytes (where peak_queue_bytes
 # stops being an exact whole number) is refused up front, naming the knob.
 expect_refused(--traffic=idle:msg=1e300:bw=1

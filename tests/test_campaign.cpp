@@ -414,10 +414,10 @@ TEST(Campaign, MistypedValuesNameTheField) {
   }
 }
 
-// Every cell's delay (against that cell's T), traffic and variant is
-// checked while the campaign expands, with the reader run_experiment
-// uses, so a bad spec fails before any cell runs, naming the axis, the
-// knob and the text.
+// Every cell's model constants, delay (against that cell's T), traffic
+// and variant are checked while the campaign expands, with the reader
+// run_experiment uses, so a bad value fails before any cell runs, naming
+// the field, or the axis, the knob and the text.
 TEST(Campaign, BadAxisSpecsFailAtExpansion) {
   const std::pair<std::map<std::string, std::string>, const char*> refused[] = {
       {{{"delay", "unifrom"}}, "delay 'unifrom': unknown kind"},
@@ -442,6 +442,16 @@ TEST(Campaign, BadAxisSpecsFailAtExpansion) {
       // The delay bound is the cell's own T.
       {{{"T", "0.5,1"}, {"delay", "constant:0.75"}},
        "delay 'constant:0.75': must lie within [0, T]"},
+      // Model constants out of range used to expand and then error every
+      // cell at run time.
+      {{{"rho", "0.05,2"}}, "config key 'rho' must be in (0, 1), got '2'"},
+      {{{"n", "1"}}, "config key 'n' must be >= 2, got '1'"},
+      {{{"delta_h", "0"}}, "config key 'delta_h' must be > 0, got '0'"},
+      {{{"horizon", "0"}}, "config key 'horizon' must be > 0, got '0'"},
+      {{{"B0", "-1"}}, "config key 'B0' must be >= 0 (0 selects min_b0), "
+                       "got '-1'"},
+      {{{"D", "-1"}}, "config key 'D' must be >= 0, got '-1'"},
+      {{{"sample_dt", "0"}}, "config key 'sample_dt' must be > 0, got '0'"},
   };
   for (const auto& [flags, message] : refused) {
     std::map<std::string, std::string> overrides = flags;

@@ -110,7 +110,7 @@ TEST(RunExperiment, RejectsBadConfigs) {
       gcs::harness::run_experiment(cfg);
       ADD_FAILURE() << "delta_h=" << delta_h << " was accepted";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("delta_h must be"),
+      EXPECT_NE(std::string(e.what()).find("'delta_h' must be > 0"),
                 std::string::npos)
           << e.what();
     }
@@ -120,11 +120,11 @@ TEST(RunExperiment, RejectsBadConfigs) {
   // run as min_b0 (B0).
   using Config = gcs::harness::ExperimentConfig;
   const std::tuple<const char*, double* (*)(Config&), double> bad[] = {
-      {"rho must be", [](Config& c) { return &c.params.rho; }, 0.0},
-      {"rho must be", [](Config& c) { return &c.params.rho; }, 1.0},
-      {"rho must be", [](Config& c) { return &c.params.rho; }, -0.1},
-      {"D must be", [](Config& c) { return &c.params.D; }, -1.0},
-      {"B0 must be", [](Config& c) { return &c.params.B0; }, -5.0}};
+      {"'rho' must be in (0, 1)", [](Config& c) { return &c.params.rho; }, 0.0},
+      {"'rho' must be in (0, 1)", [](Config& c) { return &c.params.rho; }, 1.0},
+      {"'rho' must be in (0, 1)", [](Config& c) { return &c.params.rho; }, -0.1},
+      {"'D' must be >= 0", [](Config& c) { return &c.params.D; }, -1.0},
+      {"'B0' must be >= 0", [](Config& c) { return &c.params.B0; }, -5.0}};
   for (const auto& [message, field, value] : bad) {
     cfg = small_config();
     *field(cfg) = value;
@@ -166,8 +166,8 @@ TEST(RunExperiment, RejectsNonFiniteParameters) {
         gcs::harness::run_experiment(cfg);
         ADD_FAILURE() << name << "=" << bad << " was accepted";
       } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find(std::string(" ") + name +
-                                             " must be finite"),
+        EXPECT_NE(std::string(e.what()).find(std::string("'") + name +
+                                             "' must be finite"),
                   std::string::npos)
             << e.what();
       }

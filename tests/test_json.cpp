@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <random>
 #include <string>
@@ -21,6 +23,52 @@ using gcs::util::json::Value;
 using gcs::util::json::dump;
 using gcs::util::json::dump_number;
 using gcs::util::json::parse;
+using gcs::util::json::read_file;
+
+// The message of the Error `fn` throws, or "" when it throws none.
+template <class Fn>
+std::string error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Json, ReadFileStopsPastTheCap) {
+  // /dev/zero never ends: the reader stops one chunk past the 64 MiB cap
+  // and names the path and the cap, where reading to EOF ran out of
+  // memory.  parse_file reads through it.
+  const std::string cap = std::to_string(gcs::util::json::kMaxFileBytes);
+  EXPECT_EQ(gcs::util::json::kMaxFileBytes, std::size_t{64} << 20);
+  for (const std::string& message :
+       {error_of([] { read_file("/dev/zero"); }),
+        error_of([] { gcs::util::json::parse_file("/dev/zero"); })}) {
+    EXPECT_NE(message.find("/dev/zero"), std::string::npos) << message;
+    EXPECT_NE(message.find(cap + " bytes"), std::string::npos) << message;
+  }
+  // A file of exactly the cap reads whole; one byte more is refused.
+  // Both are sparse, so they take no disk space.
+  const std::string path = ::testing::TempDir() + "read_file_cap.json";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "[1,2]";
+  }
+  EXPECT_EQ(read_file(path), "[1,2]");
+  std::filesystem::resize_file(path, gcs::util::json::kMaxFileBytes);
+  EXPECT_EQ(read_file(path).size(), gcs::util::json::kMaxFileBytes);
+  std::filesystem::resize_file(path, gcs::util::json::kMaxFileBytes + 1);
+  const std::string over = error_of([&] { read_file(path); });
+  EXPECT_NE(over.find(path + " is larger than the read cap of " + cap +
+                      " bytes"),
+            std::string::npos)
+      << over;
+  EXPECT_NE(error_of([] { read_file("/no/such/dir/file.json"); })
+                .find("cannot read /no/such/dir/file.json"),
+            std::string::npos);
+  std::remove(path.c_str());
+}
 
 TEST(Json, ParsesPrimitives) {
   EXPECT_TRUE(parse("null").is_null());

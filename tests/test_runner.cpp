@@ -66,6 +66,15 @@ cli::Campaign window_campaign() {
                 {"sample_dt", "1"}});
 }
 
+// Two cells: the first fails only at run time, the second runs clean.
+// build_campaign refuses n = 1, so the errored cell is set by hand.
+cli::Campaign errored_campaign() {
+  cli::Campaign campaign = small_campaign();
+  campaign.cells.resize(2);
+  campaign.cells[0].config.params.n = 1;
+  return campaign;
+}
+
 // A log sink that sleeps on every line, so the committing thread (which
 // logs each cell) falls behind the workers.
 class SlowLineSink : public std::streambuf {
@@ -187,9 +196,7 @@ TEST(Runner, StreamedSeriesOfErroredCellIsRemoved) {
   // An errored cell must not leave a partial (header-only) series file
   // behind when the series stream was already open.
   const fs::path dir = fresh_dir("errored-series");
-  const cli::Campaign campaign = cli::build_campaign(
-      nullptr, {{"name", "err"}, {"n", "1,6"}, {"topology", "ring"},
-                {"horizon", "5"}});
+  const cli::Campaign campaign = errored_campaign();
   cli::RunnerOptions options;
   options.quiet = true;
   options.series = true;
@@ -240,11 +247,7 @@ TEST(Runner, PeakRssIsFilledUnlessTimingIsFixed) {
 
 TEST(Runner, ErroredCellsAreDisjointFromFailedAndLogTimingOnly) {
   const fs::path dir = fresh_dir("errored");
-  // n=1 makes run_experiment throw; n=6 runs clean.
-  const cli::Campaign campaign = cli::build_campaign(
-      nullptr, {{"name", "err"}, {"n", "1,6"}, {"topology", "ring"},
-                {"horizon", "5"}});
-  ASSERT_EQ(campaign.cells.size(), 2u);
+  const cli::Campaign campaign = errored_campaign();
 
   cli::RunnerOptions options;
   options.out_dir = dir.string();

@@ -1,5 +1,6 @@
 // The scenario subsystem beyond what the determinism/property sweeps
-// cover: the two new mobility generators' shape and reproducibility, the
+// cover: every random generator's schedule pinned to a digest, the two
+// new mobility generators' shape and reproducibility, the
 // (T+D)-interval-connectivity audit, and the backbone-free connectivity
 // enforcer (rotating connector edges, base-edge disjointness, horizon
 // rule, and the audit-clean guarantee).
@@ -8,6 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -39,6 +44,112 @@ bool same_schedule(const net::Scenario& a, const net::Scenario& b) {
     }
   }
   return true;
+}
+
+// FNV-1a over a schedule in emitted order: n, the initial edges, then
+// each event's time bits, endpoints and direction, and last the
+// generator's next draw, so a draw added, dropped or reordered anywhere
+// moves the digest even where the schedule happens to survive it.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+std::uint64_t schedule_digest(const net::Scenario& s, gcs::util::Rng& rng) {
+  Fnv f;
+  f.add(s.n);
+  f.add(s.initial_edges.size());
+  for (const net::Edge& e : s.initial_edges) {
+    f.add(e.u);
+    f.add(e.v);
+  }
+  f.add(s.events.size());
+  for (const net::TopologyEvent& ev : s.events) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &ev.at, sizeof bits);
+    f.add(bits);
+    f.add(ev.edge.u);
+    f.add(ev.edge.v);
+    f.add(ev.add ? 1 : 0);
+  }
+  f.add(rng.uniform_int(0, ~std::uint64_t{0}));
+  return f.h;
+}
+
+TEST(ScenarioSchedules, PinnedDigests) {
+  // Each generator at fixed (n, seed, knobs), both backbone settings for
+  // the radius-graph ones and both jitter branches for group.  A change
+  // that moves a digest changes every trajectory of that generator.
+  using Make = std::function<net::Scenario(gcs::util::Rng&)>;
+  struct Case {
+    const char* name;
+    std::uint64_t seed;
+    Make make;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"mobility", 21,
+       [](gcs::util::Rng& r) {
+         return net::make_mobility_scenario(14, 0.3, 0.02, 0.08, 0.5, 40.0,
+                                            true, r);
+       },
+       0x64f7f9ed784a8746ULL},
+      {"mobility-no-backbone", 22,
+       [](gcs::util::Rng& r) {
+         return net::make_mobility_scenario(14, 0.3, 0.0, 0.1, 0.5, 40.0,
+                                            false, r);
+       },
+       0x77ce8750d96ad2b8ULL},
+      {"gauss-markov", 23,
+       [](gcs::util::Rng& r) {
+         return net::make_gauss_markov_scenario(14, 0.3, 0.05, 0.75, 0.02, 0.4,
+                                                0.5, 40.0, true, r);
+       },
+       0x2c606d98ae93bcedULL},
+      {"gauss-markov-no-backbone", 24,
+       [](gcs::util::Rng& r) {
+         return net::make_gauss_markov_scenario(14, 0.3, 0.2, 0.0, 0.1, 1.0,
+                                                0.5, 40.0, false, r);
+       },
+       0x0cee72e1eabf1433ULL},
+      {"group", 25,
+       [](gcs::util::Rng& r) {
+         return net::make_group_scenario(14, 3, 0.25, 0.08, 0.02, 0.06, 0.5,
+                                         0.05, 40.0, true, r);
+       },
+       0xb2568798b0f872ceULL},
+      {"group-no-backbone-no-jitter", 26,
+       [](gcs::util::Rng& r) {
+         return net::make_group_scenario(14, 4, 0.25, 0.0, 0.0, 0.1, 0.5, 0.2,
+                                         40.0, false, r);
+       },
+       0xfb998b5f54859ffbULL},
+      {"churn", 27,
+       [](gcs::util::Rng& r) {
+         return net::make_churn_scenario(16, 6, 3.0, 40.0, r);
+       },
+       0x7bbfc21be354ec21ULL},
+      {"switching-star", 28,
+       [](gcs::util::Rng&) {
+         return net::make_switching_star_scenario(7, 2.0, 0.5, 17.0);
+       },
+       0x49f8bf1b44d6c3fdULL},
+  };
+  for (const Case& c : cases) {
+    gcs::util::Rng rng(c.seed);
+    const net::Scenario s = c.make(rng);
+    EXPECT_FALSE(s.events.empty()) << c.name;
+    const std::uint64_t digest = schedule_digest(s, rng);
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, c.digest) << c.name << " digest " << hex;
+  }
 }
 
 TEST(GaussMarkovScenario, ShapeDeterminismAndHorizon) {

@@ -132,6 +132,22 @@ TEST(ContactTrace, LoaderDispatchesOnExtensionAndPrefixesPath) {
   std::remove(bad_path.c_str());
 }
 
+TEST(ContactTrace, LoaderStopsPastTheReadCap) {
+  // A trace path naming a device that never ends is refused naming the
+  // path and the cap, not read until memory runs out.
+  try {
+    net::load_contact_trace("/dev/zero");
+    FAIL() << "loaded /dev/zero";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("trace '/dev/zero'"), std::string::npos) << message;
+    EXPECT_NE(message.find("read cap of " +
+                           std::to_string(json::kMaxFileBytes) + " bytes"),
+              std::string::npos)
+        << message;
+  }
+}
+
 TEST(ContactTrace, ScenarioConversionAppliesHorizonRule) {
   net::ContactTrace trace;
   trace.n = 4;
